@@ -1,10 +1,10 @@
 // One FedBIAD job over real localhost TCP, checked bit-for-bit against
 // the in-process engine.
 //
-// The parent runs the in-process reference first (fl::AsyncSimulation on
-// the virtual clock), then binds an EpollServerTransport on an ephemeral
-// port, forks one child per populated client (each a TcpClientTransport +
-// ClientRuntime), and drives the ServerRuntime to completion. The two
+// The parent binds an EpollServerTransport on an ephemeral port, forks one
+// child per populated client (each a TcpClientTransport + ClientRuntime),
+// runs the in-process reference (fl::AsyncSimulation on the virtual clock),
+// and drives the ServerRuntime to completion. The two
 // trajectory fingerprints — per-round losses/accuracies/byte counts plus
 // a CRC32C of the final parameters — must match exactly: real sockets,
 // fork scheduling, and arrival order change nothing the engine's
@@ -47,12 +47,6 @@ int main() {
   const tools::DemoWorkload w =
       tools::make_demo_workload(method, examples::smoke());
 
-  // In-process reference on the virtual clock. Runs (and joins its worker
-  // thread) before any fork below.
-  const fl::SimulationResult reference = tools::reference_run(w, method);
-  const std::string want = tools::trajectory_text(reference);
-  std::printf("— in-process reference —\n%s", want.c_str());
-
   // The same job over TCP: parent serves, one forked child per client.
   transport::TransportServerConfig scfg;
   scfg.base = w.sim;
@@ -60,7 +54,7 @@ int main() {
   // Decode-on-arrival workers: uploads are CRC-verified and decoded off
   // the epoll thread, yet the trajectory diff below still demands byte
   // identity with the single-threaded in-process engine. (The pool's
-  // threads start inside server.run(), after every fork above.)
+  // threads start inside server.run(), after every fork below.)
   scfg.decode_workers = 4;
   transport::EpollServerTransport transport({}, /*port=*/0);
   const std::uint16_t port = transport.port();
@@ -75,6 +69,14 @@ int main() {
     FEDBIAD_CHECK(pid > 0, "fork failed");
     children.push_back(pid);
   }
+
+  // In-process reference on the virtual clock. It runs only after every
+  // fork above: it starts the process-wide kernel thread pool, and a child
+  // forked after that would inherit the pool without its threads. The
+  // clients' connections wait in the listen backlog meanwhile.
+  const fl::SimulationResult reference = tools::reference_run(w, method);
+  const std::string want = tools::trajectory_text(reference);
+  std::printf("— in-process reference —\n%s", want.c_str());
 
   transport::ServerRuntime server(scfg, transport, w.factory, w.test,
                                   w.partition,

@@ -3,17 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <functional>
 #include <future>
-#include <iostream>
 #include <limits>
 #include <map>
 #include <mutex>
+#include <ranges>
 #include <utility>
 
 #include "common/check.hpp"
 #include "fl/client_registry.hpp"
-#include "fl/fused_aggregate.hpp"
 #include "fl/scheduler.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/ops.hpp"
@@ -21,134 +19,605 @@
 
 namespace fedbiad::fl {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-void sort_by_slot(std::vector<PendingUpdate>& batch) {
-  std::sort(batch.begin(), batch.end(),
-            [](const PendingUpdate& a, const PendingUpdate& b) {
-              return a.slot < b.slot;
-            });
-}
-
-/// Barrier: hold the whole wave, release it sorted by selection slot so the
-/// aggregation order (and therefore every float) matches the sync engine.
-/// Under a scenario the engine constructs it with an unreachable wave size
-/// and calls flush() itself once the wave's survivors have all arrived.
-class BarrierAggregator final : public AsyncAggregator {
+/// ServerCore's virtual-clock driver: events on an EventScheduler, client
+/// training on a thread pool, scenario churn and delivery faults, zombie
+/// jobs, and the job/event half of every snapshot. Every server decision is
+/// the core's.
+class AsyncSimulation::Driver final : public ServerDriver {
  public:
-  explicit BarrierAggregator(std::size_t wave_size) : wave_size_(wave_size) {
-    FEDBIAD_CHECK(wave_size_ > 0, "barrier wave size must be positive");
+  explicit Driver(const AsyncSimulation& sim)
+      : sim_(sim),
+        base_(sim.cfg_.base),
+        hooks_(sim.cfg_.hooks.get()),
+        deadline_(hooks_ != nullptr ? hooks_->deadline_seconds() : 0.0),
+        faulty_(hooks_ != nullptr && hooks_->faults_enabled()),
+        retry_policy_(faulty_ ? hooks_->retry_policy() : RetryPolicy{}),
+        client_rng_base_(base_.seed),
+        registry_(sim.population_, sim.cfg_.heterogeneity, base_.link,
+                  tensor::Rng(base_.seed).split(0xA11C)),
+        core_(ServerCoreConfig{.base = base_,
+                               .mode = sim.cfg_.mode,
+                               .staleness = sim.cfg_.staleness,
+                               .buffer_size = sim.cfg_.buffer_size,
+                               .checkpoint = sim.cfg_.checkpoint,
+                               .engine = to_string(sim.cfg_.mode),
+                               .scenario = sim.cfg_.scenario_name,
+                               .hooks = hooks_},
+              *this, sim.factory_, sim.test_data_, sim.populated_,
+              sim.population_, sim.strategy_),
+        pool_(base_.threads) {
+    replicas_.resize(pool_.size());
+    for (auto& r : replicas_) {
+      r = sim.factory_();
+      free_replicas_.push_back(r.get());
+    }
   }
-  [[nodiscard]] std::string name() const override { return "barrier"; }
-  [[nodiscard]] std::vector<PendingUpdate> offer(PendingUpdate up) override {
-    held_.push_back(std::move(up));
-    if (held_.size() < wave_size_) return {};
-    return flush();
+
+  SimulationResult run() {
+    core_.start();
+    while (!core_.done() && sched_.run_next()) {
+    }
+    FEDBIAD_CHECK(core_.done(), "event queue drained early");
+    registry_.for_each_active([](Job& job) {
+      if (job.future.valid()) job.future.wait();
+    });
+    SimulationResult result = core_.take_result();
+    result.peak_in_flight_states = registry_.peak_active();
+    result.materialized_states = registry_.materialized();
+    return result;
   }
-  [[nodiscard]] std::vector<PendingUpdate> flush() override {
-    std::vector<PendingUpdate> batch = std::move(held_);
-    held_.clear();
-    sort_by_slot(batch);
-    return batch;
+
+  [[nodiscard]] double now() const override { return sched_.now(); }
+
+  void dispatch(std::size_t client, std::size_t slot,
+                std::uint64_t rng_stream) override {
+    Job& job = *registry_.acquire();
+    job.client = client;
+    job.slot = slot;
+    job.version = core_.version();
+    job.dispatch_clock = sched_.now();
+    job.dispatch_index = core_.dispatched();
+    if (hooks_ != nullptr) {
+      // Keyed on the global dispatch counter: a re-dispatched client gets
+      // an independent draw, and the draw never touches the selection
+      // stream.
+      const ChurnDecision churn = hooks_->churn(client, job.dispatch_index);
+      job.churn_fails = churn.fails;
+      job.churn_fraction = churn.fraction;
+    }
+    const netsim::ClientProfile prof = registry_.profile(client);
+    const auto broadcast = core_.broadcast();
+    if (!snapshot_ || snapshot_version_ != core_.version()) {
+      // Clients train on the decoded broadcast. f32 sections are lossless,
+      // so the snapshot is bit-identical to the global. The last version's
+      // copy goes first, so two are never held at once.
+      snapshot_.reset();
+      snapshot_ = std::make_shared<const std::vector<float>>(
+          wire::decode_update(core_.layout(), *broadcast).values);
+      snapshot_version_ = core_.version();
+    }
+    job.download_s = prof.download_seconds(broadcast->size());
+    const double samples = static_cast<double>(
+        std::min<std::size_t>(base_.train.batch_size, shard_of(client).size()));
+    job.compute_s = prof.compute_seconds(
+        static_cast<double>(base_.train.local_iterations) * samples *
+        sim_.strategy_->compute_cost_multiplier());
+    job.snapshot = snapshot_;
+    busy_[client] = &job;
+    const std::size_t round = core_.version() + 1;
+    const tensor::Rng ctx_rng =
+        client_rng_base_.split(0x1000 + client).split(rng_stream);
+    Job* jp = &job;
+    job.future = pool_.submit([this, jp, client, round, ctx_rng] {
+      nn::Model* replica = nullptr;
+      {
+        std::scoped_lock lock(replica_mutex_);
+        FEDBIAD_CHECK(!free_replicas_.empty(), "replica lease exhausted");
+        replica = free_replicas_.back();
+        free_replicas_.pop_back();
+      }
+      tensor::copy(*jp->snapshot, replica->store().params());
+      ClientContext ctx{
+          .client_id = client,
+          .round = round,
+          .model = *replica,
+          .global_params = *jp->snapshot,
+          .dataset = *sim_.train_data_,
+          .shard = shard_of(client),
+          .settings = base_.train,
+          .rng = ctx_rng,
+          .model_version = jp->version,
+          .dispatch_clock = jp->dispatch_clock,
+          .deadline_seconds = deadline_,
+      };
+      const auto start = std::chrono::steady_clock::now();
+      ClientOutcome out = sim_.strategy_->run_client(ctx);
+      out.train_seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+      out.client_id = client;
+      {
+        std::scoped_lock lock(replica_mutex_);
+        free_replicas_.push_back(replica);
+      }
+      return out;
+    }).share();
+    schedule(checkpoint::EventKind::kTraining, job,
+             job.dispatch_clock + (job.download_s + job.compute_s));
+    if (deadline_ > 0.0) {
+      // Scheduled at dispatch, so its id is lower than any arrival event
+      // (those are scheduled at training-done): at an exactly-equal
+      // timestamp the deadline runs first and the arrival is abandoned —
+      // the cutoff is strict.
+      schedule(checkpoint::EventKind::kDeadline, job,
+               job.dispatch_clock + deadline_);
+    }
   }
-  [[nodiscard]] std::size_t buffered() const override { return held_.size(); }
+
+  // The Strategy contract says server hooks never overlap run_client. A job
+  // abandoned before its training event ran still has run_client executing
+  // on the pool; in-flight jobs of an async commit may too. Block on both
+  // (real time only); the zombies' outcomes are discarded. Outcomes depend
+  // only on their dispatch snapshots, so the trajectory is unchanged.
+  void quiesce() override {
+    for (Job* jp : zombies_) {
+      if (jp->future.valid()) jp->future.wait();
+      registry_.release(jp);
+    }
+    zombies_.clear();
+    for (Job* jp : std::views::values(busy_)) {
+      if (jp->future.valid()) jp->future.wait();
+    }
+  }
+
+  void retry_later() override {
+    if (retry_scheduled_) return;
+    double t = std::numeric_limits<double>::infinity();
+    for (const std::size_t k : sim_.populated_) {
+      if (busy_.find(k) == busy_.end()) {
+        t = std::min(t, hooks_->next_available_time(k, sched_.now()));
+      }
+    }
+    // The core only asks when nobody is available *now*, so a correct hook
+    // returns a strictly later time — anything else would spin the virtual
+    // clock in place.
+    FEDBIAD_CHECK(std::isfinite(t) && t > sched_.now(),
+                  "scenario never makes another client available");
+    retry_scheduled_ = true;
+    sched_.schedule_at(t, [this] {
+      retry_scheduled_ = false;
+      core_.retry();
+    });
+  }
+
+  // The engine's half of a snapshot, taken at the core's commit boundary:
+  // zombies are drained and every in-flight job's real computation is done
+  // (commits quiesce first), so what remains live — in-flight outcomes and
+  // the pending timeline — is serialized; events are stored sorted by their
+  // original scheduler id so resume reproduces the equal-time tie-break.
+  void save(checkpoint::EngineSnapshot& snap) override {
+    using checkpoint::EventKind;
+    FEDBIAD_CHECK(zombies_.empty() && !retry_scheduled_,
+                  "checkpoint outside a quiescent commit boundary");
+    snap.clock = sched_.now();
+    std::vector<std::pair<EventScheduler::EventId, checkpoint::EventSnapshot>>
+        events;
+    for (Job* jp : std::views::values(busy_)) {
+      if (jp->future.valid()) jp->future.wait();
+      const std::uint64_t index = snap.jobs.size();
+      checkpoint::JobSnapshot js;
+      js.client = jp->client;
+      js.slot = jp->slot;
+      js.version = jp->version;
+      js.dispatch_index = jp->dispatch_index;
+      js.attempt = jp->attempt;
+      js.dispatch_clock = jp->dispatch_clock;
+      js.download_seconds = jp->download_s;
+      js.compute_seconds = jp->compute_s;
+      js.upload_start = jp->upload_start;
+      js.churn_fails = jp->churn_fails;
+      js.churn_fraction = jp->churn_fraction;
+      js.has_pending = jp->pending != nullptr;
+      const ClientOutcome& out =
+          js.has_pending ? jp->pending->outcome : jp->future.get();
+      js.samples = out.samples;
+      js.is_update = out.is_update;
+      js.payload = out.payload;
+      js.train_seconds = out.train_seconds;
+      js.mean_loss = out.mean_loss;
+      js.last_loss = out.last_loss;
+      snap.jobs.push_back(std::move(js));
+      if (jp->training_event != EventScheduler::kNoEvent) {
+        events.push_back(
+            {jp->training_event,
+             {EventKind::kTraining, index,
+              jp->dispatch_clock + (jp->download_s + jp->compute_s), 0}});
+      }
+      if (jp->arrival_event != EventScheduler::kNoEvent) {
+        events.push_back(
+            {jp->arrival_event,
+             {jp->churn_fails ? EventKind::kChurnAbandon : EventKind::kDelivery,
+              index, jp->arrival_time, jp->churn_wasted}});
+      }
+      if (jp->deadline_event != EventScheduler::kNoEvent) {
+        events.push_back({jp->deadline_event,
+                          {EventKind::kDeadline, index,
+                           jp->dispatch_clock + deadline_, 0}});
+      }
+    }
+    // Duplicate deliveries outlive their dispatch's resolution; their
+    // records stay leased (release deferred to the duplicate handler), so
+    // scanning the active leases finds exactly them — dormant clients have
+    // no record at all and are never serialized.
+    registry_.for_each_active([&](Job& job) {
+      if (job.duplicate_event != EventScheduler::kNoEvent) {
+        events.push_back({job.duplicate_event,
+                          {EventKind::kDuplicate, checkpoint::kNoJob,
+                           job.duplicate_time, job.framed_bytes}});
+      }
+    });
+    FEDBIAD_CHECK(events.size() == sched_.pending(),
+                  "checkpoint lost track of pending events");
+    std::sort(events.begin(), events.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    snap.events.reserve(events.size());
+    for (const auto& [id, ev] : events) snap.events.push_back(ev);
+  }
+
+  // Rebuilds the in-flight jobs and re-schedules their events in original-
+  // id order: fresh ids are assigned ascending, so the relative order — the
+  // equal-time tie-break — is preserved, and events created by the replayed
+  // post-commit dispatch sort after them exactly as in the uninterrupted
+  // run.
+  void restore(checkpoint::EngineSnapshot& snap) override {
+    sched_.set_now(snap.clock);
+    // Snapshot events reference jobs by index in snap.jobs; the leased
+    // records are collected in that order so the indices resolve.
+    std::vector<Job*> restored;
+    restored.reserve(snap.jobs.size());
+    for (checkpoint::JobSnapshot& js : snap.jobs) {
+      Job& job = *registry_.acquire();
+      restored.push_back(&job);
+      job.client = static_cast<std::size_t>(js.client);
+      job.slot = static_cast<std::size_t>(js.slot);
+      job.version = static_cast<std::size_t>(js.version);
+      job.dispatch_index = static_cast<std::size_t>(js.dispatch_index);
+      job.attempt = static_cast<std::size_t>(js.attempt);
+      job.dispatch_clock = js.dispatch_clock;
+      job.download_s = js.download_seconds;
+      job.compute_s = js.compute_seconds;
+      job.upload_start = js.upload_start;
+      job.churn_fails = js.churn_fails;
+      job.churn_fraction = js.churn_fraction;
+      ClientOutcome out;
+      out.client_id = job.client;
+      out.samples = static_cast<std::size_t>(js.samples);
+      out.is_update = js.is_update;
+      out.payload = std::move(js.payload);
+      out.train_seconds = js.train_seconds;
+      out.mean_loss = js.mean_loss;
+      out.last_loss = js.last_loss;
+      if (js.has_pending) {
+        job.pending = make_pending(job, std::move(out));
+      } else {
+        // Training never re-runs (run_client mutates per-client strategy
+        // state); the completed outcome waits behind a ready future for the
+        // training event to consume as if the pool had just finished.
+        std::promise<ClientOutcome> ready;
+        ready.set_value(std::move(out));
+        job.future = ready.get_future().share();
+      }
+      busy_[job.client] = &job;
+    }
+    for (const checkpoint::EventSnapshot& ev : snap.events) {
+      if (ev.kind == checkpoint::EventKind::kDuplicate) {
+        // Carried by a fresh leased record so a later checkpoint of the
+        // resumed run finds it in the duplicate scan; the handler releases
+        // it once the duplicate is charged.
+        Job& dup = *registry_.acquire();
+        dup.release_on_duplicate = true;
+        schedule(ev.kind, dup, ev.time, ev.aux);
+        continue;
+      }
+      FEDBIAD_CHECK(ev.job_index < restored.size(),
+                    "snapshot event references a missing job");
+      schedule(ev.kind, *restored[ev.job_index], ev.time, ev.aux);
+    }
+  }
 
  private:
-  std::size_t wave_size_;
-  std::vector<PendingUpdate> held_;
+  // One pool-leased record per in-flight dispatch (the registry keeps
+  // addresses stable, so scheduler events and pool tasks can hold Job*).
+  // Acquired at dispatch, released the moment the dispatch resolves.
+  using Job = ClientState;
+
+  [[nodiscard]] const std::vector<std::size_t>& shard_of(
+      std::size_t client) const {
+    // Shards are stored compacted, aligned with the ascending populated
+    // ids, so a client's shard sits at its lower_bound rank. Read-only, so
+    // safe from pool tasks too.
+    const auto& ids = sim_.populated_;
+    return sim_.shards_[static_cast<std::size_t>(
+        std::lower_bound(ids.begin(), ids.end(), client) - ids.begin())];
+  }
+
+  std::unique_ptr<PendingUpdate> make_pending(const Job& job,
+                                              ClientOutcome out) {
+    auto up = std::make_unique<PendingUpdate>();
+    up->slot = job.slot;
+    up->dispatch_version = job.version;
+    up->download_seconds = job.download_s;
+    // Link timing runs on the measured size of the encoded buffer — the
+    // payload is what travels, so its byte count is what the uplink
+    // carries.
+    up->upload_seconds =
+        registry_.profile(job.client).upload_seconds(out.payload.size());
+    up->outcome = std::move(out);
+    return up;
+  }
+
+  // Every timeline event of a job is scheduled here — as the job progresses
+  // and when a snapshot is restored — so a resumed run re-creates exactly
+  // the callbacks the interrupted one had pending.
+  void schedule(checkpoint::EventKind kind, Job& job, double time,
+                std::uint64_t aux = 0) {
+    Job* jp = &job;
+    switch (kind) {
+      case checkpoint::EventKind::kTraining:
+        job.training_event =
+            sched_.schedule_at(time, [this, jp] { on_training_done(*jp); });
+        return;
+      case checkpoint::EventKind::kDelivery:
+        job.arrival_time = time;
+        job.arrival_event =
+            sched_.schedule_at(time, [this, jp] { deliver(*jp); });
+        return;
+      case checkpoint::EventKind::kChurnAbandon:
+        job.arrival_time = time;
+        job.churn_wasted = aux;
+        job.arrival_event =
+            sched_.schedule_at(time, [this, jp, aux] { abandon(*jp, aux); });
+        return;
+      case checkpoint::EventKind::kDeadline:
+        job.deadline_event =
+            sched_.schedule_at(time, [this, jp] { on_deadline(*jp); });
+        return;
+      case checkpoint::EventKind::kDuplicate:
+        // A stray duplicate delivery: charged, never aggregated. When the
+        // dispatch already resolved, arrive() deferred the record's release
+        // to this handler (it holds the last pointer to it).
+        job.duplicate_time = time;
+        job.framed_bytes = aux;
+        job.duplicate_event = sched_.schedule_at(time, [this, jp] {
+          jp->duplicate_event = EventScheduler::kNoEvent;
+          core_.charge_delivery(jp->framed_bytes);
+          if (jp->release_on_duplicate) registry_.release(jp);
+        });
+        return;
+    }
+  }
+
+  void on_training_done(Job& job) {
+    job.training_event = EventScheduler::kNoEvent;
+    ClientOutcome out = job.future.get();
+    out.client_id = job.client;
+    // The pool task is done with the snapshot; drop this job's reference.
+    job.snapshot.reset();
+    if (faulty_) {
+      // The CRC trailer travels with the frame, so it is sealed onto the
+      // payload *before* link timing is measured from the byte count.
+      wire::seal_payload(out.payload);
+    }
+    job.pending = make_pending(job, std::move(out));
+    job.upload_start = sched_.now();
+    const double upload = job.pending->upload_seconds;
+    if (!job.churn_fails) {
+      schedule(checkpoint::EventKind::kDelivery, job, sched_.now() + upload);
+      return;
+    }
+    // Resolve the dispatch-time churn draw now that the full timeline is
+    // known: the client dies `fraction` of the way through
+    // download + compute + upload. Its upload never arrives.
+    const double total = job.download_s + job.compute_s + upload;
+    const double fail_t = job.dispatch_clock + job.churn_fraction * total;
+    if (fail_t <= sched_.now()) {
+      // Died during download or compute: nothing reached the server.
+      abandon(job, 0);
+      return;
+    }
+    const double frac = (fail_t - sched_.now()) / upload;
+    schedule(checkpoint::EventKind::kChurnAbandon, job, fail_t,
+             static_cast<std::uint64_t>(
+                 static_cast<double>(job.pending->outcome.payload.size()) *
+                 frac));
+  }
+
+  void on_deadline(Job& job) {
+    job.deadline_event = EventScheduler::kNoEvent;
+    std::uint64_t wasted = 0;
+    if (job.pending && job.pending->upload_seconds > 0.0) {
+      // The upload was in progress: the bytes already pushed are wasted.
+      const double frac = std::clamp(
+          (sched_.now() - job.upload_start) / job.pending->upload_seconds,
+          0.0, 1.0);
+      wasted = static_cast<std::uint64_t>(
+          static_cast<double>(job.pending->outcome.payload.size()) * frac);
+    }
+    abandon(job, wasted);
+  }
+
+  void abandon(Job& job, std::uint64_t wasted) {
+    // Do NOT release the record while training is still running: the pool
+    // task dereferences its snapshot. Such zombies are parked and released
+    // by quiesce() once their real computation drains. cancel() of an
+    // already-run or kNoEvent id is a no-op, so cancelling all three races
+    // is always safe. An abandoned dispatch never delivered, so it can have
+    // no pending duplicate holding the record either.
+    const bool training_live = sched_.cancel(job.training_event);
+    if (training_live) zombies_.push_back(&job);
+    sched_.cancel(job.arrival_event);
+    sched_.cancel(job.deadline_event);
+    job.training_event = EventScheduler::kNoEvent;
+    job.arrival_event = EventScheduler::kNoEvent;
+    job.deadline_event = EventScheduler::kNoEvent;
+    job.pending.reset();
+    const std::size_t client = job.client;
+    busy_.erase(client);
+    if (!training_live) registry_.release(&job);
+    core_.abandon(client, wasted);
+  }
+
+  // Delivery inspection: runs when an upload's last byte lands. Without
+  // faults it is exactly the plain arrival. With faults it materializes the
+  // (client, dispatch, attempt)-keyed fault draw on the sealed frame: a
+  // corrupt delivery must fail the CRC check (proven, not assumed), is
+  // charged to the delivery ledger, and is either retried after seeded
+  // exponential backoff or — retry budget drained — terminally rejected. An
+  // intact delivery may additionally spawn a duplicate of itself; the
+  // duplicate arrives later, finds the dispatch already resolved, and is
+  // dropped (charged, never aggregated) — updates are committed at most
+  // once by construction.
+  void deliver(Job& job) {
+    job.arrival_event = EventScheduler::kNoEvent;
+    if (!faulty_) {
+      arrive(job);
+      return;
+    }
+    const DeliveryFault fault =
+        hooks_->delivery_fault(job.client, job.dispatch_index, job.attempt);
+    const std::uint64_t framed = job.pending->outcome.payload.size();
+    if (!fault.corrupt) {
+      if (fault.duplicate) {
+        schedule(checkpoint::EventKind::kDuplicate, job,
+                 sched_.now() + fault.duplicate_lag * job.pending->upload_seconds,
+                 framed);
+      }
+      arrive(job);
+      return;
+    }
+    // Damage a copy of the frame and prove the CRC layer rejects it —
+    // CRC32C detects every single-bit flip and every truncation the
+    // injector can produce, so a pass here would mean the frame check is
+    // broken, which is worth dying loudly over.
+    ClientOutcome probe;
+    probe.client_id = job.client;
+    probe.payload = job.pending->outcome.payload;
+    std::uint64_t delivered = framed;
+    if (fault.truncate) {
+      const auto cut = static_cast<std::size_t>(
+          fault.position * static_cast<double>(framed - 1));
+      probe.payload.bytes.resize(cut);
+      delivered = cut;
+    } else {
+      const auto bit = std::min<std::size_t>(
+          static_cast<std::size_t>(fault.position *
+                                   static_cast<double>(framed * 8)),
+          framed * 8 - 1);
+      probe.payload.bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    }
+    const DecodeStatus status = try_decode_outcome_compact(
+        *sim_.strategy_, core_.layout(), probe, /*framed=*/true,
+        DecodeContext{job.client, job.dispatch_index, sched_.now()});
+    FEDBIAD_CHECK(!status.ok, "injected corruption slipped past the CRC frame");
+    core_.charge_delivery(delivered);
+    if (job.attempt < retry_policy_.max_attempts) {
+      const std::size_t attempt = job.attempt;  // the one that just failed
+      ++job.attempt;
+      double backoff = retry_policy_.backoff_seconds *
+                       std::pow(retry_policy_.backoff_multiplier,
+                                static_cast<double>(attempt - 1));
+      const double u =
+          hooks_->retry_jitter(job.client, job.dispatch_index, attempt);
+      backoff *= 1.0 + retry_policy_.jitter_fraction * (2.0 * u - 1.0);
+      // The client retransmits the same frame after the backoff; the
+      // deadline event (if any) stays armed, so a retry can still be cut
+      // off and abandoned like any slow upload.
+      job.upload_start = sched_.now() + backoff;
+      schedule(checkpoint::EventKind::kDelivery, job,
+               job.upload_start + job.pending->upload_seconds);
+      return;
+    }
+    sched_.cancel(job.deadline_event);
+    job.deadline_event = EventScheduler::kNoEvent;
+    job.pending.reset();
+    const std::size_t client = job.client;
+    busy_.erase(client);
+    // Terminal rejection resolves the dispatch; duplicates only spawn from
+    // intact deliveries, so nothing else can hold this record.
+    registry_.release(&job);
+    core_.reject(client);
+  }
+
+  void arrive(Job& job) {
+    busy_.erase(job.client);
+    if (hooks_ != nullptr) sched_.cancel(job.deadline_event);
+    PendingUpdate up = std::move(*job.pending);
+    job.pending.reset();
+    // The upload has arrived: decode the payload on the engine thread into
+    // the compact O(transmitted) view the fused committer consumes, record
+    // the measured uplink size, and drop the raw bytes. Abandoned uploads
+    // never reach this point, so their bytes are only ever counted in the
+    // wasted-uplink ledger. Fault sessions decode through the non-throwing
+    // path — deliver() only forwards frames whose CRC verifies, so a
+    // failure here is engine corruption, not client noise.
+    if (faulty_) {
+      const DecodeStatus status = try_decode_outcome_compact(
+          *sim_.strategy_, core_.layout(), up.outcome, /*framed=*/true,
+          DecodeContext{job.client, job.dispatch_index, sched_.now()});
+      FEDBIAD_CHECK(status.ok, status.error);
+    } else {
+      decode_outcome_compact(*sim_.strategy_, core_.layout(), up.outcome);
+    }
+    up.outcome.payload.bytes = {};
+    const std::size_t client = job.client;
+    // The dispatch is resolved; retire its record. A scheduled duplicate
+    // delivery may still hold a pointer — hand the release to its handler.
+    if (job.duplicate_event != EventScheduler::kNoEvent) {
+      job.release_on_duplicate = true;
+    } else {
+      registry_.release(&job);
+    }
+    core_.arrive(client, std::move(up));
+  }
+
+  const AsyncSimulation& sim_;
+  const SimulationConfig& base_;
+  // Scenario extension points. Every scenario branch is guarded by
+  // hooks_ != nullptr: with no hooks configured the engine consumes exactly
+  // the same rng draws and schedules exactly the same events as before the
+  // scenario layer existed (the golden traces pin this).
+  EngineHooks* hooks_;
+  double deadline_;
+  // Transport faults: with a faults block configured every upload is CRC
+  // framed, deliveries can corrupt/truncate/duplicate, and corrupt frames
+  // are retried under the scenario's backoff policy. Disabled, the delivery
+  // path is byte-identical to the fault-free engine.
+  bool faulty_;
+  RetryPolicy retry_policy_;
+  tensor::Rng client_rng_base_;
+  // The registry materializes device profiles lazily from a split of the
+  // base seed (never from the selection stream, which must see exactly the
+  // sync engine's draws whatever the heterogeneity config), and pools the
+  // per-dispatch ClientState records, so steady-state engine memory is
+  // O(in-flight), not O(registered).
+  ClientRegistry registry_;
+  ServerCore core_;
+  EventScheduler sched_;
+  // The decoded model broadcast, shared by every dispatch of one version.
+  std::shared_ptr<const std::vector<float>> snapshot_;
+  std::size_t snapshot_version_ = 0;
+  std::map<std::size_t, Job*> busy_;  ///< in-flight jobs, ascending client
+  std::vector<Job*> zombies_;         ///< abandoned while still training
+  bool retry_scheduled_ = false;      ///< one pending availability retry
+  std::vector<std::unique_ptr<nn::Model>> replicas_;
+  std::vector<nn::Model*> free_replicas_;
+  std::mutex replica_mutex_;
+  // Declared last: worker tasks reference the leased records, the replicas,
+  // the free list and its mutex, so the pool's destructor — which drains
+  // queued tasks and joins — must run before any of them die, even on an
+  // exceptional unwind.
+  parallel::ThreadPool pool_;
 };
-
-/// FedAsync: every arrival is its own commit; nothing is ever held back.
-class FedAsyncAggregator final : public AsyncAggregator {
- public:
-  [[nodiscard]] std::string name() const override { return "fedasync"; }
-  [[nodiscard]] std::vector<PendingUpdate> offer(PendingUpdate up) override {
-    std::vector<PendingUpdate> batch;
-    batch.push_back(std::move(up));
-    return batch;
-  }
-  [[nodiscard]] std::vector<PendingUpdate> flush() override { return {}; }
-  [[nodiscard]] std::size_t buffered() const override { return 0; }
-};
-
-/// Buffered-K: commit every k-th arrival, batch in arrival order.
-class BufferedAggregator final : public AsyncAggregator {
- public:
-  explicit BufferedAggregator(std::size_t k) : k_(k) {
-    FEDBIAD_CHECK(k_ > 0, "buffer size must be positive");
-  }
-  [[nodiscard]] std::string name() const override { return "buffered"; }
-  [[nodiscard]] std::vector<PendingUpdate> offer(PendingUpdate up) override {
-    held_.push_back(std::move(up));
-    if (held_.size() < k_) return {};
-    return flush();
-  }
-  [[nodiscard]] std::vector<PendingUpdate> flush() override {
-    std::vector<PendingUpdate> batch = std::move(held_);
-    held_.clear();
-    return batch;
-  }
-  [[nodiscard]] std::size_t buffered() const override { return held_.size(); }
-
- private:
-  std::size_t k_;
-  std::vector<PendingUpdate> held_;
-};
-
-}  // namespace
-
-// Out of the anonymous namespace: the transport server runtime commits its
-// async batches through this exact function (declared in the header), so the
-// engine and the wire path share one floating-point operation sequence.
-void staleness_merge(ShardedAccumulator& acc, std::span<float> global,
-                     const std::vector<PendingUpdate>& batch,
-                     const StalenessConfig& cfg, std::size_t commit_version) {
-  FEDBIAD_CHECK(!batch.empty(), "staleness merge with no updates");
-  std::vector<FusedUpdate> fused(batch.size());
-  for (std::size_t k = 0; k < batch.size(); ++k) {
-    const PendingUpdate& up = batch[k];
-    FEDBIAD_CHECK(commit_version >= up.dispatch_version,
-                  "update from the future");
-    const auto staleness =
-        static_cast<double>(commit_version - up.dispatch_version);
-    fused[k].update = &up.outcome.compact;
-    fused[k].weight = static_cast<double>(up.outcome.samples) *
-                      std::pow(1.0 + staleness, -cfg.exponent);
-    fused[k].is_update = up.outcome.is_update;
-  }
-  acc.merge(global, fused, cfg.mixing_rate);
-}
-
-const char* to_string(AggregationMode mode) {
-  switch (mode) {
-    case AggregationMode::kBarrier:
-      return "barrier";
-    case AggregationMode::kFedAsync:
-      return "fedasync";
-    case AggregationMode::kBufferedK:
-      return "buffered";
-  }
-  return "?";
-}
-
-std::unique_ptr<AsyncAggregator> make_barrier_aggregator(
-    std::size_t wave_size) {
-  return std::make_unique<BarrierAggregator>(wave_size);
-}
-
-std::unique_ptr<AsyncAggregator> make_fedasync_aggregator() {
-  return std::make_unique<FedAsyncAggregator>();
-}
-
-std::unique_ptr<AsyncAggregator> make_buffered_aggregator(std::size_t k) {
-  return std::make_unique<BufferedAggregator>(k);
-}
 
 AsyncSimulation::AsyncSimulation(AsyncSimulationConfig cfg,
                                  nn::ModelFactory factory,
@@ -184,1086 +653,6 @@ AsyncSimulation::AsyncSimulation(AsyncSimulationConfig cfg,
                 "checkpoint cadence and retention must be positive");
 }
 
-SimulationResult AsyncSimulation::run() {
-  const SimulationConfig& base = cfg_.base;
-  tensor::Rng rng(base.seed);
-  const tensor::Rng client_rng_base(base.seed);
-
-  const std::vector<std::size_t>& populated = populated_;
-  FEDBIAD_CHECK(!populated.empty(), "every client shard is empty");
-  const std::size_t select = std::max<std::size_t>(
-      1, static_cast<std::size_t>(base.selection_fraction *
-                                  static_cast<double>(population_)));
-  FEDBIAD_CHECK(select <= populated.size(),
-                "selection fraction exceeds populated clients");
-
-  // Scenario extension points. Every scenario branch below is guarded by
-  // this flag: with no hooks configured the engine consumes exactly the
-  // same rng draws and schedules exactly the same events as before the
-  // scenario layer existed (the golden traces pin this).
-  EngineHooks* hooks = cfg_.hooks.get();
-  const bool scenario = hooks != nullptr;
-  // Over-selection: keep ceil(select · factor) clients in flight (per wave
-  // under barrier) to hedge against churn and deadline losses.
-  const std::size_t select_target =
-      scenario
-          ? std::min(populated.size(),
-                     std::max(select,
-                              static_cast<std::size_t>(std::ceil(
-                                  static_cast<double>(select) *
-                                  hooks->over_selection()))))
-          : select;
-  const double deadline = scenario ? hooks->deadline_seconds() : 0.0;
-  // Transport faults: with a faults block configured every upload is CRC
-  // framed, deliveries can corrupt/truncate/duplicate, and corrupt frames
-  // are retried under the scenario's backoff policy. Disabled, the delivery
-  // path below is byte-identical to the fault-free engine.
-  const bool faulty = scenario && hooks->faults_enabled();
-  const RetryPolicy retry_policy = faulty ? hooks->retry_policy() : RetryPolicy{};
-  // Scenarios whose availability process is trivially always-on let the
-  // engine skip the O(population) candidate scans below and draw the same
-  // selections from idle-set order statistics instead.
-  const bool scan_availability = scenario && !hooks->always_available();
-  const checkpoint::CheckpointConfig& ckpt = cfg_.checkpoint;
-
-  // The registry materializes device profiles lazily from the same split of
-  // the base seed make_profiles consumed (not from `rng`: the main selection
-  // stream must see exactly the same draws as the sync engine regardless of
-  // the heterogeneity config), and pools the per-dispatch ClientState
-  // records, so steady-state engine memory is O(in-flight), not
-  // O(registered). Declared before the thread pool below: worker tasks hold
-  // ClientState*, so the pool must drain and join first on unwind.
-  ClientRegistry registry(population_, cfg_.heterogeneity, base.link,
-                          rng.split(0xA11C));
-
-  auto global_model = factory_();
-  {
-    tensor::Rng init_rng = rng.split(0xF0F0);
-    global_model->init_params(init_rng);
-  }
-  const std::size_t n = global_model->store().size();
-
-  SimulationResult result;
-  result.strategy = strategy_->name();
-  result.engine = to_string(cfg_.mode);
-  result.scenario = cfg_.scenario_name;
-  result.rounds.reserve(base.rounds);
-
-  std::vector<float> global(n);
-  tensor::copy(global_model->store().params(), global);
-
-  // One pool-leased record per in-flight dispatch (the registry keeps
-  // addresses stable, so scheduler events and pool tasks can hold Job*).
-  // Acquired at dispatch, released the moment the dispatch resolves —
-  // resolved dispatches cost nothing, unlike the old append-only job deque.
-  using Job = ClientState;
-  std::shared_ptr<const std::vector<float>> version_snapshot;
-  // Measured size of the per-version model broadcast (encoded below, once
-  // per version); feeds both the link timing and RoundRecord accounting.
-  std::uint64_t downlink_bytes = 0;
-
-  EventScheduler sched;
-  std::unique_ptr<AsyncAggregator> aggregator;
-  switch (cfg_.mode) {
-    case AggregationMode::kBarrier:
-      // Under a scenario the engine owns wave completion (members may churn
-      // or time out): the barrier never self-releases, the engine flushes
-      // once the wave's outstanding count reaches zero.
-      aggregator = make_barrier_aggregator(
-          scenario ? std::numeric_limits<std::size_t>::max() : select);
-      break;
-    case AggregationMode::kFedAsync:
-      aggregator = make_fedasync_aggregator();
-      break;
-    case AggregationMode::kBufferedK:
-      aggregator = make_buffered_aggregator(cfg_.buffer_size);
-      break;
-  }
-
-  // Commit-path accumulator panels; leased per parallel chunk and persistent
-  // across rounds.
-  ShardedAccumulator sharded;
-
-  std::size_t version = 0;             // commits done so far
-  std::size_t dispatched = 0;          // clients sent out so far
-  std::map<std::size_t, Job*> busy;    // clients currently in flight
-  // Mirror of the busy set keyed by position in `populated`, maintained so
-  // replacement draws are order statistics over O(in-flight) state instead
-  // of O(population) scans. `populated` is ascending, so the position of a
-  // client is its lower_bound rank.
-  IdleSet idle(populated.size());
-  auto populated_pos = [&](std::size_t client) {
-    return static_cast<std::size_t>(
-        std::lower_bound(populated.begin(), populated.end(), client) -
-        populated.begin());
-  };
-  // Shards are stored compacted (populated clients only); every lookup is
-  // for a dispatched — hence populated — client. Read-only, so safe from
-  // pool tasks too.
-  auto shard_of = [&](std::size_t client) -> const std::vector<std::size_t>& {
-    return shards_[populated_pos(client)];
-  };
-  auto mark_busy = [&](std::size_t client, Job* jp) {
-    busy[client] = jp;
-    idle.set_busy(populated_pos(client));
-  };
-  auto mark_idle = [&](std::size_t client) {
-    busy.erase(client);
-    idle.set_idle(populated_pos(client));
-  };
-  const bool barrier = cfg_.mode == AggregationMode::kBarrier;
-  const std::size_t per_commit =
-      cfg_.mode == AggregationMode::kBufferedK ? cfg_.buffer_size : 1;
-  // Async modes without a scenario: every dispatch yields exactly one
-  // arrival, and commits consume per_commit arrivals, so the total dispatch
-  // budget is fixed. With hooks the budget can't be fixed (abandoned
-  // dispatches never arrive), so the engine instead keeps dispatching until
-  // the round count is reached, bounded by a generous cap that turns a
-  // starved scenario (e.g. everything churns) into a loud error.
-  const std::size_t dispatch_budget =
-      barrier ? base.rounds * select : base.rounds * per_commit;
-  const std::size_t dispatch_cap =
-      (base.rounds * std::max(select_target, per_commit) + 16) * 64;
-
-  // Whole-run ledger: dispatched == committed + abandoned + buffered +
-  // in-flight at every quiescent point (the scenario property tests pin the
-  // final state). round_* accumulate between commits into RoundRecord.
-  std::size_t committed_total = 0;
-  std::size_t abandoned_total = 0;
-  std::uint64_t wasted_uplink_total = 0;
-  std::size_t round_abandoned = 0;
-  std::uint64_t round_wasted = 0;
-  // Fault ledgers. rejected_total counts dispatches whose every delivery
-  // corrupted (inside the conservation law); rejected_deliveries_total and
-  // the byte counters track individual dropped frames — failed attempts
-  // that were later retried successfully, and duplicate deliveries of
-  // committed dispatches — which live outside the law by design.
-  std::size_t rejected_total = 0;
-  std::size_t rejected_deliveries_total = 0;
-  std::uint64_t rejected_bytes_total = 0;
-  std::size_t round_rejected = 0;
-  std::uint64_t round_rejected_bytes = 0;
-  std::size_t wave_outstanding = 0;  // scenario barrier: wave members unresolved
-  bool retry_scheduled = false;      // one pending availability retry at most
-  std::vector<Job*> zombies;         // abandoned while still training
-
-  // The pool is declared after everything its worker tasks reference
-  // (the registry's leased records, replicas, the free list and its
-  // mutex), so its destructor —
-  // which drains queued tasks and joins — runs before any of them die,
-  // even on an exceptional unwind.
-  std::vector<std::unique_ptr<nn::Model>> replicas;
-  std::vector<nn::Model*> free_replicas;
-  std::mutex replica_mutex;
-  parallel::ThreadPool pool(base.threads);
-  replicas.resize(pool.size());
-  for (auto& r : replicas) {
-    r = factory_();
-    free_replicas.push_back(r.get());
-  }
-
-  // --- engine-thread helpers (all run in scheduler event context) ---
-
-  auto work_units = [&](std::size_t client) {
-    const double samples = static_cast<double>(std::min<std::size_t>(
-        base.train.batch_size, shard_of(client).size()));
-    return static_cast<double>(base.train.local_iterations) * samples *
-           strategy_->compute_cost_multiplier();
-  };
-
-  // Mutually recursive engine steps: declared up front, assigned below.
-  std::function<void(Job&)> on_arrival;
-  std::function<void(Job&)> deliver;
-  std::function<void(Job&, std::uint64_t)> abandon_job;
-  std::function<void()> finish_wave;
-  std::function<void()> schedule_retry;
-
-  // A job abandoned before its training event ran still has run_client
-  // executing on the pool against job.snapshot. The Strategy contract says
-  // server hooks never overlap run_client, so block on such zombies (real
-  // time only) before the next begin_round/end_round; their outcomes are
-  // discarded.
-  auto quiesce_zombies = [&] {
-    for (Job* jp : zombies) {
-      if (jp->future.valid()) jp->future.wait();
-      registry.release(jp);
-    }
-    zombies.clear();
-  };
-
-  auto on_training_done = [&](Job& job) {
-    job.training_event = EventScheduler::kNoEvent;
-    ClientOutcome out = job.future.get();
-    out.client_id = job.client;
-    // The pool task is done with the snapshot; drop this job's reference.
-    job.snapshot.reset();
-    if (faulty) {
-      // The CRC trailer travels with the frame, so it is sealed onto the
-      // payload *before* link timing is measured from the byte count.
-      wire::seal_payload(out.payload);
-    }
-    auto up = std::make_unique<PendingUpdate>();
-    up->slot = job.slot;
-    up->dispatch_version = job.version;
-    up->dispatch_clock = job.dispatch_clock;
-    up->compute_seconds = job.compute_s;
-    up->download_seconds = job.download_s;
-    // Link timing runs on the measured size of the encoded buffer — the
-    // payload is what travels, so its byte count is what the uplink carries.
-    up->upload_seconds =
-        registry.profile(job.client).upload_seconds(out.payload.size());
-    up->outcome = std::move(out);
-    job.pending = std::move(up);
-    job.upload_start = sched.now();
-    Job* jp = &job;
-    if (job.churn_fails) {
-      // Resolve the dispatch-time churn draw now that the full timeline is
-      // known: the client dies `fraction` of the way through
-      // download + compute + upload. Its upload never arrives.
-      const double total =
-          job.download_s + job.compute_s + job.pending->upload_seconds;
-      const double fail_t = job.dispatch_clock + job.churn_fraction * total;
-      if (fail_t <= sched.now()) {
-        // Died during download or compute: nothing reached the server.
-        abandon_job(job, 0);
-      } else {
-        const double frac =
-            (fail_t - sched.now()) / job.pending->upload_seconds;
-        const auto wasted = static_cast<std::uint64_t>(
-            static_cast<double>(job.pending->outcome.payload.size()) * frac);
-        job.arrival_time = fail_t;
-        job.churn_wasted = wasted;
-        job.arrival_event = sched.schedule_at(
-            fail_t, [&, jp, wasted] { abandon_job(*jp, wasted); });
-      }
-      return;
-    }
-    job.arrival_time = sched.now() + job.pending->upload_seconds;
-    job.arrival_event = sched.schedule_after(job.pending->upload_seconds,
-                                             [&, jp] { deliver(*jp); });
-  };
-
-  auto on_deadline = [&](Job& job) {
-    job.deadline_event = EventScheduler::kNoEvent;
-    std::uint64_t wasted = 0;
-    if (job.pending && job.pending->upload_seconds > 0.0) {
-      // The upload was in progress: the bytes already pushed are wasted.
-      const double frac =
-          std::clamp((sched.now() - job.upload_start) /
-                         job.pending->upload_seconds,
-                     0.0, 1.0);
-      wasted = static_cast<std::uint64_t>(
-          static_cast<double>(job.pending->outcome.payload.size()) * frac);
-    }
-    abandon_job(job, wasted);
-  };
-
-  auto dispatch = [&](std::size_t client, std::size_t slot,
-                      std::uint64_t rng_stream) {
-    if (scenario) {
-      FEDBIAD_CHECK(dispatched < dispatch_cap,
-                    "scenario starved the engine (dispatch cap reached)");
-    }
-    Job& job = *registry.acquire();
-    job.client = client;
-    job.slot = slot;
-    job.version = version;
-    job.dispatch_clock = sched.now();
-    job.dispatch_index = dispatched;
-    if (scenario) {
-      // Keyed on the global dispatch counter: a re-dispatched client gets
-      // an independent draw, and the draw never touches the engine's own
-      // selection stream.
-      const ChurnDecision churn = hooks->churn(client, dispatched);
-      job.churn_fails = churn.fails;
-      job.churn_fraction = churn.fraction;
-    }
-    const netsim::ClientProfile prof = registry.profile(client);
-    if (!version_snapshot) {
-      // Server→client path: encode the model broadcast for real (once per
-      // version), measure it, and hand clients the decoded copy. f32
-      // sections are lossless, so the snapshot is bit-identical to `global`.
-      const wire::Payload broadcast = wire::encode_dense_f32(global);
-      downlink_bytes = broadcast.size();
-      FEDBIAD_CHECK(downlink_bytes == strategy_->downlink_bytes(n),
-                    "measured downlink diverged from the analytic oracle");
-      wire::Decoded decoded =
-          wire::decode_update(global_model->store(), broadcast);
-      version_snapshot = std::make_shared<const std::vector<float>>(
-          std::move(decoded.values));
-    }
-    job.download_s = prof.download_seconds(downlink_bytes);
-    job.compute_s = prof.compute_seconds(work_units(client));
-    job.snapshot = version_snapshot;
-    mark_busy(client, &job);
-    ++dispatched;
-    const std::size_t round = version + 1;
-    tensor::Rng ctx_rng =
-        client_rng_base.split(0x1000 + client).split(rng_stream);
-    Job* jp = &job;
-    job.future = pool.submit([&, jp, client, round, ctx_rng] {
-      nn::Model* replica = nullptr;
-      {
-        std::scoped_lock lock(replica_mutex);
-        FEDBIAD_CHECK(!free_replicas.empty(), "replica lease exhausted");
-        replica = free_replicas.back();
-        free_replicas.pop_back();
-      }
-      tensor::copy(*jp->snapshot, replica->store().params());
-      ClientContext ctx{
-          .client_id = client,
-          .round = round,
-          .model = *replica,
-          .global_params = *jp->snapshot,
-          .dataset = *train_data_,
-          .shard = shard_of(client),
-          .settings = base.train,
-          .rng = ctx_rng,
-          .model_version = jp->version,
-          .dispatch_clock = jp->dispatch_clock,
-          .deadline_seconds = deadline,
-      };
-      const auto start = Clock::now();
-      ClientOutcome out = strategy_->run_client(ctx);
-      out.train_seconds = seconds_since(start);
-      out.client_id = client;
-      {
-        std::scoped_lock lock(replica_mutex);
-        free_replicas.push_back(replica);
-      }
-      return out;
-    }).share();
-    job.training_event = sched.schedule_after(
-        job.download_s + job.compute_s, [&, jp] { on_training_done(*jp); });
-    if (deadline > 0.0) {
-      // Scheduled at dispatch, so its id is lower than any arrival event
-      // (those are scheduled at training-done): at an exactly-equal
-      // timestamp the deadline runs first and the arrival is abandoned —
-      // the cutoff is strict.
-      job.deadline_event = sched.schedule_at(
-          job.dispatch_clock + deadline, [&, jp] { on_deadline(*jp); });
-    }
-  };
-
-  // Barrier: one synchronized wave per round, selected exactly like the
-  // sync engine (same rng draws, same order). The scenario path filters
-  // candidates by availability first; with every client available and
-  // over_selection = 1 it performs the identical sample_without_replacement
-  // call, so an all-defaults scenario reproduces the hook-free wave.
-  auto dispatch_wave = [&] {
-    if (!scenario) {
-      const auto picks =
-          rng.sample_without_replacement(populated.size(), select);
-      strategy_->begin_round(version + 1, global);
-      std::size_t slot = 0;
-      for (const auto i : picks) dispatch(populated[i], slot++, version + 1);
-      return;
-    }
-    if (!scan_availability) {
-      // Always-on availability: the candidate list is exactly the ascending
-      // idle populated clients, so candidates[i] == populated[idle.select(i)]
-      // and the sample below consumes identical rng draws. Picks are mapped
-      // to clients before dispatching — dispatch mutates the idle set.
-      const std::size_t avail_count = idle.idle_count();
-      if (avail_count == 0) {
-        schedule_retry();
-        return;
-      }
-      const std::size_t want = std::min(select_target, avail_count);
-      const auto picks = rng.sample_without_replacement(avail_count, want);
-      std::vector<std::size_t> chosen;
-      chosen.reserve(want);
-      for (const auto i : picks) chosen.push_back(populated[idle.select(i)]);
-      quiesce_zombies();
-      strategy_->begin_round(version + 1, global);
-      wave_outstanding = want;
-      std::size_t slot = 0;
-      for (const std::size_t c : chosen) dispatch(c, slot++, version + 1);
-      return;
-    }
-    std::vector<std::size_t> candidates;
-    for (const std::size_t k : populated) {
-      if (busy.find(k) == busy.end() &&
-          hooks->client_available(k, sched.now())) {
-        candidates.push_back(k);
-      }
-    }
-    if (candidates.empty()) {
-      schedule_retry();
-      return;
-    }
-    const std::size_t want = std::min(select_target, candidates.size());
-    const auto picks = rng.sample_without_replacement(candidates.size(), want);
-    quiesce_zombies();
-    strategy_->begin_round(version + 1, global);
-    wave_outstanding = want;
-    std::size_t slot = 0;
-    for (const auto i : picks) dispatch(candidates[i], slot++, version + 1);
-  };
-
-  // Async modes: keep clients in flight, replacements drawn uniformly from
-  // the idle (and, under a scenario, currently available) populated clients
-  // on the engine thread, so the choice is deterministic.
-  auto top_up = [&] {
-    if (!scenario) {
-      // The j-th smallest idle populated client is populated[idle.select(j)]
-      // — exactly avail[j] of the ascending scan this replaces, fed the
-      // identical uniform_index draw.
-      while (dispatched < dispatch_budget && busy.size() < select) {
-        if (idle.idle_count() == 0) break;
-        const std::size_t client =
-            populated[idle.select(rng.uniform_index(idle.idle_count()))];
-        dispatch(client, 0, 0x10000 + dispatched);
-      }
-      return;
-    }
-    while (version < base.rounds && busy.size() < select_target) {
-      if (!scan_availability) {
-        if (idle.idle_count() == 0) {
-          // All populated clients are in flight, so busy is non-empty and
-          // an arrival will re-trigger top_up; no wake-up needed.
-          break;
-        }
-        const std::size_t client =
-            populated[idle.select(rng.uniform_index(idle.idle_count()))];
-        dispatch(client, 0, 0x10000 + dispatched);
-        continue;
-      }
-      std::vector<std::size_t> avail;
-      for (const std::size_t k : populated) {
-        if (busy.find(k) == busy.end() &&
-            hooks->client_available(k, sched.now())) {
-          avail.push_back(k);
-        }
-      }
-      if (avail.empty()) {
-        // Arrivals of in-flight jobs re-trigger top_up; only a fully idle
-        // engine needs a scheduled wake-up to avoid draining the queue.
-        if (busy.empty()) schedule_retry();
-        break;
-      }
-      const std::size_t client = avail[rng.uniform_index(avail.size())];
-      dispatch(client, 0, 0x10000 + dispatched);
-    }
-  };
-
-  abandon_job = [&](Job& job, std::uint64_t wasted) {
-    // Do NOT release the record while training is still running: the pool
-    // task dereferences its snapshot. Such zombies are parked and released
-    // by quiesce_zombies once their real computation drains. cancel() of an
-    // already-run or kNoEvent id is a no-op, so cancelling all three races
-    // is always safe. An abandoned dispatch never delivered, so it can have
-    // no pending duplicate holding the record either.
-    const bool training_live = sched.cancel(job.training_event);
-    if (training_live) zombies.push_back(&job);
-    sched.cancel(job.arrival_event);
-    sched.cancel(job.deadline_event);
-    job.training_event = EventScheduler::kNoEvent;
-    job.arrival_event = EventScheduler::kNoEvent;
-    job.deadline_event = EventScheduler::kNoEvent;
-    job.pending.reset();
-    mark_idle(job.client);
-    if (!training_live) registry.release(&job);
-    ++abandoned_total;
-    ++round_abandoned;
-    wasted_uplink_total += wasted;
-    round_wasted += wasted;
-    if (barrier) {
-      FEDBIAD_CHECK(wave_outstanding > 0, "abandon outside a wave");
-      if (--wave_outstanding == 0) finish_wave();
-    } else if (version < base.rounds) {
-      top_up();
-    }
-  };
-
-  // Delivery inspection: runs when an upload's last byte lands. Without
-  // faults it is exactly the pre-fault arrival handler. With faults it
-  // materializes the (client, dispatch, attempt)-keyed fault draw on the
-  // sealed frame: a corrupt delivery must fail the CRC check (proven, not
-  // assumed), is charged to the delivery ledger, and is either retried after
-  // seeded exponential backoff or — retry budget drained — terminally
-  // rejected, freeing the slot through the same partial-cohort path an
-  // abandoned upload uses. An intact delivery may additionally spawn a
-  // duplicate of itself; the duplicate arrives later, finds the dispatch
-  // already resolved, and is dropped (charged, never aggregated) — updates
-  // are committed at most once by construction.
-  deliver = [&](Job& job) {
-    job.arrival_event = EventScheduler::kNoEvent;
-    if (!faulty) {
-      job.pending->arrival_clock = sched.now();
-      mark_idle(job.client);
-      on_arrival(job);
-      return;
-    }
-    const DeliveryFault fault =
-        hooks->delivery_fault(job.client, job.dispatch_index, job.attempt);
-    const std::uint64_t framed = job.pending->outcome.payload.size();
-    if (fault.corrupt) {
-      // Damage a copy of the frame and prove the CRC layer rejects it —
-      // CRC32C detects every single-bit flip and every truncation the
-      // injector can produce, so a pass here would mean the frame check is
-      // broken, which is worth dying loudly over.
-      ClientOutcome probe;
-      probe.client_id = job.client;
-      probe.payload.kind = job.pending->outcome.payload.kind;
-      probe.payload.aux = job.pending->outcome.payload.aux;
-      probe.payload.bytes = job.pending->outcome.payload.bytes;
-      std::uint64_t delivered = framed;
-      if (fault.truncate) {
-        const auto cut = static_cast<std::size_t>(
-            fault.position * static_cast<double>(framed - 1));
-        probe.payload.bytes.resize(cut);
-        delivered = cut;
-      } else {
-        const auto bit = std::min<std::size_t>(
-            static_cast<std::size_t>(fault.position *
-                                     static_cast<double>(framed * 8)),
-            framed * 8 - 1);
-        probe.payload.bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-      }
-      const DecodeStatus status = try_decode_outcome_compact(
-          *strategy_, global_model->store(), probe, /*framed=*/true,
-          DecodeContext{job.client, job.dispatch_index, sched.now()});
-      FEDBIAD_CHECK(!status.ok, "injected corruption slipped past the CRC frame");
-      ++rejected_deliveries_total;
-      rejected_bytes_total += delivered;
-      round_rejected_bytes += delivered;
-      if (job.attempt < retry_policy.max_attempts) {
-        const std::size_t attempt = job.attempt;  // the one that just failed
-        ++job.attempt;
-        double backoff =
-            retry_policy.backoff_seconds *
-            std::pow(retry_policy.backoff_multiplier,
-                     static_cast<double>(attempt - 1));
-        const double u = hooks->retry_jitter(job.client, job.dispatch_index, attempt);
-        backoff *= 1.0 + retry_policy.jitter_fraction * (2.0 * u - 1.0);
-        // The client retransmits the same frame after the backoff; the
-        // deadline event (if any) stays armed, so a retry can still be cut
-        // off and abandoned like any slow upload.
-        job.upload_start = sched.now() + backoff;
-        job.arrival_time = job.upload_start + job.pending->upload_seconds;
-        Job* jp = &job;
-        job.arrival_event =
-            sched.schedule_at(job.arrival_time, [&, jp] { deliver(*jp); });
-        return;
-      }
-      sched.cancel(job.deadline_event);
-      job.deadline_event = EventScheduler::kNoEvent;
-      job.pending.reset();
-      mark_idle(job.client);
-      // Terminal rejection resolves the dispatch; duplicates only spawn from
-      // intact deliveries, so nothing else can hold this record.
-      registry.release(&job);
-      ++rejected_total;
-      ++round_rejected;
-      if (barrier) {
-        FEDBIAD_CHECK(wave_outstanding > 0, "rejection outside a wave");
-        if (--wave_outstanding == 0) finish_wave();
-      } else if (version < base.rounds) {
-        top_up();
-      }
-      return;
-    }
-    if (fault.duplicate) {
-      job.framed_bytes = framed;
-      job.duplicate_time =
-          sched.now() + fault.duplicate_lag * job.pending->upload_seconds;
-      Job* dp = &job;
-      job.duplicate_event = sched.schedule_at(job.duplicate_time, [&, dp] {
-        dp->duplicate_event = EventScheduler::kNoEvent;
-        ++rejected_deliveries_total;
-        rejected_bytes_total += dp->framed_bytes;
-        round_rejected_bytes += dp->framed_bytes;
-        // on_arrival deferred the record's release to this handler (the
-        // scheduled duplicate held the last pointer to it).
-        if (dp->release_on_duplicate) registry.release(dp);
-      });
-    }
-    job.pending->arrival_clock = sched.now();
-    mark_idle(job.client);
-    on_arrival(job);
-  };
-
-  schedule_retry = [&] {
-    if (retry_scheduled) return;
-    double t = std::numeric_limits<double>::infinity();
-    for (const std::size_t k : populated) {
-      if (busy.find(k) == busy.end()) {
-        t = std::min(t, hooks->next_available_time(k, sched.now()));
-      }
-    }
-    // Callers only get here when nobody is available *now*, so a correct
-    // hook returns a strictly later time — anything else would spin the
-    // virtual clock in place.
-    FEDBIAD_CHECK(std::isfinite(t) && t > sched.now(),
-                  "scenario never makes another client available");
-    retry_scheduled = true;
-    sched.schedule_at(t, [&] {
-      retry_scheduled = false;
-      if (version >= base.rounds) return;
-      if (barrier) {
-        if (wave_outstanding == 0) dispatch_wave();
-      } else {
-        top_up();
-      }
-    });
-  };
-
-  auto evaluate_into = [&](RoundRecord& rec) {
-    if (rec.round % base.eval_every == 0 || rec.round == base.rounds) {
-      nn::EvalResult eval;
-      data::for_each_batch(*test_data_, base.eval_batch_size,
-                           [&](const data::Batch& batch) {
-                             eval.merge(global_model->eval_batch(
-                                 batch, base.train.topk));
-                           });
-      rec.test_loss = eval.mean_loss();
-      rec.top1 = eval.top1_accuracy();
-      rec.topk = eval.topk_accuracy();
-    } else if (!result.rounds.empty()) {
-      rec.test_loss = result.rounds.back().test_loss;
-      rec.top1 = result.rounds.back().top1;
-      rec.topk = result.rounds.back().topk;
-    }
-  };
-
-  // Snapshots the complete engine state. Only called from commit(), the
-  // event loop's quiescent point: the aggregator just flushed, zombies are
-  // drained, the per-round counters were folded into the RoundRecord, and
-  // every in-flight job's real computation is done (async commits block on
-  // busy futures; barrier commits only run after the wave drained). What
-  // remains live — ledgers, rng, strategy state, in-flight outcomes, and
-  // the pending timeline — is serialized; events are stored sorted by their
-  // original scheduler id so resume reproduces the equal-time tie-break.
-  auto write_checkpoint = [&] {
-    FEDBIAD_CHECK(zombies.empty() && !retry_scheduled && wave_outstanding == 0 &&
-                      aggregator->buffered() == 0,
-                  "checkpoint outside a quiescent commit boundary");
-    FEDBIAD_CHECK(round_abandoned == 0 && round_wasted == 0 &&
-                      round_rejected == 0 && round_rejected_bytes == 0,
-                  "round counters must be folded before a checkpoint");
-    checkpoint::EngineSnapshot snap;
-    snap.engine = to_string(cfg_.mode);
-    snap.seed = base.seed;
-    snap.rounds_target = base.rounds;
-    snap.param_count = n;
-    snap.clock = sched.now();
-    snap.version = version;
-    snap.dispatched = dispatched;
-    snap.rng = rng.state();
-    snap.committed = committed_total;
-    snap.abandoned = abandoned_total;
-    snap.rejected = rejected_total;
-    snap.rejected_deliveries = rejected_deliveries_total;
-    snap.wasted_uplink_bytes = wasted_uplink_total;
-    snap.rejected_bytes = rejected_bytes_total;
-    snap.global = global;
-    snap.rounds = result.rounds;
-    snap.strategy_state = strategy_->save_state();
-
-    struct PendingEvent {
-      EventScheduler::EventId id;
-      checkpoint::EventSnapshot ev;
-    };
-    std::vector<PendingEvent> events;
-    for (const auto& [client, jp] : busy) {
-      (void)client;
-      if (jp->future.valid()) jp->future.wait();
-      const std::uint64_t index = snap.jobs.size();
-      checkpoint::JobSnapshot js;
-      js.client = jp->client;
-      js.slot = jp->slot;
-      js.version = jp->version;
-      js.dispatch_index = jp->dispatch_index;
-      js.attempt = jp->attempt;
-      js.dispatch_clock = jp->dispatch_clock;
-      js.download_seconds = jp->download_s;
-      js.compute_seconds = jp->compute_s;
-      js.upload_start = jp->upload_start;
-      js.churn_fails = jp->churn_fails;
-      js.churn_fraction = jp->churn_fraction;
-      js.has_pending = jp->pending != nullptr;
-      const ClientOutcome& out =
-          js.has_pending ? jp->pending->outcome : jp->future.get();
-      js.samples = out.samples;
-      js.is_update = out.is_update;
-      js.payload = out.payload;
-      js.train_seconds = out.train_seconds;
-      js.mean_loss = out.mean_loss;
-      js.last_loss = out.last_loss;
-      snap.jobs.push_back(std::move(js));
-      if (jp->training_event != EventScheduler::kNoEvent) {
-        events.push_back(
-            {jp->training_event,
-             {checkpoint::EventKind::kTraining, index,
-              jp->dispatch_clock + (jp->download_s + jp->compute_s), 0}});
-      }
-      if (jp->arrival_event != EventScheduler::kNoEvent) {
-        events.push_back({jp->arrival_event,
-                          {jp->churn_fails ? checkpoint::EventKind::kChurnAbandon
-                                           : checkpoint::EventKind::kDelivery,
-                           index, jp->arrival_time, jp->churn_wasted}});
-      }
-      if (jp->deadline_event != EventScheduler::kNoEvent) {
-        events.push_back({jp->deadline_event,
-                          {checkpoint::EventKind::kDeadline, index,
-                           jp->dispatch_clock + deadline, 0}});
-      }
-    }
-    // Duplicate deliveries outlive their dispatch's resolution; their
-    // records stay leased (release deferred to the duplicate handler), so
-    // scanning the active leases finds exactly them — dormant clients have
-    // no record at all and are never serialized.
-    registry.for_each_active([&](Job& job) {
-      if (job.duplicate_event != EventScheduler::kNoEvent) {
-        events.push_back({job.duplicate_event,
-                          {checkpoint::EventKind::kDuplicate, checkpoint::kNoJob,
-                           job.duplicate_time, job.framed_bytes}});
-      }
-    });
-    FEDBIAD_CHECK(events.size() == sched.pending(),
-                  "checkpoint lost track of pending events");
-    std::sort(events.begin(), events.end(),
-              [](const PendingEvent& a, const PendingEvent& b) {
-                return a.id < b.id;
-              });
-    snap.events.reserve(events.size());
-    for (const PendingEvent& pe : events) snap.events.push_back(pe.ev);
-    checkpoint::write_snapshot(ckpt.directory, snap);
-    checkpoint::prune(ckpt.directory, ckpt.keep);
-  };
-
-  auto commit = [&](std::vector<PendingUpdate> batch) {
-    quiesce_zombies();
-    if (!barrier) {
-      // The Strategy contract promises begin_round/end_round never overlap
-      // a run_client on a worker thread (AFD's pattern broadcast and score
-      // map rely on it). Async commits fire while other clients are still
-      // in virtual flight, so block on their *real* computation here —
-      // outcomes depend only on their dispatch snapshots, so the
-      // trajectory is unchanged; only wall-clock overlap is traded away at
-      // commit points. Barrier commits only run after the wave drained.
-      for (auto& [client, jp] : busy) {
-        (void)client;
-        if (jp->future.valid()) jp->future.wait();
-      }
-    }
-    const auto agg_start = Clock::now();
-    double staleness_acc = 0.0;
-    if (barrier) {
-      // The sync path, bit for bit: compact outcomes in selection-slot
-      // order through the fused committer under the strategy's rule — per
-      // coordinate the double adds land in the same order with the same
-      // operands as fl::aggregate on the dense decode (the goldens pin it).
-      std::vector<FusedUpdate> fused(batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        fused[i].update = &batch[i].outcome.compact;
-        fused[i].weight = static_cast<double>(batch[i].outcome.samples);
-        fused[i].is_update = batch[i].outcome.is_update;
-      }
-      sharded.aggregate(global, fused, strategy_->aggregation_rule());
-    } else {
-      staleness_merge(sharded, global, batch, cfg_.staleness, version);
-      for (const PendingUpdate& up : batch) {
-        staleness_acc += static_cast<double>(version - up.dispatch_version);
-      }
-    }
-    const double agg_seconds = seconds_since(agg_start);
-    strategy_->end_round(version + 1, global_model->store().params(), global);
-    tensor::copy(global, global_model->store().params());
-    version_snapshot.reset();  // the global changed; next dispatch re-copies
-    ++version;
-    committed_total += batch.size();
-
-    RoundRecord rec;
-    rec.round = version;
-    rec.participants = batch.size();
-    double loss_acc = 0.0;
-    for (const PendingUpdate& up : batch) {
-      const ClientOutcome& o = up.outcome;
-      loss_acc += o.mean_loss;
-      rec.uplink_bytes_total += o.uplink_bytes;
-      rec.uplink_bytes_max = std::max(rec.uplink_bytes_max, o.uplink_bytes);
-      rec.lttr_seconds = std::max(rec.lttr_seconds, o.train_seconds);
-      rec.upload_seconds = std::max(rec.upload_seconds, up.upload_seconds);
-      // The dispatch-time download was timed on this same broadcast size
-      // (the downlink is one dense f32 frame per version, constant for the
-      // run), so up.download_seconds is bit-equal to re-deriving it from
-      // the client's profile here.
-      rec.download_seconds = std::max(rec.download_seconds, up.download_seconds);
-    }
-    rec.train_loss = loss_acc / static_cast<double>(batch.size());
-    rec.downlink_bytes = downlink_bytes;
-    rec.aggregate_seconds = agg_seconds;
-    rec.clock_seconds = sched.now();
-    rec.mean_staleness = staleness_acc / static_cast<double>(batch.size());
-    rec.abandoned = round_abandoned;
-    rec.wasted_uplink_bytes = round_wasted;
-    rec.rejected = round_rejected;
-    rec.rejected_bytes = round_rejected_bytes;
-    round_abandoned = 0;
-    round_wasted = 0;
-    round_rejected = 0;
-    round_rejected_bytes = 0;
-    evaluate_into(rec);
-
-    if (base.verbose) {
-      std::cerr << "[" << result.strategy << "] round " << rec.round
-                << " train_loss=" << rec.train_loss << " test_acc(top"
-                << base.train.topk << ")=" << rec.topk << " upload="
-                << rec.uplink_bytes_total / rec.participants << "B\n";
-    }
-    result.rounds.push_back(rec);
-
-    // Snapshot before the next wave is selected: on resume the restored rng
-    // replays the selection below identically.
-    if (ckpt.enabled() &&
-        (version % ckpt.every_rounds == 0 || version == base.rounds)) {
-      write_checkpoint();
-    }
-
-    if (version < base.rounds) {
-      if (barrier) {
-        dispatch_wave();
-      } else {
-        strategy_->begin_round(version + 1, global);
-      }
-    }
-  };
-
-  finish_wave = [&] {
-    auto batch = aggregator->flush();
-    if (batch.empty()) {
-      // The entire wave churned or timed out: nothing to aggregate. Leave
-      // the model untouched and select a fresh wave for the same round —
-      // begin_round runs again for that round number, which is fine: it is
-      // an engine-thread-only hook and the repeat is itself deterministic.
-      if (version < base.rounds) dispatch_wave();
-      return;
-    }
-    commit(std::move(batch));
-  };
-
-  on_arrival = [&](Job& job) {
-    if (scenario) sched.cancel(job.deadline_event);
-    PendingUpdate up = std::move(*job.pending);
-    job.pending.reset();
-    // The upload has arrived: decode the payload on the engine thread into
-    // the compact O(transmitted) view the fused committer consumes, record
-    // the measured uplink size, and drop the raw bytes. Abandoned uploads
-    // never reach this point, so their bytes are only ever counted in the
-    // wasted-uplink ledger. Fault sessions decode through the non-throwing
-    // path — deliver() only forwards frames whose CRC verifies, so a
-    // failure here is engine corruption, not client noise.
-    if (faulty) {
-      const DecodeStatus status = try_decode_outcome_compact(
-          *strategy_, global_model->store(), up.outcome, /*framed=*/true,
-          DecodeContext{job.client, job.dispatch_index, sched.now()});
-      FEDBIAD_CHECK(status.ok, status.error);
-    } else {
-      decode_outcome_compact(*strategy_, global_model->store(), up.outcome);
-    }
-    up.outcome.payload.bytes = {};
-    auto batch = aggregator->offer(std::move(up));
-    // The dispatch is resolved; retire its record. A scheduled duplicate
-    // delivery may still hold a pointer — hand the release to its handler.
-    if (job.duplicate_event != EventScheduler::kNoEvent) {
-      job.release_on_duplicate = true;
-    } else {
-      registry.release(&job);
-    }
-    if (scenario && barrier) {
-      FEDBIAD_CHECK(batch.empty(), "scenario barrier must not self-release");
-      FEDBIAD_CHECK(wave_outstanding > 0, "arrival outside a wave");
-      if (--wave_outstanding == 0) finish_wave();
-      return;
-    }
-    if (!batch.empty()) commit(std::move(batch));
-    if (!barrier) top_up();
-  };
-
-  // --- timeline ---
-  // Resume: restore the newest valid snapshot (torn/corrupt ones are
-  // skipped), rebuild the in-flight jobs, re-schedule their events in
-  // original-id order (fresh ids are assigned ascending, so the relative
-  // order — the equal-time tie-break — is preserved, and events created by
-  // the replayed post-commit dispatch sort after them exactly as in the
-  // uninterrupted run), then replay the post-commit dispatch the snapshot
-  // was taken just before.
-  bool resumed = false;
-  if (ckpt.enabled() && ckpt.resume) {
-    if (const auto latest = checkpoint::find_latest_valid(ckpt.directory)) {
-      checkpoint::EngineSnapshot snap = checkpoint::read_snapshot(*latest);
-      FEDBIAD_CHECK(snap.engine == to_string(cfg_.mode),
-                    "snapshot was written by a different aggregation mode");
-      FEDBIAD_CHECK(snap.seed == base.seed, "snapshot seed mismatch");
-      FEDBIAD_CHECK(snap.rounds_target == base.rounds,
-                    "snapshot round target mismatch");
-      FEDBIAD_CHECK(snap.param_count == n && snap.global.size() == n,
-                    "snapshot model size mismatch");
-      FEDBIAD_CHECK(snap.version <= base.rounds && snap.version > 0,
-                    "snapshot version out of range");
-      sched.set_now(snap.clock);
-      version = snap.version;
-      dispatched = snap.dispatched;
-      rng.set_state(snap.rng);
-      committed_total = snap.committed;
-      abandoned_total = snap.abandoned;
-      rejected_total = snap.rejected;
-      rejected_deliveries_total = snap.rejected_deliveries;
-      wasted_uplink_total = snap.wasted_uplink_bytes;
-      rejected_bytes_total = snap.rejected_bytes;
-      global = snap.global;
-      tensor::copy(global, global_model->store().params());
-      strategy_->load_state(snap.strategy_state);
-      result.rounds = std::move(snap.rounds);
-      // The broadcast size is set lazily on the first dispatch of a
-      // version; a commit fed purely by restored in-flight arrivals would
-      // otherwise report 0. It is a pure function of the model, so restore
-      // it from the same oracle the lazy path is checked against.
-      downlink_bytes = strategy_->downlink_bytes(n);
-      // Snapshot events reference jobs by index in snap.jobs; the leased
-      // records are collected in that order so the indices resolve.
-      std::vector<Job*> restored;
-      restored.reserve(snap.jobs.size());
-      for (const checkpoint::JobSnapshot& js : snap.jobs) {
-        Job& job = *registry.acquire();
-        restored.push_back(&job);
-        job.client = static_cast<std::size_t>(js.client);
-        job.slot = static_cast<std::size_t>(js.slot);
-        job.version = static_cast<std::size_t>(js.version);
-        job.dispatch_index = static_cast<std::size_t>(js.dispatch_index);
-        job.attempt = static_cast<std::size_t>(js.attempt);
-        job.dispatch_clock = js.dispatch_clock;
-        job.download_s = js.download_seconds;
-        job.compute_s = js.compute_seconds;
-        job.upload_start = js.upload_start;
-        job.churn_fails = js.churn_fails;
-        job.churn_fraction = js.churn_fraction;
-        ClientOutcome out;
-        out.client_id = job.client;
-        out.samples = static_cast<std::size_t>(js.samples);
-        out.is_update = js.is_update;
-        out.payload = js.payload;
-        out.train_seconds = js.train_seconds;
-        out.mean_loss = js.mean_loss;
-        out.last_loss = js.last_loss;
-        if (js.has_pending) {
-          auto up = std::make_unique<PendingUpdate>();
-          up->slot = job.slot;
-          up->dispatch_version = job.version;
-          up->dispatch_clock = job.dispatch_clock;
-          up->compute_seconds = job.compute_s;
-          up->download_seconds = job.download_s;
-          up->upload_seconds =
-              registry.profile(job.client).upload_seconds(out.payload.size());
-          up->outcome = std::move(out);
-          job.pending = std::move(up);
-        } else {
-          // Training never re-runs (run_client mutates per-client strategy
-          // state); the completed outcome waits behind a ready future for
-          // the training event to consume as if the pool had just finished.
-          std::promise<ClientOutcome> ready;
-          ready.set_value(std::move(out));
-          job.future = ready.get_future().share();
-        }
-        mark_busy(job.client, &job);
-      }
-      for (const checkpoint::EventSnapshot& ev : snap.events) {
-        if (ev.job_index != checkpoint::kNoJob) {
-          FEDBIAD_CHECK(ev.job_index < snap.jobs.size(),
-                        "snapshot event references a missing job");
-        }
-        switch (ev.kind) {
-          case checkpoint::EventKind::kTraining: {
-            Job* jp = restored[ev.job_index];
-            jp->training_event =
-                sched.schedule_at(ev.time, [&, jp] { on_training_done(*jp); });
-            break;
-          }
-          case checkpoint::EventKind::kDelivery: {
-            Job* jp = restored[ev.job_index];
-            jp->arrival_time = ev.time;
-            jp->arrival_event =
-                sched.schedule_at(ev.time, [&, jp] { deliver(*jp); });
-            break;
-          }
-          case checkpoint::EventKind::kChurnAbandon: {
-            Job* jp = restored[ev.job_index];
-            const std::uint64_t wasted = ev.aux;
-            jp->arrival_time = ev.time;
-            jp->churn_wasted = wasted;
-            jp->arrival_event = sched.schedule_at(
-                ev.time, [&, jp, wasted] { abandon_job(*jp, wasted); });
-            break;
-          }
-          case checkpoint::EventKind::kDeadline: {
-            Job* jp = restored[ev.job_index];
-            jp->deadline_event =
-                sched.schedule_at(ev.time, [&, jp] { on_deadline(*jp); });
-            break;
-          }
-          case checkpoint::EventKind::kDuplicate: {
-            // Carried by a fresh leased record so a later checkpoint of the
-            // resumed run finds it in the duplicate scan above; the handler
-            // releases it once the duplicate is charged.
-            Job& dup = *registry.acquire();
-            dup.framed_bytes = ev.aux;
-            dup.duplicate_time = ev.time;
-            dup.release_on_duplicate = true;
-            Job* dp = &dup;
-            dup.duplicate_event = sched.schedule_at(ev.time, [&, dp] {
-              dp->duplicate_event = EventScheduler::kNoEvent;
-              ++rejected_deliveries_total;
-              rejected_bytes_total += dp->framed_bytes;
-              round_rejected_bytes += dp->framed_bytes;
-              if (dp->release_on_duplicate) registry.release(dp);
-            });
-            break;
-          }
-        }
-      }
-      resumed = true;
-    }
-  }
-  if (resumed) {
-    // Replay the dispatch the original run performed right after writing
-    // the snapshot (the snapshot precedes commit()'s dispatch tail).
-    if (version < base.rounds) {
-      if (barrier) {
-        dispatch_wave();
-      } else {
-        strategy_->begin_round(version + 1, global);
-        top_up();
-      }
-    }
-  } else if (barrier) {
-    dispatch_wave();
-  } else {
-    strategy_->begin_round(1, global);
-    top_up();
-  }
-  while (version < base.rounds && sched.run_next()) {
-  }
-  FEDBIAD_CHECK(version == base.rounds, "event queue drained early");
-  registry.for_each_active([](Job& job) {
-    if (job.future.valid()) job.future.wait();
-  });
-
-  result.total_dispatched = dispatched;
-  result.total_committed = committed_total;
-  result.total_abandoned = abandoned_total;
-  result.total_rejected = rejected_total;
-  result.total_rejected_deliveries = rejected_deliveries_total;
-  result.total_rejected_bytes = rejected_bytes_total;
-  result.total_wasted_uplink_bytes = wasted_uplink_total;
-  result.final_in_flight = busy.size();
-  result.final_buffered = aggregator->buffered();
-  result.peak_in_flight_states = registry.peak_active();
-  result.materialized_states = registry.materialized();
-
-  result.final_params = std::move(global);
-  return result;
-}
+SimulationResult AsyncSimulation::run() { return Driver(*this).run(); }
 
 }  // namespace fedbiad::fl

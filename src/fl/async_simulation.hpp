@@ -1,11 +1,14 @@
-// Event-driven federated simulation engine.
+// Event-driven federated simulation engine: the virtual-clock driver of
+// fl::ServerCore.
 //
 // Where fl::Simulation runs a lock-step round loop, this engine runs a
 // virtual-clock timeline: every dispatched client takes
 //   download → local compute → upload
 // virtual seconds (drawn from its netsim::ClientProfile), and its update
-// becomes visible to the server only when the upload arrives. What the
-// server does with arrivals is pluggable through AsyncAggregator:
+// becomes visible to the server only when the upload arrives. Every server
+// decision — selection, the commit policy, aggregation, evaluation, the
+// ledgers and the core of each checkpoint — is made by fl::ServerCore, the
+// same core the transport server runs on (fl/server_core.hpp):
 //
 //   kBarrier   — wait for the whole selection wave, then aggregate exactly
 //                like the sync engine (bit-equivalent trajectories; the
@@ -15,19 +18,22 @@
 //   kBufferedK — semi-async: buffer K arrivals, then merge the buffer with
 //                staleness-weighted deltas (FedBuff-style).
 //
+// What the engine itself owns is the medium: the event scheduler, the
+// training pool, scenario churn and delivery faults, zombie jobs, and the
+// job/event half of every snapshot.
+//
 // Determinism: all server-side decisions happen on the engine thread in
 // (virtual time, insertion seq) event order; client training runs on the
 // thread pool but against a parameter snapshot taken at dispatch (one
 // shared copy per model version) and a (client, dispatch)-keyed Rng
 // stream, so trajectories are identical for any worker-thread count.
-// Async commits quiesce outstanding training (real time only — the
-// virtual timeline is unaffected) before invoking begin_round/end_round,
+// Before every begin_round/end_round the engine quiesces outstanding
+// training (real time only — the virtual timeline is unaffected),
 // preserving the Strategy contract that server hooks never overlap
 // run_client.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,75 +41,12 @@
 #include "data/partition.hpp"
 #include "fl/engine_hooks.hpp"
 #include "fl/metrics.hpp"
+#include "fl/server_core.hpp"
 #include "fl/simulation.hpp"
 #include "fl/strategy.hpp"
 #include "netsim/client_profile.hpp"
 
 namespace fedbiad::fl {
-
-enum class AggregationMode { kBarrier, kFedAsync, kBufferedK };
-
-[[nodiscard]] const char* to_string(AggregationMode mode);
-
-/// Staleness weighting for the async modes: an arrival whose snapshot is τ
-/// versions old is merged with step size mixing_rate · (1+τ)^-exponent.
-struct StalenessConfig {
-  double mixing_rate = 0.6;  ///< α; 1 with exponent 0 disables damping
-  double exponent = 0.5;     ///< polynomial staleness decay a
-};
-
-/// One client update travelling from training completion to aggregation.
-struct PendingUpdate {
-  ClientOutcome outcome;
-  std::size_t slot = 0;              ///< selection-order slot in its wave
-  std::size_t dispatch_version = 0;  ///< global version of its snapshot
-  double dispatch_clock = 0.0;
-  double arrival_clock = 0.0;
-  double compute_seconds = 0.0;  ///< virtual local-training time
-  double download_seconds = 0.0;
-  double upload_seconds = 0.0;
-};
-
-/// Server-side commit policy: decides, per arrival, whether a batch of
-/// updates is committed into the global model now. Implementations are
-/// called from the engine thread only.
-class AsyncAggregator {
- public:
-  virtual ~AsyncAggregator() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
-  /// Offers one arrived update. Returns the batch to commit now in
-  /// deterministic commit order, or an empty vector to keep buffering.
-  [[nodiscard]] virtual std::vector<PendingUpdate> offer(
-      PendingUpdate update) = 0;
-  /// Surrenders everything held back, in the same deterministic order a
-  /// regular release would use. The engine calls this for partial-cohort
-  /// commits: a scenario wave whose missing members were abandoned (churn
-  /// or deadline cutoff) must aggregate what actually arrived.
-  [[nodiscard]] virtual std::vector<PendingUpdate> flush() = 0;
-  /// Updates currently held back.
-  [[nodiscard]] virtual std::size_t buffered() const = 0;
-};
-
-class ShardedAccumulator;
-
-/// Staleness-weighted merge (FedAsync / FedBuff semantics): every update is
-/// turned into a delta against the *current* global (parameter-type
-/// outcomes subtract it, update-type outcomes already are one), deltas are
-/// averaged per coordinate over the transmitting clients with weight
-/// |D_k| · (1+τ_k)^-a, and the global takes an α-sized step along the mean.
-/// Shared by the event-driven engine and the transport server runtime
-/// (src/transport/server_runtime.cpp) so the two commit paths cannot drift.
-void staleness_merge(ShardedAccumulator& acc, std::span<float> global,
-                     const std::vector<PendingUpdate>& batch,
-                     const StalenessConfig& cfg, std::size_t commit_version);
-
-/// Barrier: commit when all `wave_size` updates of the wave have arrived,
-/// ordered by selection slot — the sync engine's semantics.
-std::unique_ptr<AsyncAggregator> make_barrier_aggregator(std::size_t wave_size);
-/// FedAsync: every arrival commits immediately.
-std::unique_ptr<AsyncAggregator> make_fedasync_aggregator();
-/// Buffered-K: commit every k arrivals, in arrival order.
-std::unique_ptr<AsyncAggregator> make_buffered_aggregator(std::size_t k);
 
 struct AsyncSimulationConfig {
   SimulationConfig base;  ///< rounds = number of commits (= sync rounds)
@@ -138,6 +81,8 @@ class AsyncSimulation {
   SimulationResult run();
 
  private:
+  class Driver;  ///< ServerCore's virtual-clock driver (one per run)
+
   AsyncSimulationConfig cfg_;
   nn::ModelFactory factory_;
   data::DatasetPtr train_data_;

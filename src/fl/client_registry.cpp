@@ -7,49 +7,6 @@
 
 namespace fedbiad::fl {
 
-bool IdleSet::is_idle(std::size_t pos) const {
-  FEDBIAD_DCHECK(pos < n_, "idle-set position out of range");
-  return !std::binary_search(busy_.begin(), busy_.end(), pos);
-}
-
-void IdleSet::set_busy(std::size_t pos) {
-  FEDBIAD_DCHECK(pos < n_, "idle-set position out of range");
-  const auto it = std::lower_bound(busy_.begin(), busy_.end(), pos);
-  FEDBIAD_CHECK(it == busy_.end() || *it != pos,
-                "idle-set position already busy");
-  busy_.insert(it, pos);
-}
-
-void IdleSet::set_idle(std::size_t pos) {
-  const auto it = std::lower_bound(busy_.begin(), busy_.end(), pos);
-  FEDBIAD_CHECK(it != busy_.end() && *it == pos,
-                "idle-set position was not busy");
-  busy_.erase(it);
-}
-
-std::size_t IdleSet::select(std::size_t j) const {
-  FEDBIAD_CHECK(j < idle_count(), "idle-set order statistic out of range");
-  // g(x) = x − |{busy ≤ x}| counts the idle positions strictly below x —
-  // non-decreasing in steps of 0/1, so the j-th idle position is the
-  // leftmost x with g(x) == j, found by binary search on g(x) ≥ j. That x
-  // is idle: a busy x has g(x) == g(x−1), contradicting leftmost-ness. The
-  // comparison is phrased subtraction-free (x ≥ j + |busy ≤ x|) because a
-  // fully-busy prefix makes x − |busy ≤ x| underflow in unsigned math.
-  std::size_t lo = j;                 // g(x) ≤ x, so the answer is ≥ j
-  std::size_t hi = j + busy_.size();  // g(j + busy) ≥ j
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    const auto below = static_cast<std::size_t>(
-        std::upper_bound(busy_.begin(), busy_.end(), mid) - busy_.begin());
-    if (mid >= j + below) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
-}
-
 ClientRegistry::ClientRegistry(std::size_t population,
                                netsim::HeterogeneityConfig heterogeneity,
                                netsim::LinkModel base_link,

@@ -24,11 +24,8 @@
 //              record with a stable address, release() reclaims it. Peak
 //              pool size tracks peak concurrency, not total dispatches.
 //
-//   IdleSet    answers "the j-th smallest idle populated position" — the
-//              order statistic behind the engine's replacement draws —
-//              from a sorted vector of the *busy* positions only, so
-//              selection state is O(in-flight) too. select(j) is exactly
-//              avail[j] of the ascending idle scan it replaces.
+// Selection state is O(in-flight) too: fl::ServerCore draws from an IdleSet
+// (fl/server_core.hpp) that stores only the busy positions.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +36,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "fl/async_simulation.hpp"
+#include "fl/server_core.hpp"
 #include "fl/scheduler.hpp"
 #include "netsim/client_profile.hpp"
 #include "tensor/rng.hpp"
@@ -92,33 +89,6 @@ struct ClientState {
   /// delivery still holds a pointer to this record: the duplicate's
   /// charge-and-drop handler performs the release instead of the engine.
   bool release_on_duplicate = false;
-};
-
-/// Order-statistic set over positions [0, n), all idle initially. Stores
-/// only the busy positions (sorted), so memory is O(busy) regardless of n.
-class IdleSet {
- public:
-  explicit IdleSet(std::size_t n) : n_(n) {}
-
-  [[nodiscard]] std::size_t idle_count() const noexcept {
-    return n_ - busy_.size();
-  }
-  [[nodiscard]] std::size_t busy_count() const noexcept {
-    return busy_.size();
-  }
-  [[nodiscard]] bool is_idle(std::size_t pos) const;
-
-  void set_busy(std::size_t pos);
-  void set_idle(std::size_t pos);
-
-  /// The j-th smallest idle position (0-based, j < idle_count()) — exactly
-  /// element j of the ascending idle scan this structure replaces.
-  /// O(log² busy) via binary search over x ↦ x − |busy ≤ x|.
-  [[nodiscard]] std::size_t select(std::size_t j) const;
-
- private:
-  std::size_t n_;
-  std::vector<std::size_t> busy_;  ///< sorted ascending
 };
 
 class ClientRegistry {

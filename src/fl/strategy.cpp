@@ -44,39 +44,6 @@ void decode_outcome(const Strategy& strategy, const nn::ParameterStore& layout,
   out.uplink_bytes = out.payload.size();
 }
 
-DecodeStatus try_decode_outcome(const Strategy& strategy,
-                                const nn::ParameterStore& layout,
-                                ClientOutcome& out, bool framed,
-                                const DecodeContext& ctx) {
-  FEDBIAD_CHECK(out.values.empty() && out.present.size() == 0,
-                "outcome already decoded — uplink bytes would double-count");
-  const std::uint64_t wire_size = out.payload.size();
-  auto wrap = [&ctx](const char* what) {
-    std::ostringstream os;
-    os << "upload from client " << ctx.client_id << " (dispatch "
-       << ctx.dispatch_seq << ", t=" << ctx.clock << "s) rejected: " << what;
-    return os.str();
-  };
-  try {
-    // strip_seal mutates the payload only after the trailer verifies, and a
-    // later section-decoder failure discards the payload anyway, so the
-    // in-place strip never leaves a half-consumed frame in play.
-    if (framed) wire::strip_seal(out.payload);
-    wire::Decoded decoded = strategy.decode_payload(layout, out.payload);
-    FEDBIAD_CHECK(decoded.values.size() == layout.size() &&
-                      decoded.present.size() == layout.size(),
-                  "decoded update does not match the model layout");
-    out.values = std::move(decoded.values);
-    out.present = std::move(decoded.present);
-    out.uplink_bytes = wire_size;
-    return {};
-  } catch (const wire::DecodeError& e) {
-    return {false, wrap(e.what())};
-  } catch (const CheckError& e) {
-    return {false, wrap(e.what())};
-  }
-}
-
 void decode_outcome_compact(const Strategy& strategy,
                             const nn::ParameterStore& layout,
                             ClientOutcome& out) {
@@ -91,6 +58,49 @@ void decode_outcome_compact(const Strategy& strategy,
   out.uplink_bytes = out.payload.size();
 }
 
+namespace {
+
+// The non-throwing receive steps share one body: strip and verify the seal,
+// run the throwing decoder, and turn any failure into a context-wrapped
+// status. The double-decode guard stays outside — it is a programming error,
+// not client noise.
+template <typename Decode>
+DecodeStatus try_decode(ClientOutcome& out, bool framed,
+                        const DecodeContext& ctx, Decode&& decode) {
+  const std::uint64_t wire_size = out.payload.size();
+  auto wrap = [&ctx](const char* what) {
+    std::ostringstream os;
+    os << "upload from client " << ctx.client_id << " (dispatch "
+       << ctx.dispatch_seq << ", t=" << ctx.clock << "s) rejected: " << what;
+    return DecodeStatus{false, os.str()};
+  };
+  try {
+    // strip_seal mutates the payload only after the trailer verifies, and a
+    // later section-decoder failure discards the payload anyway, so the
+    // in-place strip never leaves a half-consumed frame in play.
+    if (framed) wire::strip_seal(out.payload);
+    decode();
+    out.uplink_bytes = wire_size;
+    return {};
+  } catch (const wire::DecodeError& e) {
+    return wrap(e.what());
+  } catch (const CheckError& e) {
+    return wrap(e.what());
+  }
+}
+
+}  // namespace
+
+DecodeStatus try_decode_outcome(const Strategy& strategy,
+                                const nn::ParameterStore& layout,
+                                ClientOutcome& out, bool framed,
+                                const DecodeContext& ctx) {
+  FEDBIAD_CHECK(out.values.empty() && out.present.size() == 0,
+                "outcome already decoded — uplink bytes would double-count");
+  return try_decode(out, framed, ctx,
+                    [&] { decode_outcome(strategy, layout, out); });
+}
+
 DecodeStatus try_decode_outcome_compact(const Strategy& strategy,
                                         const nn::ParameterStore& layout,
                                         ClientOutcome& out, bool framed,
@@ -98,27 +108,8 @@ DecodeStatus try_decode_outcome_compact(const Strategy& strategy,
   FEDBIAD_CHECK(out.values.empty() && out.present.size() == 0 &&
                     out.compact.empty(),
                 "outcome already decoded — uplink bytes would double-count");
-  const std::uint64_t wire_size = out.payload.size();
-  auto wrap = [&ctx](const char* what) {
-    std::ostringstream os;
-    os << "upload from client " << ctx.client_id << " (dispatch "
-       << ctx.dispatch_seq << ", t=" << ctx.clock << "s) rejected: " << what;
-    return os.str();
-  };
-  try {
-    if (framed) wire::strip_seal(out.payload);
-    wire::CompactUpdate compact =
-        strategy.decode_payload_compact(layout, out.payload);
-    FEDBIAD_CHECK(compact.size() == layout.size() && !compact.empty(),
-                  "decoded update does not match the model layout");
-    out.compact = std::move(compact);
-    out.uplink_bytes = wire_size;
-    return {};
-  } catch (const wire::DecodeError& e) {
-    return {false, wrap(e.what())};
-  } catch (const CheckError& e) {
-    return {false, wrap(e.what())};
-  }
+  return try_decode(out, framed, ctx,
+                    [&] { decode_outcome_compact(strategy, layout, out); });
 }
 
 }  // namespace fedbiad::fl

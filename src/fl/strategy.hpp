@@ -215,9 +215,9 @@ void decode_outcome_compact(const Strategy& strategy,
                             const nn::ParameterStore& layout,
                             ClientOutcome& out);
 
-/// Non-throwing compact receive step (fault-tolerant sessions); mirrors
-/// try_decode_outcome exactly — same frame stripping, same charged bytes,
-/// same context-wrapped rejection strings — but decodes into `out.compact`.
+/// Non-throwing compact receive step (fault-tolerant sessions): the same
+/// seal check, charged bytes and rejection strings as try_decode_outcome,
+/// decoding into `out.compact`.
 [[nodiscard]] DecodeStatus try_decode_outcome_compact(
     const Strategy& strategy, const nn::ParameterStore& layout,
     ClientOutcome& out, bool framed, const DecodeContext& ctx);

@@ -62,6 +62,8 @@ class ThreadPool {
       const std::function<void(std::size_t, std::size_t)>& fn);
 
   /// Process-wide pool sized to the machine; used by tensor kernels.
+  /// A process must not fork() after its first pooled parallel_for: the
+  /// child inherits the pool without its threads and would wait forever.
   static ThreadPool& global();
 
  private:

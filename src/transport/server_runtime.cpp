@@ -1,18 +1,23 @@
 #include "transport/server_runtime.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "common/check.hpp"
-#include "data/dataset.hpp"
-#include "tensor/ops.hpp"
 #include "wire/update_codec.hpp"
 
 namespace fedbiad::transport {
 
 namespace {
-constexpr std::uint64_t kAsyncStreamBase = 0x10000;  // engine's top_up keying
+
+std::vector<std::size_t> populated_ids(const data::Partition& partition) {
+  std::vector<std::size_t> ids;
+  for (std::size_t k = 0; k < partition.size(); ++k) {
+    if (!partition[k].empty()) ids.push_back(k);
+  }
+  return ids;
+}
+
 }  // namespace
 
 ServerRuntime::ServerRuntime(TransportServerConfig cfg,
@@ -23,179 +28,57 @@ ServerRuntime::ServerRuntime(TransportServerConfig cfg,
                              fl::StrategyPtr strategy)
     : cfg_(std::move(cfg)),
       transport_(transport),
-      factory_(std::move(factory)),
-      test_data_(std::move(test_data)),
       strategy_(std::move(strategy)),
-      population_(partition.size()),
-      rng_(cfg_.base.seed),
-      client_rng_base_(cfg_.base.seed) {
-  FEDBIAD_CHECK(factory_ != nullptr, "model factory required");
-  FEDBIAD_CHECK(test_data_ != nullptr, "test dataset required");
-  FEDBIAD_CHECK(strategy_ != nullptr, "strategy required");
-  FEDBIAD_CHECK(population_ > 0, "need at least one client");
-  for (std::size_t k = 0; k < partition.size(); ++k) {
-    if (!partition[k].empty()) populated_.push_back(k);
-  }
-  FEDBIAD_CHECK(!populated_.empty(), "every client shard is empty");
-  // Selection parity with the engine: the fraction applies to the full
-  // registered population, clamped at one client.
-  select_ = std::max<std::size_t>(
-      1, static_cast<std::size_t>(cfg_.base.selection_fraction *
-                                  static_cast<double>(population_)));
-  FEDBIAD_CHECK(select_ <= populated_.size(),
-                "selection fraction exceeds populated clients");
+      populated_(populated_ids(partition)),
+      core_(fl::ServerCoreConfig{.base = cfg_.base,
+                                 .mode = cfg_.mode,
+                                 .staleness = cfg_.staleness,
+                                 .buffer_size = cfg_.buffer_size,
+                                 .checkpoint = cfg_.checkpoint,
+                                 .engine = std::string("transport-") +
+                                           fl::to_string(cfg_.mode),
+                                 .scenario = cfg_.scenario_name},
+            *this, factory, std::move(test_data), populated_,
+            partition.size(), strategy_) {
   FEDBIAD_CHECK(cfg_.max_upload_attempts > 0, "need at least one attempt");
   FEDBIAD_CHECK(!cfg_.checkpoint.enabled() ||
                     cfg_.mode == fl::AggregationMode::kBarrier,
                 "transport checkpoints require barrier mode (its commit "
                 "boundary has no in-flight work to serialize)");
-  switch (cfg_.mode) {
-    case fl::AggregationMode::kBarrier:
-      // The runtime owns wave completion (members may be abandoned or
-      // rejected): the barrier never self-releases, finish_wave flushes
-      // once the outstanding count reaches zero — the engine's scenario
-      // construction, which is float-identical to the self-releasing one.
-      aggregator_ = fl::make_barrier_aggregator(
-          std::numeric_limits<std::size_t>::max());
-      break;
-    case fl::AggregationMode::kFedAsync:
-      aggregator_ = fl::make_fedasync_aggregator();
-      break;
-    case fl::AggregationMode::kBufferedK:
-      aggregator_ = fl::make_buffered_aggregator(cfg_.buffer_size);
-      break;
-  }
   transport_.set_handler(this);
   transport_.set_tick_hook([this] { return drain_decodes(); });
 }
 
-std::string ServerRuntime::engine_name() const {
-  return std::string("transport-") + fl::to_string(cfg_.mode);
-}
-
 void ServerRuntime::start() {
-  model_ = factory_();
-  {
-    // Engine rng discipline: split(0xF0F0) for init; split() is pure, so
-    // the selection stream below sees exactly the engine's draws.
-    tensor::Rng init_rng = rng_.split(0xF0F0);
-    model_->init_params(init_rng);
-  }
-  global_.resize(model_->store().size());
-  tensor::copy(model_->store().params(), global_);
   if (cfg_.decode_workers > 0) {
     decode_pool_ = std::make_unique<DecodePool>(
         cfg_.decode_workers, cfg_.decode_queue_depth, *strategy_,
-        model_->store());
+        core_.layout());
   }
-
-  result_.sim.strategy = strategy_->name();
-  result_.sim.engine = engine_name();
-  result_.sim.scenario = cfg_.scenario_name;
-  result_.sim.rounds.reserve(cfg_.base.rounds);
-
-  const bool resumed = try_resume();
-  if (version_ >= cfg_.base.rounds) {
-    broadcast_fin();
-    return;
-  }
-  if (cfg_.mode == fl::AggregationMode::kBarrier) {
-    // On resume this replays the dispatch the original run performed right
-    // after writing the snapshot — same restored rng, same wave.
-    dispatch_wave();
-  } else {
-    strategy_->begin_round(version_ + 1, global_);
-    (void)resumed;
-    top_up();
-  }
+  // On resume the core replays the dispatch the original run performed
+  // right after writing the snapshot — same restored rng, same wave.
+  core_.start();
 }
 
-bool ServerRuntime::try_resume() {
-  const checkpoint::CheckpointConfig& ckpt = cfg_.checkpoint;
-  if (!ckpt.enabled() || !ckpt.resume) return false;
-  const auto latest = checkpoint::find_latest_valid(ckpt.directory);
-  if (!latest) return false;
-  checkpoint::EngineSnapshot snap = checkpoint::read_snapshot(*latest);
-  FEDBIAD_CHECK(snap.engine == engine_name(),
-                "snapshot was written by a different engine");
-  FEDBIAD_CHECK(snap.seed == cfg_.base.seed, "snapshot seed mismatch");
-  FEDBIAD_CHECK(snap.rounds_target == cfg_.base.rounds,
-                "snapshot round target mismatch");
-  const std::size_t n = model_->store().size();
-  FEDBIAD_CHECK(snap.param_count == n && snap.global.size() == n,
-                "snapshot model size mismatch");
-  FEDBIAD_CHECK(snap.version <= cfg_.base.rounds && snap.version > 0,
-                "snapshot version out of range");
+void ServerRuntime::restore(checkpoint::EngineSnapshot& snap) {
+  // Nothing scheduled survives a transport commit boundary, and wall time
+  // never enters a snapshot: its clock stays 0.
   FEDBIAD_CHECK(snap.jobs.empty() && snap.events.empty(),
                 "transport snapshots must be quiescent");
-  version_ = snap.version;
-  dispatched_ = snap.dispatched;
-  rng_.set_state(snap.rng);
-  committed_total_ = snap.committed;
-  abandoned_total_ = snap.abandoned;
-  rejected_total_ = snap.rejected;
-  rejected_deliveries_total_ = snap.rejected_deliveries;
-  rejected_bytes_total_ = snap.rejected_bytes;
-  global_ = snap.global;
-  tensor::copy(global_, model_->store().params());
-  strategy_->load_state(snap.strategy_state);
-  result_.sim.rounds = std::move(snap.rounds);
-  downlink_bytes_ = strategy_->downlink_bytes(n);
-  return true;
-}
-
-void ServerRuntime::ensure_broadcast() {
-  if (broadcast_valid_) return;
-  const wire::Payload payload = wire::encode_dense_f32(global_);
-  downlink_bytes_ = payload.size();
-  FEDBIAD_CHECK(downlink_bytes_ ==
-                    strategy_->downlink_bytes(model_->store().size()),
-                "measured downlink diverged from the analytic oracle");
-  broadcast_ = payload.bytes;
-  broadcast_valid_ = true;
-}
-
-void ServerRuntime::dispatch_wave() {
-  // Bit-identical to the engine's wave: same sample_without_replacement
-  // draw over the populated count, begin_round, then dispatch in pick
-  // order with the round number as the rng stream.
-  const auto picks = rng_.sample_without_replacement(populated_.size(), select_);
-  strategy_->begin_round(version_ + 1, global_);
-  wave_outstanding_ = select_;
-  std::size_t slot = 0;
-  for (const auto i : picks) dispatch(populated_[i], slot++, version_ + 1);
-}
-
-void ServerRuntime::top_up() {
-  // Engine's async replacement draw: uniform over the ascending idle
-  // populated clients, keyed streams 0x10000 + dispatch counter.
-  const std::size_t budget =
-      cfg_.base.rounds * (cfg_.mode == fl::AggregationMode::kBufferedK
-                              ? cfg_.buffer_size
-                              : 1);
-  while (dispatched_ < budget && inflight_.size() < select_) {
-    std::vector<std::size_t> idle;
-    for (const std::size_t c : populated_) {
-      if (inflight_.find(c) == inflight_.end()) idle.push_back(c);
-    }
-    if (idle.empty()) break;
-    const std::size_t client = idle[rng_.uniform_index(idle.size())];
-    dispatch(client, 0, kAsyncStreamBase + dispatched_);
-  }
 }
 
 void ServerRuntime::dispatch(std::size_t client, std::size_t slot,
                              std::uint64_t rng_stream) {
-  ensure_broadcast();
   FEDBIAD_CHECK(inflight_.find(client) == inflight_.end(),
                 "client dispatched while already in flight");
   InFlight inf;
-  inf.client = client;
-  inf.slot = slot;
-  inf.version = version_;
-  inf.dispatch_index = dispatched_;
-  inf.rng_stream = rng_stream;
-  ++dispatched_;
+  inf.msg = {.dispatch_index = core_.dispatched(),
+             .round = core_.version() + 1,
+             .slot = slot,
+             .model_version = core_.version(),
+             .rng_stream = rng_stream,
+             .broadcast = {}};
+  inf.broadcast = core_.broadcast();
   if (cfg_.dispatch_deadline_seconds > 0.0) {
     inf.deadline = std::make_unique<DeadlineTimer>(
         transport_.scheduler(), cfg_.dispatch_deadline_seconds);
@@ -206,9 +89,7 @@ void ServerRuntime::dispatch(std::size_t client, std::size_t slot,
       auto it = inflight_.find(client);
       if (it == inflight_.end()) return;
       inflight_.erase(it);
-      ++abandoned_total_;
-      ++round_abandoned_;
-      resolve_slot_released();
+      core_.abandon(client);
     });
   }
   inflight_.emplace(client, std::move(inf));
@@ -220,13 +101,8 @@ void ServerRuntime::try_send_dispatch(std::size_t client) {
   if (inf == inflight_.end() || inf->second.sent) return;
   auto sess = client_session_.find(client);
   if (sess == client_session_.end()) return;  // offline; retried on Hello
-  DispatchMsg msg;
-  msg.dispatch_index = inf->second.dispatch_index;
-  msg.round = inf->second.version + 1;
-  msg.slot = inf->second.slot;
-  msg.model_version = inf->second.version;
-  msg.rng_stream = inf->second.rng_stream;
-  msg.broadcast = broadcast_;
+  DispatchMsg msg = inf->second.msg;
+  msg.broadcast = inf->second.broadcast->bytes;
   if (!transport_.send(sess->second, FrameType::kDispatch, encode(msg))) {
     // Backpressure: the dispatch stays unsent; on_drain retries. The
     // in-flight record (and its deadline) already exists, so a peer that
@@ -237,143 +113,7 @@ void ServerRuntime::try_send_dispatch(std::size_t client) {
   inf->second.sent = true;
 }
 
-void ServerRuntime::resolve_slot_released() {
-  if (cfg_.mode == fl::AggregationMode::kBarrier) {
-    FEDBIAD_CHECK(wave_outstanding_ > 0, "resolve outside a wave");
-    if (--wave_outstanding_ == 0) finish_wave();
-  } else if (version_ < cfg_.base.rounds) {
-    top_up();
-  }
-}
-
-void ServerRuntime::finish_wave() {
-  auto batch = aggregator_->flush();
-  if (batch.empty()) {
-    // The entire wave was abandoned or rejected: select a fresh wave for
-    // the same round, exactly like the engine's scenario path.
-    if (version_ < cfg_.base.rounds) dispatch_wave();
-    return;
-  }
-  commit(std::move(batch));
-}
-
-void ServerRuntime::evaluate_into(fl::RoundRecord& rec) {
-  if (rec.round % cfg_.base.eval_every == 0 || rec.round == cfg_.base.rounds) {
-    nn::EvalResult eval;
-    data::for_each_batch(*test_data_, cfg_.base.eval_batch_size,
-                         [&](const data::Batch& batch) {
-                           eval.merge(model_->eval_batch(batch,
-                                                         cfg_.base.train.topk));
-                         });
-    rec.test_loss = eval.mean_loss();
-    rec.top1 = eval.top1_accuracy();
-    rec.topk = eval.topk_accuracy();
-  } else if (!result_.sim.rounds.empty()) {
-    rec.test_loss = result_.sim.rounds.back().test_loss;
-    rec.top1 = result_.sim.rounds.back().top1;
-    rec.topk = result_.sim.rounds.back().topk;
-  }
-}
-
-void ServerRuntime::commit(std::vector<fl::PendingUpdate> batch) {
-  double staleness_acc = 0.0;
-  if (cfg_.mode == fl::AggregationMode::kBarrier) {
-    // The engine's sync path, bit for bit: compact outcomes in
-    // selection-slot order (flush sorted them) through the fused committer.
-    std::vector<fl::FusedUpdate> fused(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      fused[i].update = &batch[i].outcome.compact;
-      fused[i].weight = static_cast<double>(batch[i].outcome.samples);
-      fused[i].is_update = batch[i].outcome.is_update;
-    }
-    sharded_.aggregate(global_, fused, strategy_->aggregation_rule());
-  } else {
-    fl::staleness_merge(sharded_, global_, batch, cfg_.staleness, version_);
-    for (const fl::PendingUpdate& up : batch) {
-      staleness_acc += static_cast<double>(version_ - up.dispatch_version);
-    }
-  }
-  strategy_->end_round(version_ + 1, model_->store().params(), global_);
-  tensor::copy(global_, model_->store().params());
-  broadcast_valid_ = false;  // the global changed; re-encode on next dispatch
-  ++version_;
-  committed_total_ += batch.size();
-
-  fl::RoundRecord rec;
-  rec.round = version_;
-  rec.participants = batch.size();
-  double loss_acc = 0.0;
-  for (const fl::PendingUpdate& up : batch) {
-    const fl::ClientOutcome& o = up.outcome;
-    loss_acc += o.mean_loss;
-    rec.uplink_bytes_total += o.uplink_bytes;
-    rec.uplink_bytes_max = std::max(rec.uplink_bytes_max, o.uplink_bytes);
-    rec.lttr_seconds = std::max(rec.lttr_seconds, o.train_seconds);
-  }
-  rec.train_loss = loss_acc / static_cast<double>(batch.size());
-  rec.downlink_bytes = downlink_bytes_;
-  rec.clock_seconds = transport_.now();
-  rec.mean_staleness = staleness_acc / static_cast<double>(batch.size());
-  rec.abandoned = round_abandoned_;
-  rec.rejected = round_rejected_;
-  rec.rejected_bytes = round_rejected_bytes_;
-  round_abandoned_ = 0;
-  round_rejected_ = 0;
-  round_rejected_bytes_ = 0;
-  evaluate_into(rec);
-  result_.sim.rounds.push_back(rec);
-
-  // Snapshot before the next wave is selected: on resume the restored rng
-  // replays the selection identically (the engine's resume contract).
-  if (cfg_.checkpoint.enabled() &&
-      (version_ % cfg_.checkpoint.every_rounds == 0 ||
-       version_ == cfg_.base.rounds)) {
-    write_checkpoint();
-  }
-
-  if (version_ < cfg_.base.rounds) {
-    if (cfg_.mode == fl::AggregationMode::kBarrier) {
-      dispatch_wave();
-    } else {
-      strategy_->begin_round(version_ + 1, global_);
-    }
-  } else {
-    broadcast_fin();
-  }
-}
-
-void ServerRuntime::write_checkpoint() {
-  FEDBIAD_CHECK(inflight_.empty() && wave_outstanding_ == 0 &&
-                    aggregator_->buffered() == 0,
-                "checkpoint outside a quiescent commit boundary");
-  FEDBIAD_CHECK(round_abandoned_ == 0 && round_rejected_ == 0 &&
-                    round_rejected_bytes_ == 0,
-                "round counters must be folded before a checkpoint");
-  checkpoint::EngineSnapshot snap;
-  snap.engine = engine_name();
-  snap.seed = cfg_.base.seed;
-  snap.rounds_target = cfg_.base.rounds;
-  snap.param_count = model_->store().size();
-  // Wall time never enters a snapshot: a resumed transport run starts its
-  // clock at zero again, and nothing scheduled survives the boundary.
-  snap.clock = 0.0;
-  snap.version = version_;
-  snap.dispatched = dispatched_;
-  snap.rng = rng_.state();
-  snap.committed = committed_total_;
-  snap.abandoned = abandoned_total_;
-  snap.rejected = rejected_total_;
-  snap.rejected_deliveries = rejected_deliveries_total_;
-  snap.wasted_uplink_bytes = 0;
-  snap.rejected_bytes = rejected_bytes_total_;
-  snap.global = global_;
-  snap.rounds = result_.sim.rounds;
-  snap.strategy_state = strategy_->save_state();
-  checkpoint::write_snapshot(cfg_.checkpoint.directory, snap);
-  checkpoint::prune(cfg_.checkpoint.directory, cfg_.checkpoint.keep);
-}
-
-void ServerRuntime::broadcast_fin() {
+void ServerRuntime::finished() {
   if (fin_broadcast_) return;
   fin_broadcast_ = true;
   const FinMsg fin{cfg_.base.rounds};
@@ -522,7 +262,7 @@ void ServerRuntime::handle_hello(SessionId session, const Frame& frame) {
 
   WelcomeMsg welcome;
   welcome.session_token = fresh;
-  welcome.version = version_;
+  welcome.version = core_.version();
   welcome.resumed = resumed ? 1 : 0;
   send_control(session, FrameType::kWelcome, encode(welcome));
   if (fin_broadcast_) {
@@ -571,7 +311,7 @@ void ServerRuntime::handle_upload(SessionId session, const Frame& frame) {
 
   if (decode_pool_ == nullptr) {
     job->status = fl::try_decode_outcome_compact(
-        *strategy_, model_->store(), out, /*framed=*/true,
+        *strategy_, core_.layout(), out, /*framed=*/true,
         fl::DecodeContext{client, msg.dispatch_index, transport_.now()});
     finish_upload(*job);
     return;
@@ -590,9 +330,7 @@ void ServerRuntime::handle_upload(SessionId session, const Frame& frame) {
     std::unique_ptr<DecodeJob> shed = std::move(parked_uploads_.back());
     parked_uploads_.pop_back();
     ++result_.decode_shed;
-    ++rejected_deliveries_total_;
-    rejected_bytes_total_ += shed->framed_bytes;
-    round_rejected_bytes_ += shed->framed_bytes;
+    core_.charge_delivery(shed->framed_bytes);
     transport_.close(shed->session, "decode backpressure overflow");
   }
 }
@@ -600,16 +338,14 @@ void ServerRuntime::handle_upload(SessionId session, const Frame& frame) {
 void ServerRuntime::finish_upload(DecodeJob& job) {
   auto it = inflight_.find(job.client);
   if (it == inflight_.end() ||
-      it->second.dispatch_index != job.dispatch_index) {
-    // The PR 7 duplicate-drop path: a re-sent upload whose dispatch
+      it->second.msg.dispatch_index != job.dispatch_index) {
+    // The duplicate-drop path: a re-sent upload whose dispatch
     // already resolved (committed, abandoned, or rejected) is charged to
     // the delivery ledger and Ack'd so the client stops retrying — it is
     // never aggregated, so commits stay at-most-once. With workers this
     // check must run at finish time: an earlier arrival still in the
     // decode queue may resolve the same dispatch first.
-    ++rejected_deliveries_total_;
-    rejected_bytes_total_ += job.framed_bytes;
-    round_rejected_bytes_ += job.framed_bytes;
+    core_.charge_delivery(job.framed_bytes);
     send_control(job.session, FrameType::kUploadAck,
                  encode(UploadAckMsg{job.dispatch_index}));
     return;
@@ -617,43 +353,30 @@ void ServerRuntime::finish_upload(DecodeJob& job) {
   InFlight& inf = it->second;
 
   if (!job.status.ok) {
-    ++rejected_deliveries_total_;
-    rejected_bytes_total_ += job.framed_bytes;
-    round_rejected_bytes_ += job.framed_bytes;
-    if (inf.attempts < cfg_.max_upload_attempts) {
-      ++inf.attempts;
-      send_control(job.session, FrameType::kReject,
-                   encode(RejectMsg{job.dispatch_index, 1, job.status.error}));
-      return;
-    }
-    // Retry budget drained: terminal rejection resolves the dispatch.
-    inflight_.erase(it);
-    ++rejected_total_;
-    ++round_rejected_;
+    core_.charge_delivery(job.framed_bytes);
+    // Retryable until the attempt budget drains; then the rejection is
+    // terminal and resolves the dispatch.
+    const bool retry = inf.attempts < cfg_.max_upload_attempts;
     send_control(job.session, FrameType::kReject,
-                 encode(RejectMsg{job.dispatch_index, 0, job.status.error}));
-    resolve_slot_released();
+                 encode(RejectMsg{job.dispatch_index, retry, job.status.error}));
+    if (retry) {
+      ++inf.attempts;
+    } else {
+      inflight_.erase(it);
+      core_.reject(job.client);
+    }
     return;
   }
 
   fl::PendingUpdate up;
-  up.slot = inf.slot;
-  up.dispatch_version = inf.version;
-  up.arrival_clock = job.arrival_clock;
+  up.slot = inf.msg.slot;
+  up.dispatch_version = inf.msg.model_version;
   job.outcome.payload.bytes = {};  // decoded; only the compact view is kept
   up.outcome = std::move(job.outcome);
   inflight_.erase(it);
   send_control(job.session, FrameType::kUploadAck,
                encode(UploadAckMsg{job.dispatch_index}));
-
-  auto batch = aggregator_->offer(std::move(up));
-  if (cfg_.mode == fl::AggregationMode::kBarrier) {
-    FEDBIAD_CHECK(batch.empty(), "runtime barrier must not self-release");
-    resolve_slot_released();
-    return;
-  }
-  if (!batch.empty()) commit(std::move(batch));
-  if (version_ < cfg_.base.rounds) top_up();
+  core_.arrive(job.client, std::move(up));
 }
 
 bool ServerRuntime::drain_decodes() {
@@ -683,20 +406,11 @@ TransportServerResult ServerRuntime::finish() {
   // Late arrivals may still be on the decode workers; their dispatches are
   // in flight until finished, so drain before the ledgers are read.
   (void)drain_decodes();
-  broadcast_fin();
+  finished();
   // Give farewell traffic a chance to flush (acks, Fin frames). Parked
   // frames for peers that never drain are abandoned with their sessions.
   for (int i = 0; i < 20; ++i) transport_.step(0.01);
-  result_.sim.total_dispatched = dispatched_;
-  result_.sim.total_committed = committed_total_;
-  result_.sim.total_abandoned = abandoned_total_;
-  result_.sim.total_rejected = rejected_total_;
-  result_.sim.total_rejected_deliveries = rejected_deliveries_total_;
-  result_.sim.total_rejected_bytes = rejected_bytes_total_;
-  result_.sim.total_wasted_uplink_bytes = 0;
-  result_.sim.final_in_flight = inflight_.size();
-  result_.sim.final_buffered = aggregator_->buffered();
-  result_.sim.final_params = global_;
+  result_.sim = core_.take_result();
   return result_;
 }
 

@@ -1,14 +1,15 @@
 // Federated server running behind a ServerTransport.
 //
-// This is the engine's server half lifted onto real (or loopback)
-// connections: the same selection rng discipline, the same commit
-// arithmetic (fused slot-ordered aggregation under barrier,
-// fl::staleness_merge under the async modes), the same RoundRecord and
-// conservation ledgers, and the same commit-boundary checkpoints — so a
-// round driven over TCP produces a trajectory bit-identical to
-// fl::AsyncSimulation, and Strategy / AsyncAggregator code runs unchanged.
+// The transport driver of fl::ServerCore (fl/server_core.hpp) — the same
+// core fl::AsyncSimulation drives on its virtual clock. Every server
+// decision comes from the core: selection, the commit policy and its
+// arithmetic, the model broadcast, evaluation, the RoundRecord and
+// conservation ledgers, and commit-boundary checkpoints. A round driven
+// over TCP therefore produces a trajectory bit-identical to the engine, and
+// Strategy code runs unchanged on both.
 //
-// What replaces the virtual timeline is the session state machine:
+// What the runtime owns is the medium — sessions, frames, the decode pool,
+// parking, deadline timers and Fin — in the session state machine:
 //
 //   Hello → Welcome        bind a connection to a client id; a token from
 //                          a previous Welcome resumes the session, and a
@@ -26,7 +27,9 @@
 //   deadline → abandon     a dispatch with no accepted upload within
 //                          dispatch_deadline_seconds is abandoned
 //                          (conservation: abandoned) — the churn path for
-//                          clients that died and never came back.
+//                          clients that died and never came back. In every
+//                          mode the core replaces a lost dispatch, so the
+//                          run still completes.
 //   backpressure           a refused transport send parks the message (the
 //                          dispatch stays unsent, control frames queue) and
 //                          retries on on_drain; a session whose control
@@ -46,19 +49,16 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "checkpoint/checkpoint.hpp"
 #include "data/partition.hpp"
-#include "fl/async_simulation.hpp"
-#include "fl/fused_aggregate.hpp"
 #include "fl/metrics.hpp"
+#include "fl/server_core.hpp"
 #include "fl/strategy.hpp"
 #include "nn/model.hpp"
-#include "tensor/rng.hpp"
 #include "transport/clock.hpp"
 #include "transport/decode_pool.hpp"
 #include "transport/protocol.hpp"
@@ -111,7 +111,8 @@ struct TransportServerResult {
   }
 };
 
-class ServerRuntime final : public ServerTransport::Handler {
+class ServerRuntime final : public ServerTransport::Handler,
+                            private fl::ServerDriver {
  public:
   ServerRuntime(TransportServerConfig cfg, ServerTransport& transport,
                 nn::ModelFactory factory, data::DatasetPtr test_data,
@@ -121,9 +122,7 @@ class ServerRuntime final : public ServerTransport::Handler {
   void start();
 
   /// True once every configured round has committed.
-  [[nodiscard]] bool done() const noexcept {
-    return version_ >= cfg_.base.rounds;
-  }
+  [[nodiscard]] bool done() const noexcept { return core_.done(); }
 
   /// Runs one transport slice (deliver frames, fire deadlines).
   void pump(double max_wait_seconds) { transport_.step(max_wait_seconds); }
@@ -136,7 +135,7 @@ class ServerRuntime final : public ServerTransport::Handler {
   TransportServerResult run();
 
   [[nodiscard]] std::size_t rounds_completed() const noexcept {
-    return version_;
+    return core_.version();
   }
 
   // ServerTransport::Handler
@@ -147,11 +146,8 @@ class ServerRuntime final : public ServerTransport::Handler {
 
  private:
   struct InFlight {
-    std::size_t client = 0;
-    std::size_t slot = 0;
-    std::size_t version = 0;  ///< model version of the dispatch snapshot
-    std::size_t dispatch_index = 0;
-    std::uint64_t rng_stream = 0;
+    DispatchMsg msg;  ///< the Dispatch frame, less its broadcast bytes
+    std::shared_ptr<const wire::Payload> broadcast;  ///< that version's model
     std::size_t attempts = 1;  ///< delivery attempts consumed (1-based)
     bool sent = false;         ///< Dispatch actually handed to the transport
     std::unique_ptr<DeadlineTimer> deadline;
@@ -167,49 +163,35 @@ class ServerRuntime final : public ServerTransport::Handler {
     std::vector<std::uint8_t> body;
   };
 
+  // fl::ServerDriver
+  void dispatch(std::size_t client, std::size_t slot,
+                std::uint64_t rng_stream) override;
+  [[nodiscard]] double now() const override { return transport_.now(); }
+  void restore(checkpoint::EngineSnapshot& snap) override;
+  /// Broadcasts Fin to every bound session, once.
+  void finished() override;
+
   void handle_hello(SessionId session, const Frame& frame);
   void handle_upload(SessionId session, const Frame& frame);
   /// Completion half of an upload: dedup check, reject/retry accounting,
-  /// ack, aggregator offer, commit. Runs at delivery time inline
+  /// ack, hand-off to the core. Runs at delivery time inline
   /// (decode_workers == 0) or at the scheduler tick in arrival order.
   void finish_upload(DecodeJob& job);
   /// Tick hook body: harvests decoded jobs, finishes them in arrival
   /// order, and re-submits parked uploads. Returns true when it did work.
   bool drain_decodes();
-  void dispatch(std::size_t client, std::size_t slot, std::uint64_t rng_stream);
-  void dispatch_wave();
-  void top_up();
   void try_send_dispatch(std::size_t client);
-  void resolve_slot_released();  ///< wave/top-up bookkeeping after a resolve
-  void commit(std::vector<fl::PendingUpdate> batch);
-  void finish_wave();
-  void evaluate_into(fl::RoundRecord& rec);
-  void ensure_broadcast();
-  void write_checkpoint();
-  bool try_resume();
-  void broadcast_fin();
   /// send() with parking: a refused frame queues per session and is
   /// retried on on_drain; an overflowing queue sheds the session.
   void send_control(SessionId session, FrameType type,
                     std::vector<std::uint8_t> body);
-  [[nodiscard]] std::string engine_name() const;
 
   TransportServerConfig cfg_;
   ServerTransport& transport_;
-  nn::ModelFactory factory_;
-  data::DatasetPtr test_data_;
   fl::StrategyPtr strategy_;
-
-  std::size_t population_ = 0;
   std::vector<std::size_t> populated_;  ///< ascending populated client ids
-  std::size_t select_ = 0;
+  fl::ServerCore core_;
 
-  tensor::Rng rng_;
-  tensor::Rng client_rng_base_;  ///< kept for symmetry with the engine
-  std::unique_ptr<nn::Model> model_;
-  std::vector<float> global_;
-  std::unique_ptr<fl::AsyncAggregator> aggregator_;
-  fl::ShardedAccumulator sharded_;
   std::unique_ptr<DecodePool> decode_pool_;  ///< null when decoding inline
   /// Arrivals refused by a full decode queue, in arrival order. Once
   /// anything is parked, every later upload parks behind it so finish
@@ -217,14 +199,7 @@ class ServerRuntime final : public ServerTransport::Handler {
   std::deque<std::unique_ptr<DecodeJob>> parked_uploads_;
   bool draining_decodes_ = false;  ///< reentrancy guard for drain_decodes
 
-  std::size_t version_ = 0;
-  std::size_t dispatched_ = 0;
-  std::size_t wave_outstanding_ = 0;
   std::map<std::size_t, InFlight> inflight_;  ///< keyed by client id
-
-  std::vector<std::uint8_t> broadcast_;  ///< encoded global, current version
-  std::uint64_t downlink_bytes_ = 0;
-  bool broadcast_valid_ = false;
 
   std::unordered_map<SessionId, Session> sessions_;
   std::unordered_map<std::size_t, SessionId> client_session_;
@@ -235,16 +210,6 @@ class ServerRuntime final : public ServerTransport::Handler {
   std::unordered_map<SessionId, std::deque<ParkedFrame>> parked_;
   std::uint64_t token_counter_ = 0;
   bool fin_broadcast_ = false;
-
-  // Ledgers, mirroring the engine's conservation accounting.
-  std::size_t committed_total_ = 0;
-  std::size_t abandoned_total_ = 0;
-  std::size_t rejected_total_ = 0;
-  std::size_t rejected_deliveries_total_ = 0;
-  std::uint64_t rejected_bytes_total_ = 0;
-  std::size_t round_abandoned_ = 0;
-  std::size_t round_rejected_ = 0;
-  std::uint64_t round_rejected_bytes_ = 0;
 
   TransportServerResult result_;
 };

@@ -12,8 +12,8 @@
 // Both speak the same frames (frame.hpp), the same protocol messages
 // (protocol.hpp), and the same deadline machinery (clock.hpp over
 // fl::EventScheduler) — the runtimes (server_runtime/client_runtime)
-// cannot tell them apart, which is the whole point: Strategy and
-// AsyncAggregator code runs unchanged on both.
+// cannot tell them apart, which is the whole point: Strategy code and the
+// server core (fl/server_core.hpp) run unchanged on both.
 //
 // Threading contract: everything here is single-threaded. Handlers fire
 // from inside step() (or, for the loopback, from inside calls that

@@ -461,36 +461,52 @@ TEST(LoopbackChaos, AbruptDisconnectResumesAndStaysBitIdentical) {
   EXPECT_GE(run.clients[2]->reconnects(), 1u);
 }
 
-TEST(LoopbackChaos, CorruptUploadsRetryThenTerminallyReject) {
-  // Client 1 corrupts every upload attempt (p = 1): each delivery burns one
-  // attempt, and after max_upload_attempts the dispatch is terminally
-  // rejected — the barrier wave must still complete via the rejection path
-  // and the conservation law must hold exactly.
-  transport::TransportServerConfig scfg;
+// Losing a dispatch — to a terminal rejection or a deadline abandon — must
+// not stall any aggregation mode: the barrier wave completes with the
+// survivors, and the async modes draw a replacement for every lost dispatch.
+// Client 1 is selected in every mode at seed 42 (Buffered-K runs with K=2).
+class LoopbackLoss : public ::testing::TestWithParam<fl::AggregationMode> {
+ protected:
+  static constexpr std::size_t kLossy = 1;
+
+  [[nodiscard]] static transport::TransportServerConfig config() {
+    transport::TransportServerConfig scfg;
+    scfg.mode = GetParam();
+    scfg.buffer_size = 2;
+    return scfg;
+  }
+};
+
+TEST_P(LoopbackLoss, CorruptUploadsRetryThenTerminallyReject) {
+  // The lossy client corrupts every upload attempt (p = 1): each delivery
+  // burns one attempt, and after max_upload_attempts the dispatch is
+  // terminally rejected — the run must still complete via the rejection
+  // path and the conservation law must hold exactly.
+  transport::TransportServerConfig scfg = config();
   scfg.max_upload_attempts = 2;
   LoopbackRun run("fedavg", scfg, SIZE_MAX,
                   [](transport::TransportClientConfig& cfg, std::size_t c) {
-                    if (c == 1) cfg.corrupt_probability = 1.0;
+                    if (c == kLossy) cfg.corrupt_probability = 1.0;
                   });
   const auto result = run.drive();
   expect_conserved(result);
-  // Client 1 is selected at least once over 3 rounds of 4-of-8 selection
-  // with seed 42; every one of its dispatches must terminally reject.
+  // Every one of the lossy client's dispatches must terminally reject.
   EXPECT_GT(result.sim.total_rejected, 0u);
   EXPECT_GE(result.sim.total_rejected_deliveries,
             result.sim.total_rejected * 2);  // both attempts burned
   EXPECT_GT(result.sim.total_rejected_bytes, 0u);
   EXPECT_EQ(result.sim.total_committed + result.sim.total_rejected,
             result.sim.total_dispatched);
+  EXPECT_EQ(result.sim.rounds.size(), run.w.sim.rounds);
 }
 
-TEST(LoopbackChaos, DeadClientAbandonedAtDispatchDeadline) {
-  // Client 3 never connects. With a dispatch deadline configured its
-  // dispatches are abandoned (the churn path), the wave completes with the
+TEST_P(LoopbackLoss, DeadClientAbandonedAtDispatchDeadline) {
+  // The lossy client never connects. With a dispatch deadline configured its
+  // dispatches are abandoned (the churn path), the run completes with the
   // survivors, and conservation charges the losses to `abandoned`.
-  transport::TransportServerConfig scfg;
+  transport::TransportServerConfig scfg = config();
   scfg.dispatch_deadline_seconds = 5.0;
-  LoopbackRun run("fedavg", scfg, /*skip_client=*/3);
+  LoopbackRun run("fedavg", scfg, /*skip_client=*/kLossy);
   const auto result = run.drive(/*advance_dt=*/1.0);
   expect_conserved(result);
   EXPECT_GT(result.sim.total_abandoned, 0u);
@@ -499,6 +515,14 @@ TEST(LoopbackChaos, DeadClientAbandonedAtDispatchDeadline) {
   EXPECT_EQ(result.sim.rounds.size(), run.w.sim.rounds);
   for (auto& c : run.clients) EXPECT_TRUE(c->finished());
 }
+
+INSTANTIATE_TEST_SUITE_P(AllModes, LoopbackLoss,
+                         ::testing::Values(fl::AggregationMode::kBarrier,
+                                           fl::AggregationMode::kFedAsync,
+                                           fl::AggregationMode::kBufferedK),
+                         [](const auto& info) {
+                           return std::string(fl::to_string(info.param));
+                         });
 
 // A raw scripted peer for protocol-violation tests: records frames and
 // closes, sends whatever the test scripts.
@@ -560,6 +584,44 @@ TEST(LoopbackChaos, HandshakeReplayAndUnknownClientClose) {
   run.net.step(0.0);
   ASSERT_EQ(garbled.closes.size(), 1u);
   EXPECT_NE(garbled.closes[0].find("malformed hello"), std::string::npos);
+}
+
+TEST(LoopbackChaos, LateDispatchCarriesItsOwnModelVersion) {
+  // Buffered-K (K=2): client 1 is dispatched at version 0 but connects only
+  // after commits have moved the global on and later dispatches have gone
+  // out. Its Dispatch must still carry the version-0 model it was made for.
+  constexpr std::size_t kLate = 1;
+  transport::TransportServerConfig scfg;
+  scfg.mode = fl::AggregationMode::kBufferedK;
+  scfg.buffer_size = 2;
+  LoopbackRun run("fedavg", scfg, /*skip_client=*/kLate);
+  run.server->start();
+  for (auto& c : run.clients) c->start();
+  for (int i = 0; i < 50 && run.server->rounds_completed() < 1; ++i) {
+    run.net.step(0.0);
+    for (auto& c : run.clients) c->pump(0.0);
+  }
+  ASSERT_GE(run.server->rounds_completed(), 1u);
+
+  ScriptedPeer late(run.net, kLate);
+  ASSERT_TRUE(late.endpoint.connect());
+  ASSERT_TRUE(late.hello(kLate));
+  run.net.step(0.0);
+  auto model = run.w.factory();
+  tensor::Rng init_rng = tensor::Rng(run.w.sim.seed).split(0xF0F0);
+  model->init_params(init_rng);
+  const wire::Payload version0 =
+      wire::encode_dense_f32(model->store().params());
+  std::size_t dispatches = 0;
+  for (const Frame& f : late.frames) {
+    if (f.type != FrameType::kDispatch) continue;
+    const transport::DispatchMsg msg = transport::decode_dispatch(f.body);
+    EXPECT_EQ(msg.model_version, 0u);
+    EXPECT_TRUE(msg.broadcast == version0.bytes)
+        << "the late Dispatch carried another version's model";
+    ++dispatches;
+  }
+  EXPECT_EQ(dispatches, 1u);
 }
 
 TEST(LoopbackChaos, SlowlorisReadDeadlineEvicts) {
