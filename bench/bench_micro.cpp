@@ -24,6 +24,8 @@
 #include "nn/lstm.hpp"
 #include "nn/mlp_model.hpp"
 #include "tensor/ops.hpp"
+#include "transport/ring_buffer.hpp"
+#include "transport/transport.hpp"
 #include "wire/crc32c.hpp"
 #include "wire/update_codec.hpp"
 
@@ -361,6 +363,28 @@ void BM_Crc32cHw(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_Crc32cHw)->Arg(4096)->Arg(1 << 20);
+
+// One dispatch frame (407,093 B on the ingest benchmark) queued into and
+// drained from a transport send ring of the default 4 MiB capacity. One
+// byte stays queued so the head never rewinds: it walks the ring, and
+// since the capacity is not a multiple of the frame, some writes wrap.
+// Items = bytes written.
+void BM_RingBufferWrite(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  tensor::Rng rng(17);
+  std::vector<std::uint8_t> frame(n);
+  for (auto& b : frame) b = static_cast<std::uint8_t>(rng.uniform_index(256));
+  transport::RingBuffer ring(transport::TransportLimits{}.send_buffer_bytes);
+  ring.write(std::span<const std::uint8_t>(frame).first(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ring.write(frame));
+    benchmark::ClobberMemory();
+    ring.consume(n);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_RingBufferWrite)->Arg(407093);
 
 // Console output plus collection of every run for the FEDBIAD_JSON emitter.
 class MicroJsonReporter : public benchmark::ConsoleReporter {

@@ -216,12 +216,16 @@ bool EpollServerTransport::send(SessionId session, FrameType type,
   const std::size_t wire_size = frame_wire_size(body.size());
   FEDBIAD_CHECK(wire_size <= c.out.capacity(),
                 "frame exceeds the session send-ring capacity");
-  std::vector<std::uint8_t> wire;
-  append_frame(wire, type, body);
-  if (!c.out.write(wire)) {
+  // Refuse before framing: a full ring costs no copy and no CRC, however
+  // often the caller retries.
+  if (wire_size > c.out.free_space()) {
     c.refused = true;  // backpressure: on_drain fires once the ring empties
     return false;
   }
+  std::vector<std::uint8_t> wire;
+  append_frame(wire, type, body);
+  const bool queued = c.out.write(wire);
+  FEDBIAD_CHECK(queued, "send ring refused a frame that fits");
   return flush(session);
 }
 

@@ -1,6 +1,7 @@
 #include "transport/frame.hpp"
 
 #include <cstring>
+#include <utility>
 
 #include "common/check.hpp"
 #include "wire/crc32c.hpp"
@@ -71,6 +72,16 @@ FrameParser::FrameParser(std::size_t max_frame_bytes)
 void FrameParser::feed(std::span<const std::uint8_t> data) {
   if (failed()) return;  // stream is dead; don't grow memory for it
   buffer_.insert(buffer_.end(), data.begin(), data.end());
+}
+
+void FrameParser::feed(std::vector<std::uint8_t>&& data) {
+  if (failed()) return;
+  if (buffer_.size() == consumed_) {
+    buffer_ = std::move(data);
+    consumed_ = 0;
+  } else {
+    buffer_.insert(buffer_.end(), data.begin(), data.end());
+  }
 }
 
 FrameParser::Status FrameParser::next(Frame& out) {

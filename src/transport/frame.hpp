@@ -75,6 +75,11 @@ class FrameParser {
   /// error are dropped (the stream is already dead).
   void feed(std::span<const std::uint8_t> data);
 
+  /// Same, for bytes the caller hands over: when nothing is buffered the
+  /// vector itself becomes the buffer (no copy); otherwise it is appended
+  /// behind the buffered partial frame.
+  void feed(std::vector<std::uint8_t>&& data);
+
   /// Extracts the next complete frame, if any. Call in a loop until it
   /// stops returning kFrame. Once kError is returned every future call
   /// returns kError with the same message.

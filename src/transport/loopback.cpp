@@ -180,7 +180,7 @@ void LoopbackTransport::deliver(Delivery d) {
   Session& s = *it->second;
 
   if (d.to_server) {
-    s.from_client.feed(d.wire);
+    s.from_client.feed(std::move(d.wire));
     Frame frame;
     for (;;) {
       // Handlers may close this session or open others — re-resolve the
@@ -213,7 +213,7 @@ void LoopbackTransport::deliver(Delivery d) {
   FEDBIAD_CHECK(s.queued_to_client >= d.wire.size(), "ring accounting broke");
   s.queued_to_client -= d.wire.size();
   if (s.queued_to_client == 0) s.write_deadline.cancel();
-  s.from_server.feed(d.wire);
+  s.from_server.feed(std::move(d.wire));
   Frame frame;
   for (;;) {
     auto cur = sessions_.find(d.session);

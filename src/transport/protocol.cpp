@@ -83,15 +83,20 @@ WelcomeMsg decode_welcome(std::span<const std::uint8_t> body) {
   return m;
 }
 
-std::vector<std::uint8_t> encode(const DispatchMsg& m) {
+std::vector<std::uint8_t> encode_dispatch(
+    const DispatchMsg& m, std::span<const std::uint8_t> broadcast) {
   wire::Writer w;
   w.u64(m.dispatch_index);
   w.u64(m.round);
   w.u64(m.slot);
   w.u64(m.model_version);
   w.u64(m.rng_stream);
-  put_bytes(w, m.broadcast);
+  put_bytes(w, broadcast);
   return std::move(w).take();
+}
+
+std::vector<std::uint8_t> encode(const DispatchMsg& m) {
+  return encode_dispatch(m, m.broadcast);
 }
 
 DispatchMsg decode_dispatch(std::span<const std::uint8_t> body) {

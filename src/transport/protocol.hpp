@@ -83,6 +83,12 @@ struct FinMsg {
 [[nodiscard]] std::vector<std::uint8_t> encode(const RejectMsg& m);
 [[nodiscard]] std::vector<std::uint8_t> encode(const FinMsg& m);
 
+/// The Dispatch body for `m` with `broadcast` in place of m.broadcast
+/// (which is ignored): the server encodes straight from its cached
+/// broadcast instead of copying it into a DispatchMsg first.
+[[nodiscard]] std::vector<std::uint8_t> encode_dispatch(
+    const DispatchMsg& m, std::span<const std::uint8_t> broadcast);
+
 /// All decoders throw wire::DecodeError on any malformation.
 [[nodiscard]] HelloMsg decode_hello(std::span<const std::uint8_t> body);
 [[nodiscard]] WelcomeMsg decode_welcome(std::span<const std::uint8_t> body);

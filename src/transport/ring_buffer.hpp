@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -33,13 +34,15 @@ class RingBuffer {
 
   /// Appends all of `bytes` or nothing. Returns false (and leaves the ring
   /// untouched) when free_space() is insufficient — the backpressure signal.
+  /// At most two memcpys: one up to the end of the storage, one for the
+  /// wrapped rest at its start.
   bool write(std::span<const std::uint8_t> bytes) {
     if (bytes.size() > free_space()) return false;
-    std::size_t tail = (head_ + size_) % data_.size();
-    for (const std::uint8_t b : bytes) {
-      data_[tail] = b;
-      tail = (tail + 1 == data_.size()) ? 0 : tail + 1;
-    }
+    if (bytes.empty()) return true;  // an empty span may carry a null data()
+    const std::size_t tail = (head_ + size_) % data_.size();
+    const std::size_t first = std::min(bytes.size(), data_.size() - tail);
+    std::memcpy(data_.data() + tail, bytes.data(), first);
+    std::memcpy(data_.data(), bytes.data() + first, bytes.size() - first);
     size_ += bytes.size();
     return true;
   }

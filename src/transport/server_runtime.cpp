@@ -101,9 +101,9 @@ void ServerRuntime::try_send_dispatch(std::size_t client) {
   if (inf == inflight_.end() || inf->second.sent) return;
   auto sess = client_session_.find(client);
   if (sess == client_session_.end()) return;  // offline; retried on Hello
-  DispatchMsg msg = inf->second.msg;
-  msg.broadcast = inf->second.broadcast->bytes;
-  if (!transport_.send(sess->second, FrameType::kDispatch, encode(msg))) {
+  if (!transport_.send(sess->second, FrameType::kDispatch,
+                       encode_dispatch(inf->second.msg,
+                                       inf->second.broadcast->bytes))) {
     // Backpressure: the dispatch stays unsent; on_drain retries. The
     // in-flight record (and its deadline) already exists, so a peer that
     // never drains is abandoned like any straggler.

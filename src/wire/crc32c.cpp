@@ -45,6 +45,79 @@ inline std::uint32_t update_byte(std::uint32_t state,
 
 #if defined(__SSE4_2__)
 
+// Three-stream hardware path, after Mark Adler's crc32c.c (see the header
+// for why three). Three chains run over adjacent blocks and merge as: the
+// CRC state of A||B is shift(state_A, |B|) ^ state_B(0), where shift()
+// appends |B| zero bytes. That shift is linear over GF(2), so it is a
+// 32x32 bit matrix, built for a power-of-two length by repeated squaring
+// of the one-zero-bit operator and applied a byte at a time through four
+// 256-entry tables.
+using Gf2Matrix = std::array<std::uint32_t, 32>;
+using ShiftTable = std::array<std::array<std::uint32_t, 256>, 4>;
+
+constexpr std::uint32_t gf2_times(const Gf2Matrix& mat, std::uint32_t vec) {
+  std::uint32_t sum = 0;
+  for (std::size_t i = 0; vec != 0; ++i, vec >>= 1) {
+    if ((vec & 1U) != 0) sum ^= mat[i];
+  }
+  return sum;
+}
+
+constexpr Gf2Matrix gf2_square(const Gf2Matrix& mat) {
+  Gf2Matrix sq{};
+  for (std::size_t i = 0; i < 32; ++i) sq[i] = gf2_times(mat, mat[i]);
+  return sq;
+}
+
+// Tables applying `len` zero bytes (a power of two) to a reflected state.
+constexpr ShiftTable make_shift_table(std::size_t len) {
+  Gf2Matrix op{};  // one zero bit: shift right, fold the polynomial in
+  op[0] = 0x82F63B78U;
+  for (std::size_t i = 1; i < 32; ++i) op[i] = 1U << (i - 1);
+  for (std::size_t bits = 1; bits < 8 * len; bits <<= 1) op = gf2_square(op);
+  ShiftTable table{};
+  for (std::uint32_t b = 0; b < 256; ++b) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      table[k][b] = gf2_times(op, b << (8 * k));
+    }
+  }
+  return table;
+}
+
+constexpr std::size_t kLongBlock = 8192;
+constexpr std::size_t kShortBlock = 256;
+constexpr ShiftTable kLongShift = make_shift_table(kLongBlock);
+constexpr ShiftTable kShortShift = make_shift_table(kShortBlock);
+
+inline std::uint32_t shift(const ShiftTable& t, std::uint32_t state) noexcept {
+  return t[0][state & 0xFFU] ^ t[1][(state >> 8) & 0xFFU] ^
+         t[2][(state >> 16) & 0xFFU] ^ t[3][state >> 24];
+}
+
+inline std::uint64_t load_u64(const std::uint8_t* p) noexcept {
+  std::uint64_t word;
+  std::memcpy(&word, p, 8);
+  return word;
+}
+
+// One pass over 3 * block bytes: three chains, then fold the second and
+// third into the first.
+template <std::size_t kBlock>
+inline std::uint32_t crc32c_hw_3way(const std::uint8_t* p, std::uint32_t s0,
+                                    const ShiftTable& t) noexcept {
+  std::uint64_t c0 = s0;
+  std::uint64_t c1 = 0;
+  std::uint64_t c2 = 0;
+  for (std::size_t i = 0; i < kBlock; i += 8) {
+    c0 = _mm_crc32_u64(c0, load_u64(p + i));
+    c1 = _mm_crc32_u64(c1, load_u64(p + kBlock + i));
+    c2 = _mm_crc32_u64(c2, load_u64(p + 2 * kBlock + i));
+  }
+  const std::uint32_t state = shift(t, static_cast<std::uint32_t>(c0)) ^
+                              static_cast<std::uint32_t>(c1);
+  return shift(t, state) ^ static_cast<std::uint32_t>(c2);
+}
+
 std::uint32_t crc32c_hw_state(const std::uint8_t* p, std::size_t n,
                               std::uint32_t state) noexcept {
   // Align to 8 bytes so the u64 loads below never straddle a page we were
@@ -53,11 +126,19 @@ std::uint32_t crc32c_hw_state(const std::uint8_t* p, std::size_t n,
     state = _mm_crc32_u8(state, *p++);
     --n;
   }
+  while (n >= 3 * kLongBlock) {
+    state = crc32c_hw_3way<kLongBlock>(p, state, kLongShift);
+    p += 3 * kLongBlock;
+    n -= 3 * kLongBlock;
+  }
+  while (n >= 3 * kShortBlock) {
+    state = crc32c_hw_3way<kShortBlock>(p, state, kShortShift);
+    p += 3 * kShortBlock;
+    n -= 3 * kShortBlock;
+  }
   while (n >= 8) {
-    std::uint64_t word;
-    std::memcpy(&word, p, 8);
     state = static_cast<std::uint32_t>(
-        _mm_crc32_u64(static_cast<std::uint64_t>(state), word));
+        _mm_crc32_u64(static_cast<std::uint64_t>(state), load_u64(p)));
     p += 8;
     n -= 8;
   }

@@ -92,6 +92,44 @@ TEST(Crc32c, HardwareAndSoftwareAgreeAcrossLengthsOffsetsAndChains) {
   }
 }
 
+TEST(Crc32c, HardwareAndSoftwareAgreeAcrossInterleavedBlocks) {
+  // The hardware path runs three streams over 3 x 8192 B blocks, then
+  // 3 x 256 B blocks, then 8-byte words and a byte tail. Pin every
+  // boundary between those stages against the software walk.
+  constexpr std::size_t kShort = 3 * 256;
+  constexpr std::size_t kLong = 3 * 8192;
+  tensor::Rng rng(0x3A7);
+  std::vector<std::uint8_t> data(407093 + 8);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_index(256));
+  const std::span<const std::uint8_t> all(data);
+  for (const std::size_t len :
+       {kShort - 1, kShort, kShort + 1, kLong - 1, kLong, kLong + 1,
+        2 * kLong + kShort + 7}) {
+    EXPECT_EQ(wire::crc32c(all.first(len)), wire::crc32c_sw(all.first(len)))
+        << "length " << len;
+  }
+  // The two frame sizes the ingest benchmark moves (an upload and a
+  // dispatch), at every alignment of the hardware prologue.
+  for (const std::size_t len : {std::size_t{324439}, std::size_t{407093}}) {
+    for (std::size_t off = 0; off <= 8; ++off) {
+      const auto run = all.subspan(off, len);
+      EXPECT_EQ(wire::crc32c(run), wire::crc32c_sw(run))
+          << "length " << len << " offset " << off;
+    }
+  }
+  // Seeded chains split inside an interleaved block: the second call's
+  // first stream starts from a nonzero state.
+  const auto run = all.first(2 * kLong + kShort + 7);
+  const std::uint32_t whole = wire::crc32c_sw(run);
+  for (const std::size_t split :
+       {std::size_t{1}, std::size_t{100}, kShort / 2, kShort + 5,
+        kLong / 3 + 1, kLong + 4097, 2 * kLong + 3}) {
+    const std::uint32_t head = wire::crc32c(run.first(split));
+    EXPECT_EQ(head, wire::crc32c_sw(run.first(split))) << split;
+    EXPECT_EQ(wire::crc32c(run.subspan(split), head), whole) << split;
+  }
+}
+
 wire::Payload sealed_payload(std::size_t body_bytes, std::uint64_t seed) {
   wire::Payload p;
   tensor::Rng rng(seed);

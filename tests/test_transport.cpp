@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -193,6 +194,93 @@ TEST(FrameCodec, GoodFrameThenInterleavedGarbage) {
   EXPECT_EQ(parser.next(f), FrameParser::Status::kError);
 }
 
+TEST(FrameCodec, RvalueFeedAdoptsWhenEmptyAndAppendsBehindPartial) {
+  const auto b1 = some_body(40, 21);
+  const auto b2 = some_body(13, 22);
+  const auto w1 = wire_of(FrameType::kUpload, b1);
+  const auto w2 = wire_of(FrameType::kDispatch, b2);
+  Frame f;
+
+  // Nothing buffered: the vector becomes the buffer.
+  FrameParser parser(1 << 20);
+  auto whole = w1;
+  parser.feed(std::move(whole));
+  EXPECT_TRUE(whole.empty());  // moved into the parser, not copied
+  EXPECT_EQ(parser.buffered_bytes(), w1.size());
+  ASSERT_EQ(parser.next(f), FrameParser::Status::kFrame);
+  EXPECT_EQ(f.body, b1);
+  EXPECT_EQ(parser.buffered_bytes(), 0u);
+
+  // A partial frame is buffered: the next piece lands behind it.
+  const std::span<const std::uint8_t> first(w1);
+  parser.feed(first.first(7));
+  std::vector<std::uint8_t> rest(w1.begin() + 7, w1.end());
+  rest.insert(rest.end(), w2.begin(), w2.end());
+  parser.feed(std::move(rest));
+  ASSERT_EQ(parser.next(f), FrameParser::Status::kFrame);
+  EXPECT_EQ(f.body, b1);
+  ASSERT_EQ(parser.next(f), FrameParser::Status::kFrame);
+  EXPECT_EQ(f.type, FrameType::kDispatch);
+  EXPECT_EQ(f.body, b2);
+  EXPECT_EQ(parser.next(f), FrameParser::Status::kNeedMore);
+}
+
+TEST(FrameCodec, RvalueFeedIgnoredAfterStickyError) {
+  FrameParser parser(1 << 20);
+  auto bad = wire_of(FrameType::kFin, some_body(2, 23));
+  bad[5] ^= 0xFF;
+  parser.feed(std::move(bad));
+  Frame f;
+  ASSERT_EQ(parser.next(f), FrameParser::Status::kError);
+  const std::string first_error = parser.error();
+  parser.feed(wire_of(FrameType::kFin, some_body(2, 24)));
+  EXPECT_EQ(parser.buffered_bytes(), 0u);
+  EXPECT_EQ(parser.next(f), FrameParser::Status::kError);
+  EXPECT_EQ(parser.error(), first_error);
+}
+
+TEST(FrameCodec, RvalueFeedMatchesSpanFeedAtEverySplit) {
+  // The same three-frame stream, cut into three rvalue pieces at every
+  // pair of offsets, must yield exactly the frames the span path yields.
+  std::vector<std::uint8_t> stream;
+  transport::append_frame(stream, FrameType::kUpload, some_body(11, 25));
+  transport::append_frame(stream, FrameType::kFin, some_body(0, 26));
+  transport::append_frame(stream, FrameType::kDispatch, some_body(19, 27));
+  const auto drain = [](FrameParser& parser) {
+    std::vector<Frame> frames;
+    Frame f;
+    while (parser.next(f) == FrameParser::Status::kFrame) frames.push_back(f);
+    return frames;
+  };
+  FrameParser reference(1 << 20);
+  reference.feed(std::span<const std::uint8_t>(stream));
+  const auto want = drain(reference);
+  ASSERT_EQ(want.size(), 3u);
+  const auto piece = [&](std::size_t from, std::size_t to) {
+    return std::vector<std::uint8_t>(stream.begin() + from,
+                                     stream.begin() + to);
+  };
+  for (std::size_t a = 0; a <= stream.size(); ++a) {
+    for (std::size_t b = a; b <= stream.size(); ++b) {
+      FrameParser parser(1 << 20);
+      // Frames are pulled between feeds too, so adoption happens both
+      // into an empty parser and behind a partially consumed buffer.
+      parser.feed(piece(0, a));
+      auto got = drain(parser);
+      parser.feed(piece(a, b));
+      for (auto& f : drain(parser)) got.push_back(std::move(f));
+      parser.feed(piece(b, stream.size()));
+      for (auto& f : drain(parser)) got.push_back(std::move(f));
+      ASSERT_EQ(got.size(), want.size()) << a << "," << b;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].type, want[i].type) << a << "," << b;
+        EXPECT_EQ(got[i].body, want[i].body) << a << "," << b;
+      }
+      EXPECT_EQ(parser.buffered_bytes(), 0u);
+    }
+  }
+}
+
 // --- ring buffer ----------------------------------------------------------
 
 TEST(RingBuffer, AllOrNothingWriteAndWraparound) {
@@ -217,6 +305,71 @@ TEST(RingBuffer, AllOrNothingWriteAndWraparound) {
   want.insert(want.end(), b.begin(), b.end());
   EXPECT_EQ(drained, want);
   EXPECT_EQ(ring.free_space(), 16u);
+}
+
+TEST(RingBuffer, WritesEndingExactlyAtCapacityAndEmptyWrites) {
+  transport::RingBuffer ring(16);
+  EXPECT_TRUE(ring.write({}));  // empty write: accepted, no effect
+  EXPECT_TRUE(ring.empty());
+  const auto a = some_body(16, 5);
+  ASSERT_TRUE(ring.write(a));  // fills the ring exactly
+  EXPECT_EQ(ring.free_space(), 0u);
+  EXPECT_TRUE(ring.write({}));  // still accepted when full
+  EXPECT_FALSE(ring.write(some_body(1, 6)));
+  const auto run = ring.peek();
+  EXPECT_EQ(std::vector<std::uint8_t>(run.begin(), run.end()), a);
+  ring.consume(5);
+  const auto b = some_body(5, 7);
+  ASSERT_TRUE(ring.write(b));  // ends exactly at the old head
+  EXPECT_EQ(ring.free_space(), 0u);
+  std::vector<std::uint8_t> drained;
+  while (!ring.empty()) {
+    const auto r = ring.peek();
+    drained.insert(drained.end(), r.begin(), r.end());
+    ring.consume(r.size());
+  }
+  std::vector<std::uint8_t> want(a.begin() + 5, a.end());
+  want.insert(want.end(), b.begin(), b.end());
+  EXPECT_EQ(drained, want);
+}
+
+TEST(RingBuffer, WrapAtEveryHeadOffsetMatchesReferenceDeque) {
+  constexpr std::size_t kCap = 16;
+  std::uint64_t seed = 100;
+  for (std::size_t head = 0; head < kCap; ++head) {
+    for (std::size_t fill = 0; fill <= kCap; ++fill) {
+      for (std::size_t len = 0; len <= kCap; ++len) {
+        // An empty ring always rewinds its head to 0.
+        if (fill == 0 && head != 0) continue;
+        // Move the head to `head` with `fill` bytes queued (the queued
+        // bytes themselves may wrap), then write `len` more: every wrap
+        // point of every write size.
+        transport::RingBuffer ring(kCap);
+        const auto pre = some_body(fill, ++seed);
+        const std::size_t unwrapped = std::min(fill, kCap - head);
+        std::vector<std::uint8_t> first = some_body(head, ++seed);
+        first.insert(first.end(), pre.begin(), pre.begin() + unwrapped);
+        ASSERT_TRUE(ring.write(first));
+        ring.consume(head);
+        ASSERT_TRUE(ring.write(std::span(pre).subspan(unwrapped)));
+        ASSERT_EQ(ring.peek().size(), unwrapped);  // the head is at `head`
+        std::deque<std::uint8_t> ref(pre.begin(), pre.end());
+        const auto bytes = some_body(len, ++seed);
+        const bool fits = fill + len <= kCap;
+        ASSERT_EQ(ring.write(bytes), fits) << head << "," << fill << "," << len;
+        if (fits) ref.insert(ref.end(), bytes.begin(), bytes.end());
+        ASSERT_EQ(ring.size(), ref.size());
+        std::vector<std::uint8_t> drained;
+        while (!ring.empty()) {
+          const auto r = ring.peek();
+          drained.insert(drained.end(), r.begin(), r.end());
+          ring.consume(r.size());
+        }
+        EXPECT_EQ(drained, std::vector<std::uint8_t>(ref.begin(), ref.end()))
+            << head << "," << fill << "," << len;
+      }
+    }
+  }
 }
 
 // --- scheduler adapter + deadline timers ----------------------------------
@@ -309,6 +462,27 @@ TEST(Protocol, RoundTripsEveryMessage) {
   const auto f =
       transport::decode_fin(transport::encode(transport::FinMsg{.rounds = 9}));
   EXPECT_EQ(f.rounds, 9u);
+}
+
+TEST(Protocol, EncodeDispatchFromSpanMatchesEncode) {
+  transport::DispatchMsg with{.dispatch_index = 9,
+                              .round = 3,
+                              .slot = 1,
+                              .model_version = 2,
+                              .rng_stream = 0x10003,
+                              .broadcast = some_body(300, 12)};
+  transport::DispatchMsg header = with;
+  header.broadcast.clear();
+  // The span replaces m.broadcast, whatever m.broadcast holds.
+  EXPECT_EQ(transport::encode_dispatch(header, with.broadcast),
+            transport::encode(with));
+  EXPECT_EQ(transport::encode_dispatch(with, with.broadcast),
+            transport::encode(with));
+  header.broadcast = some_body(7, 13);
+  EXPECT_EQ(transport::encode_dispatch(header, with.broadcast),
+            transport::encode(with));
+  with.broadcast.clear();
+  EXPECT_EQ(transport::encode_dispatch(header, {}), transport::encode(with));
 }
 
 TEST(Protocol, TruncationAtEveryLengthRejected) {
