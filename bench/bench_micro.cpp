@@ -22,6 +22,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/loss.hpp"
 #include "nn/lstm.hpp"
+#include "nn/lstm_lm_model.hpp"
 #include "nn/mlp_model.hpp"
 #include "tensor/ops.hpp"
 #include "transport/ring_buffer.hpp"
@@ -179,6 +180,57 @@ void BM_MaskApply(benchmark::State& state) {
       static_cast<std::int64_t>(model.store().params().size()));
 }
 BENCHMARK(BM_MaskApply);
+
+// Whole train steps on the round benchmark's model shapes; arg = dropout
+// percent. The pattern β is sampled once and applied to the parameters, so
+// a nonzero arg trains the sub-model (Model::train_step with `kept`).
+// Items = train steps.
+template <typename Model>
+void run_train_steps(benchmark::State& state, Model& model,
+                     const data::Batch& batch, tensor::Rng& rng) {
+  model.init_params(rng);
+  const double p = static_cast<double>(state.range(0)) / 100.0;
+  const auto pattern =
+      core::DropPattern::sample(model.store(), p, core::eligible_all(), rng);
+  pattern.apply_to_params(model.store());
+  const std::span<const std::uint8_t> kept =
+      p > 0.0 ? std::span<const std::uint8_t>(pattern.bits())
+              : std::span<const std::uint8_t>();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.train_step(batch, kept));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+void BM_LstmLmTrainStep(benchmark::State& state) {
+  // bench_round's train_lstm model: vocab 500, embed 48, 2 × 64 units,
+  // batch 16 × 12 tokens.
+  nn::LstmLmModel model({.vocab = 500, .embed = 48, .hidden = 64, .layers = 2});
+  tensor::Rng rng(5);
+  data::Batch batch;
+  batch.batch = 16;
+  batch.seq = 12;
+  for (std::size_t i = 0; i < batch.batch * batch.seq; ++i) {
+    batch.tokens.push_back(static_cast<std::int32_t>(rng.uniform_index(500)));
+    batch.targets.push_back(static_cast<std::int32_t>(rng.uniform_index(500)));
+  }
+  run_train_steps(state, model, batch, rng);
+}
+BENCHMARK(BM_LstmLmTrainStep)->Arg(0)->Arg(50);
+
+void BM_MlpTrainStep(benchmark::State& state) {
+  // bench_round's train_mlp model: 784-128-10, batch 32.
+  nn::MlpModel model({.input = 784, .hidden = 128, .classes = 10});
+  tensor::Rng rng(6);
+  data::Batch batch;
+  batch.x = tensor::Matrix(32, 784);
+  batch.x.fill_uniform(rng, 0, 1);
+  for (std::size_t i = 0; i < 32; ++i) {
+    batch.targets.push_back(static_cast<std::int32_t>(rng.uniform_index(10)));
+  }
+  run_train_steps(state, model, batch, rng);
+}
+BENCHMARK(BM_MlpTrainStep)->Arg(0)->Arg(20);
 
 void BM_DgcCompress(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -31,7 +31,9 @@ class AfdStrategy final : public fl::Strategy {
   fl::ClientOutcome run_client(fl::ClientContext& ctx) override;
   void end_round(std::size_t round, std::span<const float> old_global,
                  std::span<const float> new_global) override;
-  /// Clients train the server-chosen row-dropped sub-model: ~(1-p).
+  /// Clients train the server-chosen row-dropped sub-model (Model::
+  /// train_step with `kept`): ~(1-p) of the dense compute on the MLP and
+  /// LSTM models, whose dropped fully connected rows leave the GEMMs.
   [[nodiscard]] double compute_cost_multiplier() const override {
     return 1.0 - dropout_rate_;
   }

@@ -15,7 +15,9 @@ class FedDropStrategy final : public fl::Strategy {
 
   [[nodiscard]] std::string name() const override { return "FedDrop"; }
   fl::ClientOutcome run_client(fl::ClientContext& ctx) override;
-  /// Clients train a row-dropped sub-model: ~(1-p) of the dense compute.
+  /// Clients train the row-dropped sub-model (Model::train_step with
+  /// `kept`): ~(1-p) of the dense compute on the MLP and LSTM models, whose
+  /// dropped fully connected rows leave the GEMMs.
   [[nodiscard]] double compute_cost_multiplier() const override {
     return 1.0 - dropout_rate_;
   }

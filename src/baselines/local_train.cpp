@@ -7,16 +7,19 @@ namespace fedbiad::baselines {
 
 namespace {
 
+/// `kept` is the fixed pattern's β handed to Model::train_step (empty for
+/// full-model training), so the model can skip the dropped rows' compute.
 template <typename MaskGrads, typename MaskParams>
-LocalTrainStats run_loop(fl::ClientContext& ctx, MaskGrads&& mask_grads,
-                         MaskParams&& mask_params) {
+LocalTrainStats run_loop(fl::ClientContext& ctx,
+                         std::span<const std::uint8_t> kept,
+                         MaskGrads&& mask_grads, MaskParams&& mask_params) {
   LocalTrainStats stats;
   const std::size_t v_max = ctx.settings.local_iterations;
   FEDBIAD_CHECK(v_max > 0, "need at least one local iteration");
   for (std::size_t v = 0; v < v_max; ++v) {
     const auto batch = ctx.dataset.make_batch(
         data::sample_indices(ctx.shard, ctx.settings.batch_size, ctx.rng));
-    const float loss = ctx.model.train_step(batch);
+    const float loss = ctx.model.train_step(batch, kept);
     mask_grads();
     nn::sgd_step(ctx.model.store(), ctx.settings.sgd);
     mask_params();
@@ -34,11 +37,11 @@ LocalTrainStats train_rounds(fl::ClientContext& ctx,
   nn::ParameterStore& store = ctx.model.store();
   if (pattern == nullptr) {
     return run_loop(
-        ctx, [] {}, [] {});
+        ctx, {}, [] {}, [] {});
   }
   pattern->apply_to_params(store);
   return run_loop(
-      ctx, [&] { pattern->apply_to_grads(store); },
+      ctx, pattern->bits(), [&] { pattern->apply_to_grads(store); },
       [&] { pattern->apply_to_params(store); });
 }
 
@@ -53,7 +56,7 @@ LocalTrainStats train_rounds_masked(fl::ClientContext& ctx,
   };
   apply(store.params());
   return run_loop(
-      ctx, [&] { apply(store.grads()); }, [&] { apply(store.params()); });
+      ctx, {}, [&] { apply(store.grads()); }, [&] { apply(store.params()); });
 }
 
 }  // namespace fedbiad::baselines

@@ -150,7 +150,8 @@ fl::ClientOutcome FedBiadStrategy::run_client(fl::ClientContext& ctx) {
   for (std::size_t v = 0; v < ctx.settings.local_iterations; ++v) {
     const auto batch = ctx.dataset.make_batch(
         data::sample_indices(ctx.shard, ctx.settings.batch_size, ctx.rng));
-    const float loss = ctx.model.train_step(batch);
+    // The client trains the sub-model β selects: dropped rows do no work.
+    const float loss = ctx.model.train_step(batch, pattern.bits());
     pattern.apply_to_grads(store);  // eq. 7: masked update of U
     nn::sgd_step(store, ctx.settings.sgd);
     pattern.apply_to_params(store);

@@ -50,8 +50,10 @@ class FedBiadStrategy final : public fl::Strategy {
 
   [[nodiscard]] const FedBiadConfig& config() const noexcept { return cfg_; }
 
-  /// Clients skip dropped rows entirely during local training, so one step
-  /// costs ~(1-p) of the dense model — the LTTR advantage of Fig. 7.
+  /// Clients train the sub-model β selects (Model::train_step with
+  /// `kept`): on the MLP and LSTM models the dropped rows leave every GEMM,
+  /// so one step costs ~(1-p) of the dense model — the LTTR advantage of
+  /// Fig. 7. Conv and RNN models still compute at full width.
   [[nodiscard]] double compute_cost_multiplier() const override {
     return 1.0 - cfg_.dropout_rate;
   }

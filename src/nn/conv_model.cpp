@@ -26,7 +26,8 @@ void ConvModel::forward(const data::Batch& batch) {
   head_.forward(store_, act_, logits_);
 }
 
-float ConvModel::train_step(const data::Batch& batch) {
+float ConvModel::train_step(const data::Batch& batch,
+                            std::span<const std::uint8_t> /*kept*/) {
   store_.zero_grads();
   forward(batch);
   const float loss = softmax_cross_entropy(logits_, batch.targets, g_logits_);

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "nn/parameter_store.hpp"
+#include "nn/sub_model.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/rng.hpp"
 
@@ -30,12 +31,30 @@ class Dense {
 
   /// out = x · Wᵀ + b, where x is (B × in) and out becomes (B × out).
   void forward(const ParameterStore& store, const tensor::Matrix& x,
-               tensor::Matrix& out) const;
+               tensor::Matrix& out) const {
+    forward(store, x, out, Units::all(in_), Units::all(out_));
+  }
 
   /// Accumulates dW (and db) into store.grads(); if g_in is non-null it is
   /// resized to (B × in) and filled with the input gradient.
   void backward(ParameterStore& store, const tensor::Matrix& x,
-                const tensor::Matrix& g_out, tensor::Matrix* g_in) const;
+                const tensor::Matrix& g_out, tensor::Matrix* g_in) const {
+    backward(store, x, g_out, g_in, Units::all(in_), Units::all(out_));
+  }
+
+  /// Sub-model forward: x is (B × in.n), holding the kept input units, and
+  /// out becomes (B × out.n), the kept output units only. Dropped rows must
+  /// hold zero parameters and dropped inputs must be +0 for the result to
+  /// equal the full layer's kept columns — bit for bit.
+  void forward(const ParameterStore& store, const tensor::Matrix& x,
+               tensor::Matrix& out, Units in, Units out_units) const;
+
+  /// Sub-model backward: accumulates the gradients of the kept rows' kept
+  /// columns and biases; other gradients are left untouched. g_in, if
+  /// non-null, becomes (B × in.n).
+  void backward(ParameterStore& store, const tensor::Matrix& x,
+                const tensor::Matrix& g_out, tensor::Matrix* g_in, Units in,
+                Units out_units) const;
 
   [[nodiscard]] std::size_t group() const noexcept { return group_; }
   [[nodiscard]] std::size_t in_dim() const noexcept { return in_; }

@@ -26,6 +26,7 @@
 #include <string>
 
 #include "nn/parameter_store.hpp"
+#include "nn/sub_model.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/rng.hpp"
 
@@ -39,7 +40,9 @@ class LstmLayer {
   /// Uniform(-k, k) init with k = 1/sqrt(hidden); forget-gate bias = 1.
   void init(ParameterStore& store, tensor::Rng& rng) const;
 
-  /// Activations cached by forward() and consumed by backward().
+  /// Activations cached by forward() and consumed by backward(). For a
+  /// sub-model of U kept units every H below is U: only kept units are
+  /// stored, in ascending unit order.
   struct Cache {
     std::size_t batch = 0;
     std::size_t seq = 0;
@@ -52,14 +55,36 @@ class LstmLayer {
   /// Runs the layer over `x_seq` (seq*batch × in) with zero initial state.
   /// cache.h is the layer output.
   void forward(const ParameterStore& store, const tensor::Matrix& x_seq,
-               std::size_t batch, std::size_t seq, Cache& cache) const;
+               std::size_t batch, std::size_t seq, Cache& cache) const {
+    forward(store, x_seq, batch, seq, cache, Units::all(in_),
+            Units::all(hidden_));
+  }
 
   /// BPTT. `g_h` is the gradient w.r.t. cache.h (seq*batch × H); weight
   /// gradients accumulate into the store; `g_x` is resized and filled with
   /// the gradient w.r.t. x_seq.
   void backward(ParameterStore& store, const tensor::Matrix& x_seq,
                 const Cache& cache, const tensor::Matrix& g_h,
-                tensor::Matrix& g_x) const;
+                tensor::Matrix& g_x) const {
+    backward(store, x_seq, cache, g_h, g_x, Units::all(in_),
+             Units::all(hidden_));
+  }
+
+  /// Sub-model forward over the kept units only: x_seq is (seq*batch ×
+  /// in.n), the kept input columns, and the cache holds `units.n` units.
+  /// The recurrence shrinks to 4·U × U. With dropped unit rows zeroed and
+  /// dropped inputs +0, the kept units' values equal the full layer's bit
+  /// for bit.
+  void forward(const ParameterStore& store, const tensor::Matrix& x_seq,
+               std::size_t batch, std::size_t seq, Cache& cache, Units in,
+               Units units) const;
+
+  /// Sub-model BPTT: `g_h` is (seq*batch × units.n), `g_x` becomes
+  /// (seq*batch × in.n). Accumulates the gradients of the kept rows' kept
+  /// columns; other gradients are left untouched.
+  void backward(ParameterStore& store, const tensor::Matrix& x_seq,
+                const Cache& cache, const tensor::Matrix& g_h,
+                tensor::Matrix& g_x, Units in, Units units) const;
 
   [[nodiscard]] std::size_t group() const noexcept { return group_; }
   [[nodiscard]] std::size_t in_dim() const noexcept { return in_; }

@@ -1,5 +1,7 @@
 #include "nn/lstm_lm_model.hpp"
 
+#include <utility>
+
 #include "common/check.hpp"
 
 namespace fedbiad::nn {
@@ -18,6 +20,8 @@ LstmLmModel::LstmLmModel(const LstmLmConfig& cfg)
   out_ = Dense(store_, "out", cfg.hidden, cfg.vocab);
   store_.finalize();
   caches_.resize(cfg.layers);
+  units_.resize(cfg.layers);
+  unit_idx_.resize(cfg.layers);
 }
 
 void LstmLmModel::init_params(tensor::Rng& rng) {
@@ -26,7 +30,8 @@ void LstmLmModel::init_params(tensor::Rng& rng) {
   out_.init(store_, rng);
 }
 
-void LstmLmModel::forward(const data::Batch& batch) {
+void LstmLmModel::forward(const data::Batch& batch,
+                          std::span<const std::uint8_t> kept) {
   FEDBIAD_CHECK(batch.is_text(), "LstmLmModel expects text batches");
   const std::size_t B = batch.batch;
   const std::size_t T = batch.seq;
@@ -42,25 +47,43 @@ void LstmLmModel::forward(const data::Batch& batch) {
       targets_tm_[t * B + b] = batch.targets[b * T + t];
     }
   }
+  // Dropped embedding rows are zero in the table, so the lookup needs no
+  // sub-model: their tokens simply embed to zero vectors.
   embed_.forward(store_, tokens_tm_, x_embed_);
   const tensor::Matrix* x = &x_embed_;
+  Units in = Units::all(cfg_.embed);
   for (std::size_t l = 0; l < lstm_.size(); ++l) {
-    lstm_[l].forward(store_, *x, B, T, caches_[l]);
+    units_[l] = kept_units(store_, lstm_[l].group(), kept, unit_idx_[l]);
+    lstm_[l].forward(store_, *x, B, T, caches_[l], in, units_[l]);
     x = &caches_[l].h;
+    in = units_[l];
   }
-  out_.forward(store_, *x, logits_);
+  vocab_ = kept_units(store_, out_.group(), kept, vocab_idx_);
+  if (vocab_.n == cfg_.vocab) {
+    out_.forward(store_, *x, logits_, in, vocab_);
+  } else {
+    out_.forward(store_, *x, logits_c_, in, vocab_);
+    scatter_columns(vocab_, cfg_.vocab, logits_c_, logits_);
+  }
 }
 
-float LstmLmModel::train_step(const data::Batch& batch) {
+float LstmLmModel::train_step(const data::Batch& batch,
+                              std::span<const std::uint8_t> kept) {
   store_.zero_grads();
-  forward(batch);
+  forward(batch, kept);
   const float loss = softmax_cross_entropy(logits_, targets_tm_, g_logits_);
+  const tensor::Matrix* g_out = &g_logits_;
+  if (vocab_.n != cfg_.vocab) {
+    gather_columns(vocab_, g_logits_, g_logits_c_);
+    g_out = &g_logits_c_;
+  }
   const tensor::Matrix& top_h = caches_.back().h;
-  out_.backward(store_, top_h, g_logits_, &g_h_);
+  out_.backward(store_, top_h, *g_out, &g_h_, units_.back(), vocab_);
   for (std::size_t l = lstm_.size(); l-- > 0;) {
     const tensor::Matrix& x_in = l == 0 ? x_embed_ : caches_[l - 1].h;
-    lstm_[l].backward(store_, x_in, caches_[l], g_h_, g_x_);
-    g_h_ = g_x_;
+    const Units in = l == 0 ? Units::all(cfg_.embed) : units_[l - 1];
+    lstm_[l].backward(store_, x_in, caches_[l], g_h_, g_x_, in, units_[l]);
+    std::swap(g_h_, g_x_);
   }
   embed_.backward(store_, tokens_tm_, g_h_);
   return loss;
@@ -68,7 +91,7 @@ float LstmLmModel::train_step(const data::Batch& batch) {
 
 EvalResult LstmLmModel::eval_batch(const data::Batch& batch,
                                    std::size_t topk) {
-  forward(batch);
+  forward(batch, {});
   return evaluate_logits(logits_, targets_tm_, topk);
 }
 

@@ -24,7 +24,11 @@ class LstmLmModel final : public Model {
   explicit LstmLmModel(const LstmLmConfig& cfg);
 
   void init_params(tensor::Rng& rng) override;
-  float train_step(const data::Batch& batch) override;
+  /// Trains only the sub-model `kept` selects: dropped LSTM units leave the
+  /// input and recurrent GEMMs and dropped vocabulary rows the output
+  /// projection (see Model::train_step).
+  float train_step(const data::Batch& batch,
+                   std::span<const std::uint8_t> kept = {}) override;
   EvalResult eval_batch(const data::Batch& batch, std::size_t topk) override;
 
   [[nodiscard]] const LstmLmConfig& config() const noexcept { return cfg_; }
@@ -41,19 +45,30 @@ class LstmLmModel final : public Model {
 
  private:
   /// Re-lays out sample-major batch tokens/targets into the time-major order
-  /// used by LstmLayer and runs the forward pass up to the logits.
-  void forward(const data::Batch& batch);
+  /// used by LstmLayer and runs the sub-model `kept` selects up to
+  /// full-width logits (dropped vocabulary rows at +0). Leaves the kept
+  /// units in units_/vocab_.
+  void forward(const data::Batch& batch, std::span<const std::uint8_t> kept);
 
   LstmLmConfig cfg_;
   Embedding embed_;
   std::vector<LstmLayer> lstm_;
   Dense out_;
 
-  // Scratch state reused across steps.
+  // Kept units of the current step (per LSTM layer, and output rows),
+  // backed by the index buffers.
+  std::vector<Units> units_;
+  Units vocab_;
+  std::vector<std::vector<std::size_t>> unit_idx_;
+  std::vector<std::size_t> vocab_idx_;
+
+  // Scratch state reused across steps. LSTM caches and g_h_/g_x_ hold kept
+  // units only; logits_c_/g_logits_c_ the kept vocabulary rows when some
+  // are dropped.
   std::vector<std::int32_t> tokens_tm_, targets_tm_;  // time-major copies
   tensor::Matrix x_embed_;
   std::vector<LstmLayer::Cache> caches_;
-  tensor::Matrix logits_, g_logits_, g_h_, g_x_;
+  tensor::Matrix logits_c_, logits_, g_logits_, g_logits_c_, g_h_, g_x_;
 };
 
 }  // namespace fedbiad::nn

@@ -5,8 +5,10 @@
 // SGD steps) and only call back into the model for forward/backward passes.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 
 #include "data/batch.hpp"
 #include "nn/loss.hpp"
@@ -27,7 +29,17 @@ class Model {
 
   /// Zeroes gradients, runs forward + backward on `batch`, accumulates
   /// gradients into the store, and returns the mean training loss.
-  virtual float train_step(const data::Batch& batch) = 0;
+  ///
+  /// `kept` is a dropping pattern β over store().droppable_rows() (one byte
+  /// per row, nonzero = kept); empty keeps every row. Contract: rows with
+  /// β = 0 hold zero parameters, and the caller discards their gradients
+  /// (DropPattern::apply_to_grads) — the model may leave them untouched or
+  /// fill them. A model may then train only the sub-model β selects
+  /// (MlpModel and LstmLmModel do, skipping the dropped rows' compute); the
+  /// loss and every kept row's gradient are bit-identical to the full step
+  /// either way.
+  virtual float train_step(const data::Batch& batch,
+                           std::span<const std::uint8_t> kept = {}) = 0;
 
   /// Forward-only evaluation with top-1 and top-`topk` accuracy counting.
   virtual EvalResult eval_batch(const data::Batch& batch, std::size_t topk) = 0;

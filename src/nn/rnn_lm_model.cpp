@@ -46,7 +46,8 @@ void RnnLmModel::forward(const data::Batch& batch) {
   out_.forward(store_, *x, logits_);
 }
 
-float RnnLmModel::train_step(const data::Batch& batch) {
+float RnnLmModel::train_step(const data::Batch& batch,
+                             std::span<const std::uint8_t> /*kept*/) {
   store_.zero_grads();
   forward(batch);
   const float loss = softmax_cross_entropy(logits_, targets_tm_, g_logits_);

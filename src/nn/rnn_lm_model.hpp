@@ -26,7 +26,9 @@ class RnnLmModel final : public Model {
   explicit RnnLmModel(const RnnLmConfig& cfg);
 
   void init_params(tensor::Rng& rng) override;
-  float train_step(const data::Batch& batch) override;
+  /// Ignores `kept`: the full step gives the same result (Model contract).
+  float train_step(const data::Batch& batch,
+                   std::span<const std::uint8_t> kept = {}) override;
   EvalResult eval_batch(const data::Batch& batch, std::size_t topk) override;
 
   [[nodiscard]] const RnnLmConfig& config() const noexcept { return cfg_; }

@@ -3,6 +3,10 @@
 #include <atomic>
 #include <latch>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "common/check.hpp"
 
 namespace fedbiad::parallel {
@@ -14,10 +18,20 @@ namespace {
 thread_local bool is_pool_worker = false;
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+std::size_t usable_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int count = CPU_COUNT(&set);
+    if (count > 0) return static_cast<std::size_t>(count);
   }
+#endif
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
+ThreadPool::ThreadPool(std::size_t threads) {
+  if (threads == 0) threads = usable_cpus();
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

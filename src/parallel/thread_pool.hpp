@@ -18,10 +18,16 @@
 
 namespace fedbiad::parallel {
 
+/// CPUs the calling thread may run on: the size of its affinity mask where
+/// the OS exposes one (a process pinned with taskset counts its pinned
+/// CPUs, not the machine's), else std::thread::hardware_concurrency(); at
+/// least 1.
+[[nodiscard]] std::size_t usable_cpus();
+
 /// Fixed-size pool of worker threads executing submitted tasks FIFO.
 class ThreadPool {
  public:
-  /// Creates a pool with `threads` workers (0 → hardware_concurrency).
+  /// Creates a pool with `threads` workers (0 → usable_cpus()).
   explicit ThreadPool(std::size_t threads = 0);
 
   /// Drains outstanding tasks and joins all workers.

@@ -51,20 +51,41 @@ inline float a_elem(const float* a, std::size_t lda, std::size_t i,
 /// Packs the (kcn × nc) logical B block starting at (kc, jc) into NR-wide
 /// column panels: panel jp holds bp[jp*kcn*NR + kk*NR + jj] = B(kc+kk,
 /// jc+jp+jj), zero-padded to NR so the micro-kernel never branches on width.
-template <bool BTrans>
-void pack_b(const float* b, std::size_t ldb, std::size_t jc, std::size_t kc,
-            std::size_t nc, std::size_t kcn, float* bp) {
+/// `Gathered` routes stored rows and columns through the Gather lists; the
+/// ungathered instantiation keeps the list checks out of the plain pack.
+template <bool BTrans, bool Gathered>
+void pack_b(const float* b, std::size_t ldb, const Gather& g, std::size_t jc,
+            std::size_t kc, std::size_t nc, std::size_t kcn, float* bp) {
+  const auto at = [&](std::size_t r, std::size_t col) {
+    if constexpr (Gathered) {
+      return b[(g.rows != nullptr ? g.rows[r] : r * ldb) +
+               (g.cols != nullptr ? g.cols[col] : col)];
+    } else {
+      return b[r * ldb + col];
+    }
+  };
   for (std::size_t jp = 0; jp < nc; jp += NR) {
     const std::size_t nr = std::min(NR, nc - jp);
     float* panel = bp + jp * kcn;
     for (std::size_t kk = 0; kk < kcn; ++kk) {
       float* row = panel + kk * NR;
       for (std::size_t jj = 0; jj < nr; ++jj) {
-        row[jj] = BTrans ? b[(jc + jp + jj) * ldb + (kc + kk)]
-                         : b[(kc + kk) * ldb + (jc + jp + jj)];
+        row[jj] = BTrans ? at(jc + jp + jj, kc + kk)
+                         : at(kc + kk, jc + jp + jj);
       }
       for (std::size_t jj = nr; jj < NR; ++jj) row[jj] = 0.0F;
     }
+  }
+}
+
+template <bool BTrans>
+void pack_block(const float* b, std::size_t ldb, const Gather& g,
+                std::size_t jc, std::size_t kc, std::size_t nc,
+                std::size_t kcn, float* bp) {
+  if (g.identity()) {
+    pack_b<BTrans, false>(b, ldb, g, jc, kc, nc, kcn, bp);
+  } else {
+    pack_b<BTrans, true>(b, ldb, g, jc, kc, nc, kcn, bp);
   }
 }
 
@@ -78,12 +99,12 @@ void pack_b(const float* b, std::size_t ldb, std::size_t jc, std::size_t kc,
 template <bool ATrans>
 void micro_kernel_edge(std::size_t mr, std::size_t nr, std::size_t kcn,
                        const float* a, std::size_t lda, std::size_t i0,
-                       std::size_t kc, const float* panel, float* c,
-                       std::size_t ldc) {
+                       std::size_t kc, const float* panel,
+                       float* const* crow) {
 #if defined(FEDBIAD_GEMM_VECTOR)
   float buf[MR][NR] = {};
   for (std::size_t ii = 0; ii < mr; ++ii) {
-    for (std::size_t jj = 0; jj < nr; ++jj) buf[ii][jj] = c[ii * ldc + jj];
+    for (std::size_t jj = 0; jj < nr; ++jj) buf[ii][jj] = crow[ii][jj];
   }
   vf acc[MR][2];
   for (std::size_t ii = 0; ii < mr; ++ii) {
@@ -103,12 +124,12 @@ void micro_kernel_edge(std::size_t mr, std::size_t nr, std::size_t kcn,
   for (std::size_t ii = 0; ii < mr; ++ii) {
     *reinterpret_cast<vf*>(buf[ii]) = acc[ii][0];
     *reinterpret_cast<vf*>(buf[ii] + VL) = acc[ii][1];
-    for (std::size_t jj = 0; jj < nr; ++jj) c[ii * ldc + jj] = buf[ii][jj];
+    for (std::size_t jj = 0; jj < nr; ++jj) crow[ii][jj] = buf[ii][jj];
   }
 #else
   float acc[MR][NR];
   for (std::size_t ii = 0; ii < mr; ++ii) {
-    for (std::size_t jj = 0; jj < nr; ++jj) acc[ii][jj] = c[ii * ldc + jj];
+    for (std::size_t jj = 0; jj < nr; ++jj) acc[ii][jj] = crow[ii][jj];
   }
   for (std::size_t kk = 0; kk < kcn; ++kk) {
     const float* brow = panel + kk * NR;
@@ -118,7 +139,7 @@ void micro_kernel_edge(std::size_t mr, std::size_t nr, std::size_t kcn,
     }
   }
   for (std::size_t ii = 0; ii < mr; ++ii) {
-    for (std::size_t jj = 0; jj < nr; ++jj) c[ii * ldc + jj] = acc[ii][jj];
+    for (std::size_t jj = 0; jj < nr; ++jj) crow[ii][jj] = acc[ii][jj];
   }
 #endif
 }
@@ -130,13 +151,12 @@ void micro_kernel_edge(std::size_t mr, std::size_t nr, std::size_t kcn,
 template <bool ATrans>
 void micro_kernel_full(std::size_t kcn, const float* a, std::size_t lda,
                        std::size_t i0, std::size_t kc, const float* panel,
-                       float* c, std::size_t ldc) {
+                       float* const* crow) {
 #if defined(FEDBIAD_GEMM_VECTOR)
   vf acc[MR][2];
   for (std::size_t ii = 0; ii < MR; ++ii) {
-    const float* crow = c + ii * ldc;
-    acc[ii][0] = *reinterpret_cast<const vf*>(crow);
-    acc[ii][1] = *reinterpret_cast<const vf*>(crow + VL);
+    acc[ii][0] = *reinterpret_cast<const vf*>(crow[ii]);
+    acc[ii][1] = *reinterpret_cast<const vf*>(crow[ii] + VL);
   }
   for (std::size_t kk = 0; kk < kcn; ++kk) {
     const float* brow = panel + kk * NR;
@@ -149,12 +169,11 @@ void micro_kernel_full(std::size_t kcn, const float* a, std::size_t lda,
     }
   }
   for (std::size_t ii = 0; ii < MR; ++ii) {
-    float* crow = c + ii * ldc;
-    *reinterpret_cast<vf*>(crow) = acc[ii][0];
-    *reinterpret_cast<vf*>(crow + VL) = acc[ii][1];
+    *reinterpret_cast<vf*>(crow[ii]) = acc[ii][0];
+    *reinterpret_cast<vf*>(crow[ii] + VL) = acc[ii][1];
   }
 #else
-  micro_kernel_edge<ATrans>(MR, NR, kcn, a, lda, i0, kc, panel, c, ldc);
+  micro_kernel_edge<ATrans>(MR, NR, kcn, a, lda, i0, kc, panel, crow);
 #endif
 }
 
@@ -180,18 +199,27 @@ void for_each_block(std::size_t n, std::size_t k, Fn&& fn) {
 /// accumulating, then every (jc, kc) block purely accumulates, so k-blocking
 /// needs no first-block special case. With `prepacked` non-null, B panels
 /// are read from the caller's gemm_pack_* buffer (for_each_block order) and
-/// `b`/`ldb` are ignored.
+/// `b`/`ldb`/`gb` are ignored. With `c_rows` non-null, C row i begins at
+/// c + c_rows[i] instead of c + i·ldc (the micro-kernels address C through
+/// per-row pointers either way).
 template <bool ATrans, bool BTrans>
 void gemm_core(std::size_t m, std::size_t n, std::size_t k, const float* a,
                std::size_t lda, const float* b, std::size_t ldb, float* c,
                std::size_t ldc, bool accumulate, const float* bias,
-               std::size_t ldbias, const float* prepacked = nullptr) {
+               std::size_t ldbias, const Gather& gb,
+               const float* prepacked = nullptr,
+               const std::size_t* c_rows = nullptr) {
   if (m == 0 || n == 0) return;
+  const auto c_row = [&](std::size_t i) {
+    return c + (c_rows != nullptr ? c_rows[i] : i * ldc);
+  };
   if (!accumulate) {
     for (std::size_t i = 0; i < m; ++i) {
-      float* crow = c + i * ldc;
+      float* crow = c_row(i);
       if (bias != nullptr) {
-        for (std::size_t j = 0; j < n; ++j) crow[j] = bias[j * ldbias];
+        for (std::size_t j = 0; j < n; ++j) {
+          crow[j] = bias[gb.rows != nullptr ? gb.rows[j] : j * ldbias];
+        }
       } else {
         std::memset(crow, 0, n * sizeof(float));
       }
@@ -216,7 +244,7 @@ void gemm_core(std::size_t m, std::size_t n, std::size_t k, const float* a,
     if (prepacked != nullptr) {
       bp = prepacked + offset;
     } else {
-      pack_b<BTrans>(b, ldb, jc, kc, nc, kcn, pack_buf);
+      pack_block<BTrans>(b, ldb, gb, jc, kc, nc, kcn, pack_buf);
       bp = pack_buf;
     }
     // Parallelize over MR-row tiles (not raw rows) so chunk boundaries stay
@@ -232,13 +260,15 @@ void gemm_core(std::size_t m, std::size_t n, std::size_t k, const float* a,
             for (std::size_t jp = 0; jp < nc; jp += NR) {
               const std::size_t nr = std::min(NR, nc - jp);
               const float* panel = bp + jp * kcn;
-              float* ct = c + i0 * ldc + jc + jp;
+              float* ct[MR];
+              for (std::size_t ii = 0; ii < mr; ++ii) {
+                ct[ii] = c_row(i0 + ii) + jc + jp;
+              }
               if (mr == MR && nr == NR) {
-                micro_kernel_full<ATrans>(kcn, a, lda, i0, kc, panel, ct,
-                                          ldc);
+                micro_kernel_full<ATrans>(kcn, a, lda, i0, kc, panel, ct);
               } else {
                 micro_kernel_edge<ATrans>(mr, nr, kcn, a, lda, i0, kc, panel,
-                                          ct, ldc);
+                                          ct);
               }
             }
           }
@@ -252,23 +282,47 @@ void gemm_core(std::size_t m, std::size_t n, std::size_t k, const float* a,
 void gemm_abt(std::size_t m, std::size_t n, std::size_t k, const float* a,
               std::size_t lda, const float* b, std::size_t ldb, float* c,
               std::size_t ldc, bool accumulate, const float* bias,
-              std::size_t ldbias) {
+              std::size_t ldbias, Gather gb) {
   gemm_core<false, true>(m, n, k, a, lda, b, ldb, c, ldc, accumulate, bias,
-                         ldbias);
+                         ldbias, gb);
 }
 
 void gemm_ab(std::size_t m, std::size_t n, std::size_t k, const float* a,
              std::size_t lda, const float* b, std::size_t ldb, float* c,
-             std::size_t ldc, bool accumulate) {
+             std::size_t ldc, bool accumulate, Gather gb) {
   gemm_core<false, false>(m, n, k, a, lda, b, ldb, c, ldc, accumulate,
-                          nullptr, 1);
+                          nullptr, 1, gb);
 }
 
 void gemm_atb(std::size_t m, std::size_t n, std::size_t k, const float* a,
               std::size_t lda, const float* b, std::size_t ldb, float* c,
-              std::size_t ldc) {
-  gemm_core<true, false>(m, n, k, a, lda, b, ldb, c, ldc, /*accumulate=*/true,
-                         nullptr, 1);
+              std::size_t ldc, Gather gc) {
+  if (gc.cols == nullptr) {
+    // Whole C rows: the micro-kernels accumulate in place at gc.rows.
+    gemm_core<true, false>(m, n, k, a, lda, b, ldb, c, ldc,
+                           /*accumulate=*/true, nullptr, 1, {}, nullptr,
+                           gc.rows);
+    return;
+  }
+  if (m == 0 || n == 0) return;
+  // Gathered columns: accumulate in a compact tile holding the selected C
+  // elements (each element's chain starts from its current value, exactly
+  // as in place), then write the tile back.
+  Workspace::Scope scope;
+  float* tile = Workspace::local().alloc<float>(m * n).data();
+  const auto crow = [&](std::size_t i) {
+    return c + (gc.rows != nullptr ? gc.rows[i] : i * ldc);
+  };
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* src = crow(i);
+    for (std::size_t j = 0; j < n; ++j) tile[i * n + j] = src[gc.cols[j]];
+  }
+  gemm_core<true, false>(m, n, k, a, lda, b, ldb, tile, n,
+                         /*accumulate=*/true, nullptr, 1, {});
+  for (std::size_t i = 0; i < m; ++i) {
+    float* dst = crow(i);
+    for (std::size_t j = 0; j < n; ++j) dst[gc.cols[j]] = tile[i * n + j];
+  }
 }
 
 std::size_t gemm_packed_size(std::size_t n, std::size_t k) {
@@ -284,24 +338,24 @@ namespace {
 
 template <bool BTrans>
 void pack_all(std::size_t n, std::size_t k, const float* b, std::size_t ldb,
-              float* dst) {
+              const Gather& gb, float* dst) {
   for_each_block(n, k, [&](std::size_t jc, std::size_t nc, std::size_t,
                            std::size_t kc, std::size_t kcn,
                            std::size_t offset) {
-    pack_b<BTrans>(b, ldb, jc, kc, nc, kcn, dst + offset);
+    pack_block<BTrans>(b, ldb, gb, jc, kc, nc, kcn, dst + offset);
   });
 }
 
 }  // namespace
 
 void gemm_pack_bt(std::size_t n, std::size_t k, const float* b,
-                  std::size_t ldb, float* dst) {
-  pack_all<true>(n, k, b, ldb, dst);
+                  std::size_t ldb, float* dst, Gather gb) {
+  pack_all<true>(n, k, b, ldb, gb, dst);
 }
 
 void gemm_pack_b(std::size_t n, std::size_t k, const float* b,
-                 std::size_t ldb, float* dst) {
-  pack_all<false>(n, k, b, ldb, dst);
+                 std::size_t ldb, float* dst, Gather gb) {
+  pack_all<false>(n, k, b, ldb, gb, dst);
 }
 
 void gemm_abt_packed(std::size_t m, std::size_t n, std::size_t k,
@@ -309,14 +363,14 @@ void gemm_abt_packed(std::size_t m, std::size_t n, std::size_t k,
                      float* c, std::size_t ldc, bool accumulate,
                      const float* bias, std::size_t ldbias) {
   gemm_core<false, true>(m, n, k, a, lda, nullptr, 0, c, ldc, accumulate,
-                         bias, ldbias, packed_b);
+                         bias, ldbias, {}, packed_b);
 }
 
 void gemm_ab_packed(std::size_t m, std::size_t n, std::size_t k,
                     const float* a, std::size_t lda, const float* packed_b,
                     float* c, std::size_t ldc, bool accumulate) {
   gemm_core<false, false>(m, n, k, a, lda, nullptr, 0, c, ldc, accumulate,
-                          nullptr, 1, packed_b);
+                          nullptr, 1, {}, packed_b);
 }
 
 namespace ref {

@@ -68,14 +68,17 @@ void accumulate_gtx(const Matrix& g, const Matrix& x, Matrix& dw) {
 }
 
 void add_column_sums(std::size_t rows, std::size_t cols, const float* src,
-                     std::size_t lds, float* dst, std::size_t ldd) {
+                     std::size_t lds, float* dst, std::size_t ldd,
+                     const std::size_t* dst_offsets) {
   Workspace::Scope scope;
   auto sums = Workspace::local().alloc_zero<float>(cols);
   for (std::size_t r = 0; r < rows; ++r) {
     const float* row = src + r * lds;
     for (std::size_t j = 0; j < cols; ++j) sums[j] += row[j];
   }
-  for (std::size_t j = 0; j < cols; ++j) dst[j * ldd] += sums[j];
+  for (std::size_t j = 0; j < cols; ++j) {
+    dst[dst_offsets != nullptr ? dst_offsets[j] : j * ldd] += sums[j];
+  }
 }
 
 void softmax_rows(Matrix& m) {

@@ -54,8 +54,11 @@ void accumulate_gtx(const Matrix& g, const Matrix& x, Matrix& dw);
 /// a (rows × cols) panel, accumulated densely and then added into a strided
 /// destination — the shared bias-gradient reduction of the layers whose
 /// bias lives inside strided weight rows (Dense, LstmLayer, RnnLayer).
+/// With `dst_offsets` non-null, column j adds into dst[dst_offsets[j]]
+/// instead (the kept rows of a dropout sub-model).
 void add_column_sums(std::size_t rows, std::size_t cols, const float* src,
-                     std::size_t lds, float* dst, std::size_t ldd);
+                     std::size_t lds, float* dst, std::size_t ldd,
+                     const std::size_t* dst_offsets = nullptr);
 
 /// Row-wise softmax in place.
 void softmax_rows(Matrix& m);

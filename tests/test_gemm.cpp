@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -135,6 +136,184 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{8, 32, 64}, std::tuple{9, 33, 65},
                       std::tuple{32, 64, 128}, std::tuple{33, 257, 129},
                       std::tuple{64, 300, 260}));
+
+// ---- gathered operands (dropout sub-models) --------------------------------
+//
+// A Gather must be exactly "the kernel applied to the explicitly compacted
+// operand": same packed panels, same results bit for bit — and both within
+// tolerance of the ref:: kernels on the compacted operand.
+
+enum class Pick { kOne, kAll, kRagged, kRandom };
+
+/// Ascending selection of `count` out of [0, full) — one, all, every other
+/// plus the last, or a random ~60%.
+std::vector<std::size_t> pick(Pick mode, std::size_t full, Rng& rng) {
+  std::vector<std::size_t> idx;
+  for (std::size_t i = 0; i < full; ++i) {
+    const bool keep = mode == Pick::kOne      ? i == full / 2
+                      : mode == Pick::kAll    ? true
+                      : mode == Pick::kRagged ? (i % 2 == 0 || i + 1 == full)
+                                              : rng.uniform(0.0, 1.0) < 0.6;
+    if (keep) idx.push_back(i);
+  }
+  if (idx.empty()) idx.push_back(full - 1);
+  return idx;
+}
+
+std::vector<std::size_t> offsets(const std::vector<std::size_t>& idx,
+                                 std::size_t stride) {
+  std::vector<std::size_t> off;
+  for (const std::size_t i : idx) off.push_back(i * stride);
+  return off;
+}
+
+/// Row-major (rows.size() × cols.size()) copy of the selected elements.
+std::vector<float> compact(const std::vector<float>& full, std::size_t ld,
+                           const std::vector<std::size_t>& rows,
+                           const std::vector<std::size_t>& cols) {
+  std::vector<float> out;
+  for (const std::size_t r : rows) {
+    for (const std::size_t c : cols) out.push_back(full[r * ld + c]);
+  }
+  return out;
+}
+
+void expect_bits_equal(std::span<const float> got, std::span<const float> want,
+                       const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0)
+      << what;
+}
+
+class GemmGather
+    : public ::testing::TestWithParam<std::tuple<int, int, int, Pick>> {};
+
+TEST_P(GemmGather, AbtAndPackBtMatchCompactedOperand) {
+  const auto [mi, nf, kf, mode] = GetParam();
+  const auto m = static_cast<std::size_t>(mi);
+  const std::size_t ldb = static_cast<std::size_t>(kf) + 1;  // bias at [kf]
+  Rng rng(201);
+  const auto rows = pick(mode, static_cast<std::size_t>(nf), rng);
+  const auto cols = pick(mode, static_cast<std::size_t>(kf), rng);
+  const std::size_t n = rows.size();
+  const std::size_t k = cols.size();
+  const auto b = random_vec(rng, static_cast<std::size_t>(nf) * ldb);
+  const auto a = random_vec(rng, m * k);
+  const auto row_off = offsets(rows, ldb);
+  const tensor::Gather g{row_off.data(), cols.data()};
+  const auto bc = compact(b, ldb, rows, cols);
+  std::vector<float> bias_c;
+  for (const std::size_t r : rows) bias_c.push_back(b[r * ldb + kf]);
+
+  std::vector<float> got(m * n), dense(m * n), want(m * n);
+  tensor::gemm_abt(m, n, k, a.data(), k, b.data(), ldb, got.data(), n,
+                   /*accumulate=*/false, /*bias=*/b.data() + kf, ldb, g);
+  tensor::gemm_abt(m, n, k, a.data(), k, bc.data(), k, dense.data(), n,
+                   /*accumulate=*/false, bias_c.data(), 1);
+  tensor::ref::gemm_abt(m, n, k, a.data(), k, bc.data(), k, want.data(), n,
+                        /*accumulate=*/false, bias_c.data(), 1);
+  expect_bits_equal(got, dense, "gathered gemm_abt vs compacted");
+  expect_close(got, want, "gathered gemm_abt vs ref");
+
+  std::vector<float> packed(tensor::gemm_packed_size(n, k));
+  std::vector<float> packed_c(packed.size());
+  tensor::gemm_pack_bt(n, k, b.data(), ldb, packed.data(), g);
+  tensor::gemm_pack_bt(n, k, bc.data(), k, packed_c.data());
+  expect_bits_equal(packed, packed_c, "gathered gemm_pack_bt");
+  tensor::gemm_abt_packed(m, n, k, a.data(), k, packed.data(), got.data(), n,
+                          /*accumulate=*/true);
+  tensor::gemm_abt(m, n, k, a.data(), k, bc.data(), k, dense.data(), n,
+                   /*accumulate=*/true);
+  expect_bits_equal(got, dense, "gathered packed accumulate");
+}
+
+TEST_P(GemmGather, AbAndPackBMatchCompactedOperand) {
+  const auto [mi, nf, kf, mode] = GetParam();
+  const auto m = static_cast<std::size_t>(mi);
+  // B stored (kf × nf) with a padded stride; rows select k, columns n.
+  const std::size_t ldb = static_cast<std::size_t>(nf) + 3;
+  Rng rng(203);
+  const auto rows = pick(mode, static_cast<std::size_t>(kf), rng);
+  const auto cols = pick(mode, static_cast<std::size_t>(nf), rng);
+  const std::size_t k = rows.size();
+  const std::size_t n = cols.size();
+  const auto b = random_vec(rng, static_cast<std::size_t>(kf) * ldb);
+  const auto a = random_vec(rng, m * k);
+  const auto row_off = offsets(rows, ldb);
+  const tensor::Gather g{row_off.data(), cols.data()};
+  const auto bc = compact(b, ldb, rows, cols);
+
+  std::vector<float> got(m * n), dense(m * n), want(m * n);
+  tensor::gemm_ab(m, n, k, a.data(), k, b.data(), ldb, got.data(), n,
+                  /*accumulate=*/false, g);
+  tensor::gemm_ab(m, n, k, a.data(), k, bc.data(), n, dense.data(), n);
+  tensor::ref::gemm_ab(m, n, k, a.data(), k, bc.data(), n, want.data(), n);
+  expect_bits_equal(got, dense, "gathered gemm_ab vs compacted");
+  expect_close(got, want, "gathered gemm_ab vs ref");
+
+  std::vector<float> packed(tensor::gemm_packed_size(n, k));
+  std::vector<float> packed_c(packed.size());
+  tensor::gemm_pack_b(n, k, b.data(), ldb, packed.data(), g);
+  tensor::gemm_pack_b(n, k, bc.data(), n, packed_c.data());
+  expect_bits_equal(packed, packed_c, "gathered gemm_pack_b");
+}
+
+TEST_P(GemmGather, AtbScattersIntoSelectedElementsOnly) {
+  const auto [ki, mf, nf, mode] = GetParam();
+  const auto k = static_cast<std::size_t>(ki);
+  const std::size_t ldc = static_cast<std::size_t>(nf) + 1;  // bias column
+  Rng rng(207);
+  const auto rows = pick(mode, static_cast<std::size_t>(mf), rng);
+  const auto cols = pick(mode, static_cast<std::size_t>(nf), rng);
+  const std::size_t m = rows.size();
+  const std::size_t n = cols.size();
+  const auto a = random_vec(rng, k * m);
+  const auto b = random_vec(rng, k * n);
+  const auto c0 = random_vec(rng, static_cast<std::size_t>(mf) * ldc);
+  const auto row_off = offsets(rows, ldc);
+
+  // Column-gathered (tile) and row-only (in place) scatters.
+  for (const bool gather_cols : {true, false}) {
+    std::vector<std::size_t> all_cols(static_cast<std::size_t>(nf));
+    for (std::size_t j = 0; j < all_cols.size(); ++j) all_cols[j] = j;
+    const auto& cs = gather_cols ? cols : all_cols;
+    const std::size_t nn = cs.size();
+    const auto bb = gather_cols ? b : random_vec(rng, k * nn);
+    auto got = c0;
+    tensor::gemm_atb(m, nn, k, a.data(), m, bb.data(), nn, got.data(), ldc,
+                     {row_off.data(), gather_cols ? cols.data() : nullptr});
+    auto dense = compact(c0, ldc, rows, cs);
+    auto want = dense;
+    tensor::gemm_atb(m, nn, k, a.data(), m, bb.data(), nn, dense.data(), nn);
+    tensor::ref::gemm_atb(m, nn, k, a.data(), m, bb.data(), nn, want.data(),
+                          nn);
+    expect_bits_equal(compact(got, ldc, rows, cs), dense,
+                      "scattered gemm_atb vs compacted");
+    expect_close(compact(got, ldc, rows, cs), want, "scattered gemm_atb");
+    // Every element outside the selection is untouched.
+    auto untouched = got;
+    auto base = c0;
+    for (const std::size_t r : rows) {
+      for (const std::size_t c : cs) {
+        untouched[r * ldc + c] = 0.0F;
+        base[r * ldc + c] = 0.0F;
+      }
+    }
+    expect_bits_equal(untouched, base, "elements outside the selection");
+  }
+}
+
+// Full sizes from one element to past the 256-wide cache blocks; the picks
+// give selections of length 1, all, and ragged counts that are not
+// multiples of the MR×NR register tile.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GemmGather,
+    ::testing::Combine(::testing::Values(1, 13),
+                       ::testing::Values(1, 300),
+                       ::testing::Values(7, 260),
+                       ::testing::Values(Pick::kOne, Pick::kAll,
+                                         Pick::kRagged, Pick::kRandom)));
 
 // ---- layer golden models --------------------------------------------------
 

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "common/check.hpp"
+#include "core/drop_pattern.hpp"
 #include "data/batch.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/conv_model.hpp"
@@ -587,6 +591,12 @@ TEST(Lstm, DroppedUnitRowIsExactlyInert) {
   for (std::size_t row = 0; row < cache.h.rows(); ++row) {
     EXPECT_EQ(cache.h(row, 2), 0.0F);
     EXPECT_NE(cache.h(row, 0), 0.0F);
+    // Exactly +0, sign bit clear: sub-model training skips this unit's
+    // terms, which is exact only because they multiply a +0 (a -0 could
+    // flip the sign of a zero sum).
+    EXPECT_EQ(cache.c(row, 2), 0.0F);
+    EXPECT_FALSE(std::signbit(cache.h(row, 2)));
+    EXPECT_FALSE(std::signbit(cache.c(row, 2)));
   }
 }
 
@@ -719,6 +729,260 @@ TEST(Models, InitIsDeterministicGivenSeed) {
     ASSERT_FLOAT_EQ(pa[i], pb[i]);
   }
 }
+
+// ---- sub-model training is bit-identical -----------------------------------
+//
+// Model::train_step(batch, β) computes only the kept rows. Its loss, every
+// gradient, and the parameters after an SGD step must equal — memcmp, not
+// within tolerance — the full step followed by DropPattern::apply_to_grads.
+
+/// Kept mask over n units: one unit, an odd count, or all of them.
+std::vector<std::uint8_t> kept_mask(std::size_t n, int mode, Rng& rng) {
+  std::vector<std::uint8_t> kept(n, mode == 2 ? 1 : 0);
+  if (mode == 2) return kept;
+  const std::size_t count = mode == 0 ? 1 : (n / 2) | 1;
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  rng.shuffle(order);
+  for (std::size_t i = 0; i < count; ++i) kept[order[i]] = 1;
+  return kept;
+}
+
+std::vector<std::size_t> kept_list(const std::vector<std::uint8_t>& kept) {
+  std::vector<std::size_t> idx;
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    if (kept[i] != 0) idx.push_back(i);
+  }
+  return idx;
+}
+
+/// Row r of (rows × cols) `m`, restricted to the kept columns.
+Matrix kept_columns(const Matrix& m, const std::vector<std::size_t>& cols) {
+  Matrix out(m.rows(), cols.size());
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t j = 0; j < cols.size(); ++j) out(r, j) = m(r, cols[j]);
+  }
+  return out;
+}
+
+void expect_same_bits(std::span<const float> got, std::span<const float> want,
+                      const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  if (std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) == 0) {
+    return;
+  }
+  std::size_t i = 0;
+  while (std::memcmp(&got[i], &want[i], sizeof(float)) == 0) ++i;
+  ADD_FAILURE() << what << ": first differing bits at flat index " << i
+                << " of " << got.size() << " (" << got[i] << " vs " << want[i]
+                << ")";
+}
+
+/// Pattern over a store from per-group kept masks (non-droppable groups
+/// contribute nothing); groups not in `masks` are fully kept.
+core::DropPattern pattern_of(
+    const ParameterStore& store,
+    const std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>>&
+        masks) {
+  core::DropPattern pattern(store.droppable_rows());
+  for (const auto& [group, mask] : masks) {
+    for (std::size_t r = 0; r < mask.size(); ++r) {
+      pattern.set(store.droppable_index(group, r), mask[r] != 0);
+    }
+  }
+  return pattern;
+}
+
+const SgdConfig kSubModelSgd{.lr = 0.3F, .weight_decay = 1e-2F,
+                             .clip_norm = 1.0F};
+
+/// (hidden units H, kept-count mode 0/1/2 = one/odd/all, batch size).
+class SubModel
+    : public ::testing::TestWithParam<std::tuple<std::size_t, int,
+                                                 std::size_t>> {};
+
+TEST_P(SubModel, DenseMatchesMaskedFullLayer) {
+  const auto [H, mode, batch] = GetParam();
+  const std::size_t in = H + 3;
+  Rng rng(301);
+  ParameterStore full_store, sub_store;
+  Dense full(full_store, "d", in, H);
+  Dense sub(sub_store, "d", in, H);
+  full_store.finalize();
+  sub_store.finalize();
+  full.init(full_store, rng);
+  const auto out_mask = kept_mask(H, mode, rng);
+  const auto in_mask = kept_mask(in, mode, rng);
+  const auto pattern = pattern_of(full_store, {{full.group(), out_mask}});
+  pattern.apply_to_params(full_store);
+  tensor::copy(full_store.params(), sub_store.params());
+  const auto out_idx = kept_list(out_mask);
+  const auto in_idx = kept_list(in_mask);
+  const Units out_units{out_idx.size(), out_idx.data()};
+  const Units in_units{in_idx.size(), in_idx.data()};
+
+  // Dropped inputs are +0, as a dropped unit's activation is.
+  Matrix x(batch, in);
+  x.fill_uniform(rng, -1.0F, 1.0F);
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t i = 0; i < in; ++i) {
+      if (in_mask[i] == 0) x(b, i) = 0.0F;
+    }
+  }
+  Matrix out_full, out_sub;
+  full.forward(full_store, x, out_full);
+  const Matrix x_sub = kept_columns(x, in_idx);
+  sub.forward(sub_store, x_sub, out_sub, in_units, out_units);
+  expect_same_bits(out_sub.flat(), kept_columns(out_full, out_idx).flat(),
+                   "dense forward");
+
+  // Upstream gradients reach dropped outputs too; they must not leak.
+  Matrix g_out(batch, H);
+  g_out.fill_uniform(rng, -1.0F, 1.0F);
+  Matrix g_in_full, g_in_sub;
+  full.backward(full_store, x, g_out, &g_in_full);
+  pattern.apply_to_grads(full_store);
+  sub.backward(sub_store, x_sub, kept_columns(g_out, out_idx), &g_in_sub,
+               in_units, out_units);
+  expect_same_bits(sub_store.grads(), full_store.grads(), "dense grads");
+  expect_same_bits(g_in_sub.flat(), kept_columns(g_in_full, in_idx).flat(),
+                   "dense input gradient");
+  sgd_step(full_store, kSubModelSgd);
+  sgd_step(sub_store, kSubModelSgd);
+  expect_same_bits(sub_store.params(), full_store.params(), "dense params");
+}
+
+TEST_P(SubModel, LstmMatchesMaskedFullLayer) {
+  const auto [H, mode, batch] = GetParam();
+  const std::size_t in = H + 2;
+  const std::size_t seq = 4;
+  Rng rng(303);
+  ParameterStore full_store, sub_store;
+  LstmLayer full(full_store, "l", in, H);
+  LstmLayer sub(sub_store, "l", in, H);
+  full_store.finalize();
+  sub_store.finalize();
+  full.init(full_store, rng);
+  const auto unit_mask = kept_mask(H, mode, rng);
+  const auto in_mask = kept_mask(in, mode, rng);
+  const auto pattern = pattern_of(full_store, {{full.group(), unit_mask}});
+  pattern.apply_to_params(full_store);
+  tensor::copy(full_store.params(), sub_store.params());
+  const auto unit_idx = kept_list(unit_mask);
+  const auto in_idx = kept_list(in_mask);
+  const Units units{unit_idx.size(), unit_idx.data()};
+  const Units in_units{in_idx.size(), in_idx.data()};
+
+  Matrix x(batch * seq, in);
+  x.fill_uniform(rng, -1.5F, 1.5F);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    for (std::size_t i = 0; i < in; ++i) {
+      if (in_mask[i] == 0) x(r, i) = 0.0F;
+    }
+  }
+  LstmLayer::Cache full_cache, sub_cache;
+  full.forward(full_store, x, batch, seq, full_cache);
+  const Matrix x_sub = kept_columns(x, in_idx);
+  sub.forward(sub_store, x_sub, batch, seq, sub_cache, in_units, units);
+  expect_same_bits(sub_cache.h.flat(),
+                   kept_columns(full_cache.h, unit_idx).flat(), "lstm h");
+  expect_same_bits(sub_cache.c.flat(),
+                   kept_columns(full_cache.c, unit_idx).flat(), "lstm c");
+  std::vector<std::size_t> gate_idx;
+  for (std::size_t gate = 0; gate < 4; ++gate) {
+    for (const std::size_t j : unit_idx) gate_idx.push_back(gate * H + j);
+  }
+  expect_same_bits(sub_cache.gates.flat(),
+                   kept_columns(full_cache.gates, gate_idx).flat(),
+                   "lstm gates");
+
+  Matrix g_h(batch * seq, H);
+  g_h.fill_uniform(rng, -1.0F, 1.0F);
+  Matrix g_x_full, g_x_sub;
+  full.backward(full_store, x, full_cache, g_h, g_x_full);
+  pattern.apply_to_grads(full_store);
+  sub.backward(sub_store, x_sub, sub_cache, kept_columns(g_h, unit_idx),
+               g_x_sub, in_units, units);
+  expect_same_bits(sub_store.grads(), full_store.grads(), "lstm grads");
+  expect_same_bits(g_x_sub.flat(), kept_columns(g_x_full, in_idx).flat(),
+                   "lstm input gradient");
+  sgd_step(full_store, kSubModelSgd);
+  sgd_step(sub_store, kSubModelSgd);
+  expect_same_bits(sub_store.params(), full_store.params(), "lstm params");
+}
+
+/// Runs three masked SGD steps on two copies of `Model` — the full
+/// train_step and train_step with β, each followed by apply_to_grads as the
+/// training loops do — comparing loss, grads and params bit for bit after
+/// every step.
+template <typename Model, typename Config>
+void expect_sub_model_steps_match(const Config& cfg,
+                                  const data::Batch& batch, int mode,
+                                  Rng& rng) {
+  Model full(cfg);
+  Model sub(cfg);
+  full.init_params(rng);
+  const ParameterStore& store = full.store();
+  std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> masks;
+  for (std::size_t g = 0; g < store.groups().size(); ++g) {
+    if (!store.group(g).droppable) continue;
+    // Hidden units take the parameterized count; vocabulary/class rows
+    // drop about half, as FedBIAD's p = 0.5 does.
+    const bool unit_group =
+        store.group(g).kind == GroupKind::kRecurrentUnit ||
+        (store.group(g).kind == GroupKind::kDense && g == 0);
+    masks.emplace_back(g, kept_mask(store.group(g).rows,
+                                    unit_group ? mode : 1, rng));
+  }
+  const auto pattern = pattern_of(store, masks);
+  pattern.apply_to_params(full.store());
+  tensor::copy(full.store().params(), sub.store().params());
+  for (int step = 0; step < 3; ++step) {
+    const float loss_full = full.train_step(batch);
+    pattern.apply_to_grads(full.store());
+    const float loss_sub = sub.train_step(batch, pattern.bits());
+    // Dropped rows' gradients are the caller's to discard (the embedding
+    // still scatter-adds into dropped vocabulary rows).
+    pattern.apply_to_grads(sub.store());
+    EXPECT_EQ(std::memcmp(&loss_full, &loss_sub, sizeof(float)), 0)
+        << "loss, step " << step;
+    expect_same_bits(sub.store().grads(), full.store().grads(), "grads");
+    sgd_step(full.store(), kSubModelSgd);
+    sgd_step(sub.store(), kSubModelSgd);
+    pattern.apply_to_params(full.store());
+    pattern.apply_to_params(sub.store());
+    expect_same_bits(sub.store().params(), full.store().params(), "params");
+  }
+}
+
+TEST_P(SubModel, MlpTrainStepMatchesMaskedFullStep) {
+  const auto [H, mode, batch_size] = GetParam();
+  Rng rng(305);
+  const auto batch = toy_image_batch(rng, batch_size, 12, 5);
+  expect_sub_model_steps_match<MlpModel>(
+      MlpConfig{.input = 12, .hidden = H, .classes = 5}, batch, mode, rng);
+}
+
+TEST_P(SubModel, LstmLmTrainStepMatchesMaskedFullStep) {
+  const auto [H, mode, batch_size] = GetParam();
+  Rng rng(307);
+  data::Batch batch;
+  batch.batch = batch_size;
+  batch.seq = 5;
+  for (std::size_t i = 0; i < batch_size * batch.seq; ++i) {
+    batch.tokens.push_back(static_cast<std::int32_t>(rng.uniform_index(23)));
+    batch.targets.push_back(static_cast<std::int32_t>(rng.uniform_index(23)));
+  }
+  expect_sub_model_steps_match<LstmLmModel>(
+      LstmLmConfig{.vocab = 23, .embed = 6, .hidden = H, .layers = 2}, batch,
+      mode, rng);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, SubModel,
+    ::testing::Combine(::testing::Values<std::size_t>(5, 13, 64),
+                       ::testing::Values(0, 1, 2),
+                       ::testing::Values<std::size_t>(1, 3)));
 
 }  // namespace
 }  // namespace fedbiad::nn

@@ -10,6 +10,10 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "parallel/ordered_results.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -19,7 +23,34 @@ namespace {
 TEST(ThreadPool, DefaultSizeMatchesHardware) {
   ThreadPool pool;
   EXPECT_GE(pool.size(), 1u);
+  EXPECT_EQ(pool.size(), usable_cpus());
 }
+
+#if defined(__linux__)
+// A process pinned to one CPU must not time-slice a pool of
+// hardware_concurrency() workers on it: the default size follows the
+// affinity mask.
+TEST(ThreadPool, DefaultSizeFollowsAffinity) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = -1;
+  for (int cpu = 0; cpu < CPU_SETSIZE && first < 0; ++cpu) {
+    if (CPU_ISSET(cpu, &saved)) first = cpu;
+  }
+  ASSERT_GE(first, 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t pinned_cpus = usable_cpus();
+  const std::size_t pinned_size = ThreadPool().size();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned_cpus, 1u);
+  EXPECT_EQ(pinned_size, 1u);
+  EXPECT_EQ(usable_cpus(), static_cast<std::size_t>(CPU_COUNT(&saved)));
+}
+#endif
 
 TEST(ThreadPool, SubmitReturnsResult) {
   ThreadPool pool(2);
