@@ -1,5 +1,6 @@
 // Substrate microbenchmarks (google-benchmark): tensor kernels, LSTM
-// forward/backward, mask application, compressors, and aggregation.
+// forward/backward, mask application, the posterior draw and the SGD step,
+// compressors, and aggregation.
 // Not a paper artefact — used to track the simulator's own performance.
 //
 // With FEDBIAD_JSON=<path> set, additionally writes the results as a
@@ -14,9 +15,11 @@
 #include <string>
 #include <vector>
 
+#include "bayes/spike_slab.hpp"
 #include "compress/dgc.hpp"
 #include "compress/quantize.hpp"
 #include "core/drop_pattern.hpp"
+#include "core/fedbiad_strategy.hpp"
 #include "fl/aggregate.hpp"
 #include "fl/fused_aggregate.hpp"
 #include "nn/conv2d.hpp"
@@ -24,6 +27,7 @@
 #include "nn/lstm.hpp"
 #include "nn/lstm_lm_model.hpp"
 #include "nn/mlp_model.hpp"
+#include "nn/optimizer.hpp"
 #include "tensor/ops.hpp"
 #include "transport/ring_buffer.hpp"
 #include "transport/transport.hpp"
@@ -231,6 +235,78 @@ void BM_MlpTrainStep(benchmark::State& state) {
   run_train_steps(state, model, batch, rng);
 }
 BENCHMARK(BM_MlpTrainStep)->Arg(0)->Arg(20);
+
+// One posterior draw θ ~ N(U, s̃²I) over a round benchmark store (the
+// certified vector sampler). `sd` < 0 takes the workload's own s̃: eq. 13
+// at round 1 for its shard size and V, as FedBiadStrategy computes it.
+// Items = coordinates drawn.
+template <typename Model, typename Config>
+void run_sample_gaussian(benchmark::State& state, const Config& cfg,
+                         double dropout, std::size_t samples,
+                         std::size_t local_iterations, double sd) {
+  Model model(cfg);
+  tensor::Rng rng(7);
+  model.init_params(rng);
+  const nn::ParameterStore& store = model.store();
+  const double s2 =
+      sd >= 0.0 ? sd * sd
+                : core::FedBiadStrategy(core::FedBiadConfig{
+                                            .dropout_rate = dropout})
+                      .effective_posterior_variance(store, 1, samples,
+                                                    local_iterations);
+  const std::vector<float> u(store.params().begin(), store.params().end());
+  std::vector<float> theta(u.size());
+  for (auto _ : state) {
+    bayes::sample_gaussian(u, s2, rng, theta);
+    benchmark::DoNotOptimize(theta.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(u.size()));
+}
+
+// bench_round's train_mlp store (101,770 floats; s̃ ≈ 1.9e-10) and
+// train_lstm store (118,452 floats; s̃ ≈ 2.4e-19), each also at s̃ = 1e-2.
+void BM_SampleGaussian(benchmark::State& state, bool lstm, double sd) {
+  if (lstm) {
+    run_sample_gaussian<nn::LstmLmModel>(
+        state, nn::LstmLmConfig{.vocab = 500, .embed = 48, .hidden = 64,
+                                .layers = 2},
+        0.5, 35, 15, sd);
+  } else {
+    run_sample_gaussian<nn::MlpModel>(
+        state, nn::MlpConfig{.input = 784, .hidden = 128, .classes = 10}, 0.2,
+        4000 / 60, 20, sd);
+  }
+}
+BENCHMARK_CAPTURE(BM_SampleGaussian, mlp, false, -1.0);
+BENCHMARK_CAPTURE(BM_SampleGaussian, mlp_sd1e-2, false, 1e-2);
+BENCHMARK_CAPTURE(BM_SampleGaussian, lstm, true, -1.0);
+BENCHMARK_CAPTURE(BM_SampleGaussian, lstm_sd1e-2, true, 1e-2);
+
+// One SGD step (certified clip norm + sgd_axpy) on the train_mlp store with
+// its optimizer settings; arg = dropout percent. A nonzero arg steps only
+// the kept rows of a sampled pattern, as FedBIAD's clients do. Items = steps.
+void BM_SgdStep(benchmark::State& state) {
+  nn::MlpModel model({.input = 784, .hidden = 128, .classes = 10});
+  tensor::Rng rng(8);
+  model.init_params(rng);
+  const double p = static_cast<double>(state.range(0)) / 100.0;
+  const auto pattern =
+      core::DropPattern::sample(model.store(), p, core::eligible_all(), rng);
+  pattern.apply_to_params(model.store());
+  for (float& g : model.store().grads()) {
+    g = static_cast<float>(rng.uniform(-1e-2, 1e-2));
+  }
+  const std::span<const std::uint8_t> kept =
+      p > 0.0 ? std::span<const std::uint8_t>(pattern.bits())
+              : std::span<const std::uint8_t>();
+  const nn::SgdConfig cfg{.lr = 0.1F, .weight_decay = 1e-4F, .clip_norm = 5.0F};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nn::sgd_step(model.store(), cfg, kept));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SgdStep)->Arg(0)->Arg(20);
 
 void BM_DgcCompress(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

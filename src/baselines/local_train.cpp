@@ -7,8 +7,9 @@ namespace fedbiad::baselines {
 
 namespace {
 
-/// `kept` is the fixed pattern's β handed to Model::train_step (empty for
-/// full-model training), so the model can skip the dropped rows' compute.
+/// `kept` is the fixed pattern's β (empty for full-model training), handed
+/// to Model::train_step and nn::sgd_step so the model skips the dropped
+/// rows' compute and the step leaves them at +0.
 template <typename MaskGrads, typename MaskParams>
 LocalTrainStats run_loop(fl::ClientContext& ctx,
                          std::span<const std::uint8_t> kept,
@@ -21,7 +22,7 @@ LocalTrainStats run_loop(fl::ClientContext& ctx,
         data::sample_indices(ctx.shard, ctx.settings.batch_size, ctx.rng));
     const float loss = ctx.model.train_step(batch, kept);
     mask_grads();
-    nn::sgd_step(ctx.model.store(), ctx.settings.sgd);
+    nn::sgd_step(ctx.model.store(), ctx.settings.sgd, kept);
     mask_params();
     stats.mean_loss += loss;
     stats.last_loss = loss;
@@ -34,15 +35,9 @@ LocalTrainStats run_loop(fl::ClientContext& ctx,
 
 LocalTrainStats train_rounds(fl::ClientContext& ctx,
                              const core::DropPattern* pattern) {
-  nn::ParameterStore& store = ctx.model.store();
-  if (pattern == nullptr) {
-    return run_loop(
-        ctx, {}, [] {}, [] {});
-  }
-  pattern->apply_to_params(store);
-  return run_loop(
-      ctx, pattern->bits(), [&] { pattern->apply_to_grads(store); },
-      [&] { pattern->apply_to_params(store); });
+  if (pattern == nullptr) return run_loop(ctx, {}, [] {}, [] {});
+  pattern->apply_to_params(ctx.model.store());
+  return run_loop(ctx, pattern->bits(), [] {}, [] {});
 }
 
 LocalTrainStats train_rounds_masked(fl::ClientContext& ctx,

@@ -14,10 +14,10 @@ struct LocalTrainStats {
   double last_loss = 0.0;
 };
 
-/// Runs V iterations of minibatch SGD. If `pattern` is non-null, the model
-/// trains the sub-model it selects, and gradients and parameters are
-/// re-masked after every step (fixed-pattern federated dropout). Returns
-/// loss statistics.
+/// Runs V iterations of minibatch SGD. If `pattern` is non-null, its dropped
+/// rows are zeroed once and the model trains the sub-model it selects: each
+/// step updates only the kept rows, so the dropped ones stay +0
+/// (fixed-pattern federated dropout). Returns loss statistics.
 LocalTrainStats train_rounds(fl::ClientContext& ctx,
                              const core::DropPattern* pattern);
 

@@ -11,7 +11,15 @@
 
 namespace fedbiad::bayes {
 
-/// Draws theta ~ N(u, s2·I) element-wise. `theta` may alias `u`.
+/// Draws theta ~ N(u, s2·I) element-wise: theta[i] is exactly
+/// float(u[i] + √s2·rng.normal()) for i = 0, 1, … in order, and `rng` ends
+/// in exactly the state that loop leaves (cached deviate included, pending
+/// or stale), so parameters, streams and checkpoints match it byte for
+/// byte. Whole Box–Muller pairs run through the certified vector kernel
+/// (vmath::gaussian_pairs); pairs it cannot prove, a cached deviate pending
+/// on entry and the last one or two coordinates take the libm expression
+/// itself. Under FEDBIAD_PORTABLE it is that loop. `theta` may alias `u`
+/// (the same data); the two must not otherwise overlap.
 void sample_gaussian(std::span<const float> u, double s2, tensor::Rng& rng,
                      std::span<float> theta);
 

@@ -150,11 +150,11 @@ fl::ClientOutcome FedBiadStrategy::run_client(fl::ClientContext& ctx) {
   for (std::size_t v = 0; v < ctx.settings.local_iterations; ++v) {
     const auto batch = ctx.dataset.make_batch(
         data::sample_indices(ctx.shard, ctx.settings.batch_size, ctx.rng));
-    // The client trains the sub-model β selects: dropped rows do no work.
+    // The client trains the sub-model β selects: dropped rows do no work,
+    // and the masked update of U (eq. 7) steps only the kept rows — the
+    // dropped ones stay at the +0 apply_to_params gave them.
     const float loss = ctx.model.train_step(batch, pattern.bits());
-    pattern.apply_to_grads(store);  // eq. 7: masked update of U
-    nn::sgd_step(store, ctx.settings.sgd);
-    pattern.apply_to_params(store);
+    nn::sgd_step(store, ctx.settings.sgd, pattern.bits());
     trend.record(loss);
 
     if (trend.should_evaluate() &&

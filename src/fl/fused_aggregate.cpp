@@ -71,18 +71,21 @@ using V4d = double __attribute__((vector_size(32)));
 // the convertvector form to two half-width converts plus an insert, while
 // this form folds into the single full-width convert-from-memory
 // instruction. Conversion is exact either way, so the contract is safe.
-inline V4d widen4(const float* p) noexcept {
-  return V4d{static_cast<double>(p[0]), static_cast<double>(p[1]),
-             static_cast<double>(p[2]), static_cast<double>(p[3])};
+// The helpers take and hand back vectors by reference: passing a 32-byte
+// vector by value trips GCC's -Wpsabi ABI note on the portable (no-AVX)
+// build, an error under FEDBIAD_WERROR.
+inline void widen4(const float* p, V4d& out) noexcept {
+  out = V4d{static_cast<double>(p[0]), static_cast<double>(p[1]),
+            static_cast<double>(p[2]), static_cast<double>(p[3])};
 }
 
-inline V4d load4d(const double* p) noexcept {
-  V4d v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
+// p[0..4) += v, lane by lane.
+inline void add4d(double* p, const V4d& v) noexcept {
+  V4d acc;
+  std::memcpy(&acc, p, sizeof acc);
+  acc += v;
+  std::memcpy(p, &acc, sizeof acc);
 }
-
-inline void store4d(double* p, V4d v) noexcept { std::memcpy(p, &v, sizeof v); }
 
 }  // namespace
 
@@ -91,9 +94,10 @@ void accumulate_run(double* acc, double* present_weight, const float* values,
   const V4d wv = {weight, weight, weight, weight};
   std::size_t i = 0;
   for (; i + 4 <= len; i += 4) {
-    const V4d v = widen4(values + i);
-    store4d(acc + i, load4d(acc + i) + wv * v);
-    store4d(present_weight + i, load4d(present_weight + i) + wv);
+    V4d v;
+    widen4(values + i, v);
+    add4d(acc + i, wv * v);
+    add4d(present_weight + i, wv);
   }
   if (i < len) {
     ref::accumulate_run(acc + i, present_weight + i, values + i, len - i,
@@ -106,10 +110,11 @@ void merge_param_run(double* acc, double* weight_acc, const float* values,
   const V4d wv = {weight, weight, weight, weight};
   std::size_t i = 0;
   for (; i + 4 <= len; i += 4) {
-    const V4d v = widen4(values + i);
-    const V4d g = widen4(global + i);
-    store4d(acc + i, load4d(acc + i) + wv * (v - g));
-    store4d(weight_acc + i, load4d(weight_acc + i) + wv);
+    V4d v, g;
+    widen4(values + i, v);
+    widen4(global + i, g);
+    add4d(acc + i, wv * (v - g));
+    add4d(weight_acc + i, wv);
   }
   if (i < len) {
     ref::merge_param_run(acc + i, weight_acc + i, values + i, global + i,
@@ -126,7 +131,9 @@ void accumulate_sparse(double* acc, double* present_weight,
   // ascending, so the four destinations of one batch are distinct and the
   // scalar adds land in the same per-coordinate order as ref::.
   for (; c + 4 <= count; c += 4) {
-    const V4d prod = wv * widen4(values + c);
+    V4d v;
+    widen4(values + c, v);
+    const V4d prod = wv * v;
     for (std::size_t t = 0; t < 4; ++t) {
       const std::size_t i = indices[c + t] - base;
       acc[i] += prod[t];
@@ -150,7 +157,9 @@ void merge_param_sparse(double* acc, double* weight_acc,
                    static_cast<double>(global[indices[c + 1]]),
                    static_cast<double>(global[indices[c + 2]]),
                    static_cast<double>(global[indices[c + 3]])};
-    const V4d delta = widen4(values + c) - g;
+    V4d v;
+    widen4(values + c, v);
+    const V4d delta = v - g;
     const V4d prod = wv * delta;
     for (std::size_t t = 0; t < 4; ++t) {
       const std::size_t i = indices[c + t] - base;

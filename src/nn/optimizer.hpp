@@ -6,6 +6,9 @@
 // to approximate L2 regularisation").
 #pragma once
 
+#include <cstdint>
+#include <span>
+
 #include "nn/parameter_store.hpp"
 
 namespace fedbiad::nn {
@@ -18,7 +21,25 @@ struct SgdConfig {
 
 /// Applies one SGD step: params -= lr * (grads + weight_decay * params),
 /// after clipping the global gradient norm if configured.
-/// Returns the pre-clip gradient norm (useful for diagnostics).
-double sgd_step(ParameterStore& store, const SgdConfig& cfg);
+///
+/// `kept` (empty = the whole store) is a dropout pattern's β, one byte per
+/// droppable row: the step then norms and updates only the kept rows of
+/// droppable groups plus every non-droppable group, and never reads or
+/// writes a dropped row. That is bit-identical to zeroing the dropped rows'
+/// gradients, stepping the whole store and zeroing their parameters again,
+/// provided those parameters are +0 on entry — their squared gradients
+/// would add exactly +0 to the norm and the update would leave them at +0.
+///
+/// The clip norm is summed in vector lanes and certified against the serial
+/// left-to-right sum (tensor::squared_norm): the clip scale — hence every
+/// parameter — is always exactly the serial sum's, recomputing that sum in
+/// the rare case the lane sum's error bound cannot decide it.
+///
+/// Returns the pre-clip gradient norm (useful for diagnostics): the lane
+/// norm, within 2(n+16)·2^-53 relative of the serial norm over the n
+/// stepped coordinates, and exactly the serial norm when the recomputation
+/// ran.
+double sgd_step(ParameterStore& store, const SgdConfig& cfg,
+                std::span<const std::uint8_t> kept = {});
 
 }  // namespace fedbiad::nn

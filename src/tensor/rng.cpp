@@ -22,6 +22,24 @@ std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 
+// One xoshiro256** step over the state words s[0..4).
+std::uint64_t xoshiro_next(std::uint64_t* s) {
+  const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
+
+// 53 high bits → uniform double in [0, 1).
+double to_uniform(std::uint64_t x) {
+  return static_cast<double>(x >> 11) * 0x1.0p-53;
+}
+
 }  // namespace
 
 void Rng::reseed(std::uint64_t seed) {
@@ -40,22 +58,9 @@ Rng Rng::split(std::uint64_t stream) const {
   return Rng(splitmix64(mix));
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
+std::uint64_t Rng::next_u64() { return xoshiro_next(s_); }
 
-double Rng::uniform() {
-  // 53 high bits → uniform double in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
+double Rng::uniform() { return to_uniform(next_u64()); }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
@@ -76,11 +81,30 @@ double Rng::normal() {
   double u1 = uniform();
   while (u1 <= 0.0) u1 = uniform();
   const double u2 = uniform();
+  const auto [z_cos, z_sin] = box_muller(u1, u2);
+  cached_normal_ = z_sin;
+  has_cached_normal_ = true;
+  return z_cos;
+}
+
+std::pair<double, double> Rng::box_muller(double u1, double u2) {
   const double r = std::sqrt(-2.0 * std::log(u1));
   const double theta = 2.0 * std::numbers::pi * u2;
-  cached_normal_ = r * std::sin(theta);
-  has_cached_normal_ = true;
-  return r * std::cos(theta);
+  return {r * std::cos(theta), r * std::sin(theta)};
+}
+
+void Rng::box_muller_uniforms(double* u1, double* u2, std::size_t pairs) {
+  FEDBIAD_CHECK(!has_cached_normal_,
+                "box_muller_uniforms needs no pending cached deviate");
+  // The state lives in locals for the batch so the step stays in registers.
+  std::uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+  for (std::size_t p = 0; p < pairs; ++p) {
+    double a = to_uniform(xoshiro_next(s));
+    while (a <= 0.0) a = to_uniform(xoshiro_next(s));
+    u1[p] = a;
+    u2[p] = to_uniform(xoshiro_next(s));
+  }
+  for (int i = 0; i < 4; ++i) s_[i] = s[i];
 }
 
 double Rng::normal(double mean, double stddev) {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace fedbiad::tensor {
@@ -50,6 +51,26 @@ class Rng {
 
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
+
+  /// True when the next normal() returns the cached second deviate of the
+  /// last Box–Muller pair instead of drawing a new pair.
+  [[nodiscard]] bool has_cached_normal() const noexcept {
+    return has_cached_normal_;
+  }
+
+  /// The Box–Muller transform normal() applies to one uniform pair, in libm
+  /// double precision: with r = √(−2·log u1) and t = 2π·u2 it returns
+  /// {r·cos t, r·sin t} — normal()'s deviate and the one it caches.
+  [[nodiscard]] static std::pair<double, double> box_muller(double u1,
+                                                            double u2);
+
+  /// Draws the uniforms of `pairs` Box–Muller pairs into u1[0..pairs) and
+  /// u2[0..pairs), consuming the stream exactly as 2·pairs normal() calls
+  /// would (including the u1 ≤ 0 rejection), so feeding them through
+  /// box_muller() reproduces those calls' deviates in order. Precondition:
+  /// no cached deviate is pending (has_cached_normal() is false); the call
+  /// leaves none pending and does not touch the stale cached value.
+  void box_muller_uniforms(double* u1, double* u2, std::size_t pairs);
 
   /// Bernoulli draw with success probability `p`.
   bool bernoulli(double p);

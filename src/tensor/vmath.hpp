@@ -25,13 +25,14 @@
 //     two orders differ by O(n·eps) — golden traces pin the end-to-end
 //     effect at 1e-6 relative tolerance across build variants.
 //
-// FEDBIAD_PORTABLE=ON compiles this TU without -march *and* with the
-// FEDBIAD_PORTABLE macro, which routes every public kernel through the
-// scalar ref:: path — the portable CI job therefore exercises the scalar
+// FEDBIAD_PORTABLE=ON compiles the library without -march *and* with the
+// FEDBIAD_PORTABLE macro, which routes every public kernel through its
+// scalar path — the portable CI job therefore exercises the scalar
 // fallback end-to-end, goldens included.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace fedbiad::tensor::vmath {
 
@@ -54,7 +55,12 @@ void relu_backward(std::size_t n, const float* pre, float* g);
 void axpy(std::size_t n, float alpha, const float* x, float* y);
 
 /// Fused SGD step: p[i] -= lr * (scale * g[i] + wd * p[i]), evaluated in
-/// exactly that association so vector and scalar builds round identically.
+/// exactly that association. Within one build the vector body and the
+/// scalar tail round identically, so splitting one call into several
+/// (chunked) calls gives the same bits — nn::sgd_step's kept-row runs rely
+/// on this. On GCC 12 the x86-64-v3 build contracts both to mul + fma +
+/// fnma; the FEDBIAD_PORTABLE build does not contract, so the two builds do
+/// NOT round identically to each other.
 void sgd_axpy(std::size_t n, float* p, const float* g, float lr, float scale,
               float wd);
 
@@ -78,6 +84,38 @@ float softmax_xent_row(std::size_t n, const float* z, float* g, float scale);
 /// Reduction-only variant for evaluation: returns logsumexp(z).
 float logsumexp(std::size_t n, const float* z);
 
+// ---- certified double-lane kernels (tensor/vmath_certified.cpp) ----------
+//
+// These do not reproduce the rounding of the code they replace; each one
+// computes a fast result with a rigorous error bound and keeps it only where
+// the bound provably cannot change the rounded answer, handing the rest
+// back to the exact code (docs/ARCHITECTURE.md "Certified kernels").
+
+/// Certified Box–Muller posterior draw over `pairs` uniform pairs. Pair p's
+/// exact result is the libm expression (Rng::box_muller, then the draw):
+///   (zc, zs)   = Rng::box_muller(u1[p], u2[p])
+///   y[2p]      = float(double(x[2p])   + sd·zc)
+///   y[2p+1]    = float(double(x[2p+1]) + sd·zs)
+/// evaluated in double without FMA contraction. For every pair whose two
+/// results are proven equal to that expression, writes y[2p] and y[2p+1].
+/// Every other pair is handed back: its index is appended to `handed_back`
+/// (room for `pairs` entries) and y[2p..2p+2) is left untouched, so the
+/// caller can recompute it from x even when y aliases x. Returns the number
+/// of pairs handed back. Preconditions: sd ≥ 0; u1[p] ∈ (0, 1),
+/// u2[p] ∈ [0, 1) (what Rng::box_muller_uniforms draws); y == x or the two
+/// do not overlap.
+std::size_t gaussian_pairs(std::size_t pairs, const double* u1,
+                           const double* u2, const float* x, double sd,
+                           float* y, std::uint32_t* handed_back);
+
+/// Σ double(x[i])² accumulated in 4×4 double lanes (4×2 on 128-bit
+/// targets). Every square is exact, so for n terms the result S bounds the
+/// serial left-to-right sum S_ser (tensor::squared_norm) by
+///   |S_ser − S| ≤ 4(n + 16)·2^-53·S;
+/// callers combining several calls serially stay inside the same bound
+/// with n the total count. Not bit-equal to the serial sum.
+double sum_squares(std::size_t n, const float* x);
+
 namespace ref {
 
 /// Scalar golden kernels with identical contracts: the same polynomial
@@ -95,6 +133,8 @@ void lstm_cell(std::size_t h, float* g4, const float* c_prev, float* c,
                float* tanh_c, float* h_out);
 float softmax_xent_row(std::size_t n, const float* z, float* g, float scale);
 float logsumexp(std::size_t n, const float* z);
+/// The serial left-to-right sum (bit-equal to tensor::squared_norm).
+double sum_squares(std::size_t n, const float* x);
 
 }  // namespace ref
 

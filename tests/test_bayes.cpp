@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <span>
+#include <vector>
 
 #include "bayes/spike_slab.hpp"
 #include "bayes/theory.hpp"
 #include "common/check.hpp"
 #include "tensor/rng.hpp"
+#include "tensor/vmath.hpp"
 
 namespace fedbiad::bayes {
 namespace {
@@ -160,6 +166,123 @@ TEST(SpikeSlab, SampleGaussianAllowsAliasing) {
   std::vector<float> u{5.0F, 5.0F};
   sample_gaussian(u, 1e-6, rng, u);
   EXPECT_NEAR(u[0], 5.0F, 0.01F);
+}
+
+/// The posterior draw as a plain libm loop: the oracle the certified
+/// sampler must match bit for bit, parameters and stream state alike.
+void libm_draw(std::span<const float> u, double s2, tensor::Rng& rng,
+               std::span<float> theta) {
+  const double sd = std::sqrt(s2);
+  for (std::size_t i = 0; i < u.size(); ++i) {
+    theta[i] = static_cast<float>(u[i] + sd * rng.normal());
+  }
+}
+
+/// Small weights with a special value every seventh coordinate: ±0,
+/// denormals, huge magnitudes and a NaN.
+std::vector<float> draw_inputs(std::size_t n, tensor::Rng& rng) {
+  const float specials[] = {0.0F,
+                            -0.0F,
+                            std::numeric_limits<float>::denorm_min(),
+                            -3.0e-39F,
+                            std::numeric_limits<float>::max(),
+                            -std::numeric_limits<float>::max(),
+                            1.0e30F,
+                            -2.5e20F,
+                            std::numeric_limits<float>::quiet_NaN()};
+  std::vector<float> u(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    u[i] = i % 7 == 3 ? specials[(i / 7) % std::size(specials)]
+                      : static_cast<float>(rng.uniform(-0.1, 0.1));
+  }
+  return u;
+}
+
+void expect_same_state(const tensor::Rng& got, const tensor::Rng& want) {
+  const tensor::Rng::State a = got.state();
+  const tensor::Rng::State b = want.state();
+  EXPECT_EQ(std::memcmp(a.s, b.s, sizeof(a.s)), 0);
+  EXPECT_EQ(std::memcmp(&a.cached_normal, &b.cached_normal, sizeof(double)),
+            0);
+  EXPECT_EQ(a.has_cached_normal, b.has_cached_normal);
+}
+
+TEST(SpikeSlab, CertifiedDrawMatchesLibmLoop) {
+  tensor::Rng gen(83);
+  for (const double sd : {0.0, 1e-18, 1.8e-10, 1e-3, 0.3, 50.0}) {
+    for (const std::size_t n : {0, 1, 2, 3, 7, 4097, 101770}) {
+      const std::vector<float> u = draw_inputs(n, gen);
+      for (const bool cached : {false, true}) {
+        for (const bool aliased : {false, true}) {
+          SCOPED_TRACE(testing::Message() << "sd=" << sd << " n=" << n
+                                          << " cached=" << cached
+                                          << " aliased=" << aliased);
+          tensor::Rng want_rng(1000 + n);
+          if (cached) (void)want_rng.normal();
+          tensor::Rng got_rng = want_rng;
+          std::vector<float> want(n);
+          libm_draw(u, sd * sd, want_rng, want);
+          std::vector<float> got(n);
+          if (aliased) {
+            got = u;
+            sample_gaussian(got, sd * sd, got_rng, got);
+          } else {
+            sample_gaussian(u, sd * sd, got_rng, got);
+          }
+          EXPECT_TRUE(n == 0 || std::memcmp(got.data(), want.data(),
+                                            n * sizeof(float)) == 0);
+          expect_same_state(got_rng, want_rng);
+        }
+      }
+    }
+  }
+}
+
+TEST(SpikeSlab, CertifiedKernelHandsBackUndecidablePairs) {
+  // At s̃ = 0.3 a draw of 101,770 weights puts some outputs within the
+  // kernel's error bound of a float rounding boundary: those pairs must be
+  // handed back untouched, and every other pair must equal the libm value.
+  constexpr std::size_t kPairs = 101770 / 2;
+  constexpr double kSd = 0.3;
+  tensor::Rng rng(89);
+  std::vector<float> x(2 * kPairs);
+  for (float& v : x) v = static_cast<float>(rng.uniform(-0.1, 0.1));
+  std::vector<double> u1(kPairs), u2(kPairs);
+  rng.box_muller_uniforms(u1.data(), u2.data(), kPairs);
+  const float kUntouched = -7.0F;
+  std::vector<float> y(2 * kPairs, kUntouched);
+  std::vector<std::uint32_t> handed_back(kPairs);
+  const std::size_t handed = tensor::vmath::gaussian_pairs(
+      kPairs, u1.data(), u2.data(), x.data(), kSd, y.data(),
+      handed_back.data());
+  EXPECT_GT(handed, 0u);
+  EXPECT_LT(handed, kPairs / 100);
+  std::vector<bool> back(kPairs, false);
+  for (std::size_t k = 0; k < handed; ++k) back[handed_back[k]] = true;
+  for (std::size_t p = 0; p < kPairs; ++p) {
+    const auto [z_cos, z_sin] = tensor::Rng::box_muller(u1[p], u2[p]);
+    const float yc = static_cast<float>(x[2 * p] + kSd * z_cos);
+    const float ys = static_cast<float>(x[2 * p + 1] + kSd * z_sin);
+    const float want_c = back[p] ? kUntouched : yc;
+    const float want_s = back[p] ? kUntouched : ys;
+    ASSERT_EQ(std::memcmp(&y[2 * p], &want_c, sizeof(float)), 0) << p;
+    ASSERT_EQ(std::memcmp(&y[2 * p + 1], &want_s, sizeof(float)), 0) << p;
+  }
+}
+
+TEST(SpikeSlab, BoxMullerUniformsReplayNormal) {
+  tensor::Rng a(97);
+  tensor::Rng b = a;
+  std::vector<double> u1(33), u2(33);
+  a.box_muller_uniforms(u1.data(), u2.data(), u1.size());
+  for (std::size_t p = 0; p < u1.size(); ++p) {
+    const auto [z_cos, z_sin] = tensor::Rng::box_muller(u1[p], u2[p]);
+    EXPECT_EQ(z_cos, b.normal());
+    EXPECT_EQ(z_sin, b.normal());
+  }
+  EXPECT_EQ(a.next_u64(), b.next_u64());
+  (void)a.normal();
+  EXPECT_THROW(a.box_muller_uniforms(u1.data(), u2.data(), 1), CheckError);
 }
 
 TEST(SpikeSlab, KlBehavesLikeL2) {

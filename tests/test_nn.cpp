@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "nn/optimizer.hpp"
 #include "nn/rnn.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/vmath.hpp"
 
 namespace fedbiad::nn {
 namespace {
@@ -474,6 +476,136 @@ TEST(Optimizer, ClipNormLimitsStep) {
   EXPECT_DOUBLE_EQ(norm, 5.0);
   EXPECT_NEAR(store.params()[0], -3.0F / 5.0F, 1e-6);
   EXPECT_NEAR(store.params()[1], -4.0F / 5.0F, 1e-6);
+}
+
+/// sgd_step as a serial formula: the left-to-right squared norm, its clip
+/// scale, one sgd_axpy over everything.
+void serial_sgd_step(std::span<float> params, std::span<const float> grads,
+                     const SgdConfig& cfg) {
+  const double norm = std::sqrt(tensor::squared_norm(grads));
+  float scale = 1.0F;
+  if (cfg.clip_norm > 0.0F && norm > cfg.clip_norm) {
+    scale = static_cast<float>(cfg.clip_norm / norm);
+  }
+  tensor::vmath::sgd_axpy(params.size(), params.data(), grads.data(), cfg.lr,
+                          scale, cfg.weight_decay);
+}
+
+float clip_scale_at(double sum_sq, float clip) {
+  const double norm = std::sqrt(sum_sq);
+  return norm > clip ? static_cast<float>(clip / norm) : 1.0F;
+}
+
+/// Fills `grads` with noise worth about half of `target` plus three trailing
+/// coordinates that bring the serial Σg² to within a few ulp of `target`.
+void tune_squared_norm(std::span<float> grads, double target, Rng& rng) {
+  const double amp =
+      std::sqrt(1.5 * target / static_cast<double>(grads.size() - 3));
+  double serial = 0.0;
+  for (std::size_t i = 0; i + 3 < grads.size(); ++i) {
+    grads[i] = static_cast<float>(rng.uniform(-amp, amp));
+    serial += static_cast<double>(grads[i]) * grads[i];
+  }
+  for (std::size_t i = grads.size() - 3; i < grads.size(); ++i) {
+    const double gap = target - serial;
+    float g = gap > 0.0 ? static_cast<float>(std::sqrt(gap)) : 0.0F;
+    if (static_cast<double>(g) * g > gap) g = std::nextafter(g, 0.0F);
+    grads[i] = g;
+    serial += static_cast<double>(g) * g;
+  }
+}
+
+TEST(Optimizer, CertifiedClipMatchesSerialNorm) {
+  // Each tie case tunes the gradient so that clip/norm lands on the
+  // midpoint between two floats (for the float below 1.0 that also puts
+  // the norm within an ulp of clip_norm), and so that the lane sum and the
+  // serial sum round to different scales: only the recomputed serial sum
+  // gives the right step. The last case puts the norm exactly on clip_norm.
+  constexpr std::size_t kSize = 1003;
+  const float clip = 1.5F;
+  const auto midpoint = [](float f) {
+    return (static_cast<double>(f) +
+            static_cast<double>(std::nextafter(f, 2.0F))) / 2.0;
+  };
+  const double ratios[] = {midpoint(std::nextafter(1.0F, 0.0F)),
+                           midpoint(0.3F), midpoint(0.61803395F), 1.0};
+  Rng rng(331);
+  for (const double ratio : ratios) {
+    SCOPED_TRACE(testing::Message() << "clip/norm=" << ratio);
+    ParameterStore store;
+    store.add_group("w", GroupKind::kDense, 1, kSize, false);
+    store.finalize();
+    auto grads = store.grads();
+    const double target = (clip / ratio) * (clip / ratio);
+    if (ratio == 1.0) {
+      tune_squared_norm(grads, target, rng);
+    } else {
+      bool split = false;
+      bool lanes_differ = false;
+      double lanes = 0.0;
+      for (int attempt = 0; attempt < 64 && !split; ++attempt) {
+        // Nudge the target by a few ulp either way so the serial sum lands
+        // on both sides of the tie across attempts.
+        const double nudge = static_cast<double>(attempt % 9 - 4) * 0x1p-52;
+        tune_squared_norm(grads, target * (1.0 + nudge), rng);
+        lanes = tensor::vmath::sum_squares(kSize, grads.data());
+        const double serial = tensor::squared_norm(grads);
+        lanes_differ = lanes_differ || lanes != serial;
+        split = clip_scale_at(lanes, clip) != clip_scale_at(serial, clip);
+      }
+      // A build whose lane sum is the serial sum (FEDBIAD_PORTABLE) cannot
+      // split the scales; any other must, within 64 attempts.
+      if (lanes_differ) ASSERT_TRUE(split) << "no gradient split the scales";
+      // Either way the lane sum's error bound cannot decide the scale.
+      const double slack = 4.0 * (kSize + 16) * 0x1p-53;
+      ASSERT_NE(clip_scale_at(lanes * (1.0 - slack), clip),
+                clip_scale_at(lanes * (1.0 + slack), clip));
+    }
+    for (float& p : store.params()) {
+      p = static_cast<float>(rng.uniform(-1, 1));
+    }
+    const SgdConfig cfg{.lr = 0.2F, .weight_decay = 1e-2F, .clip_norm = clip};
+    std::vector<float> want(store.params().begin(), store.params().end());
+    serial_sgd_step(want, grads, cfg);
+    const double norm = sgd_step(store, cfg);
+    EXPECT_EQ(std::memcmp(store.params().data(), want.data(),
+                          want.size() * sizeof(float)),
+              0);
+    if (ratio != 1.0) {
+      EXPECT_EQ(norm, std::sqrt(tensor::squared_norm(grads)));
+    }
+  }
+}
+
+TEST(Optimizer, KeptRowsStepCoversNonDroppableGroups) {
+  // Droppable and non-droppable groups interleaved: the kept-rows step must
+  // update every non-droppable coordinate, as the masked full step does.
+  ParameterStore masked;
+  masked.add_group("a", GroupKind::kDense, 4, 5, true);
+  masked.add_group("b", GroupKind::kDense, 3, 2, false);
+  masked.add_group("c", GroupKind::kRecurrentUnit, 6, 7, true);
+  masked.add_group("d", GroupKind::kEmbedding, 1, 3, false);
+  masked.finalize();
+  Rng rng(337);
+  core::DropPattern pattern(masked.droppable_rows());
+  for (std::size_t j = 0; j < pattern.rows(); ++j) {
+    pattern.set(j, rng.bernoulli(0.5));
+  }
+  for (float& p : masked.params()) p = static_cast<float>(rng.uniform(-1, 1));
+  pattern.apply_to_params(masked);
+  ParameterStore kept = masked;
+  for (const float clip : {0.0F, 0.5F}) {
+    const SgdConfig cfg{.lr = 0.3F, .weight_decay = 1e-2F, .clip_norm = clip};
+    for (float& g : kept.grads()) g = static_cast<float>(rng.uniform(-1, 1));
+    tensor::copy(kept.grads(), masked.grads());
+    pattern.apply_to_grads(masked);
+    (void)sgd_step(masked, cfg);
+    pattern.apply_to_params(masked);
+    (void)sgd_step(kept, cfg, pattern.bits());
+    EXPECT_EQ(std::memcmp(kept.params().data(), masked.params().data(),
+                          masked.size() * sizeof(float)),
+              0);
+  }
 }
 
 data::Batch toy_image_batch(Rng& rng, std::size_t n, std::size_t dim,
@@ -953,6 +1085,63 @@ void expect_sub_model_steps_match(const Config& cfg,
     pattern.apply_to_params(sub.store());
     expect_same_bits(sub.store().params(), full.store().params(), "params");
   }
+}
+
+/// Three sub-model steps on two copies of `Model`: one masks the whole
+/// store around a full sgd_step (zero dropped grads, step, zero dropped
+/// params), the other steps only the kept rows. Params must agree bit for
+/// bit, with weight decay on and clipping both active and inactive.
+template <typename Model, typename Config>
+void expect_kept_rows_sgd_matches_masked(const Config& cfg,
+                                         const data::Batch& batch, int mode,
+                                         Rng& rng) {
+  Model masked(cfg);
+  Model kept(cfg);
+  masked.init_params(rng);
+  const ParameterStore& store = masked.store();
+  std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> masks;
+  for (std::size_t g = 0; g < store.groups().size(); ++g) {
+    if (!store.group(g).droppable) continue;
+    masks.emplace_back(g, kept_mask(store.group(g).rows, mode, rng));
+  }
+  const auto pattern = pattern_of(store, masks);
+  pattern.apply_to_params(masked.store());
+  tensor::copy(masked.store().params(), kept.store().params());
+  for (const float clip : {0.0F, 1e-3F, 1.0F}) {
+    const SgdConfig sgd{.lr = 0.3F, .weight_decay = 1e-2F, .clip_norm = clip};
+    for (int step = 0; step < 3; ++step) {
+      (void)masked.train_step(batch, pattern.bits());
+      (void)kept.train_step(batch, pattern.bits());
+      pattern.apply_to_grads(masked.store());
+      const double norm_masked = sgd_step(masked.store(), sgd);
+      pattern.apply_to_params(masked.store());
+      const double norm_kept = sgd_step(kept.store(), sgd, pattern.bits());
+      EXPECT_NEAR(norm_kept, norm_masked, 1e-12 * norm_masked);
+      expect_same_bits(kept.store().params(), masked.store().params(),
+                       "kept-rows params");
+    }
+  }
+}
+
+TEST_P(SubModel, SgdOverKeptRowsMatchesMaskedStep) {
+  const auto [H, mode, batch_size] = GetParam();
+  Rng rng(309);
+  const auto image_batch = toy_image_batch(rng, batch_size, 12, 5);
+  expect_kept_rows_sgd_matches_masked<MlpModel>(
+      MlpConfig{.input = 12, .hidden = H, .classes = 5}, image_batch, mode,
+      rng);
+  data::Batch text_batch;
+  text_batch.batch = batch_size;
+  text_batch.seq = 5;
+  for (std::size_t i = 0; i < batch_size * text_batch.seq; ++i) {
+    text_batch.tokens.push_back(
+        static_cast<std::int32_t>(rng.uniform_index(23)));
+    text_batch.targets.push_back(
+        static_cast<std::int32_t>(rng.uniform_index(23)));
+  }
+  expect_kept_rows_sgd_matches_masked<LstmLmModel>(
+      LstmLmConfig{.vocab = 23, .embed = 6, .hidden = H, .layers = 2},
+      text_batch, mode, rng);
 }
 
 TEST_P(SubModel, MlpTrainStepMatchesMaskedFullStep) {

@@ -7,12 +7,15 @@
 //  - the documented saturation behaviour on denormal / overflow / ±inf
 //    inputs (see the accuracy contract in vmath.hpp);
 //  - fused composites (lstm_cell, softmax_xent_row, sgd_axpy) against
-//    compositions of the primitive refs.
+//    compositions of the primitive refs;
+//  - the certified sum of squares against its serial-sum bound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -179,6 +182,47 @@ TEST(VmathFused, AxpyAndSgdMatchRef) {
       EXPECT_LE(ulp_distance(y[i], y2[i]), 1) << "axpy n=" << n;
       EXPECT_LE(ulp_distance(p[i], p2[i]), 1) << "sgd n=" << n;
     }
+  }
+}
+
+TEST(Vmath, SgdAxpyChunkingIsBitIdentical) {
+  // The vector body and the scalar tail round alike, so one call and any
+  // split of it into consecutive calls give the same bits — what
+  // nn::sgd_step's kept-row runs rely on.
+  tensor::Rng rng(73);
+  const std::size_t n = 1031;
+  std::vector<float> p(n), g(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    p[i] = static_cast<float>(rng.uniform(-2, 2));
+    g[i] = static_cast<float>(rng.uniform(-2, 2));
+  }
+  std::vector<float> whole = p;
+  vm::sgd_axpy(n, whole.data(), g.data(), 0.3F, 0.77F, 0.01F);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<float> chunked = p;
+    for (std::size_t b = 0; b < n;) {
+      const std::size_t len = std::min<std::size_t>(n - b,
+                                                    rng.uniform_index(40));
+      vm::sgd_axpy(len, chunked.data() + b, g.data() + b, 0.3F, 0.77F, 0.01F);
+      b += len;
+    }
+    ASSERT_EQ(std::memcmp(chunked.data(), whole.data(), n * sizeof(float)), 0)
+        << "trial " << trial;
+  }
+}
+
+TEST(Vmath, SumSquaresBoundsTheSerialSum) {
+  tensor::Rng rng(79);
+  for (const std::size_t n : {0, 1, 15, 16, 17, 100, 4099, 101770}) {
+    std::vector<float> x(n);
+    for (float& v : x) v = static_cast<float>(rng.uniform(-1e3, 1e3));
+    double serial = 0.0;
+    for (const float v : x) serial += static_cast<double>(v) * v;
+    const double ref = vm::ref::sum_squares(n, x.data());
+    EXPECT_EQ(std::memcmp(&ref, &serial, sizeof(double)), 0) << "n=" << n;
+    const double lanes = vm::sum_squares(n, x.data());
+    const double slack = 4.0 * static_cast<double>(n + 16) * 0x1p-53;
+    EXPECT_LE(std::fabs(serial - lanes), slack * lanes) << "n=" << n;
   }
 }
 
