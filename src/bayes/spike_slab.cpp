@@ -27,9 +27,6 @@ void sample_gaussian(std::span<const float> u, double s2, tensor::Rng& rng,
   FEDBIAD_CHECK(s2 >= 0.0, "variance must be non-negative");
   const double sd = std::sqrt(s2);
   const std::size_t n = u.size();
-#if defined(FEDBIAD_PORTABLE)
-  for (std::size_t i = 0; i < n; ++i) theta[i] = draw(u[i], sd, rng.normal());
-#else
   std::size_t i = 0;
   // A pending cached deviate belongs to the first coordinate.
   if (n > 0 && rng.has_cached_normal()) {
@@ -58,7 +55,6 @@ void sample_gaussian(std::span<const float> u, double s2, tensor::Rng& rng,
     i += 2 * pairs;
   }
   for (; i < n; ++i) theta[i] = draw(u[i], sd, rng.normal());
-#endif
 }
 
 double gaussian_kl(std::span<const float> u, double s2, double prior_var) {

@@ -18,8 +18,9 @@ namespace fedbiad::bayes {
 /// byte. Whole Box–Muller pairs run through the certified vector kernel
 /// (vmath::gaussian_pairs); pairs it cannot prove, a cached deviate pending
 /// on entry and the last one or two coordinates take the libm expression
-/// itself. Under FEDBIAD_PORTABLE it is that loop. `theta` may alias `u`
-/// (the same data); the two must not otherwise overlap.
+/// itself. The FEDBIAD_PORTABLE build runs the same path with the kernel's
+/// scalar body. `theta` may alias `u` (the same data); the two must not
+/// otherwise overlap.
 void sample_gaussian(std::span<const float> u, double s2, tensor::Rng& rng,
                      std::span<float> theta);
 

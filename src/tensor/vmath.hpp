@@ -25,10 +25,10 @@
 //     two orders differ by O(n·eps) — golden traces pin the end-to-end
 //     effect at 1e-6 relative tolerance across build variants.
 //
-// FEDBIAD_PORTABLE=ON compiles the library without -march *and* with the
-// FEDBIAD_PORTABLE macro, which routes every public kernel through its
-// scalar path — the portable CI job therefore exercises the scalar
-// fallback end-to-end, goldens included.
+// FEDBIAD_PORTABLE=ON compiles the library without -march *and* the vmath
+// TUs with the FEDBIAD_PORTABLE macro, which routes every public kernel
+// through its scalar path — the portable CI job therefore exercises the
+// scalar fallback end-to-end, goldens included.
 #pragma once
 
 #include <cstddef>
@@ -133,8 +133,6 @@ void lstm_cell(std::size_t h, float* g4, const float* c_prev, float* c,
                float* tanh_c, float* h_out);
 float softmax_xent_row(std::size_t n, const float* z, float* g, float scale);
 float logsumexp(std::size_t n, const float* z);
-/// The serial left-to-right sum (bit-equal to tensor::squared_norm).
-double sum_squares(std::size_t n, const float* x);
 
 }  // namespace ref
 

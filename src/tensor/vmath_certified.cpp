@@ -309,20 +309,6 @@ inline vfp certify(vd x, vd z, vd delta, double sd, vip& ok) {
 
 }  // namespace
 
-// ---- scalar reference kernel ------------------------------------------------
-
-namespace ref {
-
-double sum_squares(std::size_t n, const float* x) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += static_cast<double>(x[i]) * static_cast<double>(x[i]);
-  }
-  return acc;
-}
-
-}  // namespace ref
-
 // ---- vector kernels ---------------------------------------------------------
 
 #if defined(FEDBIAD_VMATH_VECTOR)
@@ -387,8 +373,13 @@ std::size_t gaussian_pairs(std::size_t pairs, const double* u1,
   return scalar_pairs(0, pairs, u1, u2, x, sd, y, handed_back, 0);
 }
 
+// The serial left-to-right sum, bit-equal to tensor::squared_norm.
 double sum_squares(std::size_t n, const float* x) {
-  return ref::sum_squares(n, x);
+  double acc = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    acc += static_cast<double>(x[i]) * static_cast<double>(x[i]);
+  }
+  return acc;
 }
 
 #endif

@@ -218,8 +218,6 @@ TEST(Vmath, SumSquaresBoundsTheSerialSum) {
     for (float& v : x) v = static_cast<float>(rng.uniform(-1e3, 1e3));
     double serial = 0.0;
     for (const float v : x) serial += static_cast<double>(v) * v;
-    const double ref = vm::ref::sum_squares(n, x.data());
-    EXPECT_EQ(std::memcmp(&ref, &serial, sizeof(double)), 0) << "n=" << n;
     const double lanes = vm::sum_squares(n, x.data());
     const double slack = 4.0 * static_cast<double>(n + 16) * 0x1p-53;
     EXPECT_LE(std::fabs(serial - lanes), slack * lanes) << "n=" << n;
