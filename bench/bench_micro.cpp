@@ -29,6 +29,8 @@
 #include "nn/mlp_model.hpp"
 #include "nn/optimizer.hpp"
 #include "tensor/ops.hpp"
+#include "transport/frame.hpp"
+#include "transport/protocol.hpp"
 #include "transport/ring_buffer.hpp"
 #include "transport/transport.hpp"
 #include "wire/crc32c.hpp"
@@ -513,6 +515,83 @@ void BM_RingBufferWrite(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_RingBufferWrite)->Arg(407093);
+
+// One Dispatch framed the way the server sends it: the head (five u64
+// fields and the varint length) encoded per dispatch, the broadcast's
+// CRC32C cached per model version, and header, head, broadcast and trailer
+// written into a 4 MiB send ring, then drained. The argument is the
+// broadcast size (407,084 B is the MNIST MLP's, 101,770 floats); 0 times
+// the framing alone. Items = wire bytes.
+void BM_FrameDispatch(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  tensor::Rng rng(19);
+  std::vector<std::uint8_t> broadcast(n);
+  for (auto& b : broadcast) {
+    b = static_cast<std::uint8_t>(rng.uniform_index(256));
+  }
+  const std::uint32_t broadcast_crc = wire::crc32c(broadcast);
+  transport::DispatchMsg msg{.dispatch_index = 1,
+                             .round = 1,
+                             .slot = 0,
+                             .model_version = 0,
+                             .rng_stream = 1,
+                             .broadcast = {}};
+  transport::RingBuffer ring(transport::TransportLimits{}.send_buffer_bytes);
+  std::size_t wire = 0;
+  for (auto _ : state) {
+    ++msg.dispatch_index;
+    const auto head = transport::encode_dispatch_head(msg, n);
+    const auto env = transport::frame_envelope(
+        transport::FrameType::kDispatch, head, n, broadcast_crc);
+    ring.write(env.header);
+    ring.write(head);
+    ring.write(broadcast);
+    ring.write(env.trailer);
+    benchmark::ClobberMemory();
+    wire = ring.size();
+    ring.consume(wire);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(wire));
+}
+BENCHMARK(BM_FrameDispatch)->Arg(0)->Arg(407084);
+
+// The receiving side of that frame: fed in 64 KiB pieces as the TCP
+// backends receive it, CRC-verified, and handed out as a FrameBody that
+// takes over the parser's buffer. Items = wire bytes.
+void BM_FrameParse(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  tensor::Rng rng(23);
+  transport::DispatchMsg msg{.dispatch_index = 1,
+                             .round = 1,
+                             .slot = 0,
+                             .model_version = 0,
+                             .rng_stream = 1,
+                             .broadcast = std::vector<std::uint8_t>(n)};
+  for (auto& b : msg.broadcast) {
+    b = static_cast<std::uint8_t>(rng.uniform_index(256));
+  }
+  std::vector<std::uint8_t> wire;
+  transport::append_frame(wire, transport::FrameType::kDispatch,
+                          transport::encode(msg));
+  const std::span<const std::uint8_t> bytes(wire);
+  constexpr std::size_t kChunk = 64 * 1024;
+  transport::FrameParser parser(transport::TransportLimits{}.max_frame_bytes);
+  transport::Frame frame;
+  for (auto _ : state) {
+    for (std::size_t at = 0; at < bytes.size(); at += kChunk) {
+      parser.feed(bytes.subspan(at, std::min(kChunk, bytes.size() - at)));
+    }
+    if (parser.next(frame) != transport::FrameParser::Status::kFrame) {
+      state.SkipWithError("frame did not parse");
+      break;
+    }
+    benchmark::DoNotOptimize(frame.body.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(wire.size()));
+}
+BENCHMARK(BM_FrameParse)->Arg(407084);
 
 // Console output plus collection of every run for the FEDBIAD_JSON emitter.
 class MicroJsonReporter : public benchmark::ConsoleReporter {

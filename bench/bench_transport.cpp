@@ -131,7 +131,7 @@ struct EchoServer final : fedbiad::transport::ServerTransport::Handler {
   }
 
   std::unordered_map<fedbiad::transport::SessionId,
-                     std::vector<std::vector<std::uint8_t>>>
+                     std::vector<fedbiad::transport::FrameBody>>
       parked;
 };
 

@@ -210,10 +210,17 @@ void EpollServerTransport::conn_writable(SessionId session) { flush(session); }
 
 bool EpollServerTransport::send(SessionId session, FrameType type,
                                 std::span<const std::uint8_t> body) {
+  return send(session, type, body, {}, 0);
+}
+
+bool EpollServerTransport::send(SessionId session, FrameType type,
+                                std::span<const std::uint8_t> head,
+                                std::span<const std::uint8_t> tail,
+                                std::uint32_t tail_crc) {
   auto it = conns_.find(session);
   if (it == conns_.end()) return false;
   Conn& c = *it->second;
-  const std::size_t wire_size = frame_wire_size(body.size());
+  const std::size_t wire_size = frame_wire_size(head.size() + tail.size());
   FEDBIAD_CHECK(wire_size <= c.out.capacity(),
                 "frame exceeds the session send-ring capacity");
   // Refuse before framing: a full ring costs no copy and no CRC, however
@@ -222,9 +229,9 @@ bool EpollServerTransport::send(SessionId session, FrameType type,
     c.refused = true;  // backpressure: on_drain fires once the ring empties
     return false;
   }
-  std::vector<std::uint8_t> wire;
-  append_frame(wire, type, body);
-  const bool queued = c.out.write(wire);
+  const FrameEnvelope env = frame_envelope(type, head, tail.size(), tail_crc);
+  const bool queued = c.out.write(env.header) && c.out.write(head) &&
+                      c.out.write(tail) && c.out.write(env.trailer);
   FEDBIAD_CHECK(queued, "send ring refused a frame that fits");
   return flush(session);
 }

@@ -49,6 +49,12 @@ class EpollServerTransport final : public ServerTransport {
   }
   [[nodiscard]] bool send(SessionId session, FrameType type,
                           std::span<const std::uint8_t> body) override;
+  /// Writes header, head, tail and trailer straight into the send ring:
+  /// one copy of the body, and a CRC over the head only.
+  [[nodiscard]] bool send(SessionId session, FrameType type,
+                          std::span<const std::uint8_t> head,
+                          std::span<const std::uint8_t> tail,
+                          std::uint32_t tail_crc) override;
   [[nodiscard]] std::size_t send_space(SessionId session) const override;
   void close(SessionId session, const std::string& reason) override;
   void step(double max_wait_seconds) override;

@@ -1,6 +1,6 @@
 #include "transport/frame.hpp"
 
-#include <cstring>
+#include <algorithm>
 #include <utility>
 
 #include "common/check.hpp"
@@ -48,19 +48,56 @@ const char* to_string(FrameType type) {
   return "unknown";
 }
 
+FrameBody::FrameBody(std::vector<std::uint8_t> storage, std::size_t offset,
+                     std::size_t size)
+    : storage_(std::move(storage)), offset_(offset), size_(size) {
+  FEDBIAD_CHECK(offset <= storage_.size() && size <= storage_.size() - offset,
+                "frame body outside its storage");
+}
+
+bool FrameBody::operator==(const FrameBody& other) const {
+  return std::equal(begin(), end(), other.begin(), other.end());
+}
+
+bool FrameBody::operator==(const std::vector<std::uint8_t>& bytes) const {
+  return std::equal(begin(), end(), bytes.begin(), bytes.end());
+}
+
+FrameEnvelope frame_envelope(FrameType type,
+                             std::span<const std::uint8_t> head,
+                             std::size_t tail_bytes, std::uint32_t tail_crc) {
+  FrameEnvelope env{};
+  store_u32le(env.header.data(), static_cast<std::uint32_t>(
+                                     1 + head.size() + tail_bytes + kCrcBytes));
+  env.header[kLenBytes] = static_cast<std::uint8_t>(type);
+  std::uint32_t crc = wire::crc32c(
+      std::span<const std::uint8_t>(env.header).subspan(kLenBytes));
+  crc = wire::crc32c(head, crc);
+  // An empty tail's CRC is 0 and combining it changes nothing.
+  if (tail_bytes != 0) crc = wire::crc32c_combine(crc, tail_crc, tail_bytes);
+  store_u32le(env.trailer.data(), crc);
+  return env;
+}
+
+void append_frame(std::vector<std::uint8_t>& out, FrameType type,
+                  std::span<const std::uint8_t> head,
+                  std::span<const std::uint8_t> tail, std::uint32_t tail_crc) {
+  const FrameEnvelope env = frame_envelope(type, head, tail.size(), tail_crc);
+  const std::size_t wire = frame_wire_size(head.size() + tail.size());
+  // One allocation at most, keeping geometric growth for callers that
+  // append many frames to one stream.
+  if (out.capacity() - out.size() < wire) {
+    out.reserve(std::max(out.size() + wire, 2 * out.size()));
+  }
+  out.insert(out.end(), env.header.begin(), env.header.end());
+  out.insert(out.end(), head.begin(), head.end());
+  out.insert(out.end(), tail.begin(), tail.end());
+  out.insert(out.end(), env.trailer.begin(), env.trailer.end());
+}
+
 void append_frame(std::vector<std::uint8_t>& out, FrameType type,
                   std::span<const std::uint8_t> body) {
-  const std::size_t start = out.size();
-  out.resize(start + frame_wire_size(body.size()));
-  std::uint8_t* p = out.data() + start;
-  store_u32le(p, static_cast<std::uint32_t>(1 + body.size() + kCrcBytes));
-  p[kLenBytes] = static_cast<std::uint8_t>(type);
-  if (!body.empty()) {
-    std::memcpy(p + kLenBytes + 1, body.data(), body.size());
-  }
-  const std::uint32_t crc =
-      wire::crc32c(std::span<const std::uint8_t>(p + kLenBytes, 1 + body.size()));
-  store_u32le(p + kLenBytes + 1 + body.size(), crc);
+  append_frame(out, type, body, {}, 0);
 }
 
 FrameParser::FrameParser(std::size_t max_frame_bytes)
@@ -87,7 +124,10 @@ void FrameParser::feed(std::vector<std::uint8_t>&& data) {
 FrameParser::Status FrameParser::next(Frame& out) {
   if (failed()) return Status::kError;
   const std::size_t avail = buffer_.size() - consumed_;
-  if (avail < kLenBytes) return Status::kNeedMore;
+  if (avail < kLenBytes) {
+    compact(0);
+    return Status::kNeedMore;
+  }
   const std::uint8_t* p = buffer_.data() + consumed_;
   const std::uint32_t len = load_u32le(p);
   // Bounds come first: an announced length is judged before any of its
@@ -98,12 +138,18 @@ FrameParser::Status FrameParser::next(Frame& out) {
          std::to_string(kMinLen));
     return Status::kError;
   }
-  if (kLenBytes + static_cast<std::size_t>(len) > max_frame_bytes_) {
-    fail("frame of " + std::to_string(kLenBytes + len) +
+  const std::size_t frame_bytes = kLenBytes + static_cast<std::size_t>(len);
+  if (frame_bytes > max_frame_bytes_) {
+    fail("frame of " + std::to_string(frame_bytes) +
          " bytes exceeds limit of " + std::to_string(max_frame_bytes_));
     return Status::kError;
   }
-  if (avail < kLenBytes + len) return Status::kNeedMore;
+  if (avail < frame_bytes) {
+    // The rest arrives into one allocation, sized within the limit just
+    // checked, that the body can then take over.
+    compact(frame_bytes);
+    return Status::kNeedMore;
+  }
 
   const std::uint8_t* frame = p + kLenBytes;
   const std::size_t sealed = len - kCrcBytes;  // type + body
@@ -119,27 +165,43 @@ FrameParser::Status FrameParser::next(Frame& out) {
     return Status::kError;
   }
   out.type = static_cast<FrameType>(frame[0]);
-  out.body.assign(frame + 1, frame + sealed);
-  consumed_ += kLenBytes + len;
-  compact();
+  const std::size_t body_bytes = sealed - 1;
+  const std::size_t rest = avail - frame_bytes;
+  if (consumed_ == 0 && rest <= body_bytes) {
+    // The buffer becomes the body's storage. Copying the bytes behind the
+    // frame costs no more than the body copy this saves.
+    std::vector<std::uint8_t> behind(
+        buffer_.begin() + static_cast<std::ptrdiff_t>(frame_bytes),
+        buffer_.end());
+    out.body = FrameBody(std::move(buffer_), kLenBytes + 1, body_bytes);
+    buffer_ = std::move(behind);
+    return Status::kFrame;
+  }
+  out.body = FrameBody(std::vector<std::uint8_t>(frame + 1, frame + sealed), 0,
+                       body_bytes);
+  consumed_ += frame_bytes;
+  if (consumed_ == buffer_.size()) {
+    buffer_ = std::vector<std::uint8_t>();  // the storage, not just contents
+    consumed_ = 0;
+  }
   return Status::kFrame;
 }
 
 void FrameParser::fail(std::string message) {
   error_ = std::move(message);
-  buffer_.clear();
+  buffer_ = std::vector<std::uint8_t>();
   consumed_ = 0;
 }
 
-void FrameParser::compact() {
-  if (consumed_ == buffer_.size()) {
-    buffer_.clear();
-    consumed_ = 0;
-  } else if (consumed_ >= 4096) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
-    consumed_ = 0;
-  }
+void FrameParser::compact(std::size_t want) {
+  if (consumed_ == 0 && buffer_.capacity() >= want) return;
+  std::vector<std::uint8_t> fresh;
+  fresh.reserve(std::max(want, buffer_.size() - consumed_));
+  fresh.insert(fresh.end(),
+               buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_),
+               buffer_.end());
+  buffer_ = std::move(fresh);
+  consumed_ = 0;
 }
 
 }  // namespace fedbiad::transport

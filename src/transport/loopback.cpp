@@ -90,10 +90,17 @@ void LoopbackTransport::client_detached(SessionId session) {
 
 bool LoopbackTransport::send(SessionId session, FrameType type,
                              std::span<const std::uint8_t> body) {
+  return send(session, type, body, {}, 0);
+}
+
+bool LoopbackTransport::send(SessionId session, FrameType type,
+                             std::span<const std::uint8_t> head,
+                             std::span<const std::uint8_t> tail,
+                             std::uint32_t tail_crc) {
   auto it = sessions_.find(session);
   if (it == sessions_.end()) return false;
   Session& s = *it->second;
-  const std::size_t wire_size = frame_wire_size(body.size());
+  const std::size_t wire_size = frame_wire_size(head.size() + tail.size());
   // A frame bigger than the whole ring could never drain — that is a
   // programming error (tune send_buffer_bytes), not backpressure.
   FEDBIAD_CHECK(wire_size <= s.capacity,
@@ -107,7 +114,7 @@ bool LoopbackTransport::send(SessionId session, FrameType type,
     return false;
   }
   std::vector<std::uint8_t> wire;
-  append_frame(wire, type, body);
+  append_frame(wire, type, head, tail, tail_crc);
   s.queued_to_client += wire.size();
   queue_.push_back(Delivery{false, session, std::move(wire)});
   return true;

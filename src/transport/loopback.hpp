@@ -1,9 +1,11 @@
 // Deterministic in-process transport backend.
 //
-// Frames are serialised to real wire bytes (append_frame) and parsed back
-// with the same FrameParser the TCP backend uses, so framing, size limits
-// and crc verification are exercised byte-for-byte — only the socket is
-// missing. Delivery is a single FIFO drained by step(), time is the
+// Frames are serialised to real wire bytes (append_frame, one allocation
+// per frame) and parsed back with the same FrameParser the TCP backend
+// uses, so framing, size limits and crc verification are exercised
+// byte-for-byte — only the socket is missing. Each delivery is one whole
+// frame, so the parser hands its bytes to the receiver's FrameBody
+// without copying them. Delivery is a single FIFO drained by step(), time is the
 // scheduler's virtual clock advanced explicitly with advance_time(), and
 // everything runs on the calling thread: a test interleaves client and
 // server deterministically and can reproduce any failure ordering.
@@ -74,6 +76,10 @@ class LoopbackTransport final : public ServerTransport {
   }
   [[nodiscard]] bool send(SessionId session, FrameType type,
                           std::span<const std::uint8_t> body) override;
+  [[nodiscard]] bool send(SessionId session, FrameType type,
+                          std::span<const std::uint8_t> head,
+                          std::span<const std::uint8_t> tail,
+                          std::uint32_t tail_crc) override;
   [[nodiscard]] std::size_t send_space(SessionId session) const override;
   void close(SessionId session, const std::string& reason) override;
   void step(double max_wait_seconds) override;

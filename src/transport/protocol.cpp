@@ -83,20 +83,22 @@ WelcomeMsg decode_welcome(std::span<const std::uint8_t> body) {
   return m;
 }
 
-std::vector<std::uint8_t> encode_dispatch(
-    const DispatchMsg& m, std::span<const std::uint8_t> broadcast) {
+std::vector<std::uint8_t> encode_dispatch_head(const DispatchMsg& m,
+                                               std::size_t broadcast_bytes) {
   wire::Writer w;
   w.u64(m.dispatch_index);
   w.u64(m.round);
   w.u64(m.slot);
   w.u64(m.model_version);
   w.u64(m.rng_stream);
-  put_bytes(w, broadcast);
+  w.varint(broadcast_bytes);  // put_bytes' length prefix
   return std::move(w).take();
 }
 
 std::vector<std::uint8_t> encode(const DispatchMsg& m) {
-  return encode_dispatch(m, m.broadcast);
+  std::vector<std::uint8_t> body = encode_dispatch_head(m, m.broadcast.size());
+  body.insert(body.end(), m.broadcast.begin(), m.broadcast.end());
+  return body;
 }
 
 DispatchMsg decode_dispatch(std::span<const std::uint8_t> body) {

@@ -83,11 +83,13 @@ struct FinMsg {
 [[nodiscard]] std::vector<std::uint8_t> encode(const RejectMsg& m);
 [[nodiscard]] std::vector<std::uint8_t> encode(const FinMsg& m);
 
-/// The Dispatch body for `m` with `broadcast` in place of m.broadcast
-/// (which is ignored): the server encodes straight from its cached
-/// broadcast instead of copying it into a DispatchMsg first.
-[[nodiscard]] std::vector<std::uint8_t> encode_dispatch(
-    const DispatchMsg& m, std::span<const std::uint8_t> broadcast);
+/// The Dispatch body up to its broadcast bytes: m's five u64 fields and
+/// the varint length of a `broadcast_bytes`-byte broadcast (m.broadcast is
+/// ignored). encode(m) == encode_dispatch_head(m, m.broadcast.size()) ||
+/// m.broadcast, so the server sends this head and its cached broadcast as
+/// one frame without joining them (ServerTransport's head/tail send).
+[[nodiscard]] std::vector<std::uint8_t> encode_dispatch_head(
+    const DispatchMsg& m, std::size_t broadcast_bytes);
 
 /// All decoders throw wire::DecodeError on any malformation.
 [[nodiscard]] HelloMsg decode_hello(std::span<const std::uint8_t> body);

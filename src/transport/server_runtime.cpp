@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "wire/crc32c.hpp"
 #include "wire/update_codec.hpp"
 
 namespace fedbiad::transport {
@@ -79,6 +80,11 @@ void ServerRuntime::dispatch(std::size_t client, std::size_t slot,
              .rng_stream = rng_stream,
              .broadcast = {}};
   inf.broadcast = core_.broadcast();
+  if (inf.broadcast != crc_broadcast_) {
+    crc_broadcast_ = inf.broadcast;
+    broadcast_crc_ = wire::crc32c(crc_broadcast_->bytes);
+  }
+  inf.broadcast_crc = broadcast_crc_;
   if (cfg_.dispatch_deadline_seconds > 0.0) {
     inf.deadline = std::make_unique<DeadlineTimer>(
         transport_.scheduler(), cfg_.dispatch_deadline_seconds);
@@ -101,9 +107,12 @@ void ServerRuntime::try_send_dispatch(std::size_t client) {
   if (inf == inflight_.end() || inf->second.sent) return;
   auto sess = client_session_.find(client);
   if (sess == client_session_.end()) return;  // offline; retried on Hello
+  // The frame CRC combines the head's with the version's cached one, so
+  // no dispatch rereads the model to checksum it.
+  const std::vector<std::uint8_t>& model = inf->second.broadcast->bytes;
   if (!transport_.send(sess->second, FrameType::kDispatch,
-                       encode_dispatch(inf->second.msg,
-                                       inf->second.broadcast->bytes))) {
+                       encode_dispatch_head(inf->second.msg, model.size()),
+                       model, inf->second.broadcast_crc)) {
     // Backpressure: the dispatch stays unsent; on_drain retries. The
     // in-flight record (and its deadline) already exists, so a peer that
     // never drains is abandoned like any straggler.

@@ -148,6 +148,7 @@ class ServerRuntime final : public ServerTransport::Handler,
   struct InFlight {
     DispatchMsg msg;  ///< the Dispatch frame, less its broadcast bytes
     std::shared_ptr<const wire::Payload> broadcast;  ///< that version's model
+    std::uint32_t broadcast_crc = 0;  ///< wire::crc32c(broadcast->bytes)
     std::size_t attempts = 1;  ///< delivery attempts consumed (1-based)
     bool sent = false;         ///< Dispatch actually handed to the transport
     std::unique_ptr<DeadlineTimer> deadline;
@@ -200,6 +201,10 @@ class ServerRuntime final : public ServerTransport::Handler,
   bool draining_decodes_ = false;  ///< reentrancy guard for drain_decodes
 
   std::map<std::size_t, InFlight> inflight_;  ///< keyed by client id
+  /// The latest version's broadcast and its CRC32C, computed by the
+  /// version's first dispatch and reused by every later one.
+  std::shared_ptr<const wire::Payload> crc_broadcast_;
+  std::uint32_t broadcast_crc_ = 0;
 
   std::unordered_map<SessionId, Session> sessions_;
   std::unordered_map<std::size_t, SessionId> client_session_;

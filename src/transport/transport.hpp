@@ -32,6 +32,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "fl/scheduler.hpp"
 #include "transport/frame.hpp"
@@ -98,6 +99,26 @@ class ServerTransport {
   /// once the ring has fully drained. Callers park the message and retry.
   [[nodiscard]] virtual bool send(SessionId session, FrameType type,
                                   std::span<const std::uint8_t> body) = 0;
+
+  /// Same, for the frame whose body is head||tail, with `tail_crc` ==
+  /// wire::crc32c(tail) computed by the caller — the server sends each
+  /// Dispatch as its own few header bytes plus the model broadcast it
+  /// shares with every client of that version, checksummed once. Bytes on
+  /// the wire are exactly those of send(session, type, head||tail). The
+  /// backends override this to frame without joining the two (see
+  /// frame_envelope()); this default joins them and calls the 3-argument
+  /// send, so decorators that only forward that one (a tracing wrapper,
+  /// say) keep working unchanged.
+  [[nodiscard]] virtual bool send(SessionId session, FrameType type,
+                                  std::span<const std::uint8_t> head,
+                                  std::span<const std::uint8_t> tail,
+                                  std::uint32_t /*tail_crc*/) {
+    std::vector<std::uint8_t> body;
+    body.reserve(head.size() + tail.size());
+    body.insert(body.end(), head.begin(), head.end());
+    body.insert(body.end(), tail.begin(), tail.end());
+    return send(session, type, body);
+  }
 
   /// Free bytes in the session's send ring (0 for unknown sessions).
   [[nodiscard]] virtual std::size_t send_space(SessionId session) const = 0;

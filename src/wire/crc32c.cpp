@@ -43,42 +43,63 @@ inline std::uint32_t update_byte(std::uint32_t state,
   return kTables[0][(state ^ byte) & 0xFFU] ^ (state >> 8);
 }
 
+// Arithmetic in GF(2)[x] modulo the CRC polynomial P, in the reflected
+// bit order the CRC state uses: bit 31 holds x^0 and bit 0 holds x^31.
+// Appending n zero bytes to a CRC state multiplies it by x^(8n) mod P, so
+// both the 3-way merge tables below and crc32c_combine() are built from
+// the two helpers here (after zlib's multmodp/x2nmodp).
+
+constexpr std::uint32_t kOne = 1U << 31;  // the polynomial 1 (x^0)
+
+// a * b mod P.
+constexpr std::uint32_t gf2_multiply(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = kOne; m != 0; m >>= 1) {
+    if ((a & m) != 0) product ^= b;
+    b = (b & 1U) != 0 ? (b >> 1) ^ 0x82F63B78U : b >> 1;  // b *= x
+  }
+  return product;
+}
+
+// kPow2[k] = x^(2^k) mod P, each the square of the one before. 67 entries
+// cover x^(8n) for any 64-bit byte count n.
+constexpr std::array<std::uint32_t, 67> make_pow2_table() {
+  std::array<std::uint32_t, 67> table{};
+  table[0] = kOne >> 1;  // x^1
+  for (std::size_t k = 1; k < table.size(); ++k) {
+    table[k] = gf2_multiply(table[k - 1], table[k - 1]);
+  }
+  return table;
+}
+
+constexpr std::array<std::uint32_t, 67> kPow2 = make_pow2_table();
+
+// x^(8n) mod P by square-and-multiply: one table factor per set bit of 8n.
+constexpr std::uint32_t gf2_zeros_operator(std::uint64_t n) {
+  std::uint32_t op = kOne;
+  for (std::size_t k = 3; n != 0; n >>= 1, ++k) {
+    if ((n & 1U) != 0) op = gf2_multiply(kPow2[k], op);
+  }
+  return op;
+}
+
 #if defined(__SSE4_2__)
 
 // Three-stream hardware path, after Mark Adler's crc32c.c (see the header
 // for why three). Three chains run over adjacent blocks and merge as: the
 // CRC state of A||B is shift(state_A, |B|) ^ state_B(0), where shift()
-// appends |B| zero bytes. That shift is linear over GF(2), so it is a
-// 32x32 bit matrix, built for a power-of-two length by repeated squaring
-// of the one-zero-bit operator and applied a byte at a time through four
-// 256-entry tables.
-using Gf2Matrix = std::array<std::uint32_t, 32>;
+// appends |B| zero bytes. That shift is a multiplication by a fixed
+// polynomial, linear over GF(2), so it is applied a byte at a time through
+// four 256-entry tables.
 using ShiftTable = std::array<std::array<std::uint32_t, 256>, 4>;
 
-constexpr std::uint32_t gf2_times(const Gf2Matrix& mat, std::uint32_t vec) {
-  std::uint32_t sum = 0;
-  for (std::size_t i = 0; vec != 0; ++i, vec >>= 1) {
-    if ((vec & 1U) != 0) sum ^= mat[i];
-  }
-  return sum;
-}
-
-constexpr Gf2Matrix gf2_square(const Gf2Matrix& mat) {
-  Gf2Matrix sq{};
-  for (std::size_t i = 0; i < 32; ++i) sq[i] = gf2_times(mat, mat[i]);
-  return sq;
-}
-
-// Tables applying `len` zero bytes (a power of two) to a reflected state.
+// Tables applying `len` zero bytes to a reflected state.
 constexpr ShiftTable make_shift_table(std::size_t len) {
-  Gf2Matrix op{};  // one zero bit: shift right, fold the polynomial in
-  op[0] = 0x82F63B78U;
-  for (std::size_t i = 1; i < 32; ++i) op[i] = 1U << (i - 1);
-  for (std::size_t bits = 1; bits < 8 * len; bits <<= 1) op = gf2_square(op);
+  const std::uint32_t op = gf2_zeros_operator(len);
   ShiftTable table{};
   for (std::uint32_t b = 0; b < 256; ++b) {
     for (std::size_t k = 0; k < 4; ++k) {
-      table[k][b] = gf2_times(op, b << (8 * k));
+      table[k][b] = gf2_multiply(op, b << (8 * k));
     }
   }
   return table;
@@ -184,6 +205,12 @@ std::uint32_t crc32c_sw(std::span<const std::uint8_t> data,
   const std::uint32_t state =
       crc32c_sw_state(data.data(), data.size(), crc ^ 0xFFFFFFFFU);
   return state ^ 0xFFFFFFFFU;
+}
+
+std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                             std::size_t len_b) noexcept {
+  // The init/xorout terms cancel: crc(A||B) = crc_a * x^(8|B|) ^ crc_b.
+  return gf2_multiply(gf2_zeros_operator(len_b), crc_a) ^ crc_b;
 }
 
 bool crc32c_hw_available() noexcept {

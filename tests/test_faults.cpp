@@ -130,6 +130,38 @@ TEST(Crc32c, HardwareAndSoftwareAgreeAcrossInterleavedBlocks) {
   }
 }
 
+TEST(Crc32c, CombineMatchesOnePassAtEverySplitLength) {
+  // crc32c_combine(crc(A), crc(B), |B|) must equal one pass over A||B,
+  // hardware and software, for lengths on both sides of the 3 x 256 B and
+  // 3 x 8192 B merge blocks, two long blocks, and the MNIST MLP's broadcast
+  // (101,770 floats) — with either side empty. The combine is the same
+  // code on every build, so the portable build runs this too.
+  const std::size_t sizes[] = {0,     1,     767,   768,   769,
+                               24575, 24576, 24577, 49152,
+                               static_cast<std::size_t>(
+                                   wire::dense_f32_bytes(101770))};
+  tensor::Rng rng(0xC0B);
+  std::vector<std::uint8_t> data(2 * sizes[9]);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_index(256));
+  const std::span<const std::uint8_t> all(data);
+  for (const std::size_t a : sizes) {
+    for (const std::size_t b : sizes) {
+      const auto whole = all.first(a + b);
+      const std::uint32_t joined = wire::crc32c_combine(
+          wire::crc32c(whole.first(a)), wire::crc32c(whole.subspan(a)), b);
+      EXPECT_EQ(joined, wire::crc32c(whole)) << a << " + " << b;
+      EXPECT_EQ(joined, wire::crc32c_sw(whole)) << a << " + " << b;
+    }
+  }
+  // Combining is associative with chaining: a seeded run over B equals
+  // the combine of crc(A) and an unseeded crc(B).
+  const auto ab = all.first(sizes[5] + sizes[2]);
+  const std::uint32_t head = wire::crc32c_sw(ab.first(sizes[5]));
+  EXPECT_EQ(wire::crc32c(ab.subspan(sizes[5]), head),
+            wire::crc32c_combine(head, wire::crc32c(ab.subspan(sizes[5])),
+                                 sizes[2]));
+}
+
 wire::Payload sealed_payload(std::size_t body_bytes, std::uint64_t seed) {
   wire::Payload p;
   tensor::Rng rng(seed);

@@ -13,7 +13,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <functional>
@@ -32,6 +34,8 @@
 #include "transport/protocol.hpp"
 #include "transport/ring_buffer.hpp"
 #include "transport/server_runtime.hpp"
+#include "wire/accounting.hpp"
+#include "wire/crc32c.hpp"
 #include "wire/reader.hpp"
 
 namespace fedbiad {
@@ -281,6 +285,276 @@ TEST(FrameCodec, RvalueFeedMatchesSpanFeedAtEverySplit) {
   }
 }
 
+// --- one copy per frame: head/tail framing and the parser's move path ------
+
+// The frame layout written out by hand — [u32 len][u8 type][body][u32 crc],
+// the CRC one pass over type||body — so the envelope and the CRC combine
+// are checked against something that uses neither.
+std::vector<std::uint8_t> reference_frame(FrameType type,
+                                          std::span<const std::uint8_t> body) {
+  std::vector<std::uint8_t> out(transport::frame_wire_size(body.size()));
+  const auto put_u32 = [&out](std::size_t at, std::uint32_t v) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      out[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  };
+  put_u32(0, static_cast<std::uint32_t>(1 + body.size() + 4));
+  out[4] = static_cast<std::uint8_t>(type);
+  std::copy(body.begin(), body.end(), out.begin() + 5);
+  put_u32(5 + body.size(),
+          wire::crc32c(std::span<const std::uint8_t>(out).subspan(
+              4, 1 + body.size())));
+  return out;
+}
+
+bool same_bytes(std::span<const std::uint8_t> a,
+                std::span<const std::uint8_t> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size()) == 0);
+}
+
+// Broadcast sizes around the CRC's 3 x 256 B and 3 x 8192 B merge blocks,
+// two long blocks, and the MNIST MLP's broadcast (101,770 floats).
+const std::size_t kBroadcastSizes[] = {
+    0,     1,     767,   768,   769,
+    24575, 24576, 24577, 49152,
+    static_cast<std::size_t>(wire::dense_f32_bytes(101770))};
+
+transport::DispatchMsg dispatch_fields(std::size_t n) {
+  return {.dispatch_index = 1000 + n,
+          .round = 7,
+          .slot = 3,
+          .model_version = 6,
+          .rng_stream = 0x10000 + n,
+          .broadcast = {}};
+}
+
+std::vector<std::uint8_t> joined(std::span<const std::uint8_t> head,
+                                 std::span<const std::uint8_t> tail) {
+  std::vector<std::uint8_t> body(head.begin(), head.end());
+  body.insert(body.end(), tail.begin(), tail.end());
+  return body;
+}
+
+TEST(FrameCodec, HeadTailFramingMatchesReferenceBytes) {
+  for (const std::size_t n : kBroadcastSizes) {
+    const auto tail = some_body(n, 40 + n);
+    const auto head = transport::encode_dispatch_head(dispatch_fields(n), n);
+    const auto want = reference_frame(FrameType::kDispatch, joined(head, tail));
+
+    std::vector<std::uint8_t> got;
+    transport::append_frame(got, FrameType::kDispatch, head, tail,
+                            wire::crc32c(tail));
+    EXPECT_TRUE(same_bytes(got, want)) << n;
+    std::vector<std::uint8_t> one_piece;
+    transport::append_frame(one_piece, FrameType::kDispatch, joined(head, tail));
+    EXPECT_TRUE(same_bytes(one_piece, want)) << n;
+
+    const auto env = transport::frame_envelope(FrameType::kDispatch, head, n,
+                                               wire::crc32c(tail));
+    EXPECT_TRUE(same_bytes(env.header, std::span(want).first(5))) << n;
+    EXPECT_TRUE(same_bytes(env.trailer, std::span(want).last(4))) << n;
+  }
+}
+
+TEST(FrameCodec, ParserReleasesFinishedFrameStorage) {
+  // A parser must not keep the largest frame it ever buffered, or every
+  // session holds its biggest upload and Dispatch for its whole life.
+  const auto big = some_body(1 << 20, 30);
+  const auto small = some_body(16, 31);
+  const auto big_wire = wire_of(FrameType::kDispatch, big);
+  const auto small_wire = wire_of(FrameType::kUploadAck, small);
+  Frame f;
+
+  // Fed in receive-sized chunks; the frame leaves at the buffer's front.
+  FrameParser chunked(2 << 20);
+  for (std::size_t at = 0; at < big_wire.size(); at += 65536) {
+    chunked.feed(std::span(big_wire).subspan(
+        at, std::min<std::size_t>(65536, big_wire.size() - at)));
+    if (at + 65536 < big_wire.size()) {
+      ASSERT_EQ(chunked.next(f), FrameParser::Status::kNeedMore);
+    }
+  }
+  ASSERT_EQ(chunked.next(f), FrameParser::Status::kFrame);
+  EXPECT_EQ(f.body, big);
+  EXPECT_EQ(chunked.next(f), FrameParser::Status::kNeedMore);
+  EXPECT_EQ(chunked.buffer_capacity(), 0u);
+
+  // Behind a smaller frame, in one feed: both bodies are copied out, and
+  // the copy path must release the buffer too.
+  std::vector<std::uint8_t> stream = small_wire;
+  stream.insert(stream.end(), big_wire.begin(), big_wire.end());
+  FrameParser copied(2 << 20);
+  copied.feed(stream);
+  ASSERT_EQ(copied.next(f), FrameParser::Status::kFrame);
+  EXPECT_EQ(f.body, small);
+  ASSERT_EQ(copied.next(f), FrameParser::Status::kFrame);
+  EXPECT_EQ(f.body, big);
+  EXPECT_EQ(copied.next(f), FrameParser::Status::kNeedMore);
+  EXPECT_EQ(copied.buffer_capacity(), 0u);
+
+  // With part of a next frame buffered, the storage shrinks to that frame.
+  stream.insert(stream.end(), small_wire.begin(), small_wire.begin() + 10);
+  FrameParser pending(2 << 20);
+  pending.feed(stream);
+  ASSERT_EQ(pending.next(f), FrameParser::Status::kFrame);
+  ASSERT_EQ(pending.next(f), FrameParser::Status::kFrame);
+  EXPECT_EQ(pending.next(f), FrameParser::Status::kNeedMore);
+  EXPECT_EQ(pending.buffered_bytes(), 10u);
+  EXPECT_LE(pending.buffer_capacity(), small_wire.size());
+  pending.feed(std::span(small_wire).subspan(10));
+  ASSERT_EQ(pending.next(f), FrameParser::Status::kFrame);
+  EXPECT_EQ(f.body, small);
+  EXPECT_EQ(pending.buffer_capacity(), 0u);
+}
+
+TEST(FrameCodec, FrameThenPartialNextInOneFeed) {
+  const auto b1 = some_body(5000, 32);
+  const auto b2 = some_body(3000, 33);
+  const auto w1 = wire_of(FrameType::kDispatch, b1);
+  const auto w2 = wire_of(FrameType::kUpload, b2);
+  for (const std::size_t part : {std::size_t{1}, std::size_t{4},
+                                 std::size_t{100}, w2.size() - 1}) {
+    std::vector<std::uint8_t> first = w1;
+    first.insert(first.end(), w2.begin(),
+                 w2.begin() + static_cast<std::ptrdiff_t>(part));
+    for (const bool rvalue : {false, true}) {
+      FrameParser parser(1 << 20);
+      if (rvalue) {
+        parser.feed(std::vector<std::uint8_t>(first));
+      } else {
+        parser.feed(first);
+      }
+      Frame f;
+      ASSERT_EQ(parser.next(f), FrameParser::Status::kFrame) << part;
+      EXPECT_EQ(f.type, FrameType::kDispatch);
+      EXPECT_EQ(f.body, b1) << part;
+      EXPECT_EQ(parser.buffered_bytes(), part);
+      ASSERT_EQ(parser.next(f), FrameParser::Status::kNeedMore) << part;
+      parser.feed(std::span(w2).subspan(part));
+      ASSERT_EQ(parser.next(f), FrameParser::Status::kFrame) << part;
+      EXPECT_EQ(f.type, FrameType::kUpload);
+      EXPECT_EQ(f.body, b2) << part;
+      EXPECT_EQ(parser.next(f), FrameParser::Status::kNeedMore);
+      EXPECT_EQ(parser.buffered_bytes(), 0u);
+    }
+  }
+}
+
+TEST(FrameCodec, LargeFramesByteAtATime) {
+  const auto b1 = some_body(3000, 34);
+  const auto b2 = some_body(0, 35);
+  const auto b3 = some_body(2000, 36);
+  std::vector<std::uint8_t> stream;
+  transport::append_frame(stream, FrameType::kDispatch, b1);
+  transport::append_frame(stream, FrameType::kFin, b2);
+  transport::append_frame(stream, FrameType::kUpload, b3);
+  FrameParser parser(1 << 20);
+  std::vector<Frame> got;
+  Frame f;
+  for (const std::uint8_t byte : stream) {
+    parser.feed({&byte, 1});
+    while (parser.next(f) == FrameParser::Status::kFrame) got.push_back(f);
+  }
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0].body, b1);
+  EXPECT_EQ(got[1].type, FrameType::kFin);
+  EXPECT_TRUE(got[1].body.empty());
+  EXPECT_EQ(got[2].body, b3);
+  EXPECT_EQ(parser.buffer_capacity(), 0u);
+}
+
+TEST(FrameCodec, ThreeFramesInOneFeed) {
+  // Every order of large and small bodies, so the first frame takes the
+  // move path or the copy path and later ones start mid-buffer or, after a
+  // move, at the front of the fresh buffer.
+  const std::size_t kSizes[][3] = {{4000, 10, 10},  {10, 4000, 10},
+                                   {10, 10, 4000},  {4000, 4000, 4000},
+                                   {4000, 3000, 0}, {0, 0, 0}};
+  for (const auto& sizes : kSizes) {
+    std::vector<std::vector<std::uint8_t>> bodies;
+    std::vector<std::uint8_t> stream;
+    for (std::size_t i = 0; i < 3; ++i) {
+      bodies.push_back(some_body(sizes[i], 37 + i));
+      transport::append_frame(stream, FrameType::kUpload, bodies.back());
+    }
+    for (const bool rvalue : {false, true}) {
+      FrameParser parser(1 << 20);
+      if (rvalue) {
+        parser.feed(std::vector<std::uint8_t>(stream));
+      } else {
+        parser.feed(stream);
+      }
+      Frame f;
+      for (std::size_t i = 0; i < 3; ++i) {
+        ASSERT_EQ(parser.next(f), FrameParser::Status::kFrame)
+            << sizes[0] << "," << sizes[1] << "," << sizes[2];
+        EXPECT_EQ(f.body, bodies[i]) << i;
+      }
+      EXPECT_EQ(parser.next(f), FrameParser::Status::kNeedMore);
+      EXPECT_EQ(parser.buffered_bytes(), 0u);
+      EXPECT_EQ(parser.buffer_capacity(), 0u);
+    }
+  }
+}
+
+TEST(FrameCodec, FrameExactlyAtMaxFrameBytes) {
+  constexpr std::size_t kLimit = 4096;
+  const auto fits = some_body(kLimit - transport::kFrameOverheadBytes, 40);
+  const auto over = some_body(kLimit - transport::kFrameOverheadBytes + 1, 41);
+  for (const bool rvalue : {false, true}) {
+    FrameParser parser(kLimit);
+    const auto wire = wire_of(FrameType::kDispatch, fits);
+    ASSERT_EQ(wire.size(), kLimit);
+    if (rvalue) {
+      parser.feed(std::vector<std::uint8_t>(wire));
+    } else {
+      parser.feed(wire);
+    }
+    Frame f;
+    ASSERT_EQ(parser.next(f), FrameParser::Status::kFrame);
+    EXPECT_EQ(f.body, fits);
+    parser.feed(wire_of(FrameType::kDispatch, over));
+    EXPECT_EQ(parser.next(f), FrameParser::Status::kError);
+    EXPECT_NE(parser.error().find("exceeds"), std::string::npos);
+  }
+}
+
+TEST(FrameCodec, BodyOutlivesLaterFeedsAndTheParser) {
+  // Bodies own their bytes: one taken over from the parser's buffer (the
+  // move path) and one copied out must both read intact after the parser
+  // was fed again and destroyed. Under ASan a dangling view fails here.
+  const auto b1 = some_body(6000, 42);
+  const auto b2 = some_body(12, 43);
+  const auto b3 = some_body(900, 44);
+  std::vector<std::uint8_t> stream = wire_of(FrameType::kDispatch, b1);
+  const auto w2 = wire_of(FrameType::kUploadAck, b2);
+  stream.insert(stream.end(), w2.begin(), w2.end());
+  stream.insert(stream.end(), w2.begin(), w2.end());
+  const auto w3 = wire_of(FrameType::kUpload, b3);
+
+  Frame moved;
+  Frame copied;
+  {
+    auto parser = std::make_unique<FrameParser>(1 << 20);
+    parser->feed(std::move(stream));
+    ASSERT_EQ(parser->next(moved), FrameParser::Status::kFrame);
+    ASSERT_EQ(parser->next(copied), FrameParser::Status::kFrame);
+    parser->feed(w3);
+    Frame scratch;
+    ASSERT_EQ(parser->next(scratch), FrameParser::Status::kFrame);
+    ASSERT_EQ(parser->next(scratch), FrameParser::Status::kFrame);
+    EXPECT_EQ(scratch.body, b3);
+    parser->feed(some_body(64, 45));  // garbage poisons and frees the buffer
+    EXPECT_EQ(parser->next(scratch), FrameParser::Status::kError);
+  }
+  EXPECT_EQ(moved.body, b1);
+  EXPECT_EQ(copied.body, b2);
+  const Frame kept = copied;  // copies own their bytes too
+  copied = Frame{};
+  EXPECT_EQ(kept.body, b2);
+}
+
 // --- ring buffer ----------------------------------------------------------
 
 TEST(RingBuffer, AllOrNothingWriteAndWraparound) {
@@ -464,25 +738,26 @@ TEST(Protocol, RoundTripsEveryMessage) {
   EXPECT_EQ(f.rounds, 9u);
 }
 
-TEST(Protocol, EncodeDispatchFromSpanMatchesEncode) {
+TEST(Protocol, DispatchHeadThenBroadcastMatchesEncode) {
   transport::DispatchMsg with{.dispatch_index = 9,
                               .round = 3,
                               .slot = 1,
                               .model_version = 2,
                               .rng_stream = 0x10003,
-                              .broadcast = some_body(300, 12)};
-  transport::DispatchMsg header = with;
-  header.broadcast.clear();
-  // The span replaces m.broadcast, whatever m.broadcast holds.
-  EXPECT_EQ(transport::encode_dispatch(header, with.broadcast),
-            transport::encode(with));
-  EXPECT_EQ(transport::encode_dispatch(with, with.broadcast),
-            transport::encode(with));
-  header.broadcast = some_body(7, 13);
-  EXPECT_EQ(transport::encode_dispatch(header, with.broadcast),
-            transport::encode(with));
-  with.broadcast.clear();
-  EXPECT_EQ(transport::encode_dispatch(header, {}), transport::encode(with));
+                              .broadcast = {}};
+  // Broadcast sizes on both sides of each varint length step.
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{127},
+                              std::size_t{128}, std::size_t{300},
+                              std::size_t{16383}, std::size_t{16384}}) {
+    with.broadcast = some_body(n, 12 + n);
+    transport::DispatchMsg header = with;
+    // The head ignores m.broadcast, whatever it holds.
+    header.broadcast = some_body(7, 13);
+    auto joined = transport::encode_dispatch_head(header, n);
+    joined.insert(joined.end(), with.broadcast.begin(), with.broadcast.end());
+    EXPECT_EQ(joined, transport::encode(with)) << n;
+    EXPECT_EQ(transport::decode_dispatch(joined).broadcast, with.broadcast);
+  }
 }
 
 TEST(Protocol, TruncationAtEveryLengthRejected) {
@@ -865,6 +1140,108 @@ TEST(LoopbackChaos, BackpressureRefusesParksAndDrains) {
             std::string::npos);
 }
 
+struct OpenRecorder : transport::ServerTransport::Handler {
+  std::vector<SessionId> opened;
+  std::vector<std::pair<SessionId, std::string>> closed;
+  void on_open(SessionId s) override { opened.push_back(s); }
+  void on_frame(SessionId, Frame&&) override {}
+  void on_close(SessionId s, const std::string& r) override {
+    closed.emplace_back(s, r);
+  }
+  void on_drain(SessionId) override {}
+};
+
+TEST(LoopbackTransport, HeadTailSendDeliversReferenceFrames) {
+  // Each Delivery is one frame. Its size shows in the ring budget, and the
+  // receiving parser accepts it only if len, type and the CRC over
+  // type||body hold; a frame of that size, type and body is exactly one
+  // byte string, the reference.
+  transport::LoopbackTransport net{transport::TransportLimits{}};
+  OpenRecorder handler;
+  net.set_handler(&handler);
+  ScriptedPeer peer(net, 106);
+  ASSERT_TRUE(peer.endpoint.connect());
+  ASSERT_EQ(handler.opened.size(), 1u);
+  const SessionId session = handler.opened[0];
+  transport::ServerTransport& base = net;
+  for (const std::size_t n : kBroadcastSizes) {
+    const auto tail = some_body(n, 50 + n);
+    const auto head = transport::encode_dispatch_head(dispatch_fields(n), n);
+    const auto want = reference_frame(FrameType::kDispatch, joined(head, tail));
+    peer.frames.clear();
+    peer.endpoint.pause();
+    const std::size_t space = net.send_space(session);
+    ASSERT_TRUE(base.send(session, FrameType::kDispatch, head, tail,
+                          wire::crc32c(tail)));
+    EXPECT_EQ(space - net.send_space(session), want.size()) << n;
+    peer.endpoint.unpause();
+    ASSERT_EQ(peer.frames.size(), 1u) << n;
+    EXPECT_EQ(peer.frames[0].type, FrameType::kDispatch);
+    EXPECT_TRUE(same_bytes(
+        reference_frame(FrameType::kDispatch, peer.frames[0].body), want))
+        << n;
+    EXPECT_EQ(transport::decode_dispatch(peer.frames[0].body).broadcast, tail);
+  }
+  // The head/tail send shares the budget and refusal path of send(body).
+  const auto tail = some_body(1000, 60);
+  const auto head = transport::encode_dispatch_head(dispatch_fields(1), 1000);
+  net.set_session_send_capacity(
+      session, transport::frame_wire_size(head.size() + tail.size()));
+  peer.endpoint.pause();
+  ASSERT_TRUE(base.send(session, FrameType::kDispatch, head, tail,
+                        wire::crc32c(tail)));
+  EXPECT_FALSE(base.send(session, FrameType::kDispatch, head, tail,
+                         wire::crc32c(tail)));
+  EXPECT_EQ(net.send_space(session), 0u);
+  EXPECT_TRUE(handler.closed.empty());
+}
+
+TEST(LoopbackTransport, DefaultHeadTailSendJoinsForForwardingDecorators) {
+  // A decorator that forwards only send(body) — like a tracing wrapper —
+  // inherits the default head/tail send, which joins the two and calls it.
+  struct Forwarding final : transport::ServerTransport {
+    explicit Forwarding(transport::ServerTransport& inner) : inner(inner) {}
+    transport::ServerTransport& inner;
+    std::vector<std::vector<std::uint8_t>> bodies;
+    void set_handler(Handler* h) override { inner.set_handler(h); }
+    void set_tick_hook(std::function<bool()> hook) override {
+      inner.set_tick_hook(std::move(hook));
+    }
+    bool send(SessionId session, FrameType type,
+              std::span<const std::uint8_t> body) override {
+      bodies.emplace_back(body.begin(), body.end());
+      return inner.send(session, type, body);
+    }
+    std::size_t send_space(SessionId session) const override {
+      return inner.send_space(session);
+    }
+    void close(SessionId session, const std::string& reason) override {
+      inner.close(session, reason);
+    }
+    void step(double wait) override { inner.step(wait); }
+    fl::EventScheduler& scheduler() override { return inner.scheduler(); }
+    double now() const override { return inner.now(); }
+    const char* name() const override { return "forwarding"; }
+  };
+  transport::LoopbackTransport net{transport::TransportLimits{}};
+  Forwarding traced(net);
+  OpenRecorder handler;
+  traced.set_handler(&handler);
+  ScriptedPeer peer(net, 107);
+  ASSERT_TRUE(peer.endpoint.connect());
+  ASSERT_EQ(handler.opened.size(), 1u);
+  const auto tail = some_body(769, 61);
+  const auto head = transport::encode_dispatch_head(dispatch_fields(2), 769);
+  transport::ServerTransport& base = traced;
+  ASSERT_TRUE(base.send(handler.opened[0], FrameType::kDispatch, head, tail,
+                        wire::crc32c(tail)));
+  net.step(0.0);
+  ASSERT_EQ(traced.bodies.size(), 1u);
+  EXPECT_EQ(traced.bodies[0], joined(head, tail));
+  ASSERT_EQ(peer.frames.size(), 1u);
+  EXPECT_EQ(peer.frames[0].body, joined(head, tail));
+}
+
 TEST(LoopbackChaos, CrashAndResumeReproducesTrajectory) {
   // Kill the server (destroy runtime + transport) mid-run, after a
   // commit-boundary checkpoint, bring up a fresh server with resume and
@@ -1091,6 +1468,54 @@ TEST(Tcp, EndToEndMatchesEngineAcrossThreads) {
   for (std::size_t c = 0; c < w.partition.size(); ++c) {
     if (!w.partition[c].empty()) EXPECT_EQ(status[c], 0) << "client " << c;
   }
+}
+
+TEST(Tcp, HeadTailSendWritesReferenceBytes) {
+  // The epoll backend writes header, head, tail and trailer straight into
+  // its send ring; a raw socket must read exactly the reference frame.
+  transport::EpollServerTransport net({}, 0);
+  OpenRecorder handler;
+  net.set_handler(&handler);
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(net.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  for (int i = 0; i < 200 && handler.opened.empty(); ++i) net.step(0.05);
+  ASSERT_EQ(handler.opened.size(), 1u);
+  const SessionId session = handler.opened[0];
+  transport::ServerTransport& base = net;
+
+  std::vector<std::uint8_t> buf(1 << 16);
+  for (const std::size_t n : kBroadcastSizes) {
+    const auto tail = some_body(n, 70 + n);
+    const auto head = transport::encode_dispatch_head(dispatch_fields(n), n);
+    const auto want = reference_frame(FrameType::kDispatch, joined(head, tail));
+    // A control frame first, through send(body): both sends share the ring.
+    const auto ack = transport::encode(transport::UploadAckMsg{n});
+    const auto want_ack = reference_frame(FrameType::kUploadAck, ack);
+    ASSERT_TRUE(net.send(session, FrameType::kUploadAck, ack));
+    ASSERT_TRUE(base.send(session, FrameType::kDispatch, head, tail,
+                          wire::crc32c(tail)));
+    std::vector<std::uint8_t> got;
+    const std::size_t total = want_ack.size() + want.size();
+    for (int guard = 0; got.size() < total && guard < 100000; ++guard) {
+      net.step(0.0);  // flushes what the socket refused earlier
+      const ssize_t r =
+          ::recv(fd, buf.data(), std::min(buf.size(), total - got.size()),
+                 MSG_DONTWAIT);
+      if (r > 0) got.insert(got.end(), buf.begin(), buf.begin() + r);
+    }
+    ASSERT_EQ(got.size(), total) << n;
+    EXPECT_TRUE(same_bytes(std::span(got).first(want_ack.size()), want_ack))
+        << n;
+    EXPECT_TRUE(same_bytes(std::span(got).subspan(want_ack.size()), want))
+        << n;
+  }
+  EXPECT_TRUE(handler.closed.empty());
+  ::close(fd);
 }
 
 TEST(Tcp, GarbageAndOversizedStreamsAreClosed) {
