@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -33,6 +34,7 @@
 #include "transport/protocol.hpp"
 #include "transport/ring_buffer.hpp"
 #include "transport/transport.hpp"
+#include "wire/compact.hpp"
 #include "wire/crc32c.hpp"
 #include "wire/update_codec.hpp"
 
@@ -460,6 +462,44 @@ void BM_FusedIngest(benchmark::State& state) {
                           static_cast<std::int64_t>(store.size() * clients));
 }
 BENCHMARK(BM_FusedIngest);
+
+// The staleness merge of the async modes on the MNIST MLP's 101,770
+// coordinates: K dense parameter uploads with staleness-damped weights (K =
+// 1 is FedAsync's commit, K = 4 a FedBuff batch). Iterations alternate
+// between two upload sets so the global never settles onto one of them.
+// Items = coordinates merged per pass (K × n).
+void BM_FusedMerge(benchmark::State& state) {
+  nn::MlpModel model({.input = 784, .hidden = 128, .classes = 10});
+  const std::size_t n = model.store().size();
+  const auto k = static_cast<std::size_t>(state.range(0));
+  tensor::Rng rng(29);
+  std::vector<float> global(n);
+  for (auto& g : global) g = static_cast<float>(rng.normal(0, 0.1));
+  std::vector<wire::CompactUpdate> compacts;
+  for (std::size_t c = 0; c < 2 * k; ++c) {
+    std::vector<float> values(n);
+    for (auto& v : values) v = static_cast<float>(rng.normal(0, 0.1));
+    compacts.push_back(wire::decode_update_compact(
+        model.store(), wire::encode_dense_f32(values)));
+  }
+  std::vector<fl::FusedUpdate> batches[2];
+  for (std::size_t c = 0; c < 2 * k; ++c) {
+    const double staleness = static_cast<double>(c % k);
+    batches[c / k].push_back({&compacts[c],
+                              60.0 * std::pow(1.0 + staleness, -0.5),
+                              /*is_update=*/false});
+  }
+  fl::ShardedAccumulator sharded;
+  std::size_t pass = 0;
+  for (auto _ : state) {
+    sharded.merge(global, batches[pass++ & 1], 0.6);
+    benchmark::DoNotOptimize(global.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * k));
+}
+BENCHMARK(BM_FusedMerge)->Arg(1)->Arg(4);
 
 // CRC32C over a frame-sized buffer, both implementations: the slice-by-8
 // table walk every build carries, and the SSE4.2 dispatch the release

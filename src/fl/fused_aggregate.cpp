@@ -55,6 +55,44 @@ void merge_param_sparse(double* acc, double* weight_acc,
   }
 }
 
+void merge_step_run(float* global, const double* acc, const double* weight,
+                    std::size_t len, double mixing_rate) {
+  for (std::size_t i = 0; i < len; ++i) {
+    if (weight[i] > 0.0) {
+      global[i] += static_cast<float>(mixing_rate * acc[i] / weight[i]);
+    }
+  }
+}
+
+void add_mean_run(float* global, const double* acc, const double* denom,
+                  std::size_t len) {
+  for (std::size_t i = 0; i < len; ++i) {
+    if (denom[i] > 0.0) global[i] += static_cast<float>(acc[i] / denom[i]);
+  }
+}
+
+void store_mean_run(float* global, const double* acc, const double* denom,
+                    std::size_t len) {
+  for (std::size_t i = 0; i < len; ++i) {
+    if (denom[i] > 0.0) global[i] = static_cast<float>(acc[i] / denom[i]);
+  }
+}
+
+void add_mean_const(float* global, const double* acc, double denom,
+                    std::size_t len) {
+  if (!(denom > 0.0)) return;
+  for (std::size_t i = 0; i < len; ++i) {
+    global[i] += static_cast<float>(acc[i] / denom);
+  }
+}
+
+void store_mean_const(float* global, const double* acc, double denom,
+                      std::size_t len) {
+  for (std::size_t i = 0; i < len; ++i) {
+    global[i] = static_cast<float>(acc[i] / denom);
+  }
+}
+
 }  // namespace ref
 
 namespace {
@@ -65,6 +103,11 @@ namespace {
 // w*v + acc below stays a distinct IEEE multiply and add per lane — never
 // an FMA — matching the scalar ref:: kernels bit for bit.
 using V4d = double __attribute__((vector_size(32)));
+using V4f = float __attribute__((vector_size(16)));
+// Lane masks (all ones where true): a V4d comparison's result type, and
+// its narrowing to float lanes.
+using V4l = decltype(V4d{} > V4d{});
+using V4i = std::int32_t __attribute__((vector_size(16)));
 
 // Widen four floats to four doubles. The element-wise initializer — not
 // __builtin_convertvector on a loaded V4f — is deliberate: GCC 12 lowers
@@ -85,6 +128,69 @@ inline void add4d(double* p, const V4d& v) noexcept {
   std::memcpy(&acc, p, sizeof acc);
   acc += v;
   std::memcpy(p, &acc, sizeof acc);
+}
+
+inline void load4d(const double* p, V4d& out) noexcept {
+  std::memcpy(&out, p, sizeof out);
+}
+
+// Rounds the four quotients q to float and adds them to g[0..4) (kAdd) or
+// stores them over it, in the lanes `live` marks. The other lanes are
+// written back with their own bits: a per-lane select stands in for the
+// scalar loop's `if`, so the (possibly 0/0) quotient of a dead lane is
+// computed but never lands.
+template <bool kAdd>
+inline void write4(float* g, const V4d& q, const V4l& live) noexcept {
+  V4f old;
+  std::memcpy(&old, g, sizeof old);
+  V4f fresh = __builtin_convertvector(q, V4f);
+  if constexpr (kAdd) fresh = old + fresh;
+  const V4i keep = __builtin_convertvector(live, V4i);
+  const V4f out = keep ? fresh : old;
+  std::memcpy(g, &out, sizeof out);
+}
+
+constexpr V4l kAllLanes = {-1, -1, -1, -1};
+
+/// One non-empty update of an all-dense merge batch.
+struct DenseTerm {
+  const float* values = nullptr;  ///< all N coordinates
+  double weight = 0.0;
+  bool is_update = false;
+};
+
+/// The register merge of ShardedAccumulator::merge over coordinates
+/// [begin, end): per coordinate, acc = 0.0 then acc += w * delta for each
+/// term in batch order, against the global as it was before the merge, and
+/// g += (float)(mixing_rate * acc / weight_sum). `weight_sum` is 0.0 plus
+/// every term's weight in batch order, and must be > 0.
+void merge_dense_range(float* global, std::span<const DenseTerm> terms,
+                       std::size_t begin, std::size_t end, double weight_sum,
+                       double mixing_rate) {
+  const V4d mr = {mixing_rate, mixing_rate, mixing_rate, mixing_rate};
+  const V4d ws = {weight_sum, weight_sum, weight_sum, weight_sum};
+  std::size_t i = begin;
+  for (; i + 4 <= end; i += 4) {
+    V4d g;
+    widen4(global + i, g);
+    V4d acc = {};  // +0.0, then added to: never seeded with a product
+    for (const DenseTerm& t : terms) {
+      V4d v;
+      widen4(t.values + i, v);
+      const V4d w = {t.weight, t.weight, t.weight, t.weight};
+      acc += t.is_update ? w * v : w * (v - g);
+    }
+    write4<true>(global + i, mr * acc / ws, kAllLanes);
+  }
+  for (; i < end; ++i) {
+    const double g = static_cast<double>(global[i]);
+    double acc = 0.0;
+    for (const DenseTerm& t : terms) {
+      const double v = static_cast<double>(t.values[i]);
+      acc += t.weight * (t.is_update ? v : v - g);
+    }
+    global[i] += static_cast<float>(mixing_rate * acc / weight_sum);
+  }
 }
 
 }  // namespace
@@ -171,6 +277,74 @@ void merge_param_sparse(double* acc, double* weight_acc,
     ref::merge_param_sparse(acc, weight_acc, indices + c, values + c, global,
                             count - c, base, weight);
   }
+}
+
+void merge_step_run(float* global, const double* acc, const double* weight,
+                    std::size_t len, double mixing_rate) {
+  const V4d mr = {mixing_rate, mixing_rate, mixing_rate, mixing_rate};
+  const V4d zero = {};
+  std::size_t i = 0;
+  for (; i + 4 <= len; i += 4) {
+    V4d a, w;
+    load4d(acc + i, a);
+    load4d(weight + i, w);
+    write4<true>(global + i, mr * a / w, w > zero);
+  }
+  if (i < len) {
+    ref::merge_step_run(global + i, acc + i, weight + i, len - i,
+                        mixing_rate);
+  }
+}
+
+void add_mean_run(float* global, const double* acc, const double* denom,
+                  std::size_t len) {
+  const V4d zero = {};
+  std::size_t i = 0;
+  for (; i + 4 <= len; i += 4) {
+    V4d a, d;
+    load4d(acc + i, a);
+    load4d(denom + i, d);
+    write4<true>(global + i, a / d, d > zero);
+  }
+  if (i < len) ref::add_mean_run(global + i, acc + i, denom + i, len - i);
+}
+
+void store_mean_run(float* global, const double* acc, const double* denom,
+                    std::size_t len) {
+  const V4d zero = {};
+  std::size_t i = 0;
+  for (; i + 4 <= len; i += 4) {
+    V4d a, d;
+    load4d(acc + i, a);
+    load4d(denom + i, d);
+    write4<false>(global + i, a / d, d > zero);
+  }
+  if (i < len) ref::store_mean_run(global + i, acc + i, denom + i, len - i);
+}
+
+void add_mean_const(float* global, const double* acc, double denom,
+                    std::size_t len) {
+  if (!(denom > 0.0)) return;
+  const V4d d = {denom, denom, denom, denom};
+  std::size_t i = 0;
+  for (; i + 4 <= len; i += 4) {
+    V4d a;
+    load4d(acc + i, a);
+    write4<true>(global + i, a / d, kAllLanes);
+  }
+  if (i < len) ref::add_mean_const(global + i, acc + i, denom, len - i);
+}
+
+void store_mean_const(float* global, const double* acc, double denom,
+                      std::size_t len) {
+  const V4d d = {denom, denom, denom, denom};
+  std::size_t i = 0;
+  for (; i + 4 <= len; i += 4) {
+    V4d a;
+    load4d(acc + i, a);
+    write4<false>(global + i, a / d, kAllLanes);
+  }
+  if (i < len) ref::store_mean_const(global + i, acc + i, denom, len - i);
 }
 
 }  // namespace fused
@@ -341,23 +515,15 @@ void ShardedAccumulator::aggregate(std::span<float> global_params,
             }
           }
           float* g = global_params.data() + b0;
-          if (is_update) {
-            for (std::size_t i = 0; i < len; ++i) {
-              const double denom = rule == AggregationRule::kMaskedAverage
-                                       ? total_weight
-                                       : present_weight[i];
-              if (denom > 0.0) g[i] += static_cast<float>(acc[i] / denom);
-            }
-          } else if (rule == AggregationRule::kMaskedAverage) {
-            for (std::size_t i = 0; i < len; ++i) {
-              g[i] = static_cast<float>(acc[i] / total_weight);
-            }
+          const bool masked = rule == AggregationRule::kMaskedAverage;
+          if (is_update && masked) {
+            fused::add_mean_const(g, acc, total_weight, len);
+          } else if (is_update) {
+            fused::add_mean_run(g, acc, present_weight, len);
+          } else if (masked) {
+            fused::store_mean_const(g, acc, total_weight, len);
           } else {
-            for (std::size_t i = 0; i < len; ++i) {
-              if (present_weight[i] > 0.0) {
-                g[i] = static_cast<float>(acc[i] / present_weight[i]);
-              }
-            }
+            fused::store_mean_run(g, acc, present_weight, len);
           }
         }
       },
@@ -369,13 +535,39 @@ void ShardedAccumulator::merge(std::span<float> global_params,
                                double mixing_rate) {
   FEDBIAD_CHECK(!updates.empty(), "staleness merge with no updates");
   const std::size_t n = global_params.size();
+  using Form = wire::CompactUpdate::Form;
+  std::vector<fused::DenseTerm> dense;
+  double weight_sum = 0.0;
+  bool all_dense = true;
   for (const FusedUpdate& u : updates) {
     FEDBIAD_CHECK(u.update != nullptr && u.update->size() == n,
                   "client outcome size mismatch (payload not decoded?)");
     FEDBIAD_CHECK(u.weight > 0.0, "client outcome without samples");
+    if (u.update->form == Form::kDense) {
+      dense.push_back({u.update->values.data(), u.weight, u.is_update});
+      weight_sum += u.weight;
+    } else if (u.update->form != Form::kEmpty) {
+      all_dense = false;
+    }
   }
 
   const std::size_t nblocks = (n + kBlock - 1) / kBlock;
+  if (all_dense) {
+    // Every coordinate sees the same transmitting set, so the panel path's
+    // per-coordinate weight sum is this one scalar; with no dense update
+    // it stays 0.0 and the panel path would write nothing either.
+    if (!(weight_sum > 0.0)) return;
+    parallel::parallel_for(
+        nblocks,
+        [&](std::size_t bbegin, std::size_t bend) {
+          fused::merge_dense_range(global_params.data(), dense,
+                                   bbegin * kBlock, std::min(n, bend * kBlock),
+                                   weight_sum, mixing_rate);
+        },
+        kBlock * updates.size() * 2);
+    return;
+  }
+
   parallel::parallel_for(
       nblocks,
       [&](std::size_t bbegin, std::size_t bend) {
@@ -395,7 +587,6 @@ void ShardedAccumulator::merge(std::span<float> global_params,
             // the same read/write schedule as the coordinate-outer
             // reference merge. Update payloads are already deltas, so they
             // take the plain accumulate kernels.
-            using Form = wire::CompactUpdate::Form;
             switch (u.update->form) {
               case Form::kEmpty:
                 break;
@@ -449,12 +640,8 @@ void ShardedAccumulator::merge(std::span<float> global_params,
               }
             }
           }
-          float* g = global_params.data() + b0;
-          for (std::size_t i = 0; i < len; ++i) {
-            if (weight[i] > 0.0) {
-              g[i] += static_cast<float>(mixing_rate * acc[i] / weight[i]);
-            }
-          }
+          fused::merge_step_run(global_params.data() + b0, acc, weight, len,
+                                mixing_rate);
         }
       },
       kBlock * updates.size() * 2);

@@ -27,6 +27,22 @@
 // never of how many workers ran. Speed: kBlock == CompactUpdate::kRankStride,
 // so entering a bitmap block costs a single rank-directory probe with no
 // popcount remainder walk.
+//
+// merge() has a second, panel-free path. When every non-empty update of
+// the batch is kDense — FedAsync's single upload, or FedBuff's K uploads,
+// in parameter or delta form — each 4-lane group of coordinates is merged
+// in registers: the pre-merge global is read once, the updates are walked
+// in batch order into an `acc` that starts at 0.0, and the quotient is
+// written straight back. Per coordinate this is the panel path's exact
+// IEEE sequence: acc = 0.0, acc += w·delta per update in batch order,
+// wsum = 0.0, wsum += w likewise, and g += (float)(mixing_rate·acc / wsum)
+// where wsum > 0. Dense updates cover every coordinate, so wsum is one
+// scalar for the whole batch, summed once in the same order. The
+// accumulator must start at 0.0 and be added to, never be seeded with the
+// first product: 0.0 + (-0.0) is +0.0, so where a delta upload sends -0.0
+// against a -0.0 global, a seeded accumulator would leave the global at
+// -0.0 while the panel path makes it +0.0. Bitmap, sparse and mixed
+// batches take the panels.
 #pragma once
 
 #include <cstddef>
@@ -41,11 +57,12 @@
 
 namespace fedbiad::fl {
 
-/// Inner kernels of the fused committer, compiled with wide vector lanes
-/// but -ffp-contract=off (see src/CMakeLists.txt): per coordinate they
-/// execute exactly `acc += w * (double)v` as separate IEEE multiply and
-/// add, so their results are bit-identical to the scalar fused::ref::
-/// versions below and to the dense kernel in fl/aggregate.cpp.
+/// Inner kernels of the fused committer, compiled -ffp-contract=off on
+/// every build and with wide vector lanes where the target has them (see
+/// src/CMakeLists.txt): per coordinate they execute exactly
+/// `acc += w * (double)v` as separate IEEE multiply and add, so their
+/// results are bit-identical to the scalar fused::ref:: versions below and
+/// to the dense kernel in fl/aggregate.cpp.
 /// Vectorization batches *across* coordinates only — the operation sequence
 /// at any one coordinate is unchanged.
 namespace fused {
@@ -74,6 +91,33 @@ void merge_param_sparse(double* acc, double* weight_acc,
                         const float* global, std::size_t count,
                         std::size_t base, double weight);
 
+// Write-back kernels: the end of every panel block. Each coordinate takes
+// one true IEEE double divide and a rounding to float; lanes whose
+// denominator is not > 0 keep their global bits (a lane mask, not a
+// branch).
+
+/// Staleness-merge step: where weight[i] > 0,
+/// global[i] += (float)(mixing_rate * acc[i] / weight[i]).
+void merge_step_run(float* global, const double* acc, const double* weight,
+                    std::size_t len, double mixing_rate);
+
+/// Where denom[i] > 0, global[i] += (float)(acc[i] / denom[i]).
+void add_mean_run(float* global, const double* acc, const double* denom,
+                  std::size_t len);
+
+/// Where denom[i] > 0, global[i] = (float)(acc[i] / denom[i]).
+void store_mean_run(float* global, const double* acc, const double* denom,
+                    std::size_t len);
+
+/// One denominator for the run (kMaskedAverage's total weight): if
+/// denom > 0, global[i] += (float)(acc[i] / denom).
+void add_mean_const(float* global, const double* acc, double denom,
+                    std::size_t len);
+
+/// global[i] = (float)(acc[i] / denom), unconditionally.
+void store_mean_const(float* global, const double* acc, double denom,
+                      std::size_t len);
+
 /// Scalar reference kernels — the loops the vector versions must match
 /// bitwise (tests/test_scale.cpp pins them against each other on ragged
 /// lengths).
@@ -89,6 +133,16 @@ void merge_param_sparse(double* acc, double* weight_acc,
                         const std::uint32_t* indices, const float* values,
                         const float* global, std::size_t count,
                         std::size_t base, double weight);
+void merge_step_run(float* global, const double* acc, const double* weight,
+                    std::size_t len, double mixing_rate);
+void add_mean_run(float* global, const double* acc, const double* denom,
+                  std::size_t len);
+void store_mean_run(float* global, const double* acc, const double* denom,
+                    std::size_t len);
+void add_mean_const(float* global, const double* acc, double denom,
+                    std::size_t len);
+void store_mean_const(float* global, const double* acc, double denom,
+                      std::size_t len);
 }  // namespace ref
 
 }  // namespace fused
@@ -128,7 +182,8 @@ class ShardedAccumulator {
   /// coordinate-outer merge bit for bit. Every update becomes a delta
   /// against the current global (parameter payloads subtract it), deltas
   /// are weight-averaged per coordinate over the transmitting clients, and
-  /// the global takes a mixing_rate-sized step along the mean.
+  /// the global takes a mixing_rate-sized step along the mean. All-dense
+  /// batches merge in registers without panels (see the file comment).
   void merge(std::span<float> global_params,
              std::span<const FusedUpdate> updates, double mixing_rate);
 

@@ -41,6 +41,7 @@
 #include "netsim/client_profile.hpp"
 #include "nn/mlp_model.hpp"
 #include "nn/parameter_store.hpp"
+#include "parallel/thread_pool.hpp"
 #include "scenario/config.hpp"
 #include "scenario/model.hpp"
 #include "tensor/rng.hpp"
@@ -452,6 +453,100 @@ TEST(FusedAggregate, MergeMatchesCoordinateOuterReference) {
   }
 }
 
+/// hostile_values(n, seed) moved `shift` coordinates left: the NaN, ±inf
+/// and -0 classes land on different coordinates than an unshifted update's.
+std::vector<float> shifted_hostile(std::size_t n, std::uint64_t seed,
+                                   std::size_t shift) {
+  const auto v = hostile_values(n + shift, seed);
+  return {v.begin() + static_cast<std::ptrdiff_t>(shift), v.end()};
+}
+
+// All-dense batches take the register merge (no panels). FedAsync's single
+// upload and FedBuff's K uploads, in both payload forms, with staleness-
+// damped weights, must land on the coordinate-outer reference bit for bit:
+// serially (inside a one-worker pool, where parallel_for runs inline) and
+// split across the global pool (one worker per usable CPU; four on a
+// 4-CPU machine). The store ends mid 4-lane group and mid block. The global carries NaN, ±inf and -0 where the updates do too, so
+// -0 meets -0: a delta of -0.0 against a -0.0 global must come out +0.0,
+// which only an accumulator started at 0.0 gets right.
+TEST(FusedAggregate, DenseMergeMatchesCoordinateOuterReference) {
+  nn::ParameterStore store;
+  store.add_group("emb", nn::GroupKind::kEmbedding, 128, 70, true);
+  store.add_group("fc", nn::GroupKind::kDense, 96, 81, true);
+  store.add_group("head", nn::GroupKind::kDense, 3, 37, false);
+  store.finalize();
+  const std::size_t n = store.size();
+  constexpr std::size_t kBlock = fl::ShardedAccumulator::kBlock;
+  ASSERT_NE(n % 4, 0U);
+  ASSERT_NE(n % kBlock, 0U);
+  ASSERT_GT(n, 4 * kBlock) << "four workers need a block each";
+  const std::vector<float> base = hostile_values(n, 409);
+
+  // Each batch lists its updates' value shifts; a kEmpty update (-1) is
+  // skipped by both merges and keeps the batch on the register path.
+  const std::vector<std::vector<int>> batches = {
+      {0}, {0, 0}, {0, 0, 1}, {2, -1, 0}};
+  const std::size_t samples[] = {7, 30, 12};
+  fl::ShardedAccumulator sharded;
+  parallel::ThreadPool serial(1);
+  for (const bool is_update : {false, true}) {
+    for (const auto& shifts : batches) {
+      std::vector<fl::ClientOutcome> dense;
+      std::vector<wire::CompactUpdate> compact;
+      std::vector<double> weights;
+      for (std::size_t k = 0; k < shifts.size(); ++k) {
+        fl::ClientOutcome out;
+        out.client_id = k;
+        out.samples = samples[k];
+        out.is_update = is_update;
+        if (shifts[k] < 0) {
+          // Nothing transmitted: no payload decodes to kEmpty, so build it.
+          out.values.assign(n, 0.0F);
+          out.present = wire::Bitset(n);
+          compact.emplace_back();
+          compact.back().coords = n;
+        } else {
+          const wire::Payload payload = wire::encode_dense_f32(
+              shifted_hostile(n, 411 + k, static_cast<std::size_t>(shifts[k])));
+          const wire::Decoded d = wire::decode_update(store, payload);
+          out.values = d.values;
+          out.present = d.present;
+          compact.push_back(wire::decode_update_compact(store, payload));
+          ASSERT_EQ(compact.back().form, wire::CompactUpdate::Form::kDense);
+        }
+        dense.push_back(std::move(out));
+        // Staleness τ = k + 1 under exponent 0.5, as the engine weighs it.
+        weights.push_back(static_cast<double>(samples[k]) *
+                          std::pow(2.0 + static_cast<double>(k), -0.5));
+      }
+      std::vector<fl::FusedUpdate> fused;
+      for (std::size_t k = 0; k < compact.size(); ++k) {
+        fused.push_back({&compact[k], weights[k], is_update});
+      }
+      std::vector<float> ref_global = base;
+      reference_merge(ref_global, dense, weights, 0.6);
+      SCOPED_TRACE(testing::Message() << "is_update " << is_update << " K "
+                                      << shifts.size());
+
+      std::vector<float> serial_global = base;
+      serial.submit([&] { sharded.merge(serial_global, fused, 0.6); }).get();
+      expect_params_bit_identical(serial_global, ref_global);
+
+      std::vector<float> pooled_global = base;
+      sharded.merge(pooled_global, fused, 0.6);
+      expect_params_bit_identical(pooled_global, ref_global);
+
+      // The -0 rule, at a coordinate where it bites: a delta upload's -0.0
+      // against a -0.0 global.
+      if (is_update && std::all_of(shifts.begin(), shifts.end(),
+                                   [](int shift) { return shift == 0; })) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(base[3]), 0x80000000U);
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(pooled_global[3]), 0U);
+      }
+    }
+  }
+}
+
 // --- vector kernels == scalar reference, bitwise ---------------------------
 
 void expect_doubles_bit_identical(std::span<const double> a,
@@ -542,6 +637,186 @@ TEST(FusedKernels, SparseVectorMatchesScalarRefBitwise) {
                                  count);
     expect_doubles_bit_identical(mw_v, mw_r, "merge_param_sparse weight",
                                  count);
+  }
+}
+
+/// A delta-form update sending `values` at every coordinate.
+wire::CompactUpdate dense_update(std::vector<float> values) {
+  wire::CompactUpdate u;
+  u.form = wire::CompactUpdate::Form::kDense;
+  u.coords = values.size();
+  u.values = std::move(values);
+  return u;
+}
+
+// Random inputs almost never expose a one-ulp double error once the result
+// is rounded to float, so this batch is built to: d and -d at weights
+// 1 - 2^-30 and 1 + 2^-30 cancel to ~2^-29·d, and the rounding of the
+// second product, which a fused multiply-add would skip, shows at float
+// precision. The batch is merged by the register path and, with an empty
+// sparse update appended, by the panel path; both must round every product
+// before its add. The test first checks that a contracted evaluation does
+// give different floats, so it can see the mistake it guards against.
+TEST(FusedAggregate, MergeRoundsEachProductBeforeItsAdd) {
+  constexpr std::size_t n = 1001;
+  const double w1 = 1.0 - std::ldexp(1.0, -30);
+  const double w2 = 1.0 + std::ldexp(1.0, -30);
+  tensor::Rng rng(413);
+  std::vector<float> d(n), neg(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    d[i] = static_cast<float>(rng.normal(0, 1));
+    neg[i] = -d[i];
+  }
+  std::vector<float> expect(n), contracted(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    // volatile pins each rounding whatever this file's contraction mode.
+    volatile double p1 = w1 * static_cast<double>(d[i]);
+    volatile double p2 = w2 * static_cast<double>(neg[i]);
+    volatile double acc = 0.0 + p1;
+    acc = acc + p2;
+    expect[i] = 0.0F + static_cast<float>(0.6 * acc / 2.0);
+    const double fused = std::fma(w2, static_cast<double>(neg[i]), p1);
+    contracted[i] = 0.0F + static_cast<float>(0.6 * fused / 2.0);
+  }
+  std::size_t visible = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    visible += std::bit_cast<std::uint32_t>(expect[i]) !=
+               std::bit_cast<std::uint32_t>(contracted[i]);
+  }
+  ASSERT_GT(visible, n / 4);
+
+  const wire::CompactUpdate a = dense_update(d);
+  const wire::CompactUpdate b = dense_update(neg);
+  wire::CompactUpdate none;  // transmits nothing, but forces the panels
+  none.form = wire::CompactUpdate::Form::kSparse;
+  none.coords = n;
+  fl::ShardedAccumulator sharded;
+  std::vector<fl::FusedUpdate> batch = {{&a, w1, true}, {&b, w2, true}};
+  for (const bool panels : {false, true}) {
+    if (panels) batch.push_back({&none, 1.0, true});
+    std::vector<float> global(n, 0.0F);
+    sharded.merge(global, batch, 0.6);
+    SCOPED_TRACE(panels ? "panel path" : "register path");
+    expect_params_bit_identical(global, expect);
+  }
+}
+
+/// Hostile accumulator sums: NaN, ±inf, -0, magnitudes that overflow or
+/// underflow float, and ordinary values.
+std::vector<double> hostile_sums(std::size_t n, std::uint64_t seed) {
+  tensor::Rng rng(seed);
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (i % 9) {
+      case 0:
+        v[i] = std::numeric_limits<double>::quiet_NaN();
+        break;
+      case 1:
+        v[i] = std::numeric_limits<double>::infinity();
+        break;
+      case 2:
+        v[i] = -std::numeric_limits<double>::infinity();
+        break;
+      case 3:
+        v[i] = -0.0;
+        break;
+      case 4:
+        v[i] = 1e300;
+        break;
+      case 5:
+        v[i] = -1e-310;
+        break;
+      default:
+        v[i] = rng.normal(0, 100);
+        break;
+    }
+  }
+  return v;
+}
+
+/// Denominators with dead lanes (0, -0, negative, NaN) between runs of
+/// live positive weights, so 4-lane groups come out all-live, all-dead and
+/// mixed.
+std::vector<double> mixed_denominators(std::size_t n, std::uint64_t seed) {
+  tensor::Rng rng(seed);
+  std::vector<double> d(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (i % 11) {
+      case 0:
+        d[i] = 0.0;
+        break;
+      case 1:
+        d[i] = -0.0;
+        break;
+      case 2:
+        d[i] = -2.5;
+        break;
+      case 3:
+        d[i] = std::numeric_limits<double>::quiet_NaN();
+        break;
+      default:
+        d[i] = rng.uniform(1e-3, 40.0);
+        break;
+    }
+  }
+  return d;
+}
+
+// The write-back kernels against their scalar fused::ref:: twins on ragged
+// lengths: each lane's double divide, float rounding and (for the adding
+// kernels) float add must match, and each dead lane must keep its bits.
+TEST(FusedKernels, WriteBackMatchesScalarRefBitwiseOnRaggedLengths) {
+  auto expect_floats = [](const std::vector<float>& a,
+                          const std::vector<float>& b, const char* what,
+                          std::size_t len) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i]),
+                std::bit_cast<std::uint32_t>(b[i]))
+          << what << " len " << len << " coord " << i;
+    }
+  };
+  for (const std::size_t len :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+        std::size_t{4}, std::size_t{5}, std::size_t{7}, std::size_t{8},
+        std::size_t{9}, std::size_t{15}, std::size_t{16}, std::size_t{17},
+        std::size_t{63}, std::size_t{64}, std::size_t{65}, std::size_t{127},
+        std::size_t{1000}}) {
+    const auto acc = hostile_sums(len, 901 + len);
+    const auto denom = mixed_denominators(len, 951 + len);
+    const auto global = hostile_values(len, 991 + len);
+    {
+      std::vector<float> v = global, r = global;
+      fl::fused::merge_step_run(v.data(), acc.data(), denom.data(), len, 0.6);
+      fl::fused::ref::merge_step_run(r.data(), acc.data(), denom.data(), len,
+                                     0.6);
+      expect_floats(v, r, "merge_step_run", len);
+    }
+    {
+      std::vector<float> v = global, r = global;
+      fl::fused::add_mean_run(v.data(), acc.data(), denom.data(), len);
+      fl::fused::ref::add_mean_run(r.data(), acc.data(), denom.data(), len);
+      expect_floats(v, r, "add_mean_run", len);
+    }
+    {
+      std::vector<float> v = global, r = global;
+      fl::fused::store_mean_run(v.data(), acc.data(), denom.data(), len);
+      fl::fused::ref::store_mean_run(r.data(), acc.data(), denom.data(), len);
+      expect_floats(v, r, "store_mean_run", len);
+    }
+    // Scalar denominators, zero weight included: add_mean_const is then a
+    // no-op and store_mean_const divides by it anyway, as the loops did.
+    for (const double d : {3.5, 0.0, -1.0, 1e-300}) {
+      std::vector<float> v = global, r = global;
+      fl::fused::add_mean_const(v.data(), acc.data(), d, len);
+      fl::fused::ref::add_mean_const(r.data(), acc.data(), d, len);
+      expect_floats(v, r, "add_mean_const", len);
+      v = global;
+      r = global;
+      fl::fused::store_mean_const(v.data(), acc.data(), d, len);
+      fl::fused::ref::store_mean_const(r.data(), acc.data(), d, len);
+      expect_floats(v, r, "store_mean_const", len);
+    }
   }
 }
 
