@@ -345,8 +345,8 @@ void BM_SignSgdCompress(benchmark::State& state) {
 BENCHMARK(BM_SignSgdCompress);
 
 // The wire-path benches cover the new per-client serialization work on both
-// ends of the uplink: the client-side §IV-B row-masked encode, the engine-
-// thread decode that precedes aggregation, and the delta-varint sparse
+// ends of the uplink: the client-side §IV-B row-masked encode, the server's
+// compact decode that precedes aggregation, and the delta-varint sparse
 // encode used by the compressed paths. Items = model coordinates processed.
 void BM_EncodeRowMasked(benchmark::State& state) {
   nn::MlpModel model({.input = 784, .hidden = 256, .classes = 10});
@@ -375,7 +375,7 @@ void BM_DecodeRowMasked(benchmark::State& state) {
   const auto payload =
       wire::encode_row_masked(store, pattern.bits(), store.params());
   for (auto _ : state) {
-    auto decoded = wire::decode_update(store, payload);
+    auto decoded = wire::decode_update_compact(store, payload);
     benchmark::DoNotOptimize(decoded.values.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -26,16 +26,9 @@ fl::ClientOutcome FjordStrategy::run_client(fl::ClientContext& ctx) {
   return out;
 }
 
-wire::Decoded FjordStrategy::decode_payload(
-    const nn::ParameterStore& layout, const wire::Payload& payload) const {
-  return plan_.decode_submodel(layout, payload);
-}
-
 wire::CompactUpdate FjordStrategy::decode_payload_compact(
     const nn::ParameterStore& layout, const wire::Payload& payload) const {
-  // The width-plan decoder is inherently dense (it scatters through the
-  // per-ratio unit mask); compact after the fact.
-  return wire::compact_from_decoded(plan_.decode_submodel(layout, payload));
+  return plan_.decode_submodel(layout, payload);
 }
 
 }  // namespace fedbiad::baselines

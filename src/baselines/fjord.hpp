@@ -19,9 +19,6 @@ class FjordStrategy final : public fl::Strategy {
   fl::ClientOutcome run_client(fl::ClientContext& ctx) override;
   /// Sub-model payloads carry only the width ratio; the coordinate mask is
   /// rebuilt server-side through the shared WidthPlan.
-  [[nodiscard]] wire::Decoded decode_payload(
-      const nn::ParameterStore& layout,
-      const wire::Payload& payload) const override;
   [[nodiscard]] wire::CompactUpdate decode_payload_compact(
       const nn::ParameterStore& layout,
       const wire::Payload& payload) const override;

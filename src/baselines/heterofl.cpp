@@ -36,16 +36,11 @@ fl::ClientOutcome HeteroFlStrategy::run_client(fl::ClientContext& ctx) {
   return out;
 }
 
-wire::Decoded HeteroFlStrategy::decode_payload(
+wire::CompactUpdate HeteroFlStrategy::decode_payload_compact(
     const nn::ParameterStore& layout, const wire::Payload& payload) const {
   // The client's ratio travels in the payload, so decoding needs no client
   // identity — only the shared plan.
   return plan_.decode_submodel(layout, payload);
-}
-
-wire::CompactUpdate HeteroFlStrategy::decode_payload_compact(
-    const nn::ParameterStore& layout, const wire::Payload& payload) const {
-  return wire::compact_from_decoded(plan_.decode_submodel(layout, payload));
 }
 
 }  // namespace fedbiad::baselines

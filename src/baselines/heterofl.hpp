@@ -23,9 +23,6 @@ class HeteroFlStrategy final : public fl::Strategy {
 
   [[nodiscard]] std::string name() const override { return "HeteroFL"; }
   fl::ClientOutcome run_client(fl::ClientContext& ctx) override;
-  [[nodiscard]] wire::Decoded decode_payload(
-      const nn::ParameterStore& layout,
-      const wire::Payload& payload) const override;
   [[nodiscard]] wire::CompactUpdate decode_payload_compact(
       const nn::ParameterStore& layout,
       const wire::Payload& payload) const override;

@@ -116,8 +116,8 @@ wire::Payload WidthPlan::encode_submodel(const nn::ParameterStore& store,
   return p;
 }
 
-wire::Decoded WidthPlan::decode_submodel(const nn::ParameterStore& layout,
-                                         const wire::Payload& payload) const {
+wire::CompactUpdate WidthPlan::decode_submodel(
+    const nn::ParameterStore& layout, const wire::Payload& payload) const {
   if (payload.kind != wire::PayloadKind::kSubModel) {
     throw wire::DecodeError("expected a sub-model payload");
   }
@@ -130,14 +130,20 @@ wire::Decoded WidthPlan::decode_submodel(const nn::ParameterStore& layout,
   }
   std::vector<std::uint8_t> mask(layout.size(), 1);
   build_mask(layout, ratio, mask);
-  wire::Decoded d;
-  d.values.assign(layout.size(), 0.0F);
-  for (std::size_t i = 0; i < mask.size(); ++i) {
-    if (mask[i] != 0) d.values[i] = r.f32();
-  }
+  wire::CompactUpdate u;
+  u.coords = layout.size();
+  u.present = wire::Bitset::from_bytemask(mask);
+  u.values.resize(u.present.count());
+  r.f32_run(u.values);
   r.expect_done();
-  d.present = wire::Bitset::from_bytemask(mask);
-  return d;
+  if (u.values.size() == u.coords) {
+    u.form = wire::CompactUpdate::Form::kDense;
+    u.present = wire::Bitset();
+  } else {
+    u.form = wire::CompactUpdate::Form::kBitmap;
+    u.build_rank_directory();
+  }
+  return u;
 }
 
 WidthPlan WidthPlan::for_mlp(const nn::MlpModel& model) {

@@ -15,6 +15,7 @@
 #include "nn/lstm_lm_model.hpp"
 #include "nn/mlp_model.hpp"
 #include "nn/parameter_store.hpp"
+#include "wire/compact.hpp"
 #include "wire/update_codec.hpp"
 
 namespace fedbiad::baselines {
@@ -63,9 +64,11 @@ class WidthPlan {
       std::span<const float> values) const;
 
   /// Decodes a kSubModel payload: rebuilds the coordinate mask from the
-  /// transmitted ratio through this plan, then scatters the surviving
-  /// values. Throws wire::DecodeError on malformed input.
-  [[nodiscard]] wire::Decoded decode_submodel(
+  /// transmitted ratio through this plan and reads the surviving values in
+  /// ascending order — kDense when the ratio keeps every coordinate,
+  /// otherwise kBitmap over the mask. Throws wire::DecodeError on malformed
+  /// input.
+  [[nodiscard]] wire::CompactUpdate decode_submodel(
       const nn::ParameterStore& layout, const wire::Payload& payload) const;
 
   [[nodiscard]] const std::vector<Rule>& rules() const noexcept {

@@ -113,23 +113,6 @@ fl::ClientOutcome ComposedStrategy::run_client(fl::ClientContext& ctx) {
   return out;
 }
 
-wire::Decoded ComposedStrategy::decode_payload(
-    const nn::ParameterStore& layout, const wire::Payload& payload) const {
-  const std::size_t prefix = wire::packed_bits_bytes(layout.droppable_rows());
-  if (payload.bytes.size() < prefix) {
-    throw wire::DecodeError("composed payload shorter than its row pattern");
-  }
-  const auto bytes = std::span<const std::uint8_t>(payload.bytes);
-  const wire::Bitset candidates =
-      wire::expand_row_mask(layout, bytes.first(prefix));
-  wire::Payload section;
-  section.kind = payload.kind;
-  section.aux = payload.aux;
-  section.bytes.assign(bytes.begin() + static_cast<std::ptrdiff_t>(prefix),
-                       bytes.end());
-  return wire::decode_update(layout, section, &candidates);
-}
-
 wire::CompactUpdate ComposedStrategy::decode_payload_compact(
     const nn::ParameterStore& layout, const wire::Payload& payload) const {
   const std::size_t prefix = wire::packed_bits_bytes(layout.droppable_rows());

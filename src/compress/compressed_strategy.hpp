@@ -48,9 +48,6 @@ class ComposedStrategy final : public fl::Strategy {
   fl::ClientOutcome run_client(fl::ClientContext& ctx) override;
   /// Composed payloads are framed as [packed inner row pattern β][compressor
   /// section]; decoding expands β into the candidate set first.
-  [[nodiscard]] wire::Decoded decode_payload(
-      const nn::ParameterStore& layout,
-      const wire::Payload& payload) const override;
   [[nodiscard]] wire::CompactUpdate decode_payload_compact(
       const nn::ParameterStore& layout,
       const wire::Payload& payload) const override;

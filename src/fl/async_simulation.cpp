@@ -15,7 +15,7 @@
 #include "fl/scheduler.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/ops.hpp"
-#include "wire/update_codec.hpp"
+#include "wire/compact.hpp"
 
 namespace fedbiad::fl {
 
@@ -93,7 +93,7 @@ class AsyncSimulation::Driver final : public ServerDriver {
       // copy goes first, so two are never held at once.
       snapshot_.reset();
       snapshot_ = std::make_shared<const std::vector<float>>(
-          wire::decode_update(core_.layout(), *broadcast).values);
+          wire::decode_update_compact(core_.layout(), *broadcast).values);
       snapshot_version_ = core_.version();
     }
     job.download_s = prof.download_seconds(broadcast->size());

@@ -350,7 +350,7 @@ void ServerCore::commit(std::vector<PendingUpdate> batch) {
     // The sync path, bit for bit: compact outcomes in selection-slot order
     // through the fused committer under the strategy's rule — per
     // coordinate the double adds land in the same order with the same
-    // operands as fl::aggregate on the dense decode (the goldens pin it).
+    // operands as fl::aggregate on the expanded decode (the goldens pin it).
     std::vector<FusedUpdate> fused(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       fused[i].update = &batch[i].outcome.compact;

@@ -8,14 +8,14 @@
 
 namespace fedbiad::fl {
 
-wire::Decoded Strategy::decode_payload(const nn::ParameterStore& layout,
-                                       const wire::Payload& payload) const {
-  return wire::decode_update(layout, payload);
-}
-
 wire::CompactUpdate Strategy::decode_payload_compact(
     const nn::ParameterStore& layout, const wire::Payload& payload) const {
   return wire::decode_update_compact(layout, payload);
+}
+
+wire::Decoded Strategy::decode_payload(const nn::ParameterStore& layout,
+                                       const wire::Payload& payload) const {
+  return wire::expand(decode_payload_compact(layout, payload));
 }
 
 std::vector<std::uint8_t> Strategy::save_state() const { return {}; }
@@ -26,15 +26,25 @@ void Strategy::load_state(std::span<const std::uint8_t> bytes) {
                     std::to_string(bytes.size()) + "-byte state blob");
 }
 
+namespace {
+
+// Decoding is a receive step, not a query: it charges the payload's bytes
+// to uplink_bytes exactly once. The engines drop the raw payload right
+// after decoding (and count abandoned uploads only in the wasted-bytes
+// ledger, never here), so a second decode of the same outcome — through
+// either view — would silently re-charge, or post-drop zero, the measured
+// traffic.
+void check_undecoded(const ClientOutcome& out) {
+  FEDBIAD_CHECK(out.values.empty() && out.present.size() == 0 &&
+                    out.compact.empty(),
+                "outcome already decoded — uplink bytes would double-count");
+}
+
+}  // namespace
+
 void decode_outcome(const Strategy& strategy, const nn::ParameterStore& layout,
                     ClientOutcome& out) {
-  // Decoding is a receive step, not a query: it charges the payload's bytes
-  // to uplink_bytes exactly once. The engines drop the raw payload right
-  // after decoding (and count abandoned uploads only in the wasted-bytes
-  // ledger, never here), so a second decode of the same outcome would
-  // silently re-charge — or, post-drop, zero — the measured traffic.
-  FEDBIAD_CHECK(out.values.empty() && out.present.size() == 0,
-                "outcome already decoded — uplink bytes would double-count");
+  check_undecoded(out);
   wire::Decoded decoded = strategy.decode_payload(layout, out.payload);
   FEDBIAD_CHECK(decoded.values.size() == layout.size() &&
                     decoded.present.size() == layout.size(),
@@ -47,9 +57,7 @@ void decode_outcome(const Strategy& strategy, const nn::ParameterStore& layout,
 void decode_outcome_compact(const Strategy& strategy,
                             const nn::ParameterStore& layout,
                             ClientOutcome& out) {
-  FEDBIAD_CHECK(out.values.empty() && out.present.size() == 0 &&
-                    out.compact.empty(),
-                "outcome already decoded — uplink bytes would double-count");
+  check_undecoded(out);
   wire::CompactUpdate compact = strategy.decode_payload_compact(layout,
                                                                 out.payload);
   FEDBIAD_CHECK(compact.size() == layout.size() && !compact.empty(),
@@ -58,15 +66,13 @@ void decode_outcome_compact(const Strategy& strategy,
   out.uplink_bytes = out.payload.size();
 }
 
-namespace {
-
-// The non-throwing receive steps share one body: strip and verify the seal,
-// run the throwing decoder, and turn any failure into a context-wrapped
-// status. The double-decode guard stays outside — it is a programming error,
-// not client noise.
-template <typename Decode>
-DecodeStatus try_decode(ClientOutcome& out, bool framed,
-                        const DecodeContext& ctx, Decode&& decode) {
+DecodeStatus try_decode_outcome_compact(const Strategy& strategy,
+                                        const nn::ParameterStore& layout,
+                                        ClientOutcome& out, bool framed,
+                                        const DecodeContext& ctx) {
+  // The double-decode guard stays outside the try: it is a programming
+  // error, not client noise.
+  check_undecoded(out);
   const std::uint64_t wire_size = out.payload.size();
   auto wrap = [&ctx](const char* what) {
     std::ostringstream os;
@@ -79,7 +85,7 @@ DecodeStatus try_decode(ClientOutcome& out, bool framed,
     // later section-decoder failure discards the payload anyway, so the
     // in-place strip never leaves a half-consumed frame in play.
     if (framed) wire::strip_seal(out.payload);
-    decode();
+    decode_outcome_compact(strategy, layout, out);
     out.uplink_bytes = wire_size;
     return {};
   } catch (const wire::DecodeError& e) {
@@ -87,29 +93,6 @@ DecodeStatus try_decode(ClientOutcome& out, bool framed,
   } catch (const CheckError& e) {
     return wrap(e.what());
   }
-}
-
-}  // namespace
-
-DecodeStatus try_decode_outcome(const Strategy& strategy,
-                                const nn::ParameterStore& layout,
-                                ClientOutcome& out, bool framed,
-                                const DecodeContext& ctx) {
-  FEDBIAD_CHECK(out.values.empty() && out.present.size() == 0,
-                "outcome already decoded — uplink bytes would double-count");
-  return try_decode(out, framed, ctx,
-                    [&] { decode_outcome(strategy, layout, out); });
-}
-
-DecodeStatus try_decode_outcome_compact(const Strategy& strategy,
-                                        const nn::ParameterStore& layout,
-                                        ClientOutcome& out, bool framed,
-                                        const DecodeContext& ctx) {
-  FEDBIAD_CHECK(out.values.empty() && out.present.size() == 0 &&
-                    out.compact.empty(),
-                "outcome already decoded — uplink bytes would double-count");
-  return try_decode(out, framed, ctx,
-                    [&] { decode_outcome_compact(strategy, layout, out); });
 }
 
 }  // namespace fedbiad::fl

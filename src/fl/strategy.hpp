@@ -31,20 +31,23 @@ struct TrainSettings {
 ///
 /// The client side fills `payload` — the actually-encoded upload buffer —
 /// plus the protocol metadata (`samples`, `is_update`, losses). The server
-/// decodes the payload on the engine thread before aggregation (see
-/// decode_outcome below), filling `values` (the dense length-N vector, with
-/// untransmitted coordinates zeroed), `present` (1 bit per coordinate —
-/// aggregation only trusts transmitted coordinates), and `uplink_bytes`
-/// (payload.size(): measured traffic, not a model of it).
+/// decodes the payload before aggregation (try_decode_outcome_compact
+/// below), filling `compact` (what the client transmitted, in
+/// O(transmitted) form) and `uplink_bytes` (payload.size(): measured
+/// traffic, not a model of it). Tests and the fl::aggregate oracle decode
+/// through decode_outcome instead, which fills the wide view: `values` (the
+/// dense length-N vector, untransmitted coordinates zeroed) and `present`
+/// (1 bit per coordinate — aggregation only trusts transmitted
+/// coordinates).
 struct ClientOutcome {
   std::size_t client_id = 0;
   std::size_t samples = 0;  ///< |D_k|, the aggregation weight (eq. 10)
   wire::Payload payload;    ///< the client's encoded upload
-  std::vector<float> values;  ///< decoded by the server (engine thread)
-  wire::Bitset present;       ///< decoded by the server (engine thread)
-  /// The O(transmitted) decode used by the event-driven engine's fused
-  /// aggregation path (decode_outcome_compact). Mutually exclusive with
-  /// `values`/`present` — an outcome is decoded through exactly one view.
+  std::vector<float> values;  ///< wide view (decode_outcome)
+  wire::Bitset present;       ///< wide view (decode_outcome)
+  /// The O(transmitted) decode the server engines aggregate from
+  /// (decode_outcome_compact). Mutually exclusive with `values`/`present` —
+  /// an outcome is decoded through exactly one view.
   wire::CompactUpdate compact;
   bool is_update = false;
   std::uint64_t uplink_bytes = 0;  ///< measured: payload.size()
@@ -102,20 +105,20 @@ class Strategy {
   virtual ClientOutcome run_client(ClientContext& ctx) = 0;
 
   /// Decodes one of this strategy's payloads against the server's model
-  /// layout. Runs on the engine thread when an upload arrives, before
-  /// aggregation. The default handles every layout-generic wire kind;
-  /// strategies whose encoding relies on session structure beyond the layout
-  /// (FjORD/HeteroFL's width plan, the composed dropout+compressor framing)
-  /// override it.
-  [[nodiscard]] virtual wire::Decoded decode_payload(
+  /// layout, in O(transmitted) form. Runs when an upload arrives, before
+  /// aggregation. The default handles every layout-generic wire kind
+  /// through wire::decode_update_compact; strategies whose encoding relies
+  /// on session structure beyond the layout (FjORD/HeteroFL's width plan,
+  /// the composed dropout+compressor framing) override it.
+  [[nodiscard]] virtual wire::CompactUpdate decode_payload_compact(
       const nn::ParameterStore& layout, const wire::Payload& payload) const;
 
-  /// Compact counterpart of decode_payload: the same decode (identical
-  /// validation, bit-identical values at bit-identical coordinates — pinned
-  /// by tests/test_scale.cpp) delivered in O(transmitted) form. Strategies
-  /// that override decode_payload must override this too so the two views
-  /// never diverge; the default routes through wire::decode_update_compact.
-  [[nodiscard]] virtual wire::CompactUpdate decode_payload_compact(
+  /// The wide view of decode_payload_compact:
+  /// wire::expand(decode_payload_compact(layout, payload)). Strategies
+  /// override decode_payload_compact, never this; it stays virtual only so
+  /// that a decorator forwarding every virtual (bench_round's
+  /// ClockedStrategy) still compiles.
+  [[nodiscard]] virtual wire::Decoded decode_payload(
       const nn::ParameterStore& layout, const wire::Payload& payload) const;
 
   /// Called on the engine thread before clients start (round is 1-based).
@@ -170,11 +173,13 @@ class Strategy {
 
 using StrategyPtr = std::shared_ptr<Strategy>;
 
-/// The server-side receive step: decodes `out.payload` through the
-/// strategy's codec into `out.values` / `out.present` and records the
-/// measured `out.uplink_bytes`. The engines call this on the engine thread
-/// when an upload arrives; tests and tools that drive run_client directly
-/// call it to reconstruct the dense view.
+/// The wide receive step: decodes `out.payload` through the strategy's
+/// decode_payload into `out.values` / `out.present` and records the
+/// measured `out.uplink_bytes`. The engines decode through
+/// try_decode_outcome_compact; tests and tools that drive run_client
+/// directly call this to reconstruct the dense view (the fl::aggregate
+/// oracle consumes it). Throws CheckError if `out` was already decoded
+/// through either view.
 void decode_outcome(const Strategy& strategy,
                     const nn::ParameterStore& layout, ClientOutcome& out);
 
@@ -195,18 +200,6 @@ struct DecodeStatus {
   explicit operator bool() const noexcept { return ok; }
 };
 
-/// Non-throwing variant of decode_outcome for fault-tolerant sessions: a
-/// malformed upload is a survivable transport event, not a programming
-/// error. When `framed` is set the payload must carry a valid CRC32C
-/// trailer (wire::seal_payload); the trailer is verified and stripped
-/// before the section decoder runs, and `out.uplink_bytes` charges the
-/// framed (on-the-wire) size. On failure `out` is left undecoded and the
-/// returned status carries the wire error wrapped with `ctx`.
-[[nodiscard]] DecodeStatus try_decode_outcome(const Strategy& strategy,
-                                              const nn::ParameterStore& layout,
-                                              ClientOutcome& out, bool framed,
-                                              const DecodeContext& ctx);
-
 /// Compact receive step: like decode_outcome but fills `out.compact`
 /// instead of the dense `values`/`present` pair, so server-side memory per
 /// pending upload is O(transmitted) rather than O(model). Same
@@ -215,9 +208,14 @@ void decode_outcome_compact(const Strategy& strategy,
                             const nn::ParameterStore& layout,
                             ClientOutcome& out);
 
-/// Non-throwing compact receive step (fault-tolerant sessions): the same
-/// seal check, charged bytes and rejection strings as try_decode_outcome,
-/// decoding into `out.compact`.
+/// The engines' receive step: a non-throwing decode_outcome_compact for
+/// fault-tolerant sessions, where a malformed upload is a survivable
+/// transport event, not a programming error. When `framed` is set the
+/// payload must carry a valid CRC32C trailer (wire::seal_payload); the
+/// trailer is verified and stripped before the section decoder runs, and
+/// `out.uplink_bytes` charges the framed (on-the-wire) size. On failure
+/// `out` is left undecoded and the returned status carries the wire error
+/// wrapped with `ctx`.
 [[nodiscard]] DecodeStatus try_decode_outcome_compact(
     const Strategy& strategy, const nn::ParameterStore& layout,
     ClientOutcome& out, bool framed, const DecodeContext& ctx);

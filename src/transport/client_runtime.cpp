@@ -6,6 +6,7 @@
 
 #include "common/check.hpp"
 #include "tensor/ops.hpp"
+#include "wire/compact.hpp"
 
 namespace fedbiad::transport {
 
@@ -167,8 +168,9 @@ UploadMsg ClientRuntime::train(const DispatchMsg& msg) {
   wire::Payload broadcast;
   broadcast.kind = wire::PayloadKind::kDenseF32;
   broadcast.bytes = msg.broadcast;
-  wire::Decoded decoded = wire::decode_update(model_->store(), broadcast);
-  tensor::copy(decoded.values, model_->store().params());
+  const std::vector<float> global =
+      wire::decode_update_compact(model_->store(), broadcast).values;
+  tensor::copy(global, model_->store().params());
 
   // The engine's client rng chain, reproduced remotely: the stream id
   // travelled in the Dispatch, the rest is config.
@@ -178,7 +180,7 @@ UploadMsg ClientRuntime::train(const DispatchMsg& msg) {
       .client_id = cfg_.client_id,
       .round = static_cast<std::size_t>(msg.round),
       .model = *model_,
-      .global_params = decoded.values,
+      .global_params = global,
       .dataset = *train_data_,
       .shard = shard_,
       .settings = cfg_.base.train,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <string>
-#include <utility>
 
 #include "common/check.hpp"
 #include "wire/accounting.hpp"
@@ -21,8 +20,8 @@ void check_position_bits(std::size_t position_bits) {
                 "position width must be 16, 32, or 64 bits");
 }
 
-/// Candidate iteration for the dense-over-candidates kinds, identical to the
-/// one decode_update uses: `fn(i)` per candidate coordinate, ascending.
+/// Candidate iteration for the dense-over-candidates kinds: `fn(i)` per
+/// candidate coordinate, ascending.
 template <typename Fn>
 void for_each_candidate(std::size_t n, const Bitset* candidates, Fn&& fn) {
   if (candidates == nullptr) {
@@ -414,28 +413,6 @@ Decoded expand(const CompactUpdate& update) {
       break;
   }
   return d;
-}
-
-CompactUpdate compact_from_decoded(Decoded decoded) {
-  const std::size_t n = decoded.values.size();
-  FEDBIAD_CHECK(decoded.present.size() == n,
-                "decoded update values/present size mismatch");
-  CompactUpdate u;
-  u.coords = n;
-  const std::size_t count = decoded.present.count();
-  if (count == n) {
-    u.form = CompactUpdate::Form::kDense;
-    u.values = std::move(decoded.values);
-    return u;
-  }
-  u.form = CompactUpdate::Form::kBitmap;
-  u.values.reserve(count);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (decoded.present.test(i)) u.values.push_back(decoded.values[i]);
-  }
-  u.present = std::move(decoded.present);
-  u.build_rank_directory();
-  return u;
 }
 
 }  // namespace fedbiad::wire

@@ -1,10 +1,11 @@
-// Compact decoded client updates: the O(transmitted) server-side form.
+// Decoded client updates and the parser that produces them.
 //
-// wire::Decoded materializes every update as a dense length-N float vector
-// (absent coordinates zeroed) plus a presence bitset — fine for a handful of
-// pending uploads, ruinous for thousands of concurrent in-flight clients on
-// a large model. A CompactUpdate stores only what the client actually
-// transmitted, in one of three forms:
+// decode_update_compact reads every layout-generic wire kind into the
+// O(transmitted) form it was sent in, and is the only function that does
+// (kSubModel, which needs a width plan, has its own parser in
+// baselines/unit_mask.hpp): its bounds checks and DecodeError messages are
+// the wire's rejection contract. A CompactUpdate stores only what the
+// client actually transmitted, in one of three forms:
 //
 //   kDense   every coordinate present; `values` holds all N floats and no
 //            presence structure is stored (the aggregator takes the all-ones
@@ -17,11 +18,9 @@
 //   kSparse  strictly ascending `indices` with parallel `values` — the
 //            natural form of the sparse/ternary wire kinds.
 //
-// decode_update_compact mirrors wire::decode_update kind for kind: the same
-// bounds checks, the same rejection of malformed buffers, and bit-identical
-// values at bit-identical coordinates — expand() of its result equals
-// decode_update's Decoded exactly (tests/test_scale.cpp pins this per kind).
 // It never allocates O(N) unless the payload itself carries O(N) data.
+// Code that wants the wide view (a dense length-N vector plus presence set;
+// tests and the fl::aggregate oracle) derives it with expand().
 #pragma once
 
 #include <cstdint>
@@ -32,6 +31,14 @@
 #include "wire/update_codec.hpp"
 
 namespace fedbiad::wire {
+
+/// The wide view of a decoded payload, as expand() returns it: the dense
+/// value vector (absent coordinates zeroed) and the 1-bit-per-coordinate
+/// presence set.
+struct Decoded {
+  std::vector<float> values;
+  Bitset present;
+};
 
 struct CompactUpdate {
   enum class Form : std::uint8_t { kEmpty, kDense, kBitmap, kSparse };
@@ -80,24 +87,16 @@ struct CompactUpdate {
   void clear();
 };
 
-/// Decodes a payload against `layout` into compact form. Same contract as
-/// decode_update (same kinds, same `candidates` narrowing for
-/// kSignMean/kInt8Dense, same DecodeError rejection of malformed buffers),
-/// without ever building the dense per-client value vector. kSubModel still
-/// needs the strategy's width plan — route through
-/// Strategy::decode_payload_compact.
+/// Decodes a payload against `layout`. `candidates` narrows the coordinate
+/// set for the dense-over-candidates kinds (kSignMean/kInt8Dense) — pass
+/// nullptr when every coordinate is a candidate. Malformed buffers throw
+/// DecodeError. kSubModel needs the strategy's width plan — route it
+/// through Strategy::decode_payload_compact.
 [[nodiscard]] CompactUpdate decode_update_compact(
     const nn::ParameterStore& layout, const Payload& payload,
     const Bitset* candidates = nullptr);
 
-/// Expands to the dense Decoded form (absent coordinates zeroed). The
-/// bridge for code that still wants the wide view; for any payload,
-/// expand(decode_update_compact(p)) == decode_update(p).
+/// Expands to the wide Decoded view (absent coordinates zeroed).
 [[nodiscard]] Decoded expand(const CompactUpdate& update);
-
-/// Compacts an already-dense decode — the adapter for strategies whose
-/// decoder is inherently dense (FjORD/HeteroFL's sub-model plan). All
-/// present → kDense (steals the vector, no copy); otherwise kBitmap.
-[[nodiscard]] CompactUpdate compact_from_decoded(Decoded decoded);
 
 }  // namespace fedbiad::wire

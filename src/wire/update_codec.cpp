@@ -20,23 +20,6 @@ void check_position_bits(std::size_t position_bits) {
                 "position width must be 16, 32, or 64 bits");
 }
 
-/// Candidate iteration shared by the dense-over-candidates kinds: calls
-/// `fn(i)` for every candidate coordinate in ascending order.
-template <typename Fn>
-void for_each_candidate(std::size_t n, const Bitset* candidates, Fn&& fn) {
-  if (candidates == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (candidates->test(i)) fn(i);
-  }
-}
-
-std::size_t candidate_total(std::size_t n, const Bitset* candidates) {
-  return candidates == nullptr ? n : candidates->count();
-}
-
 }  // namespace
 
 const char* to_string(PayloadKind kind) noexcept {
@@ -305,249 +288,6 @@ Bitset expand_row_mask(const nn::ParameterStore& layout,
     }
   }
   return present;
-}
-
-namespace {
-
-Decoded decode_dense(const nn::ParameterStore& layout, Reader& r) {
-  Decoded d;
-  d.values.resize(layout.size());
-  if (r.remaining() != dense_f32_bytes(layout.size())) {
-    throw DecodeError("dense payload length mismatch");
-  }
-  r.f32_run(d.values);
-  d.present.assign(layout.size(), true);
-  return d;
-}
-
-Decoded decode_row_masked(const nn::ParameterStore& layout, Reader& r) {
-  const std::size_t rows = layout.droppable_rows();
-  const auto packed = r.bytes(packed_bits_bytes(rows));
-  const Bitset row_bits = Bitset::from_packed(packed, rows);
-  Decoded d;
-  d.values.assign(layout.size(), 0.0F);
-  d.present = Bitset(layout.size());
-  for (std::size_t g = 0; g < layout.groups().size(); ++g) {
-    const nn::RowGroup& grp = layout.group(g);
-    if (!grp.droppable) {
-      r.f32_run(std::span(d.values).subspan(grp.offset, grp.size()));
-      d.present.set_range(grp.offset, grp.offset + grp.size());
-      continue;
-    }
-    for (std::size_t row = 0; row < grp.rows; ++row) {
-      if (!row_bits.test(layout.droppable_index(g, row))) continue;
-      const std::size_t begin = grp.offset + row * grp.row_len;
-      r.f32_run(std::span(d.values).subspan(begin, grp.row_len));
-      d.present.set_range(begin, begin + grp.row_len);
-    }
-  }
-  r.expect_done();
-  return d;
-}
-
-Decoded decode_sparse_fixed(const nn::ParameterStore& layout, Reader& r,
-                            std::size_t position_bits) {
-  const std::size_t entry = 4 + position_bits / 8;
-  if (r.remaining() % entry != 0) {
-    throw DecodeError("sparse payload is not a whole number of entries");
-  }
-  const std::size_t k = r.remaining() / entry;
-  Decoded d;
-  d.values.assign(layout.size(), 0.0F);
-  d.present = Bitset(layout.size());
-  std::uint64_t prev = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    std::uint64_t idx = 0;
-    switch (position_bits) {
-      case 16:
-        idx = r.u16();
-        break;
-      case 32:
-        idx = r.u32();
-        break;
-      default:
-        idx = r.u64();
-        break;
-    }
-    if (idx >= layout.size()) throw DecodeError("sparse index out of range");
-    if (i > 0 && idx <= prev) throw DecodeError("sparse indices not sorted");
-    prev = idx;
-    d.values[idx] = r.f32();
-    d.present.set(idx);
-  }
-  r.expect_done();
-  return d;
-}
-
-Decoded decode_sparse_varint(const nn::ParameterStore& layout, Reader& r) {
-  const std::uint64_t k = r.varint();
-  if (k > layout.size()) throw DecodeError("sparse entry count exceeds model");
-  std::vector<std::uint32_t> indices(k);
-  std::uint64_t prev = 0;
-  for (std::uint64_t i = 0; i < k; ++i) {
-    const std::uint64_t gap = r.varint();
-    const std::uint64_t idx = i == 0 ? gap : prev + gap + 1;
-    if (idx >= layout.size()) throw DecodeError("sparse index out of range");
-    indices[i] = static_cast<std::uint32_t>(idx);
-    prev = idx;
-  }
-  Decoded d;
-  d.values.assign(layout.size(), 0.0F);
-  d.present = Bitset(layout.size());
-  for (std::uint64_t i = 0; i < k; ++i) {
-    d.values[indices[i]] = r.f32();
-    d.present.set(indices[i]);
-  }
-  r.expect_done();
-  return d;
-}
-
-Decoded decode_ternary(const nn::ParameterStore& layout, Reader& r,
-                       std::size_t position_bits) {
-  Decoded d;
-  d.values.assign(layout.size(), 0.0F);
-  d.present = Bitset(layout.size());
-  if (r.remaining() == 0) return d;  // empty selection transmits nothing
-  const std::size_t body = r.remaining();
-  if (body < 4) throw DecodeError("ternary payload shorter than its μ");
-  const std::uint64_t payload_bits = (body - 4) * 8;
-  const std::uint64_t k = payload_bits / (position_bits + 1);
-  if (k == 0 || ternary_bytes(k, position_bits) != body) {
-    throw DecodeError("ternary payload length mismatch");
-  }
-  const float mu = r.f32();
-  BitReader bits(r);
-  std::uint64_t prev = 0;
-  for (std::uint64_t i = 0; i < k; ++i) {
-    const std::uint64_t idx = bits.bits(static_cast<unsigned>(position_bits));
-    if (idx >= layout.size()) throw DecodeError("ternary index out of range");
-    if (i > 0 && idx <= prev) throw DecodeError("ternary indices not sorted");
-    prev = idx;
-    const bool negative = bits.bit();
-    d.values[idx] = negative ? -mu : mu;
-    d.present.set(idx);
-  }
-  bits.expect_padding_zero();
-  r.expect_done();
-  return d;
-}
-
-Decoded decode_sign_mean(const nn::ParameterStore& layout, Reader& r,
-                         const Bitset* candidates) {
-  const std::size_t count = candidate_total(layout.size(), candidates);
-  if (r.remaining() != sign_mean_bytes(count)) {
-    throw DecodeError("sign payload length mismatch");
-  }
-  const float scale = r.f32();
-  Decoded d;
-  d.values.assign(layout.size(), 0.0F);
-  d.present = Bitset(layout.size());
-  BitReader bits(r);
-  for_each_candidate(layout.size(), candidates, [&](std::size_t i) {
-    d.values[i] = bits.bit() ? -scale : scale;
-    d.present.set(i);
-  });
-  bits.expect_padding_zero();
-  r.expect_done();
-  return d;
-}
-
-Decoded decode_int8_dense(const nn::ParameterStore& layout, Reader& r,
-                          const Bitset* candidates) {
-  const std::size_t count = candidate_total(layout.size(), candidates);
-  if (r.remaining() != int8_dense_bytes(count)) {
-    throw DecodeError("int8 payload length mismatch");
-  }
-  const float scale = r.f32();
-  Decoded d;
-  d.values.assign(layout.size(), 0.0F);
-  d.present = Bitset(layout.size());
-  for_each_candidate(layout.size(), candidates, [&](std::size_t i) {
-    const auto q = static_cast<std::int8_t>(r.u8());
-    // Same expression the quantizer used client-side, so the dequantized
-    // float is bit-identical to what it trained with.
-    d.values[i] = static_cast<float>(q) * scale;
-    d.present.set(i);
-  });
-  r.expect_done();
-  return d;
-}
-
-Decoded decode_pruned(const nn::ParameterStore& layout, Reader& r,
-                      bool bitmap_variant) {
-  std::uint64_t prunable = 0;
-  for (const nn::RowGroup& grp : layout.groups()) {
-    if (grp.droppable) prunable += grp.size();
-  }
-  Bitset kept(static_cast<std::size_t>(prunable));
-  if (bitmap_variant) {
-    kept = Bitset::from_packed(r.bytes(packed_bits_bytes(prunable)),
-                               static_cast<std::size_t>(prunable));
-  } else {
-    const std::uint64_t k = r.varint();
-    if (k > prunable) throw DecodeError("pruned entry count exceeds model");
-    std::uint64_t prev = 0;
-    for (std::uint64_t i = 0; i < k; ++i) {
-      const std::uint64_t gap = r.varint();
-      const std::uint64_t idx = i == 0 ? gap : prev + gap + 1;
-      if (idx >= prunable) throw DecodeError("pruned index out of range");
-      kept.set(static_cast<std::size_t>(idx));
-      prev = idx;
-    }
-  }
-  Decoded d;
-  d.values.assign(layout.size(), 0.0F);
-  d.present = Bitset(layout.size());
-  std::size_t p = 0;
-  for (const nn::RowGroup& grp : layout.groups()) {
-    if (!grp.droppable) continue;
-    for (std::size_t i = grp.offset; i < grp.offset + grp.size(); ++i, ++p) {
-      if (!kept.test(p)) continue;
-      d.values[i] = r.f32();
-      d.present.set(i);
-    }
-  }
-  for (const nn::RowGroup& grp : layout.groups()) {
-    if (grp.droppable) continue;
-    r.f32_run(std::span(d.values).subspan(grp.offset, grp.size()));
-    d.present.set_range(grp.offset, grp.offset + grp.size());
-  }
-  r.expect_done();
-  return d;
-}
-
-}  // namespace
-
-Decoded decode_update(const nn::ParameterStore& layout, const Payload& payload,
-                      const Bitset* candidates) {
-  Reader r(payload.bytes);
-  const std::size_t position_bits = payload.aux == 0 ? 64 : payload.aux;
-  switch (payload.kind) {
-    case PayloadKind::kDenseF32:
-      return decode_dense(layout, r);
-    case PayloadKind::kRowMasked:
-      return decode_row_masked(layout, r);
-    case PayloadKind::kSparseFixed:
-      check_position_bits(position_bits);
-      return decode_sparse_fixed(layout, r, position_bits);
-    case PayloadKind::kSparseVarint:
-      return decode_sparse_varint(layout, r);
-    case PayloadKind::kTernary:
-      check_position_bits(position_bits);
-      return decode_ternary(layout, r, position_bits);
-    case PayloadKind::kSignMean:
-      return decode_sign_mean(layout, r, candidates);
-    case PayloadKind::kInt8Dense:
-      return decode_int8_dense(layout, r, candidates);
-    case PayloadKind::kPrunedBitmap:
-      return decode_pruned(layout, r, true);
-    case PayloadKind::kPrunedVarint:
-      return decode_pruned(layout, r, false);
-    case PayloadKind::kSubModel:
-      break;  // needs the strategy's WidthPlan; fall through to the error
-  }
-  throw DecodeError(std::string("payload kind ") + to_string(payload.kind) +
-                    " has no layout-generic decoder");
 }
 
 void seal_payload(Payload& payload) {

@@ -8,9 +8,11 @@
 // and the measured size equals the paper's accounting exactly (see
 // wire/accounting.hpp). Given the model layout the server already holds (it
 // broadcast the model), every section is self-framing: lengths are either
-// derived from the layout or carried as explicit varint counts, and every
-// decoder is bounds-checked end to end, rejecting truncated or corrupted
-// buffers with wire::DecodeError.
+// derived from the layout or carried as explicit varint counts. Each kind
+// has one parser: wire::decode_update_compact (wire/compact.hpp) for every
+// kind but kSubModel, WidthPlan::decode_submodel for that one. Both are
+// bounds-checked end to end, rejecting truncated or corrupted buffers with
+// wire::DecodeError.
 //
 // Section formats (all little-endian; bit runs LSB-first):
 //   kDenseF32      f32[n]                                  (n from layout)
@@ -30,8 +32,8 @@
 //                  f32 kept prunable ∥ f32 non-droppable
 //   kSubModel      f64 width ratio ∥ f32 surviving weights — the mask is
 //                  rebuilt from the ratio by the strategy's WidthPlan, so
-//                  decoding routes through Strategy::decode_payload (see
-//                  baselines/unit_mask.hpp)
+//                  decoding routes through Strategy::decode_payload_compact
+//                  (see baselines/unit_mask.hpp)
 #pragma once
 
 #include <cstdint>
@@ -69,13 +71,6 @@ struct Payload {
 
   [[nodiscard]] std::uint64_t size() const noexcept { return bytes.size(); }
   [[nodiscard]] bool empty() const noexcept { return bytes.empty(); }
-};
-
-/// A payload decoded against a model layout: the dense value vector (absent
-/// coordinates zeroed) and the 1-bit-per-coordinate presence set.
-struct Decoded {
-  std::vector<float> values;
-  Bitset present;
 };
 
 // --- CRC framing (fault-tolerant sessions) ---
@@ -139,16 +134,6 @@ void strip_seal(Payload& payload);
 [[nodiscard]] Payload encode_pruned(const nn::ParameterStore& layout,
                                     std::span<const std::uint8_t> coord_mask,
                                     std::span<const float> values);
-
-// --- decoder (server side, engine thread) ---
-
-/// Decodes a payload against `layout`. `candidates` narrows the coordinate
-/// set for the dense-over-candidates kinds (kSignMean/kInt8Dense) — pass
-/// nullptr when every coordinate is a candidate. kSubModel is not handled
-/// here (it needs the strategy's WidthPlan; see Strategy::decode_payload).
-[[nodiscard]] Decoded decode_update(const nn::ParameterStore& layout,
-                                    const Payload& payload,
-                                    const Bitset* candidates = nullptr);
 
 /// Expands a packed row pattern β (as transmitted, ceil(J/8) bytes) into the
 /// coordinate-level presence set: non-droppable coordinates and every

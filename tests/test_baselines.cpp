@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "baselines/afd.hpp"
 #include "baselines/fedavg.hpp"
@@ -19,6 +23,9 @@
 #include "data/text_synth.hpp"
 #include "nn/lstm_lm_model.hpp"
 #include "nn/mlp_model.hpp"
+#include "wire/compact.hpp"
+#include "wire/reader.hpp"
+#include "wire/writer.hpp"
 
 namespace fedbiad::baselines {
 namespace {
@@ -412,6 +419,126 @@ TEST(HeteroFl, RejectsEmptyOrInvalidLevels) {
   EXPECT_THROW(HeteroFlStrategy(plan, {}), fedbiad::CheckError);
   EXPECT_THROW(HeteroFlStrategy(plan, {0.0}), fedbiad::CheckError);
   EXPECT_THROW(HeteroFlStrategy(plan, {1.5}), fedbiad::CheckError);
+}
+
+// --- sub-model compact decode (FjORD / HeteroFL) ---------------------------
+
+/// Every coordinate a distinct float, with NaN, ±inf and -0 mixed in, so a
+/// value landing on the wrong coordinate or losing its bits shows.
+std::vector<float> hostile_values(std::size_t n) {
+  std::vector<float> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (i % 5) {
+      case 0:
+        v[i] = std::numeric_limits<float>::quiet_NaN();
+        break;
+      case 1:
+        v[i] = std::numeric_limits<float>::infinity();
+        break;
+      case 2:
+        v[i] = -std::numeric_limits<float>::infinity();
+        break;
+      case 3:
+        v[i] = -0.0F;
+        break;
+      default:
+        v[i] = 0.5F + static_cast<float>(i);
+        break;
+    }
+  }
+  return v;
+}
+
+/// Encodes `values` at `ratio`, decodes through the strategy and checks the
+/// compact form against the encoder's input under the plan's mask: kDense
+/// when the ratio keeps every coordinate, else kBitmap whose rank() matches
+/// a naive popcount at every coordinate.
+void expect_submodel_decode(const fl::Strategy& strat, const WidthPlan& plan,
+                            const nn::ParameterStore& store, double ratio) {
+  SCOPED_TRACE(testing::Message() << strat.name() << " ratio " << ratio);
+  const std::size_t n = store.size();
+  const std::vector<float> values = hostile_values(n);
+  const wire::CompactUpdate u = strat.decode_payload_compact(
+      store, plan.encode_submodel(store, ratio, values));
+  std::vector<std::uint8_t> mask(n, 1);
+  plan.build_mask(store, ratio, mask);
+  const auto kept = static_cast<std::size_t>(
+      std::count(mask.begin(), mask.end(), std::uint8_t{1}));
+  ASSERT_EQ(u.size(), n);
+  ASSERT_EQ(u.transmitted(), kept);
+  ASSERT_EQ(u.values.size(), kept);
+  if (kept == n) {
+    ASSERT_EQ(u.form, wire::CompactUpdate::Form::kDense);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(u.values[i]),
+                std::bit_cast<std::uint32_t>(values[i]))
+          << "coordinate " << i;
+    }
+    return;
+  }
+  ASSERT_EQ(u.form, wire::CompactUpdate::Form::kBitmap);
+  ASSERT_EQ(u.present.size(), n);
+  std::size_t naive = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(u.rank(i), naive) << "rank at " << i;
+    ASSERT_EQ(u.present.test(i), mask[i] != 0) << "coordinate " << i;
+    if (mask[i] == 0) continue;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(u.values[naive]),
+              std::bit_cast<std::uint32_t>(values[i]))
+        << "coordinate " << i;
+    ++naive;
+  }
+  ASSERT_EQ(u.rank(n), naive);
+}
+
+/// Sub-model payloads whose ratio is NaN, infinite or outside (0, 1], plus
+/// one carrying a valid ratio and a value short, must be rejected.
+void expect_malformed_submodels_rejected(const fl::Strategy& strat,
+                                         const WidthPlan& plan,
+                                         const nn::ParameterStore& store) {
+  for (const double ratio :
+       {0.0, -0.5, 1.5, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    wire::Writer w;
+    w.f64(ratio);
+    const wire::Payload bogus{.kind = wire::PayloadKind::kSubModel,
+                              .aux = 0,
+                              .bytes = std::move(w).take()};
+    EXPECT_THROW((void)strat.decode_payload_compact(store, bogus),
+                 wire::DecodeError)
+        << strat.name() << " ratio " << ratio;
+  }
+  wire::Payload short_by_one =
+      plan.encode_submodel(store, 0.5, hostile_values(store.size()));
+  short_by_one.bytes.resize(short_by_one.bytes.size() - sizeof(float));
+  EXPECT_THROW((void)strat.decode_payload_compact(store, short_by_one),
+               wire::DecodeError)
+      << strat.name();
+}
+
+TEST(SubModelDecode, FjordCompactFormsMatchEncoderInput) {
+  // 300·24 + 24 + 24·10 + 10 coordinates: the bitmap spans more than one
+  // rank-directory stride.
+  nn::MlpModel model({.input = 300, .hidden = 24, .classes = 10});
+  ASSERT_GT(model.store().size(), wire::CompactUpdate::kRankStride);
+  const auto plan = WidthPlan::for_mlp(model);
+  const FjordStrategy strat(plan, 0.5);
+  for (const double ratio : {1.0, 0.5, 0.3}) {
+    expect_submodel_decode(strat, plan, model.store(), ratio);
+  }
+  expect_malformed_submodels_rejected(strat, plan, model.store());
+}
+
+TEST(SubModelDecode, HeteroFlCompactFormsMatchEncoderInput) {
+  nn::LstmLmModel model(
+      {.vocab = 120, .embed = 16, .hidden = 16, .layers = 2});
+  ASSERT_GT(model.store().size(), wire::CompactUpdate::kRankStride);
+  const auto plan = WidthPlan::for_lstm_lm(model);
+  const HeteroFlStrategy strat(plan, {1.0, 0.5});
+  for (const double ratio : {1.0, 0.5, 0.25}) {
+    expect_submodel_decode(strat, plan, model.store(), ratio);
+  }
+  expect_malformed_submodels_rejected(strat, plan, model.store());
 }
 
 }  // namespace

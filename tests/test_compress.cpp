@@ -15,6 +15,7 @@
 #include "nn/parameter_store.hpp"
 #include "tensor/rng.hpp"
 #include "wire/accounting.hpp"
+#include "wire/compact.hpp"
 
 namespace fedbiad::compress {
 namespace {
@@ -292,7 +293,8 @@ TEST(WireCrossCheck, DecodeMatchesMaterializeForEveryCompressor) {
     std::vector<float> ref(n);
     std::vector<std::uint8_t> ref_mask(n);
     sparse.materialize(ref, ref_mask);
-    const wire::Decoded dec = wire::decode_update(layout, sparse.payload);
+    const wire::Decoded dec =
+        wire::expand(wire::decode_update_compact(layout, sparse.payload));
     ASSERT_EQ(dec.values.size(), n) << comp->name();
     EXPECT_EQ(dec.present, wire::Bitset::from_bytemask(ref_mask))
         << comp->name();

@@ -6,6 +6,7 @@
 // determinism under simultaneous corruption + churn + deadline pressure.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -216,7 +217,7 @@ TEST(CrcFrame, VerifyRejectsFrameShorterThanTrailer) {
   EXPECT_THROW(wire::strip_seal(p), wire::DecodeError);
 }
 
-// --- try_decode_outcome: non-throwing, context-wrapped --------------------
+// --- try_decode_outcome_compact: non-throwing, context-wrapped ------------
 
 struct DecodeRig {
   std::unique_ptr<nn::Model> model;
@@ -244,11 +245,11 @@ TEST(TryDecode, FramedSuccessChargesWireBytes) {
   DecodeRig rig = make_decode_rig();
   const std::uint64_t body = rig.outcome.payload.size();
   wire::seal_payload(rig.outcome.payload);
-  const auto status =
-      fl::try_decode_outcome(rig.strategy, rig.model->store(), rig.outcome,
-                             /*framed=*/true, {7, 42, 3.5});
+  const auto status = fl::try_decode_outcome_compact(
+      rig.strategy, rig.model->store(), rig.outcome, /*framed=*/true,
+      {7, 42, 3.5});
   ASSERT_TRUE(status.ok) << status.error;
-  EXPECT_EQ(rig.outcome.values.size(), rig.model->store().size());
+  EXPECT_EQ(rig.outcome.compact.size(), rig.model->store().size());
   // The trailer is on-the-wire traffic: uplink charges the framed size.
   EXPECT_EQ(rig.outcome.uplink_bytes, wire::framed_bytes(body));
 }
@@ -256,13 +257,15 @@ TEST(TryDecode, FramedSuccessChargesWireBytes) {
 TEST(TryDecode, UnframedSuccessMatchesThrowingDecode) {
   DecodeRig a = make_decode_rig();
   DecodeRig b = make_decode_rig();
-  const auto status = fl::try_decode_outcome(a.strategy, a.model->store(),
-                                             a.outcome, /*framed=*/false, {});
+  const auto status = fl::try_decode_outcome_compact(
+      a.strategy, a.model->store(), a.outcome, /*framed=*/false, {});
   ASSERT_TRUE(status.ok) << status.error;
-  fl::decode_outcome(b.strategy, b.model->store(), b.outcome);
-  ASSERT_EQ(a.outcome.values.size(), b.outcome.values.size());
-  for (std::size_t i = 0; i < a.outcome.values.size(); ++i) {
-    ASSERT_EQ(a.outcome.values[i], b.outcome.values[i]);
+  fl::decode_outcome_compact(b.strategy, b.model->store(), b.outcome);
+  EXPECT_EQ(a.outcome.compact.form, b.outcome.compact.form);
+  ASSERT_EQ(a.outcome.compact.values.size(), b.outcome.compact.values.size());
+  for (std::size_t i = 0; i < a.outcome.compact.values.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(a.outcome.compact.values[i]),
+              std::bit_cast<std::uint32_t>(b.outcome.compact.values[i]));
   }
   EXPECT_EQ(a.outcome.uplink_bytes, b.outcome.uplink_bytes);
 }
@@ -271,16 +274,16 @@ TEST(TryDecode, CorruptFrameWrapsDispatchContext) {
   DecodeRig rig = make_decode_rig();
   wire::seal_payload(rig.outcome.payload);
   rig.outcome.payload.bytes[5] ^= 0x10;
-  const auto status =
-      fl::try_decode_outcome(rig.strategy, rig.model->store(), rig.outcome,
-                             /*framed=*/true, {7, 42, 3.5});
+  const auto status = fl::try_decode_outcome_compact(
+      rig.strategy, rig.model->store(), rig.outcome, /*framed=*/true,
+      {7, 42, 3.5});
   ASSERT_FALSE(status.ok);
   EXPECT_NE(status.error.find("client 7"), std::string::npos) << status.error;
   EXPECT_NE(status.error.find("dispatch 42"), std::string::npos) << status.error;
   EXPECT_NE(status.error.find("t=3.5"), std::string::npos) << status.error;
   EXPECT_NE(status.error.find("rejected:"), std::string::npos) << status.error;
   // The failed outcome is left undecoded — retryable, never half-charged.
-  EXPECT_TRUE(rig.outcome.values.empty());
+  EXPECT_TRUE(rig.outcome.compact.empty());
   EXPECT_EQ(rig.outcome.uplink_bytes, 0u);
 }
 
@@ -288,17 +291,19 @@ TEST(TryDecode, TruncatedFrameRejectsWithoutThrowing) {
   DecodeRig rig = make_decode_rig();
   wire::seal_payload(rig.outcome.payload);
   rig.outcome.payload.bytes.resize(rig.outcome.payload.size() / 2);
-  const auto status = fl::try_decode_outcome(
-      rig.strategy, rig.model->store(), rig.outcome, /*framed=*/true, {1, 2, 0.0});
+  const auto status = fl::try_decode_outcome_compact(
+      rig.strategy, rig.model->store(), rig.outcome, /*framed=*/true,
+      {1, 2, 0.0});
   ASSERT_FALSE(status.ok);
-  EXPECT_TRUE(rig.outcome.values.empty());
+  EXPECT_TRUE(rig.outcome.compact.empty());
 }
 
 TEST(TryDecode, GarbageBodyRejectsEvenUnframed) {
   DecodeRig rig = make_decode_rig();
   rig.outcome.payload.bytes.resize(3);  // too short for any section header
-  const auto status = fl::try_decode_outcome(
-      rig.strategy, rig.model->store(), rig.outcome, /*framed=*/false, {0, 0, 0.0});
+  const auto status = fl::try_decode_outcome_compact(
+      rig.strategy, rig.model->store(), rig.outcome, /*framed=*/false,
+      {0, 0, 0.0});
   ASSERT_FALSE(status.ok);
 }
 

@@ -32,6 +32,7 @@
 #include "nn/optimizer.hpp"
 #include "tensor/ops.hpp"
 #include "wire/accounting.hpp"
+#include "wire/compact.hpp"
 #include "wire/reader.hpp"
 #include "wire/writer.hpp"
 
@@ -629,16 +630,29 @@ TEST(WireCodec, RowMaskedRoundTripHostileValuesAndEdgePatterns) {
   for (std::size_t j = 0; j < J; j += 2) ragged[j] = 1;
   for (const auto& row_kept : {all_kept, all_dropped, ragged}) {
     const auto payload = wire::encode_row_masked(store, row_kept, values);
-    const auto decoded = wire::decode_update(store, payload);
-    // Measured == the analytic §IV-B oracle via the shared helper.
-    std::uint64_t kept_weights = 0;
-    for (std::size_t i = 0; i < store.size(); ++i) {
-      if (decoded.present.test(i)) ++kept_weights;
+    const auto decoded =
+        wire::expand(wire::decode_update_compact(store, payload));
+    // The pattern's coverage: fixed groups whole, droppable rows per β.
+    std::vector<std::uint8_t> covered(store.size(), 0);
+    for (std::size_t g = 0; g < store.groups().size(); ++g) {
+      const nn::RowGroup& grp = store.group(g);
+      for (std::size_t r = 0; r < grp.rows; ++r) {
+        if (grp.droppable && row_kept[store.droppable_index(g, r)] == 0) {
+          continue;
+        }
+        for (std::size_t c = 0; c < grp.row_len; ++c) {
+          covered[grp.offset + r * grp.row_len + c] = 1;
+        }
+      }
     }
+    // Measured == the analytic §IV-B oracle via the shared helper.
+    const auto kept_weights = static_cast<std::uint64_t>(
+        std::count(covered.begin(), covered.end(), std::uint8_t{1}));
     EXPECT_EQ(payload.size(),
               wire::row_masked_bytes(kept_weights, J));
+    EXPECT_EQ(decoded.present, wire::Bitset::from_bytemask(covered));
     for (std::size_t i = 0; i < store.size(); ++i) {
-      if (decoded.present.test(i)) {
+      if (covered[i] != 0) {
         ASSERT_EQ(std::bit_cast<std::uint32_t>(decoded.values[i]),
                   std::bit_cast<std::uint32_t>(values[i]));
       } else {
@@ -655,7 +669,8 @@ TEST(WireCodec, DenseAndSparseRoundTripsIncludingEmpty) {
   {
     const auto payload = wire::encode_dense_f32(values);
     EXPECT_EQ(payload.size(), wire::dense_f32_bytes(n));
-    const auto decoded = wire::decode_update(store, payload);
+    const auto decoded =
+        wire::expand(wire::decode_update_compact(store, payload));
     expect_bit_identical(decoded.values, values);
     EXPECT_EQ(decoded.present.count(), n);
   }
@@ -676,7 +691,8 @@ TEST(WireCodec, DenseAndSparseRoundTripsIncludingEmpty) {
                 fixed ? wire::sparse_fixed_bytes(indices.size(), 64)
                       : wire::sparse_varint_bytes(
                             std::span<const std::uint32_t>(indices)));
-      const auto decoded = wire::decode_update(store, payload);
+      const auto decoded =
+          wire::expand(wire::decode_update_compact(store, payload));
       EXPECT_EQ(decoded.present.count(), indices.size());
       for (std::size_t k = 0; k < indices.size(); ++k) {
         ASSERT_TRUE(decoded.present.test(indices[k]));
@@ -699,25 +715,29 @@ TEST(WireCodec, TruncatedAndCorruptedPayloadsAreRejected) {
   for (const std::size_t cut : {std::size_t{1}, base.bytes.size() / 2}) {
     wire::Payload truncated = base;
     truncated.bytes.resize(base.bytes.size() - cut);
-    EXPECT_THROW(wire::decode_update(store, truncated), wire::DecodeError);
+    EXPECT_THROW((void)wire::decode_update_compact(store, truncated),
+                 wire::DecodeError);
   }
   wire::Payload extended = base;
   extended.bytes.push_back(0);
-  EXPECT_THROW(wire::decode_update(store, extended), wire::DecodeError);
+  EXPECT_THROW((void)wire::decode_update_compact(store, extended),
+               wire::DecodeError);
 
   // Nonzero padding bits in the packed row pattern.
   wire::Payload padded = base;
   const std::size_t pattern_bytes = (J + 7) / 8;
   if (J % 8 != 0) {
     padded.bytes[pattern_bytes - 1] |= std::uint8_t{1} << (J % 8);
-    EXPECT_THROW(wire::decode_update(store, padded), wire::DecodeError);
+    EXPECT_THROW((void)wire::decode_update_compact(store, padded),
+                 wire::DecodeError);
   }
 
   // A corrupted pattern byte changes the kept count, so the value section
   // length no longer matches and decode must reject rather than misread.
   wire::Payload flipped = base;
   flipped.bytes[0] ^= 0x01;
-  EXPECT_THROW(wire::decode_update(store, flipped), wire::DecodeError);
+  EXPECT_THROW((void)wire::decode_update_compact(store, flipped),
+               wire::DecodeError);
 
   // Sparse: out-of-range and unsorted indices.
   {
@@ -725,7 +745,8 @@ TEST(WireCodec, TruncatedAndCorruptedPayloadsAreRejected) {
         static_cast<std::uint32_t>(store.size())};
     const std::vector<float> v{1.0F};
     auto payload = wire::encode_sparse_fixed(bad_idx, v, 64);
-    EXPECT_THROW(wire::decode_update(store, payload), wire::DecodeError);
+    EXPECT_THROW((void)wire::decode_update_compact(store, payload),
+                 wire::DecodeError);
   }
   {
     std::vector<std::uint32_t> idx{3, 1};
@@ -738,7 +759,8 @@ TEST(WireCodec, TruncatedAndCorruptedPayloadsAreRejected) {
     wire::Payload unsorted{.kind = wire::PayloadKind::kSparseFixed,
                            .aux = 64,
                            .bytes = std::move(w).take()};
-    EXPECT_THROW(wire::decode_update(store, unsorted), wire::DecodeError);
+    EXPECT_THROW((void)wire::decode_update_compact(store, unsorted),
+                 wire::DecodeError);
   }
   // Sparse-varint whose declared count exceeds the model.
   {
@@ -747,14 +769,16 @@ TEST(WireCodec, TruncatedAndCorruptedPayloadsAreRejected) {
     wire::Payload bogus{.kind = wire::PayloadKind::kSparseVarint,
                         .aux = 0,
                         .bytes = std::move(w).take()};
-    EXPECT_THROW(wire::decode_update(store, bogus), wire::DecodeError);
+    EXPECT_THROW((void)wire::decode_update_compact(store, bogus),
+                 wire::DecodeError);
   }
   // Ternary whose body is not a whole number of 65-bit entries.
   {
     wire::Payload bogus{.kind = wire::PayloadKind::kTernary,
                         .aux = 64,
                         .bytes = std::vector<std::uint8_t>(7, 0)};
-    EXPECT_THROW(wire::decode_update(store, bogus), wire::DecodeError);
+    EXPECT_THROW((void)wire::decode_update_compact(store, bogus),
+                 wire::DecodeError);
   }
   // Sub-model with an out-of-range (or NaN) ratio.
   {

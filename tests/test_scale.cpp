@@ -1,9 +1,10 @@
 // Population-scale regression suite: the properties that let the engine
 // run 1M registered clients with ~10k in flight.
 //
-//   * decode_update_compact mirrors decode_update kind for kind — expand()
-//     of the compact view is bit-identical to the dense decode, and both
-//     paths reject the same malformed buffers with the same message.
+//   * decode_update_compact, kind for kind, returns exactly what the
+//     encoder was handed — expand() of the compact view is bit-identical to
+//     the wide view implied by the encoder's inputs — and rejects malformed
+//     buffers with the wire's exact DecodeError messages.
 //   * ShardedAccumulator::aggregate/merge reproduce the dense kernels
 //     (fl::aggregate and the coordinate-outer staleness merge) bit for bit
 //     over mixed compact forms spanning multiple accumulator blocks.
@@ -26,7 +27,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/fedavg.hpp"
@@ -102,37 +105,81 @@ std::vector<float> hostile_values(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-/// Decodes `payload` both ways and demands the compact view expand to the
-/// dense decode exactly: same presence set, bit-identical floats. The
-/// compact form lands in *out (when given) for form assertions.
-void expect_compact_matches_dense(const nn::ParameterStore& store,
-                                  const wire::Payload& payload,
-                                  const wire::Bitset* candidates = nullptr,
-                                  wire::CompactUpdate* out = nullptr) {
-  const wire::Decoded dense = wire::decode_update(store, payload, candidates);
+/// The wide view an encoder's inputs imply: coordinate i is transmitted
+/// iff keep[i] != 0, and then decodes to want[i]; every other coordinate
+/// is +0. Built from the inputs alone, independent of any decoder.
+wire::Decoded implied(std::span<const float> want,
+                      std::span<const std::uint8_t> keep) {
+  wire::Decoded d;
+  d.values.assign(want.size(), 0.0F);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (keep[i] != 0) d.values[i] = want[i];
+  }
+  d.present = wire::Bitset::from_bytemask(keep);
+  return d;
+}
+
+/// implied() for an index/value list over an n-coordinate model.
+wire::Decoded implied_sparse(std::size_t n,
+                             std::span<const std::uint32_t> indices,
+                             std::span<const float> vals) {
+  std::vector<float> want(n, 0.0F);
+  std::vector<std::uint8_t> keep(n, 0);
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    want[indices[k]] = vals[k];
+    keep[indices[k]] = 1;
+  }
+  return implied(want, keep);
+}
+
+/// Byte-per-coordinate coverage of a row pattern: fixed groups whole, and
+/// every coordinate of each kept row of a droppable group.
+std::vector<std::uint8_t> row_coverage(const nn::ParameterStore& store,
+                                       std::span<const std::uint8_t> kept) {
+  std::vector<std::uint8_t> keep(store.size(), 0);
+  for (std::size_t g = 0; g < store.groups().size(); ++g) {
+    const nn::RowGroup& grp = store.group(g);
+    for (std::size_t r = 0; r < grp.rows; ++r) {
+      if (grp.droppable && kept[store.droppable_index(g, r)] == 0) continue;
+      std::fill_n(keep.begin() + static_cast<std::ptrdiff_t>(
+                                     grp.offset + r * grp.row_len),
+                  grp.row_len, std::uint8_t{1});
+    }
+  }
+  return keep;
+}
+
+/// Decodes `payload` and demands the compact view expand to `want`
+/// exactly: same presence set, bit-identical floats. The compact form
+/// lands in *out (when given) for form assertions.
+void expect_decodes_to(const nn::ParameterStore& store,
+                       const wire::Payload& payload, const wire::Decoded& want,
+                       const wire::Bitset* candidates = nullptr,
+                       wire::CompactUpdate* out = nullptr) {
   wire::CompactUpdate compact =
       wire::decode_update_compact(store, payload, candidates);
   EXPECT_EQ(compact.size(), store.size());
   const wire::Decoded expanded = wire::expand(compact);
-  EXPECT_EQ(expanded.present, dense.present);
-  EXPECT_EQ(compact.transmitted(), dense.present.count());
-  EXPECT_EQ(expanded.values.size(), dense.values.size());
-  for (std::size_t i = 0; i < dense.values.size(); ++i) {
+  EXPECT_EQ(expanded.present, want.present);
+  EXPECT_EQ(compact.transmitted(), want.present.count());
+  ASSERT_EQ(expanded.values.size(), want.values.size());
+  for (std::size_t i = 0; i < want.values.size(); ++i) {
     ASSERT_EQ(std::bit_cast<std::uint32_t>(expanded.values[i]),
-              std::bit_cast<std::uint32_t>(dense.values[i]))
+              std::bit_cast<std::uint32_t>(want.values[i]))
         << "coordinate " << i;
   }
   if (out != nullptr) *out = std::move(compact);
 }
 
-// --- compact decode == dense decode, per payload kind ----------------------
+// --- compact decode == the encoder's inputs, per payload kind --------------
 
 TEST(CompactDecode, DenseF32) {
   const auto store = ragged_store();
   const auto values = hostile_values(store.size(), 301);
+  const std::vector<std::uint8_t> all(store.size(), 1);
   wire::CompactUpdate compact;
-  expect_compact_matches_dense(store, wire::encode_dense_f32(values), nullptr,
-                               &compact);
+  expect_decodes_to(store, wire::encode_dense_f32(values),
+                    implied(values, all), nullptr, &compact);
   EXPECT_EQ(compact.form, wire::CompactUpdate::Form::kDense);
 }
 
@@ -145,8 +192,8 @@ TEST(CompactDecode, RowMaskedAllPatterns) {
   std::vector<std::uint8_t> ragged(J, 0);
   for (std::size_t j = 0; j < J; j += 2) ragged[j] = 1;
   for (const auto& kept : {all_kept, all_dropped, ragged}) {
-    expect_compact_matches_dense(store,
-                                 wire::encode_row_masked(store, kept, values));
+    expect_decodes_to(store, wire::encode_row_masked(store, kept, values),
+                      implied(values, row_coverage(store, kept)));
   }
 }
 
@@ -171,7 +218,9 @@ TEST(CompactDecode, SparseFixedAndVarintIncludingEmptyAndFull) {
           fixed ? wire::encode_sparse_fixed(indices, sparse_vals, 64)
                 : wire::encode_sparse_varint(indices, sparse_vals);
       wire::CompactUpdate compact;
-      expect_compact_matches_dense(store, payload, nullptr, &compact);
+      expect_decodes_to(store, payload,
+                        implied_sparse(n, indices, sparse_vals), nullptr,
+                        &compact);
       if (indices.empty()) {
         EXPECT_EQ(compact.transmitted(), 0u);
       }
@@ -181,30 +230,40 @@ TEST(CompactDecode, SparseFixedAndVarintIncludingEmptyAndFull) {
 
 TEST(CompactDecode, Ternary) {
   const auto store = ragged_store();
+  const std::size_t n = store.size();
   const std::vector<std::uint32_t> indices{2, 3, 11, 40,
-                                           static_cast<std::uint32_t>(
-                                               store.size() - 1)};
+                                           static_cast<std::uint32_t>(n - 1)};
   const std::vector<std::uint8_t> negative{0, 1, 1, 0, 1};
-  expect_compact_matches_dense(
-      store, wire::encode_ternary(0.125F, indices, negative, 64));
+  std::vector<float> signed_mu;
+  for (const std::uint8_t neg : negative) {
+    signed_mu.push_back(neg != 0 ? -0.125F : 0.125F);
+  }
+  expect_decodes_to(store, wire::encode_ternary(0.125F, indices, negative, 64),
+                    implied_sparse(n, indices, signed_mu));
   // k = 0: the empty ternary section.
-  expect_compact_matches_dense(store, wire::encode_ternary(0.0F, {}, {}, 64));
+  expect_decodes_to(store, wire::encode_ternary(0.0F, {}, {}, 64),
+                    implied_sparse(n, {}, {}));
 }
 
 TEST(CompactDecode, SignMeanWithAndWithoutCandidates) {
   const auto store = ragged_store();
   const std::size_t n = store.size();
   const auto values = hostile_values(n, 307);
+  std::vector<float> signs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    signs[i] = std::signbit(values[i]) ? -0.25F : 0.25F;
+  }
   {  // every coordinate is a candidate
     const auto payload = wire::encode_sign_mean(0.25F, {}, values);
-    expect_compact_matches_dense(store, payload);
+    expect_decodes_to(store, payload,
+                      implied(signs, std::vector<std::uint8_t>(n, 1)));
   }
   {  // a proper candidate subset
     std::vector<std::uint8_t> mask(n, 0);
     for (std::size_t i = 0; i < n; i += 3) mask[i] = 1;
     const auto candidates = wire::Bitset::from_bytemask(mask);
     const auto payload = wire::encode_sign_mean(0.25F, mask, values);
-    expect_compact_matches_dense(store, payload, &candidates);
+    expect_decodes_to(store, payload, implied(signs, mask), &candidates);
   }
 }
 
@@ -212,14 +271,23 @@ TEST(CompactDecode, Int8DenseWithAndWithoutCandidates) {
   const auto store = ragged_store();
   const std::size_t n = store.size();
   tensor::Rng rng(309);
-  {
-    std::vector<std::int8_t> quants(n);
+  auto random_quants = [&rng](std::size_t count) {
+    std::vector<std::int8_t> quants(count);
     for (auto& q : quants) {
       q = static_cast<std::int8_t>(
           static_cast<int>(rng.uniform_index(255)) - 127);
     }
+    return quants;
+  };
+  {
+    const auto quants = random_quants(n);
+    std::vector<float> want(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      want[i] = static_cast<float>(quants[i]) * 0.01F;
+    }
     const auto payload = wire::encode_int8_dense(0.01F, quants, n);
-    expect_compact_matches_dense(store, payload);
+    expect_decodes_to(store, payload,
+                      implied(want, std::vector<std::uint8_t>(n, 1)));
   }
   {
     std::vector<std::uint8_t> mask(n, 0);
@@ -229,13 +297,14 @@ TEST(CompactDecode, Int8DenseWithAndWithoutCandidates) {
       ++count;
     }
     const auto candidates = wire::Bitset::from_bytemask(mask);
-    std::vector<std::int8_t> quants(count);
-    for (auto& q : quants) {
-      q = static_cast<std::int8_t>(
-          static_cast<int>(rng.uniform_index(255)) - 127);
+    const auto quants = random_quants(count);
+    std::vector<float> want(n, 0.0F);
+    std::size_t c = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (mask[i] != 0) want[i] = static_cast<float>(quants[c++]) * 0.01F;
     }
     const auto payload = wire::encode_int8_dense(0.01F, quants, count);
-    expect_compact_matches_dense(store, payload, &candidates);
+    expect_decodes_to(store, payload, implied(want, mask), &candidates);
   }
 }
 
@@ -253,6 +322,8 @@ TEST(CompactDecode, PrunedBothEmittedVariants) {
   }
   // Dense mask (keep almost everything) and sparse mask (keep almost
   // nothing droppable) so both kPrunedBitmap and kPrunedVarint are hit.
+  // Fixed coordinates are 1 in both, as encode_pruned requires, so the mask
+  // is exactly the transmitted set.
   std::vector<std::uint8_t> dense_mask(n, 1);
   std::vector<std::uint8_t> sparse_mask(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -263,49 +334,56 @@ TEST(CompactDecode, PrunedBothEmittedVariants) {
   for (const auto& mask : {dense_mask, sparse_mask}) {
     const auto payload = wire::encode_pruned(store, mask, values);
     kinds.push_back(payload.kind);
-    expect_compact_matches_dense(store, payload);
+    expect_decodes_to(store, payload, implied(values, mask));
   }
   EXPECT_NE(kinds[0], kinds[1]) << "expected both pruned encodings covered";
 }
 
-// Both decoders must reject the same malformed buffers — with the same
-// message, so the fault path's rejection accounting is path-independent.
-TEST(CompactDecode, RejectsMalformedBuffersIdenticallyToDense) {
+// Malformed buffers are rejected with the wire's exact messages: the fault
+// path reports them verbatim inside each rejection.
+TEST(CompactDecode, RejectsMalformedBuffers) {
   const auto store = ragged_store();
   const auto values = hostile_values(store.size(), 313);
-  std::vector<wire::Payload> malformed;
+  std::vector<std::pair<wire::Payload, std::string>> malformed;
   {
     auto p = wire::encode_dense_f32(values);
     p.bytes.resize(p.bytes.size() - 3);
-    malformed.push_back(std::move(p));
+    malformed.emplace_back(std::move(p), "dense payload length mismatch");
   }
   {
     std::vector<std::uint8_t> kept(store.droppable_rows(), 1);
     auto p = wire::encode_row_masked(store, kept, values);
     p.bytes.push_back(0);
-    malformed.push_back(std::move(p));
+    malformed.emplace_back(std::move(p), "trailing bytes after payload");
+  }
+  {
+    std::vector<std::uint8_t> kept(store.droppable_rows(), 1);
+    auto p = wire::encode_row_masked(store, kept, values);
+    p.bytes.pop_back();
+    malformed.emplace_back(std::move(p), "payload truncated");
   }
   {
     const std::vector<std::uint32_t> bad{
         static_cast<std::uint32_t>(store.size())};
     const std::vector<float> v{1.0F};
-    malformed.push_back(wire::encode_sparse_fixed(bad, v, 64));
+    malformed.emplace_back(wire::encode_sparse_fixed(bad, v, 64),
+                           "sparse index out of range");
   }
-  for (const auto& payload : malformed) {
-    std::string dense_error;
-    std::string compact_error;
-    try {
-      (void)wire::decode_update(store, payload);
-    } catch (const wire::DecodeError& e) {
-      dense_error = e.what();
-    }
+  {
+    wire::Payload p{.kind = wire::PayloadKind::kSubModel,
+                    .aux = 0,
+                    .bytes = std::vector<std::uint8_t>(8, 0)};
+    malformed.emplace_back(
+        std::move(p), "payload kind sub-model has no layout-generic decoder");
+  }
+  for (const auto& [payload, message] : malformed) {
+    std::string error;
     try {
       (void)wire::decode_update_compact(store, payload);
     } catch (const wire::DecodeError& e) {
-      compact_error = e.what();
+      error = e.what();
     }
-    EXPECT_FALSE(dense_error.empty());
-    EXPECT_EQ(dense_error, compact_error);
+    EXPECT_EQ(error, message) << wire::to_string(payload.kind);
   }
 }
 
@@ -337,17 +415,24 @@ struct Batch {
 };
 
 /// One update per compact form (dense, bitmap, sparse, empty) with distinct
-/// weights, decoded through both paths from the same wire payloads.
+/// weights: the fused side decodes the wire payloads, the dense side holds
+/// the wide views the encoders' inputs imply.
 Batch mixed_batch(const nn::ParameterStore& store, bool is_update) {
   const std::size_t n = store.size();
   Batch b;
   std::vector<wire::Payload> payloads;
-  payloads.push_back(wire::encode_dense_f32(hostile_values(n, 401)));
+  std::vector<wire::Decoded> wide;
   {
+    const auto values = hostile_values(n, 401);
+    payloads.push_back(wire::encode_dense_f32(values));
+    wide.push_back(implied(values, std::vector<std::uint8_t>(n, 1)));
+  }
+  {
+    const auto values = hostile_values(n, 402);
     std::vector<std::uint8_t> kept(store.droppable_rows(), 0);
     for (std::size_t j = 0; j < kept.size(); j += 2) kept[j] = 1;
-    payloads.push_back(
-        wire::encode_row_masked(store, kept, hostile_values(n, 402)));
+    payloads.push_back(wire::encode_row_masked(store, kept, values));
+    wide.push_back(implied(values, row_coverage(store, kept)));
   }
   {
     const auto values = hostile_values(n, 403);
@@ -358,11 +443,13 @@ Batch mixed_batch(const nn::ParameterStore& store, bool is_update) {
       vals.push_back(values[i]);
     }
     payloads.push_back(wire::encode_sparse_varint(indices, vals));
+    wide.push_back(implied_sparse(n, indices, vals));
   }
   payloads.push_back(wire::encode_sparse_varint({}, {}));
+  wide.push_back(implied_sparse(n, {}, {}));
   const std::size_t samples[] = {3, 21, 8, 5};
   for (std::size_t k = 0; k < payloads.size(); ++k) {
-    const wire::Decoded d = wire::decode_update(store, payloads[k]);
+    const wire::Decoded& d = wide[k];
     fl::ClientOutcome out;
     out.client_id = k;
     out.samples = samples[k];
@@ -506,11 +593,11 @@ TEST(FusedAggregate, DenseMergeMatchesCoordinateOuterReference) {
           compact.emplace_back();
           compact.back().coords = n;
         } else {
-          const wire::Payload payload = wire::encode_dense_f32(
-              shifted_hostile(n, 411 + k, static_cast<std::size_t>(shifts[k])));
-          const wire::Decoded d = wire::decode_update(store, payload);
-          out.values = d.values;
-          out.present = d.present;
+          const std::vector<float> values =
+              shifted_hostile(n, 411 + k, static_cast<std::size_t>(shifts[k]));
+          const wire::Payload payload = wire::encode_dense_f32(values);
+          out.values = values;
+          out.present.assign(n, true);
           compact.push_back(wire::decode_update_compact(store, payload));
           ASSERT_EQ(compact.back().form, wire::CompactUpdate::Form::kDense);
         }

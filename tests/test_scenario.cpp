@@ -1395,6 +1395,21 @@ TEST(EngineScenario, DecodeOutcomeRejectsDoubleDecode) {
                CheckError);
 }
 
+// The guard spans both views: an outcome the engines already decoded
+// compactly must not be decoded again into the wide view — the two are
+// mutually exclusive and the second decode would re-charge uplink bytes.
+TEST(EngineScenario, DecodeOutcomeRejectsDenseAfterCompact) {
+  baselines::FedAvgStrategy strategy;
+  ReferenceRig rig = make_rig(1, {}, strategy);
+  fl::ClientOutcome out =
+      reference_run_client(rig, strategy, 0, /*stream=*/1, 0.0, 0.0);
+  fl::decode_outcome_compact(strategy, rig.model->store(), out);
+  EXPECT_THROW(fl::decode_outcome(strategy, rig.model->store(), out),
+               CheckError);
+  EXPECT_TRUE(out.values.empty());
+  EXPECT_EQ(out.present.size(), 0U);
+}
+
 // --- Fuzzed scenario invariants -------------------------------------------
 
 scenario::Config fuzz_config(tensor::Rng& rng) {
