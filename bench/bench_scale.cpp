@@ -234,9 +234,9 @@ void write_json(const std::string& path, const KernelResult& kernel,
   os << "  \"scale\": " << num(scale) << ",\n";
   os << "  \"seed\": 42,\n";
   os << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
-  // Engine worker-thread count (FEDBIAD_THREADS; 0 = hardware concurrency).
-  // Block-owner partitioning keeps every number below identical across
-  // thread counts — only the wall clock moves.
+  // Engine worker-thread count (FEDBIAD_THREADS; 0 = the CPUs in the
+  // affinity mask). Block-owner partitioning keeps every number below
+  // identical across thread counts — only the wall clock moves.
   os << "  \"threads\": " << threads << ",\n";
   os << "  \"kernel\": {\"coords\": " << kernel.coords
      << ", \"updates\": " << kernel.updates << ", \"reps\": " << kernel.reps

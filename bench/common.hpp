@@ -33,7 +33,6 @@
 #include "data/partition.hpp"
 #include "data/text_synth.hpp"
 #include "fl/async_simulation.hpp"
-#include "fl/simulation.hpp"
 #include "netsim/client_profile.hpp"
 #include "netsim/tta.hpp"
 #include "nn/lstm_lm_model.hpp"
@@ -240,8 +239,8 @@ inline compress::CompressorPtr make_compressor(const std::string& name) {
 
 inline fl::SimulationResult run_strategy(const Workload& w,
                                          fl::StrategyPtr strategy) {
-  fl::Simulation sim(w.sim, w.factory, w.train, w.test, w.partition,
-                     std::move(strategy));
+  fl::AsyncSimulation sim({.base = w.sim}, w.factory, w.train, w.test,
+                          w.partition, std::move(strategy));
   return sim.run();
 }
 

@@ -12,7 +12,7 @@
 #include "core/fedbiad_strategy.hpp"
 #include "data/image_synth.hpp"
 #include "data/partition.hpp"
-#include "fl/simulation.hpp"
+#include "fl/async_simulation.hpp"
 #include "netsim/tta.hpp"
 #include "nn/mlp_model.hpp"
 #include "smoke.hpp"
@@ -61,8 +61,8 @@ int main() {
   for (auto& [label, strategy] :
        std::vector<std::pair<const char*, fl::StrategyPtr>>{
            {"DGC", naive}, {"FedBIAD+DGC", composed}}) {
-    fl::Simulation sim(sim_cfg, factory, datasets.train, datasets.test,
-                       partition, strategy);
+    fl::AsyncSimulation sim({.base = sim_cfg}, factory, datasets.train,
+                            datasets.test, partition, strategy);
     const auto result = sim.run();
     const auto upload = netsim::summarize_upload(result, dense);
     std::printf("%-13s %8.2f%% %12s %8.0fx\n", label,

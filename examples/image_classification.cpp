@@ -12,7 +12,7 @@
 #include "core/fedbiad_strategy.hpp"
 #include "data/image_synth.hpp"
 #include "data/partition.hpp"
-#include "fl/simulation.hpp"
+#include "fl/async_simulation.hpp"
 #include "netsim/tta.hpp"
 #include "nn/mlp_model.hpp"
 #include "smoke.hpp"
@@ -66,8 +66,8 @@ int main() {
   std::printf("%-9s %9s %12s %8s %14s\n", "method", "best acc", "upload",
               "save", "TTA to 60%");
   for (auto& e : entries) {
-    fl::Simulation sim(sim_cfg, factory, datasets.train, datasets.test,
-                       partition, e.strategy);
+    fl::AsyncSimulation sim({.base = sim_cfg}, factory, datasets.train,
+                            datasets.test, partition, e.strategy);
     const auto result = sim.run();
     const auto upload = netsim::summarize_upload(result, dense);
     const auto tta = result.time_to_accuracy(0.60, false);

@@ -10,7 +10,7 @@
 #include "bayes/theory.hpp"
 #include "core/fedbiad_strategy.hpp"
 #include "data/text_synth.hpp"
-#include "fl/simulation.hpp"
+#include "fl/async_simulation.hpp"
 #include "netsim/tta.hpp"
 #include "nn/lstm_lm_model.hpp"
 #include "smoke.hpp"
@@ -47,8 +47,8 @@ int main() {
       core::FedBiadConfig{.dropout_rate = 0.5,
                           .tau = 3,
                           .stage_boundary = smoke ? 2UL : 12UL});
-  fl::Simulation sim(sim_cfg, factory, text.train, text.test,
-                     text.client_indices, strategy);
+  fl::AsyncSimulation sim({.base = sim_cfg}, factory, text.train, text.test,
+                          text.client_indices, strategy);
   const auto result = sim.run();
 
   // Theorem 1 machinery for this model structure.

@@ -11,7 +11,7 @@
 #include "core/fedbiad_strategy.hpp"
 #include "data/image_synth.hpp"
 #include "data/partition.hpp"
-#include "fl/simulation.hpp"
+#include "fl/async_simulation.hpp"
 #include "netsim/tta.hpp"
 #include "nn/mlp_model.hpp"
 #include "smoke.hpp"
@@ -47,8 +47,8 @@ int main() {
   sim_cfg.train.local_iterations = smoke ? 5 : 20;
   sim_cfg.train.batch_size = 32;
   sim_cfg.train.sgd = {.lr = 0.1F, .weight_decay = 1e-4F, .clip_norm = 5.0F};
-  fl::Simulation sim(sim_cfg, factory, datasets.train, datasets.test,
-                     partition, strategy);
+  fl::AsyncSimulation sim({.base = sim_cfg}, factory, datasets.train,
+                          datasets.test, partition, strategy);
   const auto result = sim.run();
 
   // 5. Report.

@@ -61,15 +61,6 @@ void DropPattern::apply_to_params(nn::ParameterStore& store) const {
   }
 }
 
-void DropPattern::apply_to_grads(nn::ParameterStore& store) const {
-  FEDBIAD_CHECK(rows() == store.droppable_rows(), "pattern/store mismatch");
-  for (std::size_t j = 0; j < rows(); ++j) {
-    if (kept_[j]) continue;
-    const auto ref = store.droppable_row(j);
-    tensor::fill(store.row_grads(ref.group, ref.row), 0.0F);
-  }
-}
-
 void DropPattern::mark_presence(const nn::ParameterStore& store,
                                 std::span<std::uint8_t> present) const {
   FEDBIAD_CHECK(present.size() == store.size(), "presence size mismatch");

@@ -54,9 +54,6 @@ class DropPattern {
   /// Zeroes the parameters of dropped rows (β ∘ U, eq. 6).
   void apply_to_params(nn::ParameterStore& store) const;
 
-  /// Zeroes the gradients of dropped rows (masked update, eq. 7).
-  void apply_to_grads(nn::ParameterStore& store) const;
-
   /// Clears `present[i]` for every coordinate belonging to a dropped row.
   /// Other coordinates are left untouched.
   void mark_presence(const nn::ParameterStore& store,

@@ -46,6 +46,7 @@ void sync_kept_rows(const nn::ParameterStore& store, const DropPattern& pattern,
 bayes::ModelStructure structure_of(const nn::ParameterStore& store,
                                    double dropout_rate) {
   bayes::ModelStructure s;
+  s.layers = store.groups().size();
   std::size_t droppable_weights = 0;
   std::size_t fixed_weights = 0;
   for (const nn::RowGroup& g : store.groups()) {
@@ -54,7 +55,6 @@ bayes::ModelStructure structure_of(const nn::ParameterStore& store,
     } else {
       fixed_weights += g.size();
     }
-    if (g.kind != nn::GroupKind::kRecurrentHidden) ++s.layers;
     s.width = std::max(s.width, g.rows);
     s.input = std::max(s.input, g.row_len - 1);
   }

@@ -53,7 +53,7 @@ class FedBiadStrategy final : public fl::Strategy {
   /// Clients train the sub-model β selects (Model::train_step with
   /// `kept`): on the MLP and LSTM models the dropped rows leave every GEMM,
   /// so one step costs ~(1-p) of the dense model — the LTTR advantage of
-  /// Fig. 7. Conv and RNN models still compute at full width.
+  /// Fig. 7. The Conv model still computes at full width.
   [[nodiscard]] double compute_cost_multiplier() const override {
     return 1.0 - cfg_.dropout_rate;
   }
@@ -81,7 +81,7 @@ class FedBiadStrategy final : public fl::Strategy {
 
 /// Derives the (S, L, D, d, B) structure of eq. 13/15 from a parameter store
 /// and a dropout rate: S = (1-p)·N over droppable weights plus all
-/// non-droppable ones, L = number of weight matrices acting as layers,
+/// non-droppable ones, L = number of weight matrices (row groups),
 /// D = widest layer, d = widest row.
 bayes::ModelStructure structure_of(const nn::ParameterStore& store,
                                    double dropout_rate);

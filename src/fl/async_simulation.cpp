@@ -597,7 +597,7 @@ class AsyncSimulation::Driver final : public ServerDriver {
   tensor::Rng client_rng_base_;
   // The registry materializes device profiles lazily from a split of the
   // base seed (never from the selection stream, which must see exactly the
-  // sync engine's draws whatever the heterogeneity config), and pools the
+  // homogeneous fleet's draws whatever the heterogeneity config), and pools the
   // per-dispatch ClientState records, so steady-state engine memory is
   // O(in-flight), not O(registered).
   ClientRegistry registry_;

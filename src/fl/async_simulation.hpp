@@ -1,8 +1,7 @@
 // Event-driven federated simulation engine: the virtual-clock driver of
-// fl::ServerCore.
+// fl::ServerCore and the one entry point for in-process runs.
 //
-// Where fl::Simulation runs a lock-step round loop, this engine runs a
-// virtual-clock timeline: every dispatched client takes
+// The engine runs a virtual-clock timeline: every dispatched client takes
 //   download → local compute → upload
 // virtual seconds (drawn from its netsim::ClientProfile), and its update
 // becomes visible to the server only when the upload arrives. Every server
@@ -10,9 +9,9 @@
 // ledgers and the core of each checkpoint — is made by fl::ServerCore, the
 // same core the transport server runs on (fl/server_core.hpp):
 //
-//   kBarrier   — wait for the whole selection wave, then aggregate exactly
-//                like the sync engine (bit-equivalent trajectories; the
-//                legacy Simulation::run is a thin adapter over this mode).
+//   kBarrier   — wait for the whole selection wave, then aggregate it as
+//                one synchronous round (paper Algorithm 1); the default,
+//                and the mode the golden traces pin.
 //   kFedAsync  — merge every arrival immediately with a polynomial
 //                staleness weight (Xie et al., FedAsync).
 //   kBufferedK — semi-async: buffer K arrivals, then merge the buffer with
@@ -49,7 +48,7 @@
 namespace fedbiad::fl {
 
 struct AsyncSimulationConfig {
-  SimulationConfig base;  ///< rounds = number of commits (= sync rounds)
+  SimulationConfig base;  ///< rounds = number of commits
   AggregationMode mode = AggregationMode::kBarrier;
   StalenessConfig staleness;
   std::size_t buffer_size = 4;  ///< K for kBufferedK

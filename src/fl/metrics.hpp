@@ -26,10 +26,9 @@ struct RoundRecord {
   double download_seconds = 0.0;
   double aggregate_seconds = 0.0;
   /// Virtual-clock time at which this round's aggregation committed. Every
-  /// engine reports it — the sync adapter runs over the default homogeneous
-  /// fleet, so its value is the barrier timeline of identical devices
-  /// (useful as the baseline against heterogeneous/async runs, not a
-  /// measured wall time).
+  /// engine reports it — over the default homogeneous fleet its value is
+  /// the barrier timeline of identical devices (useful as the baseline
+  /// against heterogeneous/async runs, not a measured wall time).
   double clock_seconds = 0.0;
   /// Mean staleness (global versions committed between a participant's
   /// dispatch and its merge) over this round's participants. Always 0 for
@@ -60,7 +59,10 @@ struct RoundRecord {
 
 struct SimulationResult {
   std::string strategy;
-  std::string engine = "sync";  ///< "sync", "barrier", "fedasync", "buffered"
+  /// Engine that produced the run, set by its driver: "barrier",
+  /// "fedasync" or "buffered" (fl::AsyncSimulation), "transport-<mode>"
+  /// (transport::ServerRuntime). Empty until a driver sets it.
+  std::string engine;
   std::string scenario;         ///< scenario name; empty when none configured
   std::vector<RoundRecord> rounds;
   std::vector<float> final_params;

@@ -206,7 +206,7 @@ std::shared_ptr<const wire::Payload> ServerCore::broadcast() {
 // Barrier: one synchronized wave per round. Nothing is in flight when a
 // wave is drawn, so with no hooks (or always-available ones and
 // over_selection = 1) this is sample_without_replacement(populated, select)
-// mapped straight onto the populated ids — the sync engine's draw.
+// mapped straight onto the populated ids — a synchronous round's draw.
 void ServerCore::dispatch_wave() {
   std::vector<std::size_t> scan;
   const std::size_t count = selectable(scan);
@@ -310,7 +310,7 @@ void ServerCore::finish_wave() {
     return;
   }
   // Selection-slot order makes the aggregation order (and so every float)
-  // match the sync engine whatever order the uploads arrived in.
+  // match a synchronous round whatever order the uploads arrived in.
   std::vector<PendingUpdate> batch = std::exchange(held_, {});
   std::sort(batch.begin(), batch.end(),
             [](const PendingUpdate& a, const PendingUpdate& b) {
@@ -347,8 +347,8 @@ void ServerCore::commit(std::vector<PendingUpdate> batch) {
   const auto agg_start = std::chrono::steady_clock::now();
   double staleness_acc = 0.0;
   if (barrier()) {
-    // The sync path, bit for bit: compact outcomes in selection-slot order
-    // through the fused committer under the strategy's rule — per
+    // A synchronous round, bit for bit: compact outcomes in selection-slot
+    // order through the fused committer under the strategy's rule — per
     // coordinate the double adds land in the same order with the same
     // operands as fl::aggregate on the expanded decode (the goldens pin it).
     std::vector<FusedUpdate> fused(batch.size());

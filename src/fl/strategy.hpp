@@ -67,12 +67,12 @@ struct ClientContext {
   std::span<const std::size_t> shard;
   const TrainSettings& settings;
   tensor::Rng rng;  ///< stream unique to (client, round)
-  /// Global-model version the client's snapshot was taken from. The sync
-  /// engine always passes round - 1; under asynchronous aggregation the
+  /// Global-model version the client's snapshot was taken from. Barrier
+  /// aggregation always passes round - 1; under asynchronous aggregation the
   /// server may have committed newer versions by the time this client's
   /// update arrives (its staleness is the difference).
   std::size_t model_version = 0;
-  /// Virtual-clock time the client was dispatched (0 in the sync engine).
+  /// Virtual-clock time the client was dispatched (0 over a transport).
   double dispatch_clock = 0.0;
   /// Upload-deadline signal: the virtual seconds this client has from
   /// dispatch until the server abandons its upload (scenario deadline

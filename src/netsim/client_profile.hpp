@@ -37,7 +37,8 @@ struct ClientProfile {
 
 /// How heterogeneous the client population is. The defaults describe a
 /// homogeneous fleet on the base link — exactly the paper's setting — so
-/// the sync engine's behaviour is the zero point of this config.
+/// synchronous rounds over identical devices are the zero point of this
+/// config.
 struct HeterogeneityConfig {
   /// Virtual seconds per work unit for a multiplier-1 device. Work units
   /// are samples processed (local_iterations × batch), so the default puts

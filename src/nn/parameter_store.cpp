@@ -17,10 +17,6 @@ const char* to_string(GroupKind kind) noexcept {
       return "dense";
     case GroupKind::kEmbedding:
       return "embedding";
-    case GroupKind::kRecurrentInput:
-      return "recurrent_input";
-    case GroupKind::kRecurrentHidden:
-      return "recurrent_hidden";
     case GroupKind::kRecurrentUnit:
       return "recurrent_unit";
     case GroupKind::kConvFilter:

@@ -20,20 +20,16 @@ namespace fedbiad::nn {
 enum class GroupKind {
   kDense,            ///< fully connected weight (rows = output units)
   kEmbedding,        ///< token embedding table (rows = vocabulary entries)
-  kRecurrentInput,   ///< RNN input-hidden matrix Wx (rows = gate units)
-  kRecurrentHidden,  ///< RNN hidden-hidden matrix Wh (recurrent connections)
   kRecurrentUnit,    ///< LSTM unit rows: Wx+bias+Wh of one hidden unit
   kConvFilter,       ///< convolution kernels (rows = filters, paper §IV-C)
 };
 
 [[nodiscard]] const char* to_string(GroupKind kind) noexcept;
 
-/// True for the RNN matrices that random/ordered federated dropout cannot
+/// True for the recurrent rows that random/ordered federated dropout cannot
 /// handle (paper §I and §V-A).
 [[nodiscard]] constexpr bool is_recurrent(GroupKind kind) noexcept {
-  return kind == GroupKind::kRecurrentInput ||
-         kind == GroupKind::kRecurrentHidden ||
-         kind == GroupKind::kRecurrentUnit;
+  return kind == GroupKind::kRecurrentUnit;
 }
 
 /// One weight matrix inside the flat parameter vector.

@@ -1,6 +1,6 @@
 // Cache-blocked, register-tiled single-precision GEMM — the one compute
-// substrate behind every matmul in the library (tensor/ops, Dense,
-// LstmLayer, RnnLayer).
+// substrate behind every matmul in the library (tensor/ops, Dense, Conv2D,
+// LstmLayer).
 //
 // All operands are row-major with explicit leading dimensions (`ld*` =
 // elements between consecutive rows), so strided weight layouts — the

@@ -53,7 +53,7 @@ void accumulate_gtx(const Matrix& g, const Matrix& x, Matrix& dw);
 /// dst[j * ldd] += Σ_r src[r * lds + j] for j in [0, cols): column sums of
 /// a (rows × cols) panel, accumulated densely and then added into a strided
 /// destination — the shared bias-gradient reduction of the layers whose
-/// bias lives inside strided weight rows (Dense, LstmLayer, RnnLayer).
+/// bias lives inside strided weight rows (Dense, LstmLayer).
 /// With `dst_offsets` non-null, column j adds into dst[dst_offsets[j]]
 /// instead (the kept rows of a dropout sub-model).
 void add_column_sums(std::size_t rows, std::size_t cols, const float* src,

@@ -39,7 +39,8 @@ namespace fedbiad::tensor::vmath {
 /// y[i] = exp(x[i]). In-place safe (y may alias x).
 void vexp(std::size_t n, const float* x, float* y);
 
-/// y[i] = tanh(x[i]). In-place safe.
+/// y[i] = tanh(x[i]). In-place safe. No layer calls it: it is the tested
+/// entry point to the tanh core that lstm_cell runs.
 void vtanh(std::size_t n, const float* x, float* y);
 
 /// y[i] = 1 / (1 + exp(-x[i])). In-place safe.

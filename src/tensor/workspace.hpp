@@ -1,6 +1,6 @@
 // Per-thread scratch arena for kernel temporaries.
 //
-// Training inner loops (LSTM/RNN BPTT buffers, GEMM packing panels,
+// Training inner loops (LSTM BPTT buffers, GEMM packing panels,
 // aggregation partial sums) need short-lived float/double buffers every
 // batch. Allocating them from the heap each call dominates small-model
 // training, so each thread owns a Workspace: a bump allocator over a list

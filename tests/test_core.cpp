@@ -12,6 +12,7 @@
 #include "core/loss_trend.hpp"
 #include "core/weight_score.hpp"
 #include "data/image_synth.hpp"
+#include "masked_step.hpp"
 #include "nn/mlp_model.hpp"
 #include "nn/lstm_lm_model.hpp"
 
@@ -31,7 +32,7 @@ nn::ParameterStore make_store() {
   nn::ParameterStore store;
   store.add_group("fc1", nn::GroupKind::kDense, 8, 5, true);
   store.add_group("bias", nn::GroupKind::kDense, 2, 3, false);
-  store.add_group("wx", nn::GroupKind::kRecurrentInput, 4, 5, true);
+  store.add_group("wx", nn::GroupKind::kRecurrentUnit, 4, 5, true);
   store.finalize();
   return store;
 }
@@ -106,7 +107,7 @@ TEST(DropPattern, ApplyToGradsMirrorsParams) {
   for (auto& g : store.grads()) g = 2.0F;
   tensor::Rng rng(13);
   const auto p = DropPattern::sample(store, 0.25, eligible_all(), rng);
-  p.apply_to_grads(store);
+  reference::zero_dropped_grads(p, store);
   std::size_t zeroed = 0;
   for (std::size_t j = 0; j < p.rows(); ++j) {
     const auto ref = store.droppable_row(j);

@@ -10,9 +10,9 @@
 #include "data/image_synth.hpp"
 #include "data/partition.hpp"
 #include "fl/aggregate.hpp"
+#include "fl/async_simulation.hpp"
 #include "fl/client_state.hpp"
 #include "fl/metrics.hpp"
-#include "fl/simulation.hpp"
 #include "netsim/link.hpp"
 #include "netsim/tta.hpp"
 #include "nn/mlp_model.hpp"
@@ -310,7 +310,7 @@ class SimulationFixture : public ::testing::Test {
     return cfg;
   }
 
-  Simulation make_simulation(const SimulationConfig& cfg) {
+  AsyncSimulation make_simulation(const SimulationConfig& cfg) {
     auto img_cfg = data::ImageSynthConfig::mnist_like(3);
     img_cfg.train_samples = 100;
     img_cfg.test_samples = 30;
@@ -323,9 +323,9 @@ class SimulationFixture : public ::testing::Test {
       return std::make_unique<nn::MlpModel>(
           nn::MlpConfig{.input = 100, .hidden = 8, .classes = 10});
     };
-    return Simulation(cfg, factory, datasets.train, datasets.test,
-                      std::move(partition),
-                      std::make_shared<baselines::FedAvgStrategy>());
+    return AsyncSimulation({.base = cfg}, factory, datasets.train,
+                           datasets.test, std::move(partition),
+                           std::make_shared<baselines::FedAvgStrategy>());
   }
 };
 

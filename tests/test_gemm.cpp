@@ -15,7 +15,6 @@
 #include "nn/dense.hpp"
 #include "nn/lstm.hpp"
 #include "nn/parameter_store.hpp"
-#include "nn/rnn.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/rng.hpp"
@@ -551,113 +550,6 @@ INSTANTIATE_TEST_SUITE_P(Shapes, LstmEquivalence,
                                            std::tuple{4, 6, 16, 16},
                                            std::tuple{3, 5, 19, 33},
                                            std::tuple{8, 4, 32, 64}));
-
-// Scalar RNN reference, same provenance.
-struct RnnRef {
-  std::size_t in, H, stride;
-  std::span<const float> w;
-
-  void forward(const Matrix& x_seq, std::size_t batch, std::size_t seq,
-               Matrix& h) const {
-    h.resize(batch * seq, H);
-    for (std::size_t t = 0; t < seq; ++t) {
-      for (std::size_t b = 0; b < batch; ++b) {
-        const std::size_t idx = t * batch + b;
-        const float* xb = x_seq.data() + idx * in;
-        const float* hb =
-            t == 0 ? nullptr : h.data() + ((t - 1) * batch + b) * H;
-        for (std::size_t j = 0; j < H; ++j) {
-          const float* row = w.data() + j * stride;
-          float acc = row[in];  // bias
-          for (std::size_t i = 0; i < in; ++i) acc += xb[i] * row[i];
-          if (hb != nullptr) {
-            const float* wh = row + in + 1;
-            for (std::size_t k = 0; k < H; ++k) acc += hb[k] * wh[k];
-          }
-          h(idx, j) = std::tanh(acc);
-        }
-      }
-    }
-  }
-
-  void backward(const Matrix& x_seq, const Matrix& h, const Matrix& g_h,
-                std::size_t batch, std::size_t seq, std::vector<float>& dw,
-                Matrix& g_x) const {
-    dw.assign(H * stride, 0.0F);
-    g_x.resize(batch * seq, in);
-    for (std::size_t b = 0; b < batch; ++b) {
-      std::vector<float> dh(H, 0.0F), dz(H);
-      for (std::size_t t = seq; t-- > 0;) {
-        const std::size_t idx = t * batch + b;
-        const float* gh = g_h.data() + idx * H;
-        for (std::size_t j = 0; j < H; ++j) {
-          dz[j] = (dh[j] + gh[j]) * (1.0F - h(idx, j) * h(idx, j));
-        }
-        const float* xb = x_seq.data() + idx * in;
-        const float* hpb =
-            t == 0 ? nullptr : h.data() + ((t - 1) * batch + b) * H;
-        float* gxb = g_x.data() + idx * in;
-        std::fill(gxb, gxb + in, 0.0F);
-        std::fill(dh.begin(), dh.end(), 0.0F);
-        for (std::size_t j = 0; j < H; ++j) {
-          const float dzj = dz[j];
-          const float* row = w.data() + j * stride;
-          float* drow = dw.data() + j * stride;
-          for (std::size_t i = 0; i < in; ++i) {
-            drow[i] += dzj * xb[i];
-            gxb[i] += dzj * row[i];
-          }
-          drow[in] += dzj;
-          const float* wh = row + in + 1;
-          float* dwh = drow + in + 1;
-          for (std::size_t k = 0; k < H; ++k) {
-            if (hpb != nullptr) dwh[k] += dzj * hpb[k];
-            dh[k] += dzj * wh[k];
-          }
-        }
-      }
-    }
-  }
-};
-
-class RnnEquivalence
-    : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
-
-TEST_P(RnnEquivalence, ForwardBackwardMatchReference) {
-  const auto [batch, seq, in, H] = GetParam();
-  nn::ParameterStore store;
-  nn::RnnLayer rnn(store, "r", in, H);
-  store.finalize();
-  Rng rng(401);
-  rnn.init(store, rng);
-
-  Matrix x(batch * seq, in), g_h(batch * seq, H);
-  x.fill_uniform(rng, -1.0F, 1.0F);
-  g_h.fill_uniform(rng, -1.0F, 1.0F);
-
-  nn::RnnLayer::Cache cache;
-  rnn.forward(store, x, batch, seq, cache);
-  RnnRef ref{static_cast<std::size_t>(in), static_cast<std::size_t>(H),
-             rnn.row_len(), store.group_params(rnn.group())};
-  Matrix h_ref;
-  ref.forward(x, batch, seq, h_ref);
-  expect_close(cache.h.flat(), h_ref.flat(), "rnn h");
-
-  store.zero_grads();
-  Matrix g_x;
-  rnn.backward(store, x, cache, g_h, g_x);
-  std::vector<float> dw_ref;
-  Matrix g_x_ref;
-  ref.backward(x, h_ref, g_h, batch, seq, dw_ref, g_x_ref);
-  expect_close(store.group_grads(rnn.group()), dw_ref, "rnn dW");
-  expect_close(g_x.flat(), g_x_ref.flat(), "rnn g_x");
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, RnnEquivalence,
-                         ::testing::Values(std::tuple{1, 1, 1, 1},
-                                           std::tuple{2, 4, 3, 5},
-                                           std::tuple{5, 3, 17, 31},
-                                           std::tuple{8, 6, 32, 48}));
 
 // ---- conv2d: im2row-GEMM path vs the retained naive reference -------------
 

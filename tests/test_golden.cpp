@@ -8,8 +8,8 @@
 // and commit the diff under tests/golden/ (review it — every changed number
 // is a behaviour change).
 //
-// The same files double as the acceptance gate for the event-driven engine:
-// AsyncSimulation in barrier mode must reproduce them bit for bit.
+// The in-process engine, fl::AsyncSimulation in barrier mode, writes and
+// checks them.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -31,7 +31,6 @@
 #include "data/image_synth.hpp"
 #include "data/partition.hpp"
 #include "fl/async_simulation.hpp"
-#include "fl/simulation.hpp"
 #include "golden_util.hpp"
 #include "netsim/client_profile.hpp"
 #include "nn/mlp_model.hpp"
@@ -54,7 +53,7 @@ constexpr const char* kScenario = "mlp-shards-6c-4r";
 // tile, -O0 (asan preset), and the x86-64-v3 path that generated the files,
 // moving trajectories by up to ~6e-8 relative over this scenario. 1e-6
 // keeps ~20× headroom over that while staying orders of magnitude below
-// any genuine algorithmic regression. Engine-vs-engine equivalence is
+// any genuine algorithmic regression. Thread-count equivalence is
 // checked bit-for-bit separately — both runs share one build.
 constexpr double kRelTol = 1e-6;
 
@@ -178,21 +177,6 @@ void expect_matches(const GoldenTrace& actual, const GoldenTrace& golden) {
 
 class GoldenSuite : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(GoldenSuite, SyncEngineMatchesGolden) {
-  const std::string name = GetParam();
-  Scenario sc = make_scenario();
-  fl::Simulation sim(sc.sim, sc.factory, sc.train, sc.test, sc.partition,
-                     make_strategy(name, sc));
-  const auto trace = to_trace(sim.run(), kScenario);
-  const std::string path = golden_path(name);
-  if (update_mode()) {
-    write_golden(path, trace);
-    SUCCEED() << "regenerated " << path;
-    return;
-  }
-  expect_matches(trace, read_golden(path));
-}
-
 void expect_bit_identical(const GoldenTrace& a, const GoldenTrace& b) {
   ASSERT_EQ(a.rounds.size(), b.rounds.size());
   for (std::size_t i = 0; i < b.rounds.size(); ++i) {
@@ -208,26 +192,48 @@ void expect_bit_identical(const GoldenTrace& a, const GoldenTrace& b) {
   }
 }
 
-// Acceptance: the event-driven engine in barrier mode over a homogeneous
-// fleet reproduces the legacy sync trajectories bit for bit on the golden
-// scenarios — every float of every strategy's trajectory compares with ==
-// between the two in-process runs. The checked-in file is additionally
-// checked at kRelTol (both engines must stay pinned to it).
-TEST_P(GoldenSuite, BarrierEngineMatchesGoldenBitForBit) {
-  if (update_mode()) GTEST_SKIP() << "regenerating from the sync engine";
-  const std::string name = GetParam();
-  Scenario sc = make_scenario();
-  fl::Simulation sync(sc.sim, sc.factory, sc.train, sc.test, sc.partition,
-                      make_strategy(name, sc));
-  const auto sync_trace = to_trace(sync.run(), kScenario);
-  fl::AsyncSimulationConfig acfg;
-  acfg.base = sc.sim;
-  acfg.mode = fl::AggregationMode::kBarrier;
+fl::SimulationResult run_barrier(const Scenario& sc, const std::string& name,
+                                 std::size_t threads) {
+  fl::AsyncSimulationConfig acfg{.base = sc.sim};
+  acfg.base.threads = threads;
   fl::AsyncSimulation sim(acfg, sc.factory, sc.train, sc.test, sc.partition,
                           make_strategy(name, sc));
-  const auto trace = to_trace(sim.run(), kScenario);
-  expect_bit_identical(trace, sync_trace);
-  expect_matches(trace, read_golden(golden_path(name)));
+  return sim.run();
+}
+
+// The synchronous round shape — the event-driven engine in barrier mode (the
+// default) over a homogeneous fleet — reproduces the checked-in trajectory at
+// kRelTol. FEDBIAD_UPDATE_GOLDEN=1 rewrites the files from this run.
+TEST_P(GoldenSuite, SyncEngineMatchesGolden) {
+  const std::string name = GetParam();
+  const Scenario sc = make_scenario();
+  const auto trace =
+      to_trace(run_barrier(sc, name, sc.sim.threads), kScenario);
+  const std::string path = golden_path(name);
+  if (update_mode()) {
+    write_golden(path, trace);
+    SUCCEED() << "regenerated " << path;
+    return;
+  }
+  expect_matches(trace, read_golden(path));
+}
+
+// Every float of the barrier trajectory compares with == against a
+// single-threaded run of the same build, and both stay pinned to the
+// checked-in file at kRelTol.
+TEST_P(GoldenSuite, BarrierEngineMatchesGoldenBitForBit) {
+  if (update_mode()) {
+    GTEST_SKIP() << "regenerating from SyncEngineMatchesGolden";
+  }
+  const std::string name = GetParam();
+  const Scenario sc = make_scenario();
+  const auto trace =
+      to_trace(run_barrier(sc, name, sc.sim.threads), kScenario);
+  const auto serial = to_trace(run_barrier(sc, name, 1), kScenario);
+  expect_bit_identical(trace, serial);
+  const GoldenTrace golden = read_golden(golden_path(name));
+  expect_matches(trace, golden);
+  expect_matches(serial, golden);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, GoldenSuite,

@@ -13,7 +13,7 @@
 #include "data/image_synth.hpp"
 #include "data/partition.hpp"
 #include "data/text_synth.hpp"
-#include "fl/simulation.hpp"
+#include "fl/async_simulation.hpp"
 #include "netsim/tta.hpp"
 #include "nn/lstm_lm_model.hpp"
 #include "nn/mlp_model.hpp"
@@ -57,8 +57,9 @@ struct ImageWorld {
 
   fl::SimulationResult run(fl::StrategyPtr strategy,
                            std::size_t rounds = 12) const {
-    fl::Simulation sim(sim_config(rounds), factory, datasets.train,
-                       datasets.test, partition, std::move(strategy));
+    fl::AsyncSimulation sim({.base = sim_config(rounds)}, factory,
+                            datasets.train, datasets.test, partition,
+                            std::move(strategy));
     return sim.run();
   }
 };
@@ -114,14 +115,14 @@ TEST(Integration, NonIidShardsStillConverge) {
   tensor::Rng prng(17);
   auto noniid =
       data::partition_shards(*world.datasets.train, 10, 2, prng);
-  fl::Simulation sim(world.sim_config(14), world.factory,
-                     world.datasets.train, world.datasets.test,
-                     std::move(noniid),
-                     std::make_shared<core::FedBiadStrategy>(
-                         core::FedBiadConfig{.dropout_rate = 0.3,
-                                             .tau = 3,
-                                             .stage_boundary = 12,
-                                             .sample_posterior = false}));
+  fl::AsyncSimulation sim({.base = world.sim_config(14)}, world.factory,
+                          world.datasets.train, world.datasets.test,
+                          std::move(noniid),
+                          std::make_shared<core::FedBiadStrategy>(
+                              core::FedBiadConfig{.dropout_rate = 0.3,
+                                                  .tau = 3,
+                                                  .stage_boundary = 12,
+                                                  .sample_posterior = false}));
   const auto result = sim.run();
   EXPECT_GT(result.final_accuracy(false), 0.3);
 }
@@ -152,8 +153,8 @@ TEST(Integration, FedBiadHandlesRecurrentModels) {
                           .tau = 3,
                           .stage_boundary = 10,
                           .sample_posterior = false});
-  fl::Simulation sim(sim_cfg, factory, text.train, text.test,
-                     text.client_indices, strategy);
+  fl::AsyncSimulation sim({.base = sim_cfg}, factory, text.train, text.test,
+                          text.client_indices, strategy);
   const auto result = sim.run();
   // Top-3 accuracy must climb from the ~3% uniform baseline toward the
   // Zipf-head regime, and the upload saving must hold on the recurrent

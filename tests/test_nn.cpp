@@ -12,6 +12,7 @@
 #include "common/check.hpp"
 #include "core/drop_pattern.hpp"
 #include "data/batch.hpp"
+#include "masked_step.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/conv_model.hpp"
 #include "nn/dense.hpp"
@@ -21,7 +22,6 @@
 #include "nn/lstm_lm_model.hpp"
 #include "nn/mlp_model.hpp"
 #include "nn/optimizer.hpp"
-#include "nn/rnn.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/vmath.hpp"
 
@@ -35,7 +35,7 @@ TEST(ParameterStore, GroupRegistrationAndOffsets) {
   ParameterStore store;
   const auto g0 = store.add_group("a", GroupKind::kDense, 4, 5, true);
   const auto g1 = store.add_group("b", GroupKind::kEmbedding, 3, 2, false);
-  const auto g2 = store.add_group("c", GroupKind::kRecurrentHidden, 2, 2, true);
+  const auto g2 = store.add_group("c", GroupKind::kRecurrentUnit, 2, 2, true);
   store.finalize();
   EXPECT_EQ(store.size(), 4u * 5 + 3u * 2 + 2u * 2);
   EXPECT_EQ(store.group(g0).offset, 0u);
@@ -48,7 +48,7 @@ TEST(ParameterStore, DroppableRowRoundTrip) {
   ParameterStore store;
   store.add_group("a", GroupKind::kDense, 4, 5, true);
   store.add_group("b", GroupKind::kEmbedding, 3, 2, false);
-  store.add_group("c", GroupKind::kRecurrentInput, 2, 2, true);
+  store.add_group("c", GroupKind::kRecurrentUnit, 2, 2, true);
   store.finalize();
   for (std::size_t j = 0; j < store.droppable_rows(); ++j) {
     const auto ref = store.droppable_row(j);
@@ -598,7 +598,7 @@ TEST(Optimizer, KeptRowsStepCoversNonDroppableGroups) {
     const SgdConfig cfg{.lr = 0.3F, .weight_decay = 1e-2F, .clip_norm = clip};
     for (float& g : kept.grads()) g = static_cast<float>(rng.uniform(-1, 1));
     tensor::copy(kept.grads(), masked.grads());
-    pattern.apply_to_grads(masked);
+    reference::zero_dropped_grads(pattern, masked);
     (void)sgd_step(masked, cfg);
     pattern.apply_to_params(masked);
     (void)sgd_step(kept, cfg, pattern.bits());
@@ -755,100 +755,6 @@ TEST(ConvModel, TrainsOnToyImages) {
             GroupKind::kConvFilter);
 }
 
-
-TEST(Rnn, GradientCheck) {
-  ParameterStore store;
-  RnnLayer rnn(store, "r", 3, 5);
-  store.finalize();
-  Rng rng(83);
-  rnn.init(store, rng);
-
-  const std::size_t batch = 2, seq = 4;
-  Matrix x(batch * seq, 3);
-  x.fill_uniform(rng, -1.0F, 1.0F);
-  Matrix r(batch * seq, 5);
-  r.fill_uniform(rng, -1.0F, 1.0F);
-
-  auto loss = [&] {
-    RnnLayer::Cache cache;
-    rnn.forward(store, x, batch, seq, cache);
-    return tensor::dot(r.flat(), cache.h.flat());
-  };
-
-  store.zero_grads();
-  RnnLayer::Cache cache;
-  rnn.forward(store, x, batch, seq, cache);
-  Matrix g_x;
-  rnn.backward(store, x, cache, r, g_x);
-
-  const float eps = 1e-2F;
-  auto params = store.params();
-  auto grads = store.grads();
-  for (std::size_t i = 0; i < params.size(); i += 3) {
-    const float saved = params[i];
-    params[i] = saved + eps;
-    const double up = loss();
-    params[i] = saved - eps;
-    const double down = loss();
-    params[i] = saved;
-    expect_grad_close(grads[i], (up - down) / (2.0 * eps), 5e-3, 5e-2,
-                      "param " + std::to_string(i));
-  }
-  for (std::size_t i = 0; i < x.size(); i += 2) {
-    const float saved = x.flat()[i];
-    x.flat()[i] = saved + eps;
-    const double up = loss();
-    x.flat()[i] = saved - eps;
-    const double down = loss();
-    x.flat()[i] = saved;
-    expect_grad_close(g_x.flat()[i], (up - down) / (2.0 * eps), 5e-3, 5e-2,
-                      "input " + std::to_string(i));
-  }
-}
-
-TEST(Rnn, DroppedUnitRowIsExactlyInert) {
-  ParameterStore store;
-  RnnLayer rnn(store, "r", 2, 4);
-  store.finalize();
-  Rng rng(89);
-  rnn.init(store, rng);
-  for (auto& v : store.row_params(rnn.group(), 1)) v = 0.0F;
-  Matrix x(3 * 6, 2);
-  x.fill_uniform(rng, -2.0F, 2.0F);
-  RnnLayer::Cache cache;
-  rnn.forward(store, x, 3, 6, cache);
-  for (std::size_t row = 0; row < cache.h.rows(); ++row) {
-    EXPECT_EQ(cache.h(row, 1), 0.0F);
-    EXPECT_NE(cache.h(row, 0), 0.0F);
-  }
-}
-
-TEST(Rnn, HiddenStatesBoundedByTanh) {
-  ParameterStore store;
-  RnnLayer rnn(store, "r", 2, 3);
-  store.finalize();
-  Rng rng(97);
-  for (auto& v : store.params()) v = static_cast<float>(rng.uniform(-4, 4));
-  Matrix x(2 * 10, 2);
-  x.fill_uniform(rng, -5.0F, 5.0F);
-  RnnLayer::Cache cache;
-  rnn.forward(store, x, 2, 10, cache);
-  for (const float h : cache.h.flat()) {
-    EXPECT_LE(std::abs(h), 1.0F);
-  }
-}
-
-TEST(Rnn, RegistersUnitGranularRecurrentGroup) {
-  ParameterStore store;
-  RnnLayer rnn(store, "r", 7, 5);
-  store.finalize();
-  const auto& grp = store.group(rnn.group());
-  EXPECT_EQ(grp.kind, GroupKind::kRecurrentUnit);
-  EXPECT_TRUE(is_recurrent(grp.kind));
-  EXPECT_EQ(grp.rows, 5u);
-  EXPECT_EQ(grp.row_len, 7u + 1 + 5u);
-}
-
 TEST(Models, InitIsDeterministicGivenSeed) {
   MlpModel a({.input = 8, .hidden = 8, .classes = 3});
   MlpModel b({.input = 8, .hidden = 8, .classes = 3});
@@ -866,7 +772,7 @@ TEST(Models, InitIsDeterministicGivenSeed) {
 //
 // Model::train_step(batch, β) computes only the kept rows. Its loss, every
 // gradient, and the parameters after an SGD step must equal — memcmp, not
-// within tolerance — the full step followed by DropPattern::apply_to_grads.
+// within tolerance — the full step followed by reference::zero_dropped_grads.
 
 /// Kept mask over n units: one unit, an odd count, or all of them.
 std::vector<std::uint8_t> kept_mask(std::size_t n, int mode, Rng& rng) {
@@ -973,7 +879,7 @@ TEST_P(SubModel, DenseMatchesMaskedFullLayer) {
   g_out.fill_uniform(rng, -1.0F, 1.0F);
   Matrix g_in_full, g_in_sub;
   full.backward(full_store, x, g_out, &g_in_full);
-  pattern.apply_to_grads(full_store);
+  reference::zero_dropped_grads(pattern, full_store);
   sub.backward(sub_store, x_sub, kept_columns(g_out, out_idx), &g_in_sub,
                in_units, out_units);
   expect_same_bits(sub_store.grads(), full_store.grads(), "dense grads");
@@ -1032,7 +938,7 @@ TEST_P(SubModel, LstmMatchesMaskedFullLayer) {
   g_h.fill_uniform(rng, -1.0F, 1.0F);
   Matrix g_x_full, g_x_sub;
   full.backward(full_store, x, full_cache, g_h, g_x_full);
-  pattern.apply_to_grads(full_store);
+  reference::zero_dropped_grads(pattern, full_store);
   sub.backward(sub_store, x_sub, sub_cache, kept_columns(g_h, unit_idx),
                g_x_sub, in_units, units);
   expect_same_bits(sub_store.grads(), full_store.grads(), "lstm grads");
@@ -1044,9 +950,9 @@ TEST_P(SubModel, LstmMatchesMaskedFullLayer) {
 }
 
 /// Runs three masked SGD steps on two copies of `Model` — the full
-/// train_step and train_step with β, each followed by apply_to_grads as the
-/// training loops do — comparing loss, grads and params bit for bit after
-/// every step.
+/// train_step and train_step with β, each followed by the masked-step
+/// reference's zero_dropped_grads — comparing loss, grads and params bit for
+/// bit after every step.
 template <typename Model, typename Config>
 void expect_sub_model_steps_match(const Config& cfg,
                                   const data::Batch& batch, int mode,
@@ -1071,11 +977,11 @@ void expect_sub_model_steps_match(const Config& cfg,
   tensor::copy(full.store().params(), sub.store().params());
   for (int step = 0; step < 3; ++step) {
     const float loss_full = full.train_step(batch);
-    pattern.apply_to_grads(full.store());
+    reference::zero_dropped_grads(pattern, full.store());
     const float loss_sub = sub.train_step(batch, pattern.bits());
     // Dropped rows' gradients are the caller's to discard (the embedding
     // still scatter-adds into dropped vocabulary rows).
-    pattern.apply_to_grads(sub.store());
+    reference::zero_dropped_grads(pattern, sub.store());
     EXPECT_EQ(std::memcmp(&loss_full, &loss_sub, sizeof(float)), 0)
         << "loss, step " << step;
     expect_same_bits(sub.store().grads(), full.store().grads(), "grads");
@@ -1112,7 +1018,7 @@ void expect_kept_rows_sgd_matches_masked(const Config& cfg,
     for (int step = 0; step < 3; ++step) {
       (void)masked.train_step(batch, pattern.bits());
       (void)kept.train_step(batch, pattern.bits());
-      pattern.apply_to_grads(masked.store());
+      reference::zero_dropped_grads(pattern, masked.store());
       const double norm_masked = sgd_step(masked.store(), sgd);
       pattern.apply_to_params(masked.store());
       const double norm_kept = sgd_step(kept.store(), sgd, pattern.bits());

@@ -24,11 +24,11 @@
 #include "data/partition.hpp"
 #include "data/text_synth.hpp"
 #include "fl/aggregate.hpp"
-#include "fl/simulation.hpp"
+#include "fl/async_simulation.hpp"
+#include "masked_step.hpp"
 #include "nn/lstm_lm_model.hpp"
 #include "nn/conv_model.hpp"
 #include "nn/mlp_model.hpp"
-#include "nn/rnn_lm_model.hpp"
 #include "nn/optimizer.hpp"
 #include "tensor/ops.hpp"
 #include "wire/accounting.hpp"
@@ -268,8 +268,8 @@ TEST(ComposedProperty, EveryCompressorComposesWithFedBiad) {
                             .stage_boundary = 2,
                             .sample_posterior = false});
     auto composed = std::make_shared<compress::ComposedStrategy>(inner, comp);
-    fl::Simulation sim(sim_cfg, factory, ds.train, ds.test, partition,
-                       composed);
+    fl::AsyncSimulation sim({.base = sim_cfg}, factory, ds.train, ds.test,
+                            partition, composed);
     const auto result = sim.run();
     ASSERT_EQ(result.rounds.size(), 2u) << comp->name();
     EXPECT_GT(result.rounds.front().uplink_bytes_total, 0u) << comp->name();
@@ -335,18 +335,19 @@ TEST(SimulationFailure, RejectsBadConfigurations) {
   };
   fl::SimulationConfig sim_cfg;
   // Null strategy.
-  EXPECT_THROW(fl::Simulation(sim_cfg, factory, ds.train, ds.test,
-                              data::Partition{{0, 1}}, nullptr),
+  EXPECT_THROW(fl::AsyncSimulation({.base = sim_cfg}, factory, ds.train,
+                                   ds.test, data::Partition{{0, 1}}, nullptr),
                CheckError);
   // Empty partition.
-  EXPECT_THROW(fl::Simulation(sim_cfg, factory, ds.train, ds.test,
-                              data::Partition{},
-                              std::make_shared<baselines::FedAvgStrategy>()),
+  EXPECT_THROW(fl::AsyncSimulation(
+                   {.base = sim_cfg}, factory, ds.train, ds.test,
+                   data::Partition{},
+                   std::make_shared<baselines::FedAvgStrategy>()),
                CheckError);
   // All shards empty.
-  fl::Simulation sim(sim_cfg, factory, ds.train, ds.test,
-                     data::Partition{{}, {}},
-                     std::make_shared<baselines::FedAvgStrategy>());
+  fl::AsyncSimulation sim({.base = sim_cfg}, factory, ds.train, ds.test,
+                          data::Partition{{}, {}},
+                          std::make_shared<baselines::FedAvgStrategy>());
   EXPECT_THROW(sim.run(), CheckError);
 }
 
@@ -370,47 +371,11 @@ TEST(SimulationFailure, SelectionSkipsEmptyShards) {
   sim_cfg.train.local_iterations = 2;
   sim_cfg.train.batch_size = 4;
   sim_cfg.threads = 2;
-  fl::Simulation sim(sim_cfg, factory, ds.train, ds.test, partition,
-                     std::make_shared<baselines::FedAvgStrategy>());
+  fl::AsyncSimulation sim({.base = sim_cfg}, factory, ds.train, ds.test,
+                          partition,
+                          std::make_shared<baselines::FedAvgStrategy>());
   const auto result = sim.run();
   EXPECT_EQ(result.rounds.size(), 2u);
-}
-
-
-TEST(RnnLmProperty, TrainsAndSupportsFedBiadDropout) {
-  // End-to-end federated dropout on the exact §III-A vanilla-RNN LM the
-  // theory analyzes.
-  auto cfg = data::TextSynthConfig::ptb_like(71);
-  cfg.vocab = 50;
-  cfg.train_sequences = 200;
-  cfg.test_sequences = 40;
-  cfg.seq_len = 6;
-  const auto text = data::make_text_datasets_iid(cfg, 4);
-  auto factory = [] {
-    return std::make_unique<nn::RnnLmModel>(
-        nn::RnnLmConfig{.vocab = 50, .embed = 12, .hidden = 16, .layers = 2});
-  };
-  fl::SimulationConfig sim_cfg;
-  sim_cfg.rounds = 3;
-  sim_cfg.selection_fraction = 0.5;
-  sim_cfg.train.local_iterations = 6;
-  sim_cfg.train.batch_size = 8;
-  sim_cfg.train.topk = 3;
-  sim_cfg.train.sgd = {.lr = 0.5F, .weight_decay = 0.0F, .clip_norm = 5.0F};
-  sim_cfg.threads = 4;
-  auto strategy = std::make_shared<core::FedBiadStrategy>(
-      core::FedBiadConfig{.dropout_rate = 0.5,
-                          .tau = 2,
-                          .stage_boundary = 2,
-                          .sample_posterior = false});
-  fl::Simulation sim(sim_cfg, factory, text.train, text.test,
-                     text.client_indices, strategy);
-  const auto result = sim.run();
-  ASSERT_EQ(result.rounds.size(), 3u);
-  nn::RnnLmModel probe(
-      {.vocab = 50, .embed = 12, .hidden = 16, .layers = 2});
-  const auto dense = core::dense_model_bytes(probe.store());
-  EXPECT_LT(result.mean_upload_bytes(), 0.6 * static_cast<double>(dense));
 }
 
 TEST(ConvProperty, FilterWiseDropoutEndToEnd) {
@@ -880,7 +845,7 @@ TEST(SgdProperty, MaskedRowsStayZeroUnderWeightDecay) {
   core::DropPattern pattern(4);
   pattern.set(1, false);
   pattern.apply_to_params(store);
-  pattern.apply_to_grads(store);
+  reference::zero_dropped_grads(pattern, store);
   nn::sgd_step(store, {.lr = 0.1F, .weight_decay = 0.3F, .clip_norm = 0.0F});
   for (const float v : store.row_params(0, 1)) {
     EXPECT_EQ(v, 0.0F);
