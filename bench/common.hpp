@@ -21,7 +21,6 @@
 #include "baselines/fedavg.hpp"
 #include "baselines/feddrop.hpp"
 #include "baselines/fedmp.hpp"
-#include "baselines/fjord.hpp"
 #include "baselines/heterofl.hpp"
 #include "compress/compressed_strategy.hpp"
 #include "compress/dgc.hpp"
@@ -204,7 +203,8 @@ inline fl::StrategyPtr make_strategy(const std::string& name,
   if (name == "AFD") return std::make_shared<baselines::AfdStrategy>(p);
   if (name == "FedMP") return std::make_shared<baselines::FedMpStrategy>(p);
   if (name == "FjORD") {
-    return std::make_shared<baselines::FjordStrategy>(w.width_plan, p);
+    return std::make_shared<baselines::HeteroFlStrategy>(
+        baselines::HeteroFlStrategy::fjord(w.width_plan, p));
   }
   if (name == "HeteroFL") {
     return std::make_shared<baselines::HeteroFlStrategy>(

@@ -8,11 +8,21 @@
 namespace fedbiad::baselines {
 
 HeteroFlStrategy::HeteroFlStrategy(WidthPlan plan, std::vector<double> levels)
-    : plan_(std::move(plan)), levels_(std::move(levels)) {
+    : HeteroFlStrategy(std::move(plan), std::move(levels), "HeteroFL") {}
+
+HeteroFlStrategy::HeteroFlStrategy(WidthPlan plan, std::vector<double> levels,
+                                   std::string name)
+    : plan_(std::move(plan)),
+      levels_(std::move(levels)),
+      name_(std::move(name)) {
   FEDBIAD_CHECK(!levels_.empty(), "need at least one width level");
   for (const double s : levels_) {
     FEDBIAD_CHECK(s > 0.0 && s <= 1.0, "width levels must be in (0,1]");
   }
+}
+
+HeteroFlStrategy HeteroFlStrategy::fjord(WidthPlan plan, double dropout_rate) {
+  return {std::move(plan), {1.0 - dropout_rate}, "FjORD"};
 }
 
 std::vector<double> HeteroFlStrategy::default_levels(double dropout_rate) {
@@ -23,9 +33,8 @@ std::vector<double> HeteroFlStrategy::default_levels(double dropout_rate) {
 fl::ClientOutcome HeteroFlStrategy::run_client(fl::ClientContext& ctx) {
   nn::ParameterStore& store = ctx.model.store();
   const double ratio = levels_[ctx.client_id % levels_.size()];
-  std::vector<std::uint8_t> mask(store.size(), 1);
-  plan_.build_mask(store, ratio, mask);
-  const auto stats = train_rounds_masked(ctx, mask);
+  const auto pattern = plan_.pattern(store, ratio);
+  const auto stats = train_rounds(ctx, &pattern);
 
   fl::ClientOutcome out;
   out.samples = ctx.shard.size();

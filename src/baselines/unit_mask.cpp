@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.hpp"
 #include "wire/accounting.hpp"
@@ -12,11 +13,16 @@ namespace fedbiad::baselines {
 
 namespace {
 
+/// ceil(s·H), except that a product within a few ulps of an integer k is k:
+/// 1 − 0.7 is 0.30000000000000004, whose product with 10 must keep 3 units,
+/// not 4. Client and server both derive the mask through this function.
 std::size_t surviving_units(std::size_t units, double ratio) {
   FEDBIAD_CHECK(ratio > 0.0 && ratio <= 1.0, "width ratio must be in (0,1]");
-  return std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::ceil(ratio * static_cast<double>(units))));
+  const double x = ratio * static_cast<double>(units);
+  const double k = std::round(x);
+  const double slack = 4.0 * std::numeric_limits<double>::epsilon() * k;
+  const double n = std::abs(x - k) <= slack ? k : std::ceil(x);
+  return std::max<std::size_t>(1, static_cast<std::size_t>(n));
 }
 
 }  // namespace
@@ -24,25 +30,13 @@ std::size_t surviving_units(std::size_t units, double ratio) {
 void WidthPlan::build_mask(const nn::ParameterStore& store, double ratio,
                            std::span<std::uint8_t> present) const {
   FEDBIAD_CHECK(present.size() == store.size(), "mask size mismatch");
+  pattern(store, ratio).mark_presence(store, present);
   for (const Rule& rule : rules_) {
     const nn::RowGroup& grp = store.group(rule.group);
     const std::size_t keep = surviving_units(rule.units, ratio);
     switch (rule.axis) {
-      case Rule::Axis::kRows: {
-        FEDBIAD_CHECK(rule.blocks * rule.units == grp.rows,
-                      "row rule does not tile group " + grp.name);
-        for (std::size_t b = 0; b < rule.blocks; ++b) {
-          for (std::size_t u = keep; u < rule.units; ++u) {
-            const std::size_t begin =
-                grp.offset + (b * rule.units + u) * grp.row_len;
-            std::fill(present.begin() + static_cast<std::ptrdiff_t>(begin),
-                      present.begin() +
-                          static_cast<std::ptrdiff_t>(begin + grp.row_len),
-                      std::uint8_t{0});
-          }
-        }
-        break;
-      }
+      case Rule::Axis::kRows:
+        break;  // cut through the row pattern above
       case Rule::Axis::kCols: {
         FEDBIAD_CHECK(rule.units <= grp.row_len,
                       "column rule exceeds row length of " + grp.name);
@@ -84,6 +78,25 @@ void WidthPlan::build_mask(const nn::ParameterStore& store, double ratio,
       }
     }
   }
+}
+
+core::DropPattern WidthPlan::pattern(const nn::ParameterStore& store,
+                                     double ratio) const {
+  core::DropPattern beta(store.droppable_rows());
+  for (const Rule& rule : rules_) {
+    if (rule.axis != Rule::Axis::kRows) continue;
+    const nn::RowGroup& grp = store.group(rule.group);
+    FEDBIAD_CHECK(grp.droppable, "row rule on non-droppable group " + grp.name);
+    FEDBIAD_CHECK(rule.blocks * rule.units == grp.rows,
+                  "row rule does not tile group " + grp.name);
+    const std::size_t keep = surviving_units(rule.units, ratio);
+    for (std::size_t b = 0; b < rule.blocks; ++b) {
+      for (std::size_t u = keep; u < rule.units; ++u) {
+        beta.set(store.droppable_index(rule.group, b * rule.units + u), false);
+      }
+    }
+  }
+  return beta;
 }
 
 std::uint64_t WidthPlan::submodel_bytes(const nn::ParameterStore& store,

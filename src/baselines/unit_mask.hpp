@@ -5,13 +5,16 @@
 // weight rows and the columns that read it downstream. A WidthPlan captures
 // this unit→coordinate mapping for a concrete architecture, built once from
 // a prototype model and reusable across replicas (construction order makes
-// group ids identical).
+// group ids identical). Clients train the width sub-model through the row
+// pattern (the same kept-row loop as FedDrop); the column rules only shape
+// the kSubModel wire format.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "core/drop_pattern.hpp"
 #include "nn/lstm_lm_model.hpp"
 #include "nn/mlp_model.hpp"
 #include "nn/parameter_store.hpp"
@@ -23,8 +26,8 @@ namespace fedbiad::baselines {
 class WidthPlan {
  public:
   /// One masking rule.
-  ///  - kRows cuts whole rows: unit u owns row b·units + u of every one of
-  ///    `blocks` blocks.
+  ///  - kRows cuts whole rows of a droppable group: unit u owns row
+  ///    b·units + u of every one of `blocks` blocks.
   ///  - kCols cuts column u of every row for cut units (columns at or beyond
   ///    `units` — e.g. the bias column — always survive).
   ///  - kLstmWhCols cuts, inside every surviving unit-major LSTM row, the
@@ -49,6 +52,14 @@ class WidthPlan {
   /// Coordinates not covered by any rule are left untouched.
   void build_mask(const nn::ParameterStore& store, double ratio,
                   std::span<std::uint8_t> present) const;
+
+  /// The row pattern β of the width-`ratio` sub-model: the kRows rules' cut
+  /// units are dropped, every other droppable row is kept. Training it with
+  /// Model::train_step(batch, β) + nn::sgd_step(β) never reads the cut
+  /// columns, so the surviving coordinates match a step under build_mask's
+  /// coordinate mask. Every kRows group must be droppable.
+  [[nodiscard]] core::DropPattern pattern(const nn::ParameterStore& store,
+                                          double ratio) const;
 
   /// Wire size of the sub-model at `ratio`: surviving coordinates at 4 bytes
   /// plus the 8-byte width ratio (the structure is implicit — one of ordered

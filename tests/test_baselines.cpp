@@ -8,21 +8,23 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "baselines/afd.hpp"
 #include "baselines/fedavg.hpp"
 #include "baselines/feddrop.hpp"
 #include "baselines/fedmp.hpp"
-#include "baselines/fjord.hpp"
 #include "baselines/heterofl.hpp"
 #include "baselines/unit_mask.hpp"
 #include "common/check.hpp"
 #include "core/drop_pattern.hpp"
+#include "masked_step.hpp"
 #include "data/image_synth.hpp"
 #include "data/text_synth.hpp"
 #include "nn/lstm_lm_model.hpp"
 #include "nn/mlp_model.hpp"
+#include "wire/accounting.hpp"
 #include "wire/compact.hpp"
 #include "wire/reader.hpp"
 #include "wire/writer.hpp"
@@ -40,7 +42,7 @@ fl::ClientOutcome run_decoded(Strat& strat, fl::ClientContext& ctx) {
 }
 
 struct ImageHarness {
-  explicit ImageHarness(std::uint64_t seed = 5) {
+  explicit ImageHarness(std::uint64_t seed = 5, std::size_t hidden = 12) {
     auto cfg = data::ImageSynthConfig::mnist_like(seed);
     cfg.train_samples = 80;
     cfg.test_samples = 10;
@@ -48,7 +50,7 @@ struct ImageHarness {
     cfg.width = 10;
     datasets = data::make_image_datasets(cfg);
     model = std::make_unique<nn::MlpModel>(
-        nn::MlpConfig{.input = 100, .hidden = 12, .classes = 10});
+        nn::MlpConfig{.input = 100, .hidden = hidden, .classes = 10});
     tensor::Rng init(seed);
     model->init_params(init);
     shard.resize(datasets.train->size());
@@ -79,7 +81,7 @@ struct ImageHarness {
 };
 
 struct TextHarness {
-  explicit TextHarness(std::uint64_t seed = 6) {
+  explicit TextHarness(std::uint64_t seed = 6, std::size_t hidden = 10) {
     auto cfg = data::TextSynthConfig::ptb_like(seed);
     cfg.vocab = 40;
     cfg.train_sequences = 60;
@@ -87,7 +89,7 @@ struct TextHarness {
     cfg.seq_len = 6;
     datasets = data::make_text_datasets_iid(cfg, 3);
     model = std::make_unique<nn::LstmLmModel>(nn::LstmLmConfig{
-        .vocab = 40, .embed = 8, .hidden = 10, .layers = 2});
+        .vocab = 40, .embed = 8, .hidden = hidden, .layers = 2});
     tensor::Rng init(seed);
     model->init_params(init);
     shard = datasets.client_indices[0];
@@ -362,11 +364,102 @@ TEST(WidthPlan, BytesShrinkWithRatio) {
   EXPECT_GT(half, quarter);
 }
 
+/// Expected width of a hidden layer, counted without floating point:
+/// ceil(num·H / den) for a ratio num/den.
+std::size_t kept_units_of(std::size_t h, std::size_t num, std::size_t den) {
+  return std::max<std::size_t>(1, (num * h + den - 1) / den);
+}
+
+TEST(WidthPlan, PatternDropsSuffixUnitsOfRowGroups) {
+  nn::MlpModel mlp({.input = 6, .hidden = 8, .classes = 3});
+  nn::LstmLmModel lstm({.vocab = 30, .embed = 8, .hidden = 8, .layers = 2});
+  const std::vector<std::pair<const nn::Model*, WidthPlan>> cases = {
+      {&mlp, WidthPlan::for_mlp(mlp)}, {&lstm, WidthPlan::for_lstm_lm(lstm)}};
+  for (const auto& [model, plan] : cases) {
+    const auto& store = model->store();
+    std::set<std::size_t> row_groups;
+    for (const auto& rule : plan.rules()) {
+      if (rule.axis == WidthPlan::Rule::Axis::kRows) {
+        row_groups.insert(rule.group);
+      }
+    }
+    ASSERT_FALSE(row_groups.empty());
+    for (const std::size_t quarters : {1, 2, 3, 4}) {
+      const double ratio = static_cast<double>(quarters) / 4.0;
+      SCOPED_TRACE(testing::Message() << "ratio " << ratio);
+      const auto beta = plan.pattern(store, ratio);
+      ASSERT_EQ(beta.rows(), store.droppable_rows());
+      std::vector<std::uint8_t> present(store.size(), 1);
+      plan.build_mask(store, ratio, present);
+      for (std::size_t j = 0; j < beta.rows(); ++j) {
+        const auto ref = store.droppable_row(j);
+        const bool cut = row_groups.contains(ref.group) &&
+                         ref.row >= kept_units_of(8, quarters, 4);
+        EXPECT_EQ(beta.kept(j), !cut) << store.group(ref.group).name
+                                       << " row " << ref.row;
+        // A row is dropped exactly when the coordinate mask cuts all of it.
+        const auto& grp = store.group(ref.group);
+        const auto first = present.begin() + static_cast<std::ptrdiff_t>(
+                                                  grp.offset +
+                                                  ref.row * grp.row_len);
+        const bool any_present =
+            std::any_of(first, first + static_cast<std::ptrdiff_t>(grp.row_len),
+                        [](std::uint8_t p) { return p != 0; });
+        EXPECT_EQ(beta.kept(j), any_present) << grp.name << " row " << ref.row;
+      }
+    }
+  }
+}
+
+TEST(WidthPlan, PatternsAreNested) {
+  nn::LstmLmModel model({.vocab = 30, .embed = 8, .hidden = 10, .layers = 2});
+  const auto plan = WidthPlan::for_lstm_lm(model);
+  const auto& store = model.store();
+  const std::vector<double> ladder = {0.25, 0.3, 0.5, 0.75, 1.0};
+  for (std::size_t i = 0; i + 1 < ladder.size(); ++i) {
+    const auto narrow = plan.pattern(store, ladder[i]);
+    const auto wide = plan.pattern(store, ladder[i + 1]);
+    EXPECT_LE(narrow.kept_count(), wide.kept_count()) << ladder[i];
+    for (std::size_t j = 0; j < narrow.rows(); ++j) {
+      if (narrow.kept(j)) {
+        ASSERT_TRUE(wide.kept(j)) << "row " << j << " at " << ladder[i];
+      }
+    }
+  }
+  EXPECT_EQ(plan.pattern(store, 1.0).dropped_count(), 0u);
+}
+
+TEST(WidthPlan, RowRuleOnNonDroppableGroupThrows) {
+  nn::ParameterStore store;
+  store.add_group("frozen", nn::GroupKind::kDense, 4, 3, false);
+  store.finalize();
+  const WidthPlan plan(
+      {{.group = 0, .axis = WidthPlan::Rule::Axis::kRows, .units = 4}});
+  EXPECT_THROW((void)plan.pattern(store, 0.5), fedbiad::CheckError);
+}
+
+TEST(WidthPlan, WidthRoundsProductsNearAnInteger) {
+  // 1 - 0.7 is 0.30000000000000004: ceil of its product with a multiple of
+  // ten would keep one unit too many.
+  for (const std::size_t h : {10u, 20u, 200u}) {
+    nn::MlpModel model({.input = 4, .hidden = h, .classes = 3});
+    const auto plan = WidthPlan::for_mlp(model);
+    const auto beta = plan.pattern(model.store(), 1.0 - 0.7);
+    EXPECT_EQ(beta.kept_count(), 3 * h / 10 + 3) << "hidden " << h;
+  }
+  // A product that is not near an integer still rounds up.
+  nn::MlpModel model({.input = 4, .hidden = 12, .classes = 3});
+  const auto plan = WidthPlan::for_mlp(model);
+  EXPECT_EQ(plan.pattern(model.store(), 0.3).kept_count(), 4u + 3u);
+}
+
 TEST(Fjord, UploadsOnlySubmodel) {
   ImageHarness h;
   const auto plan = WidthPlan::for_mlp(*h.model);
-  FjordStrategy strat(plan, 0.5);
-  EXPECT_DOUBLE_EQ(strat.width_ratio(), 0.5);
+  auto strat = HeteroFlStrategy::fjord(plan, 0.5);
+  EXPECT_EQ(strat.name(), "FjORD");
+  EXPECT_EQ(strat.levels(), std::vector<double>{0.5});
+  EXPECT_DOUBLE_EQ(strat.compute_cost_multiplier(), 0.25);
   auto ctx = h.context(0, 1);
   const auto out = run_decoded(strat, ctx);
   EXPECT_EQ(out.uplink_bytes, plan.submodel_bytes(h.model->store(), 0.5));
@@ -380,7 +473,7 @@ TEST(Fjord, UploadsOnlySubmodel) {
 
 TEST(Fjord, SamePatternForAllClients) {
   ImageHarness h;
-  FjordStrategy strat(WidthPlan::for_mlp(*h.model), 0.5);
+  auto strat = HeteroFlStrategy::fjord(WidthPlan::for_mlp(*h.model), 0.5);
   auto ctx0 = h.context(0, 1);
   const auto out0 = run_decoded(strat, ctx0);
   auto ctx1 = h.context(5, 1);
@@ -388,10 +481,28 @@ TEST(Fjord, SamePatternForAllClients) {
   EXPECT_EQ(out0.present, out1.present);  // ordered dropout is deterministic
 }
 
+TEST(Fjord, KeepsThreeOfTenUnitsAtRate07) {
+  ImageHarness h(5, 10);
+  const auto plan = WidthPlan::for_mlp(*h.model);
+  auto strat = HeteroFlStrategy::fjord(plan, 0.7);
+  const auto& store = h.model->store();
+  const auto beta = plan.pattern(store, strat.levels()[0]);
+  for (std::size_t u = 0; u < 10; ++u) {
+    EXPECT_EQ(beta.kept(store.droppable_index(h.model->fc1_group(), u)), u < 3)
+        << "unit " << u;
+  }
+  auto ctx = h.context(0, 1);
+  const auto out = run_decoded(strat, ctx);
+  EXPECT_EQ(out.uplink_bytes, plan.submodel_bytes(store, strat.levels()[0]));
+  // 3 fc1 rows of 100 inputs + bias; 10 fc2 rows reading 3 units + bias.
+  EXPECT_EQ(out.uplink_bytes, wire::submodel_bytes(3 * 101 + 10 * 4));
+}
+
 TEST(HeteroFl, LevelsAssignByClientId) {
   ImageHarness h;
   const auto plan = WidthPlan::for_mlp(*h.model);
   HeteroFlStrategy strat(plan, {1.0, 0.5});
+  EXPECT_EQ(strat.name(), "HeteroFL");
   auto ctx0 = h.context(0, 1);  // level 1.0
   const auto out0 = run_decoded(strat, ctx0);
   auto ctx1 = h.context(1, 1);  // level 0.5
@@ -522,7 +633,7 @@ TEST(SubModelDecode, FjordCompactFormsMatchEncoderInput) {
   nn::MlpModel model({.input = 300, .hidden = 24, .classes = 10});
   ASSERT_GT(model.store().size(), wire::CompactUpdate::kRankStride);
   const auto plan = WidthPlan::for_mlp(model);
-  const FjordStrategy strat(plan, 0.5);
+  const auto strat = HeteroFlStrategy::fjord(plan, 0.5);
   for (const double ratio : {1.0, 0.5, 0.3}) {
     expect_submodel_decode(strat, plan, model.store(), ratio);
   }
@@ -539,6 +650,116 @@ TEST(SubModelDecode, HeteroFlCompactFormsMatchEncoderInput) {
     expect_submodel_decode(strat, plan, model.store(), ratio);
   }
   expect_malformed_submodels_rejected(strat, plan, model.store());
+}
+
+// --- width parity: the kept-row loop against the masked loop ---------------
+
+/// Trains `client` of `strat` through run_client on `a`, and the same client
+/// through the masked reference loop on `b` (an identically seeded harness),
+/// then compares the payload bytes, the surviving coordinates and both
+/// losses bit for bit.
+template <typename Harness>
+void expect_matches_masked_loop(HeteroFlStrategy& strat, const WidthPlan& plan,
+                                Harness& a, Harness& b, std::size_t client) {
+  const double ratio = strat.levels()[client % strat.levels().size()];
+  SCOPED_TRACE(testing::Message() << strat.name() << " ratio " << ratio);
+  auto ctx = a.context(client, 1);
+  const auto out = strat.run_client(ctx);
+
+  nn::ParameterStore& ref_store = b.model->store();
+  std::vector<std::uint8_t> mask(ref_store.size(), 1);
+  plan.build_mask(ref_store, ratio, mask);
+  auto ref_ctx = b.context(client, 1);
+  const auto ref = reference::train_rounds_masked(ref_ctx, mask);
+  const auto ref_payload =
+      plan.encode_submodel(ref_store, ratio, ref_store.params());
+
+  EXPECT_EQ(out.payload.kind, ref_payload.kind);
+  EXPECT_EQ(out.payload.bytes, ref_payload.bytes);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(out.mean_loss),
+            std::bit_cast<std::uint64_t>(ref.mean_loss));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(out.last_loss),
+            std::bit_cast<std::uint64_t>(ref.last_loss));
+  const auto got = a.model->store().params();
+  const auto want = ref_store.params();
+  for (std::size_t i = 0; i < mask.size(); ++i) {
+    if (mask[i] == 0) continue;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << "coordinate " << i;
+  }
+}
+
+/// Weight decay and a clip norm the first steps exceed, so both the decay
+/// and the clip scale act on every kept row.
+template <typename Harness>
+Harness parity_harness(std::size_t hidden) {
+  Harness h(11, hidden);
+  h.settings.sgd.weight_decay = 1e-4F;
+  h.settings.sgd.clip_norm = 0.25F;
+  return h;
+}
+
+constexpr double kParityRates[] = {0.0, 0.25, 0.5, 0.7, 0.75};
+
+template <typename Harness, typename MakePlan>
+void check_fjord_parity(std::size_t hidden, MakePlan make_plan) {
+  for (const double p : kParityRates) {
+    auto a = parity_harness<Harness>(hidden);
+    auto b = parity_harness<Harness>(hidden);
+    const WidthPlan plan = make_plan(*a.model);
+    auto strat = HeteroFlStrategy::fjord(plan, p);
+    expect_matches_masked_loop(strat, plan, a, b, 3);
+  }
+}
+
+template <typename Harness, typename MakePlan>
+void check_heterofl_parity(std::size_t hidden, MakePlan make_plan) {
+  const std::vector<std::vector<double>> ladders = {
+      {1.0, 0.75, 0.5, 0.3, 0.25}, HeteroFlStrategy::default_levels(0.7)};
+  for (const auto& ladder : ladders) {
+    for (std::size_t client = 0; client < ladder.size(); ++client) {
+      auto a = parity_harness<Harness>(hidden);
+      auto b = parity_harness<Harness>(hidden);
+      const WidthPlan plan = make_plan(*a.model);
+      HeteroFlStrategy strat(plan, ladder);
+      expect_matches_masked_loop(strat, plan, a, b, client);
+    }
+  }
+}
+
+TEST(WidthParity, FjordMlpMatchesMaskedLoop) {
+  for (const std::size_t hidden : {12u, 16u, 128u}) {
+    SCOPED_TRACE(testing::Message() << "hidden " << hidden);
+    check_fjord_parity<ImageHarness>(
+        hidden, [](const nn::MlpModel& m) { return WidthPlan::for_mlp(m); });
+  }
+}
+
+TEST(WidthParity, FjordLstmLmMatchesMaskedLoop) {
+  for (const std::size_t hidden : {10u, 64u}) {
+    SCOPED_TRACE(testing::Message() << "hidden " << hidden);
+    check_fjord_parity<TextHarness>(hidden, [](const nn::LstmLmModel& m) {
+      return WidthPlan::for_lstm_lm(m);
+    });
+  }
+}
+
+TEST(WidthParity, HeteroFlMlpMatchesMaskedLoop) {
+  for (const std::size_t hidden : {12u, 16u, 128u}) {
+    SCOPED_TRACE(testing::Message() << "hidden " << hidden);
+    check_heterofl_parity<ImageHarness>(
+        hidden, [](const nn::MlpModel& m) { return WidthPlan::for_mlp(m); });
+  }
+}
+
+TEST(WidthParity, HeteroFlLstmLmMatchesMaskedLoop) {
+  for (const std::size_t hidden : {10u, 64u}) {
+    SCOPED_TRACE(testing::Message() << "hidden " << hidden);
+    check_heterofl_parity<TextHarness>(hidden, [](const nn::LstmLmModel& m) {
+      return WidthPlan::for_lstm_lm(m);
+    });
+  }
 }
 
 }  // namespace

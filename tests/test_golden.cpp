@@ -22,7 +22,6 @@
 #include "baselines/fedavg.hpp"
 #include "baselines/feddrop.hpp"
 #include "baselines/fedmp.hpp"
-#include "baselines/fjord.hpp"
 #include "baselines/heterofl.hpp"
 #include "baselines/unit_mask.hpp"
 #include "compress/compressed_strategy.hpp"
@@ -108,7 +107,8 @@ fl::StrategyPtr make_strategy(const std::string& name, const Scenario& sc) {
   if (name == "AFD") return std::make_shared<baselines::AfdStrategy>(p);
   if (name == "FedMP") return std::make_shared<baselines::FedMpStrategy>(p);
   if (name == "FjORD") {
-    return std::make_shared<baselines::FjordStrategy>(plan, p);
+    return std::make_shared<baselines::HeteroFlStrategy>(
+        baselines::HeteroFlStrategy::fjord(plan, p));
   }
   if (name == "HeteroFL") {
     return std::make_shared<baselines::HeteroFlStrategy>(

@@ -6,7 +6,7 @@
 
 #include "baselines/fedavg.hpp"
 #include "baselines/feddrop.hpp"
-#include "baselines/fjord.hpp"
+#include "baselines/heterofl.hpp"
 #include "compress/compressed_strategy.hpp"
 #include "compress/dgc.hpp"
 #include "core/fedbiad_strategy.hpp"
@@ -208,7 +208,9 @@ TEST(Integration, FjordRunsEndToEnd) {
   nn::MlpModel probe({.input = 784, .hidden = 32, .classes = 10});
   auto plan = baselines::WidthPlan::for_mlp(probe);
   const auto result =
-      world.run(std::make_shared<baselines::FjordStrategy>(plan, 0.5), 15);
+      world.run(std::make_shared<baselines::HeteroFlStrategy>(
+                    baselines::HeteroFlStrategy::fjord(plan, 0.5)),
+                15);
   EXPECT_GT(result.final_accuracy(false), 0.25);
   const auto summary = netsim::summarize_upload(result, world.dense_bytes);
   EXPECT_GT(summary.save_ratio, 1.3);
