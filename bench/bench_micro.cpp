@@ -23,13 +23,12 @@
 #include "core/fedbiad_strategy.hpp"
 #include "fl/aggregate.hpp"
 #include "fl/fused_aggregate.hpp"
-#include "nn/conv2d.hpp"
 #include "nn/loss.hpp"
 #include "nn/lstm.hpp"
 #include "nn/lstm_lm_model.hpp"
 #include "nn/mlp_model.hpp"
 #include "nn/optimizer.hpp"
-#include "tensor/ops.hpp"
+#include "tensor/gemm.hpp"
 #include "transport/frame.hpp"
 #include "transport/protocol.hpp"
 #include "transport/ring_buffer.hpp"
@@ -42,14 +41,15 @@ namespace {
 
 using namespace fedbiad;
 
+// out = x · Wᵀ, the Dense forward shape, through the blocked GEMM.
 void BM_MatmulXwt(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   tensor::Rng rng(1);
-  tensor::Matrix x(32, n), w(n, n), out;
+  tensor::Matrix x(32, n), w(n, n), out(32, n);
   x.fill_uniform(rng, -1, 1);
   w.fill_uniform(rng, -1, 1);
   for (auto _ : state) {
-    tensor::matmul_xwt(x, w, out);
+    tensor::gemm_abt(32, n, n, x.data(), n, w.data(), n, out.data(), n);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32 *
@@ -98,58 +98,6 @@ void BM_LstmBackward(benchmark::State& state) {
                           12);
 }
 BENCHMARK(BM_LstmBackward)->Arg(64);
-
-// The conv benches mirror the ConvModel scenario (MNIST-like single-channel
-// input) plus a multi-channel mid-network shape; arg = input channels,
-// filters = 8 × channels. Items = output elements per pass.
-void conv_shapes(std::size_t channels, std::size_t& filters,
-                 std::size_t& kernel, std::size_t& hw) {
-  filters = 8 * channels;
-  kernel = 5;
-  hw = 28;
-}
-
-void BM_Conv2dForward(benchmark::State& state) {
-  const auto channels = static_cast<std::size_t>(state.range(0));
-  std::size_t filters = 0, kernel = 0, hw = 0;
-  conv_shapes(channels, filters, kernel, hw);
-  nn::ParameterStore store;
-  nn::Conv2D conv(store, "c", channels, filters, kernel, hw, hw);
-  store.finalize();
-  tensor::Rng rng(8);
-  conv.init(store, rng);
-  tensor::Matrix x(32, channels * hw * hw), out;
-  x.fill_uniform(rng, -1, 1);
-  for (auto _ : state) {
-    conv.forward(store, x, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32 *
-                          static_cast<std::int64_t>(conv.out_size()));
-}
-BENCHMARK(BM_Conv2dForward)->Arg(1)->Arg(4);
-
-void BM_Conv2dBackward(benchmark::State& state) {
-  const auto channels = static_cast<std::size_t>(state.range(0));
-  std::size_t filters = 0, kernel = 0, hw = 0;
-  conv_shapes(channels, filters, kernel, hw);
-  nn::ParameterStore store;
-  nn::Conv2D conv(store, "c", channels, filters, kernel, hw, hw);
-  store.finalize();
-  tensor::Rng rng(9);
-  conv.init(store, rng);
-  tensor::Matrix x(32, channels * hw * hw), g(32, conv.out_size()), g_in;
-  x.fill_uniform(rng, -1, 1);
-  g.fill_uniform(rng, -1, 1);
-  for (auto _ : state) {
-    store.zero_grads();
-    conv.backward(store, x, g, &g_in);
-    benchmark::DoNotOptimize(g_in.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32 *
-                          static_cast<std::int64_t>(conv.out_size()));
-}
-BENCHMARK(BM_Conv2dBackward)->Arg(1)->Arg(4);
 
 void BM_SoftmaxXent(benchmark::State& state) {
   const auto cols = static_cast<std::size_t>(state.range(0));

@@ -48,7 +48,7 @@ fl::ClientOutcome AfdStrategy::run_client(fl::ClientContext& ctx) {
       }
     }
     if (!initialized_) {
-      // Score-ranked pattern: drop the lowest-scoring p-fraction per FC/conv
+      // Score-ranked pattern: drop the lowest-scoring p-fraction per FC
       // group (with all-zero scores this degenerates to a random pattern —
       // AFD's bootstrap round). An exploration share of the scores is
       // randomized so currently-dropped rows periodically re-enter and
@@ -65,9 +65,8 @@ fl::ClientOutcome AfdStrategy::run_client(fl::ClientContext& ctx) {
         }
         scores = core::WeightScoreVector(std::move(jittered));
       }
-      round_pattern_ = scores.make_pattern(store, dropout_rate_,
-                                           core::eligible_fc_conv(),
-                                           server_rng_);
+      round_pattern_ = scores.make_pattern(
+          store, dropout_rate_, core::eligible_dense(), server_rng_);
       initialized_ = true;
     }
   }

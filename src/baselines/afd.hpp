@@ -4,7 +4,7 @@
 // moving average of each row's aggregated update magnitude) and derives one
 // dropping pattern per round that every selected client must use — clients
 // "cannot adjust dropping structures during local training" (paper §I).
-// Like FedDrop it applies to FC/conv layers only.
+// Like FedDrop it applies to fully connected layers only.
 #pragma once
 
 #include <mutex>

@@ -15,7 +15,7 @@ FedDropStrategy::FedDropStrategy(double dropout_rate)
 fl::ClientOutcome FedDropStrategy::run_client(fl::ClientContext& ctx) {
   nn::ParameterStore& store = ctx.model.store();
   const auto pattern = core::DropPattern::sample(
-      store, dropout_rate_, core::eligible_fc_conv(), ctx.rng);
+      store, dropout_rate_, core::eligible_dense(), ctx.rng);
   const auto stats = train_rounds(ctx, &pattern);
 
   fl::ClientOutcome out;

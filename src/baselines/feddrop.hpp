@@ -1,7 +1,7 @@
 // FedDrop (Caldas et al., 2019 / Wen et al., 2022): random federated
 // dropout. Each client samples a random fixed pattern per round over fully
-// connected and convolutional layers only — the method "does not extend to
-// recurrent layers" (paper §V-A), so LSTM matrices are never dropped.
+// connected layers only — the method "does not extend to recurrent layers"
+// (paper §V-A), so LSTM and embedding rows are never dropped.
 #pragma once
 
 #include "core/drop_pattern.hpp"

@@ -13,16 +13,9 @@ RowFilter eligible_all() {
   return [](const nn::RowGroup& g) { return g.droppable; };
 }
 
-RowFilter eligible_fc_conv() {
+RowFilter eligible_dense() {
   return [](const nn::RowGroup& g) {
-    return g.droppable && (g.kind == nn::GroupKind::kDense ||
-                           g.kind == nn::GroupKind::kConvFilter);
-  };
-}
-
-RowFilter eligible_non_recurrent() {
-  return [](const nn::RowGroup& g) {
-    return g.droppable && !nn::is_recurrent(g.kind);
+    return g.droppable && g.kind == nn::GroupKind::kDense;
   };
 }
 

@@ -3,8 +3,8 @@
 // A pattern covers every droppable row of a model (J = store.droppable_rows()
 // in paper notation). "Eligibility" narrows which rows a given strategy may
 // drop: FedBIAD drops any droppable row including recurrent connections;
-// FedDrop/AFD are restricted to fully connected (and convolutional) layers
-// (paper §V-A). Ineligible rows are always kept.
+// FedDrop/AFD are restricted to fully connected layers (paper §V-A).
+// Ineligible rows are always kept.
 #pragma once
 
 #include <cstdint>
@@ -23,11 +23,8 @@ using RowFilter = std::function<bool(const nn::RowGroup&)>;
 /// FedBIAD: every droppable group, recurrent connections included.
 [[nodiscard]] RowFilter eligible_all();
 
-/// FedDrop/AFD: fully connected and convolutional groups only.
-[[nodiscard]] RowFilter eligible_fc_conv();
-
-/// Any non-recurrent droppable group (embedding included).
-[[nodiscard]] RowFilter eligible_non_recurrent();
+/// FedDrop/AFD: fully connected (kDense) groups only.
+[[nodiscard]] RowFilter eligible_dense();
 
 class DropPattern {
  public:

@@ -67,9 +67,7 @@ bayes::ModelStructure structure_of(const nn::ParameterStore& store,
   return s;
 }
 
-FedBiadStrategy::FedBiadStrategy(FedBiadConfig cfg, RowFilter eligible)
-    : cfg_(cfg),
-      eligible_(eligible ? std::move(eligible) : eligible_all()) {
+FedBiadStrategy::FedBiadStrategy(FedBiadConfig cfg) : cfg_(cfg) {
   FEDBIAD_CHECK(cfg_.dropout_rate >= 0.0 && cfg_.dropout_rate < 1.0,
                 "dropout rate must be in [0,1)");
   FEDBIAD_CHECK(cfg_.tau >= 1, "tau must be positive");
@@ -140,10 +138,11 @@ fl::ClientOutcome FedBiadStrategy::run_client(fl::ClientContext& ctx) {
 
   // Step 2: initial dropping pattern.
   const bool stage_one = ctx.round <= cfg_.stage_boundary;
+  const RowFilter eligible = eligible_all();
   DropPattern pattern =
       stage_one
-          ? DropPattern::sample(store, cfg_.dropout_rate, eligible_, ctx.rng)
-          : scores.make_pattern(store, cfg_.dropout_rate, eligible_, ctx.rng);
+          ? DropPattern::sample(store, cfg_.dropout_rate, eligible, ctx.rng)
+          : scores.make_pattern(store, cfg_.dropout_rate, eligible, ctx.rng);
   pattern.apply_to_params(store);
 
   LossTrendController trend(cfg_.tau);
@@ -163,7 +162,7 @@ fl::ClientOutcome FedBiadStrategy::run_client(fl::ClientContext& ctx) {
       const bool decreased = gap <= 0.0;
       if (stage_one && !decreased) {
         DropPattern next =
-            DropPattern::sample(store, cfg_.dropout_rate, eligible_, ctx.rng);
+            DropPattern::sample(store, cfg_.dropout_rate, eligible, ctx.rng);
         scores.update(pattern, false, next);
         // Restore μ for rows becoming active, then mask with the new pattern.
         sync_kept_rows(store, pattern, store.params(), u_full);

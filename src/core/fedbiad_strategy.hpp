@@ -38,9 +38,9 @@ struct FedBiadConfig {
 
 class FedBiadStrategy final : public fl::Strategy {
  public:
-  /// `eligible` defaults to every droppable group — including recurrent
-  /// connections, the paper's headline capability.
-  explicit FedBiadStrategy(FedBiadConfig cfg, RowFilter eligible = {});
+  /// Every droppable group is eligible (eligible_all()) — including
+  /// recurrent connections, the paper's headline capability.
+  explicit FedBiadStrategy(FedBiadConfig cfg);
 
   [[nodiscard]] std::string name() const override { return "FedBIAD"; }
   fl::ClientOutcome run_client(fl::ClientContext& ctx) override;
@@ -53,7 +53,7 @@ class FedBiadStrategy final : public fl::Strategy {
   /// Clients train the sub-model β selects (Model::train_step with
   /// `kept`): on the MLP and LSTM models the dropped rows leave every GEMM,
   /// so one step costs ~(1-p) of the dense model — the LTTR advantage of
-  /// Fig. 7. The Conv model still computes at full width.
+  /// Fig. 7.
   [[nodiscard]] double compute_cost_multiplier() const override {
     return 1.0 - cfg_.dropout_rate;
   }
@@ -75,7 +75,6 @@ class FedBiadStrategy final : public fl::Strategy {
 
  private:
   FedBiadConfig cfg_;
-  RowFilter eligible_;
   fl::ClientStateStore<WeightScoreVector> scores_;
 };
 

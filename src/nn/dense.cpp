@@ -10,9 +10,10 @@
 namespace fedbiad::nn {
 
 Dense::Dense(ParameterStore& store, std::string name, std::size_t in,
-             std::size_t out, GroupKind kind, bool droppable)
+             std::size_t out)
     : in_(in), out_(out) {
-  group_ = store.add_group(std::move(name), kind, out, in + 1, droppable);
+  group_ = store.add_group(std::move(name), GroupKind::kDense, out, in + 1,
+                           /*droppable=*/true);
 }
 
 void Dense::init(ParameterStore& store, tensor::Rng& rng) const {

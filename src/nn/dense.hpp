@@ -21,10 +21,9 @@ class Dense {
   /// Unregistered placeholder; assign a registered Dense before use.
   Dense() = default;
 
-  /// Registers an (out × in+1) row group in `store`.
+  /// Registers a droppable (out × in+1) kDense row group in `store`.
   Dense(ParameterStore& store, std::string name, std::size_t in,
-        std::size_t out, GroupKind kind = GroupKind::kDense,
-        bool droppable = true);
+        std::size_t out);
 
   /// Glorot-uniform weight init, zero bias. Call after store.finalize().
   void init(ParameterStore& store, tensor::Rng& rng) const;

@@ -7,10 +7,10 @@
 namespace fedbiad::nn {
 
 Embedding::Embedding(ParameterStore& store, std::string name,
-                     std::size_t vocab, std::size_t dim, bool droppable)
+                     std::size_t vocab, std::size_t dim)
     : vocab_(vocab), dim_(dim) {
   group_ = store.add_group(std::move(name), GroupKind::kEmbedding, vocab, dim,
-                           droppable);
+                           /*droppable=*/true);
 }
 
 void Embedding::init(ParameterStore& store, tensor::Rng& rng) const {

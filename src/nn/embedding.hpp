@@ -14,8 +14,9 @@ namespace fedbiad::nn {
 
 class Embedding {
  public:
+  /// Registers a droppable (vocab × dim) kEmbedding row group in `store`.
   Embedding(ParameterStore& store, std::string name, std::size_t vocab,
-            std::size_t dim, bool droppable = true);
+            std::size_t dim);
 
   /// N(0, 0.1) init. Call after store.finalize().
   void init(ParameterStore& store, tensor::Rng& rng) const;

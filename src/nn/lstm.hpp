@@ -35,7 +35,7 @@ namespace fedbiad::nn {
 class LstmLayer {
  public:
   LstmLayer(ParameterStore& store, const std::string& name_prefix,
-            std::size_t in, std::size_t hidden, bool droppable = true);
+            std::size_t in, std::size_t hidden);
 
   /// Uniform(-k, k) init with k = 1/sqrt(hidden); forget-gate bias = 1.
   void init(ParameterStore& store, tensor::Rng& rng) const;

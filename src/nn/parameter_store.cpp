@@ -19,8 +19,6 @@ const char* to_string(GroupKind kind) noexcept {
       return "embedding";
     case GroupKind::kRecurrentUnit:
       return "recurrent_unit";
-    case GroupKind::kConvFilter:
-      return "conv_filter";
   }
   return "unknown";
 }

@@ -21,16 +21,9 @@ enum class GroupKind {
   kDense,            ///< fully connected weight (rows = output units)
   kEmbedding,        ///< token embedding table (rows = vocabulary entries)
   kRecurrentUnit,    ///< LSTM unit rows: Wx+bias+Wh of one hidden unit
-  kConvFilter,       ///< convolution kernels (rows = filters, paper §IV-C)
 };
 
 [[nodiscard]] const char* to_string(GroupKind kind) noexcept;
-
-/// True for the recurrent rows that random/ordered federated dropout cannot
-/// handle (paper §I and §V-A).
-[[nodiscard]] constexpr bool is_recurrent(GroupKind kind) noexcept {
-  return kind == GroupKind::kRecurrentUnit;
-}
 
 /// One weight matrix inside the flat parameter vector.
 struct RowGroup {

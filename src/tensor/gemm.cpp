@@ -93,9 +93,8 @@ void pack_block(const float* b, std::size_t ldb, const Gather& g,
 /// partial tiles at the matrix borders. Vectorized at full NR width through
 /// a zero-padded local tile: the B panel's padding lanes are zero, so lanes
 /// past nr just accumulate zeros and only the live columns are copied back.
-/// Narrow operands (Dense heads with a handful of classes, small filter
-/// counts) therefore run the same FMA tile as the interior instead of
-/// degenerating to scalar code.
+/// Narrow operands (Dense heads with a handful of classes) therefore run the
+/// same FMA tile as the interior instead of degenerating to scalar code.
 template <bool ATrans>
 void micro_kernel_edge(std::size_t mr, std::size_t nr, std::size_t kcn,
                        const float* a, std::size_t lda, std::size_t i0,

@@ -192,10 +192,6 @@ void relu_backward(std::size_t n, const float* pre, float* g) {
   }
 }
 
-void axpy(std::size_t n, float alpha, const float* x, float* y) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
 void sgd_axpy(std::size_t n, float* p, const float* g, float lr, float scale,
               float wd) {
   for (std::size_t i = 0; i < n; ++i) p[i] -= lr * (scale * g[i] + wd * p[i]);
@@ -271,14 +267,6 @@ void relu_backward(std::size_t n, const float* pre, float* g) {
   for (; i < n; ++i) {
     if (pre[i] <= 0.0F) g[i] = 0.0F;
   }
-}
-
-void axpy(std::size_t n, float alpha, const float* x, float* y) {
-  std::size_t i = 0;
-  for (; i + VL <= n; i += VL) {
-    vstore(y + i, vload(y + i) + vload(x + i) * alpha);
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
 void sgd_axpy(std::size_t n, float* p, const float* g, float lr, float scale,
@@ -379,9 +367,6 @@ void vsigmoid(std::size_t n, const float* x, float* y) {
 void relu(std::size_t n, const float* x, float* y) { ref::relu(n, x, y); }
 void relu_backward(std::size_t n, const float* pre, float* g) {
   ref::relu_backward(n, pre, g);
-}
-void axpy(std::size_t n, float alpha, const float* x, float* y) {
-  ref::axpy(n, alpha, x, y);
 }
 void sgd_axpy(std::size_t n, float* p, const float* g, float lr, float scale,
               float wd) {

@@ -52,9 +52,6 @@ void relu(std::size_t n, const float* x, float* y);
 /// g[i] = pre[i] > 0 ? g[i] : 0 — the ReLU backward mask.
 void relu_backward(std::size_t n, const float* pre, float* g);
 
-/// y[i] += alpha * x[i].
-void axpy(std::size_t n, float alpha, const float* x, float* y);
-
 /// Fused SGD step: p[i] -= lr * (scale * g[i] + wd * p[i]), evaluated in
 /// exactly that association. Within one build the vector body and the
 /// scalar tail round identically, so splitting one call into several
@@ -127,7 +124,6 @@ void vtanh(std::size_t n, const float* x, float* y);
 void vsigmoid(std::size_t n, const float* x, float* y);
 void relu(std::size_t n, const float* x, float* y);
 void relu_backward(std::size_t n, const float* pre, float* g);
-void axpy(std::size_t n, float alpha, const float* x, float* y);
 void sgd_axpy(std::size_t n, float* p, const float* g, float lr, float scale,
               float wd);
 void lstm_cell(std::size_t h, float* g4, const float* c_prev, float* c,

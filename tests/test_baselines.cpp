@@ -163,13 +163,18 @@ TEST(FedDrop, NeverDropsRecurrentRowsOnLstm) {
   auto ctx = h.context(0, 1);
   const auto out = run_decoded(strat, ctx);
   const auto& store = h.model->store();
-  // Every recurrent coordinate must be present.
+  // FedDrop drops fully connected rows only: every recurrent and every
+  // embedding coordinate must be present.
+  std::size_t embedding_groups = 0;
   for (const auto& grp : store.groups()) {
-    if (!nn::is_recurrent(grp.kind)) continue;
+    if (grp.kind == nn::GroupKind::kDense) continue;
+    embedding_groups += grp.kind == nn::GroupKind::kEmbedding ? 1 : 0;
     for (std::size_t i = grp.offset; i < grp.offset + grp.size(); ++i) {
-      ASSERT_EQ(out.present[i], 1) << "recurrent coordinate dropped";
+      ASSERT_EQ(out.present[i], 1)
+          << nn::to_string(grp.kind) << " coordinate dropped";
     }
   }
+  EXPECT_EQ(embedding_groups, 1u);
   // Save ratio is therefore far below 2× — the paper's observation that
   // FedDrop compresses RNN models poorly.
   const double dense =

@@ -60,7 +60,7 @@ TEST(DropPattern, SampleDropsExactPerGroupCounts) {
 TEST(DropPattern, EligibilityProtectsRecurrentRows) {
   auto store = make_store();
   tensor::Rng rng(5);
-  const auto p = DropPattern::sample(store, 0.5, eligible_fc_conv(), rng);
+  const auto p = DropPattern::sample(store, 0.5, eligible_dense(), rng);
   for (std::size_t r = 0; r < 4; ++r) {
     EXPECT_TRUE(p.kept(store.droppable_index(2, r)))
         << "recurrent row " << r << " must never be dropped by FC-only drop";
@@ -273,7 +273,7 @@ TEST(WeightScore, MakePatternRespectsEligibility) {
   auto store = make_store();
   WeightScoreVector s(store.droppable_rows());
   tensor::Rng rng(31);
-  const auto p = s.make_pattern(store, 0.5, eligible_fc_conv(), rng);
+  const auto p = s.make_pattern(store, 0.5, eligible_dense(), rng);
   for (std::size_t r = 0; r < 4; ++r) {
     EXPECT_TRUE(p.kept(store.droppable_index(2, r)));
   }

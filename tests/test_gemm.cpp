@@ -11,7 +11,6 @@
 #include <tuple>
 #include <vector>
 
-#include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/lstm.hpp"
 #include "nn/parameter_store.hpp"
@@ -550,68 +549,6 @@ INSTANTIATE_TEST_SUITE_P(Shapes, LstmEquivalence,
                                            std::tuple{4, 6, 16, 16},
                                            std::tuple{3, 5, 19, 33},
                                            std::tuple{8, 4, 32, 64}));
-
-// ---- conv2d: im2row-GEMM path vs the retained naive reference -------------
-
-struct ConvCase {
-  int batch, in_c, out_c, kernel, h, w, stride, pad;
-};
-
-class ConvEquivalence : public ::testing::TestWithParam<ConvCase> {};
-
-TEST_P(ConvEquivalence, ForwardBackwardMatchNaiveReference) {
-  const ConvCase p = GetParam();
-  nn::ParameterStore store;
-  nn::Conv2D conv(store, "c", p.in_c, p.out_c, p.kernel, p.h, p.w, p.stride,
-                  p.pad);
-  store.finalize();
-  Rng rng(509);
-  conv.init(store, rng);
-
-  Matrix x(p.batch, static_cast<std::size_t>(p.in_c * p.h * p.w));
-  x.fill_uniform(rng, -1.0F, 1.0F);
-
-  Matrix out, out_ref;
-  conv.forward(store, x, out);
-  const auto w = store.group_params(conv.group());
-  nn::ref::conv2d_forward(p.in_c, p.out_c, p.kernel, p.h, p.w, p.stride,
-                          p.pad, w.data(), x, out_ref);
-  ASSERT_EQ(out.rows(), out_ref.rows());
-  ASSERT_EQ(out.cols(), out_ref.cols());
-  ASSERT_EQ(out.cols(), conv.out_size());
-  expect_close(out.flat(), out_ref.flat(), "conv forward");
-
-  Matrix g_out(out.rows(), out.cols());
-  g_out.fill_uniform(rng, -1.0F, 1.0F);
-  store.zero_grads();
-  Matrix g_in;
-  conv.backward(store, x, g_out, &g_in);
-  std::vector<float> dw_ref(w.size(), 0.0F);
-  Matrix g_in_ref;
-  nn::ref::conv2d_backward(p.in_c, p.out_c, p.kernel, p.h, p.w, p.stride,
-                           p.pad, w.data(), dw_ref.data(), x, g_out,
-                           &g_in_ref);
-  expect_close(store.group_grads(conv.group()), dw_ref, "conv dW");
-  expect_close(g_in.flat(), g_in_ref.flat(), "conv g_in");
-
-  // The g_in == nullptr path must produce identical weight gradients.
-  store.zero_grads();
-  conv.backward(store, x, g_out, nullptr);
-  expect_close(store.group_grads(conv.group()), dw_ref, "conv dW (no g_in)");
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, ConvEquivalence,
-    ::testing::Values(
-        ConvCase{1, 1, 1, 1, 1, 1, 1, 0},    // degenerate 1×1 everything
-        ConvCase{2, 2, 3, 3, 6, 7, 1, 0},    // ragged, rectangular input
-        ConvCase{3, 1, 8, 5, 12, 12, 1, 0},  // the ConvModel shape, small
-        ConvCase{2, 3, 5, 2, 9, 5, 2, 1},    // stride 2 + padding 1
-        ConvCase{1, 2, 4, 4, 8, 8, 2, 0},    // even kernel, stride 2
-        ConvCase{2, 1, 2, 3, 7, 7, 3, 2},    // stride 3, pad 2 (ragged oh)
-        ConvCase{2, 2, 17, 3, 6, 6, 1, 1},   // filters past one register tile
-        ConvCase{1, 4, 16, 5, 11, 13, 1, 2}, // multi-channel, heavy padding
-        ConvCase{4, 1, 1, 5, 5, 5, 1, 0}));  // kernel == input (1×1 output)
 
 // ---- workspace ------------------------------------------------------------
 

@@ -13,8 +13,6 @@
 #include "core/drop_pattern.hpp"
 #include "data/batch.hpp"
 #include "masked_step.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/conv_model.hpp"
 #include "nn/dense.hpp"
 #include "nn/embedding.hpp"
 #include "nn/loss.hpp"
@@ -266,106 +264,6 @@ TEST(Lstm, GradientCheck) {
     x.flat()[i] = saved;
     const double numeric = (up - down) / (2.0 * eps);
     expect_grad_close(g_x.flat()[i], numeric, 5e-3, 5e-2,
-                      "input " + std::to_string(i));
-  }
-}
-
-TEST(Conv2D, GradientCheck) {
-  ParameterStore store;
-  Conv2D conv(store, "c", 2, 3, 3, 6, 6);
-  store.finalize();
-  Rng rng(17);
-  conv.init(store, rng);
-
-  Matrix x(2, 2 * 6 * 6);
-  x.fill_uniform(rng, -1.0F, 1.0F);
-  Matrix r(2, conv.out_size());
-  r.fill_uniform(rng, -1.0F, 1.0F);
-
-  auto loss = [&] {
-    Matrix out;
-    conv.forward(store, x, out);
-    return tensor::dot(r.flat(), out.flat());
-  };
-
-  store.zero_grads();
-  Matrix out, g_in;
-  conv.forward(store, x, out);
-  conv.backward(store, x, r, &g_in);
-
-  const float eps = 1e-2F;
-  auto params = store.params();
-  auto grads = store.grads();
-  for (std::size_t i = 0; i < params.size(); i += 7) {
-    const float saved = params[i];
-    params[i] = saved + eps;
-    const double up = loss();
-    params[i] = saved - eps;
-    const double down = loss();
-    params[i] = saved;
-    const double numeric = (up - down) / (2.0 * eps);
-    expect_grad_close(grads[i], numeric, 3e-3, 3e-2,
-                      "param " + std::to_string(i));
-  }
-  for (std::size_t i = 0; i < x.size(); i += 11) {
-    const float saved = x.flat()[i];
-    x.flat()[i] = saved + eps;
-    const double up = loss();
-    x.flat()[i] = saved - eps;
-    const double down = loss();
-    x.flat()[i] = saved;
-    const double numeric = (up - down) / (2.0 * eps);
-    expect_grad_close(g_in.flat()[i], numeric, 3e-3, 3e-2,
-                      "input " + std::to_string(i));
-  }
-}
-
-TEST(Conv2D, GradientCheckStridedPadded) {
-  ParameterStore store;
-  Conv2D conv(store, "c", 2, 3, 3, 7, 8, /*stride=*/2, /*padding=*/1);
-  store.finalize();
-  Rng rng(19);
-  conv.init(store, rng);
-
-  Matrix x(2, 2 * 7 * 8);
-  x.fill_uniform(rng, -1.0F, 1.0F);
-  Matrix r(2, conv.out_size());
-  r.fill_uniform(rng, -1.0F, 1.0F);
-
-  auto loss = [&] {
-    Matrix out;
-    conv.forward(store, x, out);
-    return tensor::dot(r.flat(), out.flat());
-  };
-
-  store.zero_grads();
-  Matrix out, g_in;
-  conv.forward(store, x, out);
-  conv.backward(store, x, r, &g_in);
-
-  const float eps = 1e-2F;
-  auto params = store.params();
-  auto grads = store.grads();
-  for (std::size_t i = 0; i < params.size(); i += 5) {
-    const float saved = params[i];
-    params[i] = saved + eps;
-    const double up = loss();
-    params[i] = saved - eps;
-    const double down = loss();
-    params[i] = saved;
-    const double numeric = (up - down) / (2.0 * eps);
-    expect_grad_close(grads[i], numeric, 3e-3, 3e-2,
-                      "param " + std::to_string(i));
-  }
-  for (std::size_t i = 0; i < x.size(); i += 7) {
-    const float saved = x.flat()[i];
-    x.flat()[i] = saved + eps;
-    const double up = loss();
-    x.flat()[i] = saved - eps;
-    const double down = loss();
-    x.flat()[i] = saved;
-    const double numeric = (up - down) / (2.0 * eps);
-    expect_grad_close(g_in.flat()[i], numeric, 3e-3, 3e-2,
                       "input " + std::to_string(i));
   }
 }
@@ -698,7 +596,6 @@ TEST(LstmLmModel, GroupMetadataExposesRecurrentKinds) {
   EXPECT_EQ(store.group(model.unit_group(0)).kind, GroupKind::kRecurrentUnit);
   EXPECT_EQ(store.group(model.unit_group(1)).kind, GroupKind::kRecurrentUnit);
   EXPECT_EQ(store.group(model.out_group()).kind, GroupKind::kDense);
-  EXPECT_TRUE(is_recurrent(store.group(model.unit_group(0)).kind));
   // One row per hidden unit: all 4 gates' input weights, biases, and
   // recurrent weights live in that row.
   EXPECT_EQ(store.group(model.unit_group(0)).rows, 6u);
@@ -730,29 +627,6 @@ TEST(Lstm, DroppedUnitRowIsExactlyInert) {
     EXPECT_FALSE(std::signbit(cache.h(row, 2)));
     EXPECT_FALSE(std::signbit(cache.c(row, 2)));
   }
-}
-
-TEST(ConvModel, TrainsOnToyImages) {
-  ConvModel model({.height = 8,
-                   .width = 8,
-                   .channels = 1,
-                   .filters = 4,
-                   .kernel = 3,
-                   .classes = 3});
-  Rng rng(27);
-  model.init_params(rng);
-  const auto batch = toy_image_batch(rng, 32, 64, 3);
-  SgdConfig cfg{.lr = 0.2F, .weight_decay = 0.0F, .clip_norm = 0.0F};
-  const float first = model.train_step(batch);
-  sgd_step(model.store(), cfg);
-  float last = first;
-  for (int i = 0; i < 80; ++i) {
-    last = model.train_step(batch);
-    sgd_step(model.store(), cfg);
-  }
-  EXPECT_LT(last, first);
-  EXPECT_EQ(model.store().group(model.conv_group()).kind,
-            GroupKind::kConvFilter);
 }
 
 TEST(Models, InitIsDeterministicGivenSeed) {

@@ -27,7 +27,6 @@
 #include "fl/async_simulation.hpp"
 #include "masked_step.hpp"
 #include "nn/lstm_lm_model.hpp"
-#include "nn/conv_model.hpp"
 #include "nn/mlp_model.hpp"
 #include "nn/optimizer.hpp"
 #include "tensor/ops.hpp"
@@ -57,8 +56,7 @@ TEST_P(PatternAccounting, BytesMatchPresence) {
   nn::LstmLmModel model({.vocab = 37, .embed = 8, .hidden = 12, .layers = 2});
   const auto& store = model.store();
   for (const auto& eligible :
-       {core::eligible_all(), core::eligible_fc_conv(),
-        core::eligible_non_recurrent()}) {
+       {core::eligible_all(), core::eligible_dense()}) {
     tensor::Rng rng(11);
     const auto p = core::DropPattern::sample(store, rate, eligible, rng);
     std::vector<std::uint8_t> present(store.size(), 1);
@@ -378,60 +376,6 @@ TEST(SimulationFailure, SelectionSkipsEmptyShards) {
   EXPECT_EQ(result.rounds.size(), 2u);
 }
 
-TEST(ConvProperty, FilterWiseDropoutEndToEnd) {
-  // Paper §IV-C: CNN dropout is filter-wise. Run FedBIAD over a ConvModel
-  // and check whole filters are dropped and upload accounting holds.
-  auto cfg = data::ImageSynthConfig::mnist_like(73);
-  cfg.train_samples = 80;
-  cfg.test_samples = 16;
-  cfg.height = 12;
-  cfg.width = 12;
-  const auto ds = data::make_image_datasets(cfg);
-  nn::ConvModel model({.height = 12,
-                       .width = 12,
-                       .channels = 1,
-                       .filters = 8,
-                       .kernel = 3,
-                       .classes = 10});
-  tensor::Rng init(9);
-  model.init_params(init);
-  std::vector<float> global(model.store().params().begin(),
-                            model.store().params().end());
-  std::vector<std::size_t> shard(ds.train->size());
-  for (std::size_t i = 0; i < shard.size(); ++i) shard[i] = i;
-  fl::TrainSettings settings;
-  settings.local_iterations = 4;
-  settings.batch_size = 8;
-  settings.sgd = {.lr = 0.1F, .weight_decay = 0.0F, .clip_norm = 0.0F};
-  core::FedBiadStrategy strat({.dropout_rate = 0.5,
-                               .tau = 2,
-                               .stage_boundary = 5,
-                               .sample_posterior = false});
-  fl::ClientContext ctx{.client_id = 0,
-                        .round = 1,
-                        .model = model,
-                        .global_params = global,
-                        .dataset = *ds.train,
-                        .shard = shard,
-                        .settings = settings,
-                        .rng = tensor::Rng(10)};
-  const auto out = run_decoded(strat, ctx);
-  // Dropped filters are absent as whole rows (filter granularity).
-  const auto& store = model.store();
-  const auto& conv = store.group(model.conv_group());
-  EXPECT_EQ(conv.kind, nn::GroupKind::kConvFilter);
-  std::size_t dropped_filters = 0;
-  for (std::size_t f = 0; f < conv.rows; ++f) {
-    const std::size_t begin = conv.offset + f * conv.row_len;
-    const bool absent = out.present[begin] == 0;
-    for (std::size_t i = begin; i < begin + conv.row_len; ++i) {
-      EXPECT_EQ(out.present[i], absent ? 0 : 1);
-    }
-    dropped_filters += absent ? 1 : 0;
-  }
-  EXPECT_EQ(dropped_filters, 4u);  // p=0.5 of 8 filters
-}
-
 // --- wire subsystem properties: primitive round trips, payload round trips
 // over hostile value sets (NaN/Inf, ±0, ragged/all-dropped/all-kept/empty),
 // and rejection of truncated or corrupted buffers without UB (the ubsan CI
@@ -443,7 +387,7 @@ nn::ParameterStore ragged_store() {
   nn::ParameterStore store;
   store.add_group("fc", nn::GroupKind::kDense, 4, 3, true);
   store.add_group("head", nn::GroupKind::kDense, 2, 5, false);
-  store.add_group("conv", nn::GroupKind::kConvFilter, 5, 7, true);
+  store.add_group("fc2", nn::GroupKind::kDense, 5, 7, true);
   store.finalize();
   return store;
 }

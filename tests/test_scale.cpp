@@ -64,7 +64,7 @@ nn::ParameterStore ragged_store() {
   nn::ParameterStore store;
   store.add_group("fc", nn::GroupKind::kDense, 4, 3, true);
   store.add_group("head", nn::GroupKind::kDense, 2, 5, false);
-  store.add_group("conv", nn::GroupKind::kConvFilter, 5, 7, true);
+  store.add_group("fc2", nn::GroupKind::kDense, 5, 7, true);
   store.finalize();
   return store;
 }

@@ -7,9 +7,11 @@
 #include <set>
 
 #include "common/check.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/rng.hpp"
+#include "tensor/vmath.hpp"
 
 namespace fedbiad::tensor {
 namespace {
@@ -68,30 +70,26 @@ TEST(Matrix, FillNormalHasRoughMoments) {
   EXPECT_NEAR(var, 4.0, 0.2);
 }
 
-TEST(Ops, AxpyAddsScaled) {
-  std::vector<float> x{1.0F, 2.0F, 3.0F};
-  std::vector<float> y{10.0F, 20.0F, 30.0F};
-  axpy(2.0F, x, y);
-  EXPECT_FLOAT_EQ(y[0], 12.0F);
-  EXPECT_FLOAT_EQ(y[1], 24.0F);
-  EXPECT_FLOAT_EQ(y[2], 36.0F);
-}
-
 TEST(Ops, DotAndNorm) {
   std::vector<float> a{1.0F, 2.0F, 2.0F};
   std::vector<float> b{3.0F, 0.0F, -1.0F};
   EXPECT_DOUBLE_EQ(dot(a, b), 1.0);
   EXPECT_DOUBLE_EQ(squared_norm(a), 9.0);
-  EXPECT_DOUBLE_EQ(sum(a), 5.0);
 }
 
 TEST(Ops, ScaleAndFill) {
   std::vector<float> x{1.0F, -2.0F};
-  scale(x, -3.0F);
-  EXPECT_FLOAT_EQ(x[0], -3.0F);
-  EXPECT_FLOAT_EQ(x[1], 6.0F);
   fill(std::span<float>(x), 0.5F);
   EXPECT_FLOAT_EQ(x[0], 0.5F);
+  EXPECT_FLOAT_EQ(x[1], 0.5F);
+}
+
+// The Dense-layout forward out = x · Wᵀ through the blocked GEMM.
+Matrix gemm_xwt(const Matrix& x, const Matrix& w) {
+  Matrix out(x.rows(), w.rows());
+  gemm_abt(x.rows(), w.rows(), x.cols(), x.data(), x.cols(), w.data(),
+           w.cols(), out.data(), out.cols());
+  return out;
 }
 
 // Reference naive GEMM for checking the parallel kernels.
@@ -117,8 +115,7 @@ TEST_P(GemmShapes, MatmulXwtMatchesNaive) {
   Matrix w(out_dim, in);
   x.fill_uniform(rng, -1.0F, 1.0F);
   w.fill_uniform(rng, -1.0F, 1.0F);
-  Matrix got;
-  matmul_xwt(x, w, got);
+  const Matrix got = gemm_xwt(x, w);
   const Matrix want = naive_xwt(x, w);
   ASSERT_EQ(got.rows(), want.rows());
   ASSERT_EQ(got.cols(), want.cols());
@@ -139,17 +136,18 @@ TEST_P(GemmShapes, BackwardKernelsAreAdjoint) {
   w.fill_uniform(rng, -1.0F, 1.0F);
   g.fill_uniform(rng, -1.0F, 1.0F);
 
-  Matrix y;
-  matmul_xwt(x, w, y);
+  const Matrix y = gemm_xwt(x, w);
   const double lhs = dot(g.flat(), y.flat());
 
-  Matrix dw(out_dim, in, 0.0F);
-  accumulate_gtx(g, x, dw);
+  Matrix dw(out_dim, in, 0.0F);  // dW += gᵀ · x
+  gemm_atb(out_dim, in, batch, g.data(), g.cols(), x.data(), x.cols(),
+           dw.data(), dw.cols());
   const double rhs_w = dot(dw.flat(), w.flat());
   EXPECT_NEAR(lhs, rhs_w, 1e-3 * std::max(1.0, std::abs(lhs)));
 
-  Matrix gx;
-  matmul_gw(g, w, gx);
+  Matrix gx(batch, in);  // gx = g · W
+  gemm_ab(batch, in, out_dim, g.data(), g.cols(), w.data(), w.cols(),
+          gx.data(), gx.cols());
   const double rhs_x = dot(gx.flat(), x.flat());
   EXPECT_NEAR(lhs, rhs_x, 1e-3 * std::max(1.0, std::abs(lhs)));
 }
@@ -161,11 +159,19 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GemmShapes,
                                            std::tuple{32, 64, 48},
                                            std::tuple{64, 100, 128}));
 
+// Row-wise softmax in place through the fused softmax-cross-entropy kernel.
+void softmax_each_row(Matrix& m) {
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    auto row = m.row(r);
+    vmath::softmax_xent_row(row.size(), row.data(), row.data(), 1.0F);
+  }
+}
+
 TEST(Ops, SoftmaxRowsSumToOne) {
   Rng rng(3);
   Matrix m(5, 10);
   m.fill_uniform(rng, -4.0F, 4.0F);
-  softmax_rows(m);
+  softmax_each_row(m);
   for (std::size_t r = 0; r < m.rows(); ++r) {
     double s = 0.0;
     for (float v : m.row(r)) {
@@ -181,12 +187,12 @@ TEST(Ops, SoftmaxIsShiftInvariantAndStable) {
   a(0, 0) = 1000.0F;
   a(0, 1) = 1001.0F;
   a(0, 2) = 1002.0F;
-  softmax_rows(a);
+  softmax_each_row(a);
   Matrix b(1, 3);
   b(0, 0) = 0.0F;
   b(0, 1) = 1.0F;
   b(0, 2) = 2.0F;
-  softmax_rows(b);
+  softmax_each_row(b);
   for (std::size_t c = 0; c < 3; ++c) {
     EXPECT_NEAR(a(0, c), b(0, c), 1e-6F);
   }

@@ -167,19 +167,14 @@ TEST(VmathContract, ExpIsMonotoneAcrossReductionBoundaries) {
 TEST(VmathFused, AxpyAndSgdMatchRef) {
   tensor::Rng rng(71);
   for (const std::size_t n : kLengths) {
-    std::vector<float> x(n), y(n), y2(n), p(n), p2(n), g(n);
+    std::vector<float> p(n), p2(n), g(n);
     for (std::size_t i = 0; i < n; ++i) {
-      x[i] = static_cast<float>(rng.uniform(-2, 2));
-      y[i] = y2[i] = static_cast<float>(rng.uniform(-2, 2));
       p[i] = p2[i] = static_cast<float>(rng.uniform(-2, 2));
       g[i] = static_cast<float>(rng.uniform(-2, 2));
     }
-    vm::axpy(n, 0.37F, x.data(), y.data());
-    vm::ref::axpy(n, 0.37F, x.data(), y2.data());
     vm::sgd_axpy(n, p.data(), g.data(), 0.1F, 0.9F, 0.01F);
     vm::ref::sgd_axpy(n, p2.data(), g.data(), 0.1F, 0.9F, 0.01F);
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_LE(ulp_distance(y[i], y2[i]), 1) << "axpy n=" << n;
       EXPECT_LE(ulp_distance(p[i], p2[i]), 1) << "sgd n=" << n;
     }
   }
