@@ -28,6 +28,7 @@
 #include "nn/lstm_lm_model.hpp"
 #include "nn/mlp_model.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/sub_model.hpp"
 #include "tensor/gemm.hpp"
 #include "transport/frame.hpp"
 #include "transport/protocol.hpp"
@@ -57,25 +58,42 @@ void BM_MatmulXwt(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulXwt)->Arg(128)->Arg(512);
 
+// Args: hidden width, dropout rate in percent. At a nonzero rate the layer
+// runs the sub-model of the units a FedBIAD-style pattern keeps, with every
+// input kept.
 void BM_LstmForward(benchmark::State& state) {
   const auto h = static_cast<std::size_t>(state.range(0));
+  const double p = static_cast<double>(state.range(1)) / 100.0;
   nn::ParameterStore store;
   nn::LstmLayer lstm(store, "l", h, h);
   store.finalize();
   tensor::Rng rng(2);
   lstm.init(store, rng);
+  const auto pattern =
+      core::DropPattern::sample(store, p, core::eligible_all(), rng);
+  pattern.apply_to_params(store);
+  std::vector<std::size_t> buf;
+  const nn::Units units = nn::kept_units(
+      store, lstm.group(),
+      p > 0.0 ? std::span<const std::uint8_t>(pattern.bits())
+              : std::span<const std::uint8_t>(),
+      buf);
   tensor::Matrix x(16 * 12, h);
   x.fill_uniform(rng, -1, 1);
   nn::LstmLayer::Cache cache;
   for (auto _ : state) {
-    lstm.forward(store, x, 16, 12, cache);
+    lstm.forward(store, x, 16, 12, cache, nn::Units::all(h), units);
     benchmark::DoNotOptimize(cache.h.data());
   }
   // Items = tokens: batch 16 × seq 12 per iteration.
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 16 *
                           12);
 }
-BENCHMARK(BM_LstmForward)->Arg(64)->Arg(128);
+BENCHMARK(BM_LstmForward)
+    ->Args({64, 0})
+    ->Args({64, 50})
+    ->Args({128, 0})
+    ->Args({128, 50});
 
 void BM_LstmBackward(benchmark::State& state) {
   const auto h = static_cast<std::size_t>(state.range(0));

@@ -35,12 +35,19 @@ void Embedding::forward(const ParameterStore& store,
 
 void Embedding::backward(ParameterStore& store,
                          std::span<const std::int32_t> tokens,
-                         const tensor::Matrix& g_out) const {
+                         const tensor::Matrix& g_out,
+                         std::span<const std::uint8_t> kept) const {
   FEDBIAD_CHECK(g_out.rows() == tokens.size() && g_out.cols() == dim_,
                 "embedding backward: gradient shape mismatch");
+  FEDBIAD_CHECK(kept.empty() || kept.size() == store.droppable_rows(),
+                "dropping pattern does not cover the model");
+  const std::uint8_t* kept_rows =
+      kept.empty() ? nullptr : kept.data() + store.droppable_index(group_, 0);
   float* dtable = store.group_grads(group_).data();
   for (std::size_t i = 0; i < tokens.size(); ++i) {
-    float* dst = dtable + static_cast<std::size_t>(tokens[i]) * dim_;
+    const auto tok = static_cast<std::size_t>(tokens[i]);
+    if (kept_rows != nullptr && kept_rows[tok] == 0) continue;
+    float* dst = dtable + tok * dim_;
     const float* src = g_out.data() + i * dim_;
     for (std::size_t d = 0; d < dim_; ++d) dst[d] += src[d];
   }

@@ -25,9 +25,13 @@ class Embedding {
   void forward(const ParameterStore& store, std::span<const std::int32_t> tokens,
                tensor::Matrix& out) const;
 
-  /// Scatter-adds g_out rows into the gradient table.
+  /// Scatter-adds g_out rows into the gradient table. `kept` is a dropping
+  /// pattern β over store.droppable_rows() (empty keeps every row): tokens
+  /// whose vocabulary row β drops add nothing, so dropped rows' gradients
+  /// are left untouched.
   void backward(ParameterStore& store, std::span<const std::int32_t> tokens,
-                const tensor::Matrix& g_out) const;
+                const tensor::Matrix& g_out,
+                std::span<const std::uint8_t> kept = {}) const;
 
   [[nodiscard]] std::size_t group() const noexcept { return group_; }
   [[nodiscard]] std::size_t vocab() const noexcept { return vocab_; }

@@ -60,9 +60,10 @@ EvalResult evaluate_logits(const tensor::Matrix& logits,
     out.loss_sum += static_cast<double>(tensor::vmath::logsumexp(cols, z)) -
                     static_cast<double>(z[lab]);
     ++out.count;
-    const std::span<const float> row{z, cols};
-    if (tensor::argmax(row) == lab) ++out.top1;
-    if (tensor::in_top_k(row, lab, topk)) ++out.topk;
+    // One further pass ranks the label: rank 0 is a top-1 hit.
+    const std::size_t rank = tensor::label_rank({z, cols}, lab);
+    if (rank == 0) ++out.top1;
+    if (rank < topk) ++out.topk;
   }
   return out;
 }

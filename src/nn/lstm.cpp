@@ -1,6 +1,5 @@
 #include "nn/lstm.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -69,7 +68,6 @@ void LstmLayer::forward(const ParameterStore& store,
                         Units units) const {
   FEDBIAD_CHECK(x_seq.rows() == batch * seq && x_seq.cols() == in.n,
                 "lstm forward: input shape mismatch");
-  const std::size_t H = hidden_;
   const std::size_t U = units.n;
   const std::size_t rows = batch * seq;
   cache.batch = batch;
@@ -100,24 +98,6 @@ void LstmLayer::forward(const ParameterStore& store,
     tensor::gemm_pack_bt(4 * U, U, w, stride, wh_packed, {wh_rows, units.idx});
   }
 
-  // A sub-model runs the cell at full width H over a buffer whose dropped
-  // units are zero, so every kept unit lands on the same vector/tail lane
-  // of vmath::lstm_cell as in the full layer (the two lanes round
-  // differently). Dropped units then compute exactly the full layer's
-  // values: c = σ(0)·0 + σ(0)·tanh(0) = +0, which is the next c_prev.
-  const bool sub = U < H;
-  float* g_full = nullptr;
-  float* c_full[2] = {};
-  float* tc_full = nullptr;
-  float* h_full = nullptr;
-  if (sub) {
-    g_full = ws.alloc<float>(batch * 4 * H).data();
-    c_full[0] = ws.alloc<float>(batch * H).data();
-    c_full[1] = ws.alloc<float>(batch * H).data();
-    tc_full = ws.alloc<float>(batch * H).data();
-    h_full = ws.alloc<float>(batch * H).data();
-  }
-
   for (std::size_t t = 0; t < seq; ++t) {
     float* gates_t = cache.gates.data() + t * batch * 4 * U;
     if (t > 0) {
@@ -127,46 +107,22 @@ void LstmLayer::forward(const ParameterStore& store,
     }
     const float* c_prev =
         t == 0 ? nullptr : cache.c.data() + (t - 1) * batch * U;
-    // Fused gate activation: one vmath::lstm_cell pass per sample replaces
-    // the five scalar libm calls per hidden unit.
+    // Fused gate activation: one vmath::lstm_cell pass per sample over the
+    // kept units only. The cell computes each unit from its own inputs
+    // alone, so a compact buffer gives the full layer's kept columns.
     parallel::parallel_for(
         batch,
         [&, gates_t, c_prev, t](std::size_t b0, std::size_t b1) {
           for (std::size_t b = b0; b < b1; ++b) {
-            float* g4 = gates_t + b * 4 * U;
-            float* cb = cache.c.data() + (t * batch + b) * U;
-            float* tcb = cache.tanh_c.data() + (t * batch + b) * U;
-            float* hb = cache.h.data() + (t * batch + b) * U;
-            if (!sub) {
-              const float* cpb = c_prev == nullptr ? nullptr : c_prev + b * U;
-              tensor::vmath::lstm_cell(U, g4, cpb, cb, tcb, hb);
-              continue;
-            }
-            float* gf = g_full + b * 4 * H;
-            float* cf = c_full[t % 2] + b * H;
-            const float* cpf =
-                t == 0 ? nullptr : c_full[(t + 1) % 2] + b * H;
-            std::fill(gf, gf + 4 * H, 0.0F);
-            for (std::size_t gate = 0; gate < 4; ++gate) {
-              for (std::size_t j = 0; j < U; ++j) {
-                gf[gate * H + units[j]] = g4[gate * U + j];
-              }
-            }
-            tensor::vmath::lstm_cell(H, gf, cpf, cf, tc_full + b * H,
-                                     h_full + b * H);
-            for (std::size_t gate = 0; gate < 4; ++gate) {
-              for (std::size_t j = 0; j < U; ++j) {
-                g4[gate * U + j] = gf[gate * H + units[j]];
-              }
-            }
-            for (std::size_t j = 0; j < U; ++j) {
-              cb[j] = cf[units[j]];
-              tcb[j] = tc_full[b * H + units[j]];
-              hb[j] = h_full[b * H + units[j]];
-            }
+            const std::size_t row = t * batch + b;
+            tensor::vmath::lstm_cell(
+                U, gates_t + b * 4 * U,
+                c_prev == nullptr ? nullptr : c_prev + b * U,
+                cache.c.data() + row * U, cache.tanh_c.data() + row * U,
+                cache.h.data() + row * U);
           }
         },
-        16 * H);
+        16 * U);
   }
 }
 

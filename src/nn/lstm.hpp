@@ -72,9 +72,10 @@ class LstmLayer {
 
   /// Sub-model forward over the kept units only: x_seq is (seq*batch ×
   /// in.n), the kept input columns, and the cache holds `units.n` units.
-  /// The recurrence shrinks to 4·U × U. With dropped unit rows zeroed and
-  /// dropped inputs +0, the kept units' values equal the full layer's bit
-  /// for bit.
+  /// The recurrence shrinks to 4·U × U, and the gate activations run on the
+  /// U kept units only (vmath::lstm_cell computes each unit from its own
+  /// inputs alone). With dropped unit rows zeroed and dropped inputs +0, the
+  /// kept units' values equal the full layer's bit for bit.
   void forward(const ParameterStore& store, const tensor::Matrix& x_seq,
                std::size_t batch, std::size_t seq, Cache& cache, Units in,
                Units units) const;

@@ -85,7 +85,7 @@ float LstmLmModel::train_step(const data::Batch& batch,
     lstm_[l].backward(store_, x_in, caches_[l], g_h_, g_x_, in, units_[l]);
     std::swap(g_h_, g_x_);
   }
-  embed_.backward(store_, tokens_tm_, g_h_);
+  embed_.backward(store_, tokens_tm_, g_h_, kept);
   return loss;
 }
 

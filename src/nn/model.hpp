@@ -32,12 +32,12 @@ class Model {
   ///
   /// `kept` is a dropping pattern β over store().droppable_rows() (one byte
   /// per row, nonzero = kept); empty keeps every row. Contract: rows with
-  /// β = 0 hold zero parameters, and their gradients are never read — the
-  /// caller steps with nn::sgd_step(store, cfg, kept), which updates only
-  /// kept rows — so the model may leave them untouched or fill them. A
-  /// model may then train only the sub-model β selects (MlpModel and
-  /// LstmLmModel do, skipping the dropped rows' compute); the loss and every
-  /// kept row's gradient are bit-identical to the full step either way.
+  /// β = 0 hold zero parameters, and the model leaves their gradients
+  /// untouched (zero after this step's zero_grads); the caller steps with
+  /// nn::sgd_step(store, cfg, kept), which updates only kept rows. The
+  /// model trains only the sub-model β selects, skipping the dropped rows'
+  /// compute; the loss and every kept row's gradient are bit-identical to
+  /// the full step.
   virtual float train_step(const data::Batch& batch,
                            std::span<const std::uint8_t> kept = {}) = 0;
 

@@ -213,14 +213,19 @@ void gemm_core(std::size_t m, std::size_t n, std::size_t k, const float* a,
     return c + (c_rows != nullptr ? c_rows[i] : i * ldc);
   };
   if (!accumulate) {
-    for (std::size_t i = 0; i < m; ++i) {
-      float* crow = c_row(i);
-      if (bias != nullptr) {
-        for (std::size_t j = 0; j < n; ++j) {
-          crow[j] = bias[gb.rows != nullptr ? gb.rows[j] : j * ldbias];
-        }
-      } else {
-        std::memset(crow, 0, n * sizeof(float));
+    if (bias != nullptr) {
+      // The strided bias reads are gathered once, into C's first row;
+      // every other row starts as a copy of it.
+      float* first = c_row(0);
+      for (std::size_t j = 0; j < n; ++j) {
+        first[j] = bias[gb.rows != nullptr ? gb.rows[j] : j * ldbias];
+      }
+      for (std::size_t i = 1; i < m; ++i) {
+        std::memcpy(c_row(i), first, n * sizeof(float));
+      }
+    } else {
+      for (std::size_t i = 0; i < m; ++i) {
+        std::memset(c_row(i), 0, n * sizeof(float));
       }
     }
   }

@@ -41,26 +41,13 @@ void add_column_sums(std::size_t rows, std::size_t cols, const float* src,
   }
 }
 
-std::size_t argmax(std::span<const float> x) {
-  FEDBIAD_DCHECK(!x.empty(), "argmax of empty span");
-  return static_cast<std::size_t>(
-      std::max_element(x.begin(), x.end()) - x.begin());
-}
-
-bool in_top_k(std::span<const float> x, std::size_t label, std::size_t k) {
+std::size_t label_rank(std::span<const float> x, std::size_t label) {
   FEDBIAD_DCHECK(label < x.size(), "label out of range");
   const float v = x[label];
-  std::size_t strictly_greater = 0;
-  std::size_t equal_before = 0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i] > v) {
-      ++strictly_greater;
-    } else if (x[i] == v && i < label) {
-      ++equal_before;
-    }
-    if (strictly_greater + equal_before >= k) return false;
-  }
-  return strictly_greater + equal_before < k;
+  std::size_t rank = 0;
+  for (std::size_t i = 0; i < label; ++i) rank += x[i] >= v ? 1 : 0;
+  for (std::size_t i = label + 1; i < x.size(); ++i) rank += x[i] > v ? 1 : 0;
+  return rank;
 }
 
 }  // namespace fedbiad::tensor

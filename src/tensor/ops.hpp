@@ -33,12 +33,13 @@ void add_column_sums(std::size_t rows, std::size_t cols, const float* src,
                      std::size_t lds, float* dst, std::size_t ldd,
                      const std::size_t* dst_offsets = nullptr);
 
-/// argmax over a row span.
-[[nodiscard]] std::size_t argmax(std::span<const float> x);
-
-/// True if `label` is among the `k` largest entries of `x`
-/// (ties broken toward lower indices, matching argsort order).
-[[nodiscard]] bool in_top_k(std::span<const float> x, std::size_t label,
-                            std::size_t k);
+/// Number of entries of `x` ranked ahead of x[label] in argsort order with
+/// ties broken toward lower indices: the larger entries, plus the equal
+/// ones at lower indices. `label` is among the k largest iff the rank is
+/// below k, and on a NaN-free row it is the argmax (std::max_element's
+/// first maximum) iff the rank is 0. A NaN entry never ranks ahead, and a
+/// NaN at `label` ranks 0. One pass over the row.
+[[nodiscard]] std::size_t label_rank(std::span<const float> x,
+                                     std::size_t label);
 
 }  // namespace fedbiad::tensor

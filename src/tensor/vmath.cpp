@@ -1,5 +1,6 @@
 #include "tensor/vmath.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -144,7 +145,7 @@ inline V sigmoid_core(V x) {
   return 1.0F / (1.0F + exp_core(-x));
 }
 
-// Scalar per-element LSTM cell used by ref:: and for vector-loop tails.
+// Scalar per-element LSTM cell used by ref::.
 inline void lstm_cell_elem(std::size_t h, std::size_t j, float* g4,
                            const float* c_prev, float* c, float* tanh_c,
                            float* h_out) {
@@ -279,27 +280,58 @@ void sgd_axpy(std::size_t n, float* p, const float* g, float lr, float scale,
   for (; i < n; ++i) p[i] -= lr * (scale * g[i] + wd * p[i]);
 }
 
+namespace {
+
+// One VL-wide chunk of the cell: units j..j+VL of a gate buffer whose
+// blocks have stride h. Every lane runs the same instructions, so a unit's
+// bits do not depend on which lane or chunk it occupies.
+inline void lstm_cell_chunk(std::size_t h, std::size_t j, float* g4,
+                            const float* c_prev, float* c, float* tanh_c,
+                            float* h_out) {
+  const vf gi = sigmoid_core(vload(g4 + j));
+  const vf gf = sigmoid_core(vload(g4 + h + j));
+  const vf gg = tanh_core(vload(g4 + 2 * h + j));
+  const vf go = sigmoid_core(vload(g4 + 3 * h + j));
+  vstore(g4 + j, gi);
+  vstore(g4 + h + j, gf);
+  vstore(g4 + 2 * h + j, gg);
+  vstore(g4 + 3 * h + j, go);
+  const vf c_in = c_prev == nullptr ? vf{} : vload(c_prev + j);
+  const vf c_new = gf * c_in + gi * gg;
+  vstore(c + j, c_new);
+  const vf tc = tanh_core(c_new);
+  vstore(tanh_c + j, tc);
+  vstore(h_out + j, go * tc);
+}
+
+}  // namespace
+
 void lstm_cell(std::size_t h, float* g4, const float* c_prev, float* c,
                float* tanh_c, float* h_out) {
   std::size_t j = 0;
-  const vf zero{};
   for (; j + VL <= h; j += VL) {
-    const vf gi = sigmoid_core(vload(g4 + j));
-    const vf gf = sigmoid_core(vload(g4 + h + j));
-    const vf gg = tanh_core(vload(g4 + 2 * h + j));
-    const vf go = sigmoid_core(vload(g4 + 3 * h + j));
-    vstore(g4 + j, gi);
-    vstore(g4 + h + j, gf);
-    vstore(g4 + 2 * h + j, gg);
-    vstore(g4 + 3 * h + j, go);
-    const vf c_in = c_prev == nullptr ? zero : vload(c_prev + j);
-    const vf c_new = gf * c_in + gi * gg;
-    vstore(c + j, c_new);
-    const vf tc = tanh_core(c_new);
-    vstore(tanh_c + j, tc);
-    vstore(h_out + j, go * tc);
+    lstm_cell_chunk(h, j, g4, c_prev, c, tanh_c, h_out);
   }
-  for (; j < h; ++j) lstm_cell_elem(h, j, g4, c_prev, c, tanh_c, h_out);
+  if (j == h) return;
+  // The last partial chunk runs through a zero-padded tile, so every unit
+  // takes the vector body; only the live lanes are written back.
+  const std::size_t live = h - j;
+  float tg[4 * VL] = {};
+  float tcp[VL] = {};
+  float tc[VL];
+  float ttc[VL];
+  float th[VL];
+  for (std::size_t gate = 0; gate < 4; ++gate) {
+    std::copy_n(g4 + gate * h + j, live, tg + gate * VL);
+  }
+  if (c_prev != nullptr) std::copy_n(c_prev + j, live, tcp);
+  lstm_cell_chunk(VL, 0, tg, c_prev == nullptr ? nullptr : tcp, tc, ttc, th);
+  for (std::size_t gate = 0; gate < 4; ++gate) {
+    std::copy_n(tg + gate * VL, live, g4 + gate * h + j);
+  }
+  std::copy_n(tc, live, c + j);
+  std::copy_n(ttc, live, tanh_c + j);
+  std::copy_n(th, live, h_out + j);
 }
 
 float softmax_xent_row(std::size_t n, const float* z, float* g, float scale) {

@@ -69,6 +69,12 @@ void sgd_axpy(std::size_t n, float* p, const float* g, float lr, float scale,
 ///   tanh_c[j] = tanh(c[j])
 ///   h_out[j]  = o·tanh_c[j]
 /// One pass over the buffer replaces five scalar libm calls per unit.
+///
+/// Every unit runs the same instructions (a partial last vector chunk goes
+/// through a zero-padded tile), so a unit's outputs depend only on its own
+/// inputs, never on h or its position: the cell over a compact buffer of a
+/// sub-model's kept units equals the full-width call's kept columns bit for
+/// bit.
 void lstm_cell(std::size_t h, float* g4, const float* c_prev, float* c,
                float* tanh_c, float* h_out);
 

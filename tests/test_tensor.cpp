@@ -200,26 +200,29 @@ TEST(Ops, SoftmaxIsShiftInvariantAndStable) {
 
 TEST(Ops, ArgmaxPicksLargest) {
   std::vector<float> x{0.1F, 3.0F, -2.0F, 3.0F};
-  EXPECT_EQ(argmax(x), 1u);  // first of the tied maxima
+  EXPECT_EQ(label_rank(x, 1), 0u);  // first of the tied maxima
+  EXPECT_EQ(label_rank(x, 3), 1u);  // the later tie ranks after it
+  EXPECT_EQ(label_rank(x, 0), 2u);
+  EXPECT_EQ(label_rank(x, 2), 3u);
 }
 
 TEST(Ops, InTopKBasics) {
+  // x[label] is in the top k iff its rank is below k.
   std::vector<float> x{0.1F, 0.9F, 0.5F, 0.3F};
-  EXPECT_TRUE(in_top_k(x, 1, 1));
-  EXPECT_FALSE(in_top_k(x, 2, 1));
-  EXPECT_TRUE(in_top_k(x, 2, 2));
-  EXPECT_TRUE(in_top_k(x, 3, 3));
-  EXPECT_FALSE(in_top_k(x, 0, 3));
-  EXPECT_TRUE(in_top_k(x, 0, 4));
+  EXPECT_LT(label_rank(x, 1), 1u);
+  EXPECT_GE(label_rank(x, 2), 1u);
+  EXPECT_LT(label_rank(x, 2), 2u);
+  EXPECT_LT(label_rank(x, 3), 3u);
+  EXPECT_GE(label_rank(x, 0), 3u);
+  EXPECT_LT(label_rank(x, 0), 4u);
 }
 
 TEST(Ops, InTopKHandlesTies) {
   std::vector<float> x{1.0F, 1.0F, 1.0F};
   // Ties broken toward lower indices: exactly k slots are awarded.
-  EXPECT_TRUE(in_top_k(x, 0, 1));
-  EXPECT_FALSE(in_top_k(x, 1, 1));
-  EXPECT_TRUE(in_top_k(x, 1, 2));
-  EXPECT_FALSE(in_top_k(x, 2, 2));
+  EXPECT_EQ(label_rank(x, 0), 0u);
+  EXPECT_EQ(label_rank(x, 1), 1u);
+  EXPECT_EQ(label_rank(x, 2), 2u);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

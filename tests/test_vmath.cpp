@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "tensor/rng.hpp"
@@ -241,6 +242,91 @@ TEST(VmathFused, LstmCellMatchesComposedRef) {
     }
     // And the no-previous-cell form.
     vm::lstm_cell(h, g4.data(), nullptr, c.data(), tc.data(), ho.data());
+  }
+}
+
+// Kept-unit lists over a width-h layer that move units across every chunk
+// edge for both vector widths this library builds with (4 and 8 floats):
+// the identity, the full-width partial chunk only, no partial chunk, lists
+// straddling its start, lists ending in a new partial chunk, single units,
+// and a few random subsets.
+std::vector<std::vector<std::size_t>> kept_lists(std::size_t h,
+                                                 tensor::Rng& rng) {
+  const auto range = [](std::size_t lo, std::size_t hi) {
+    std::vector<std::size_t> v;
+    for (std::size_t j = lo; j < hi; ++j) v.push_back(j);
+    return v;
+  };
+  std::vector<std::vector<std::size_t>> lists = {range(0, h), {0}, {h - 1}};
+  for (const std::size_t vl : {4, 8}) {
+    const std::size_t b = h - h % vl;  // first unit of the partial chunk
+    if (b < h) lists.push_back(range(b, h));          // partial chunk only
+    if (b > 0) lists.push_back(range(0, b));          // full chunks only
+    if (b > 0 && b < h) lists.push_back({b - 1, b});  // straddles
+    if (b > 1) {
+      lists.push_back(range(1, b));  // full-width chunks, shifted by one
+      lists.push_back(range(1, h));  // everything, shifted by one
+    }
+    if (b > 0) lists.push_back({b - 1});
+    if (b < h) lists.push_back({b});
+  }
+  for (int r = 0; r < 4; ++r) {
+    std::vector<std::size_t> v;
+    for (std::size_t j = 0; j < h; ++j) {
+      if (rng.uniform(0, 1) < 0.5) v.push_back(j);
+    }
+    if (!v.empty()) lists.push_back(v);
+  }
+  return lists;
+}
+
+// The cell over a sub-model's compact kept columns must reproduce the
+// full-width call's kept columns bit for bit, with and without a previous
+// cell state, wherever the compaction moves a unit.
+TEST(VmathFused, LstmCellOnKeptColumnsMatchesFullWidth) {
+  tensor::Rng rng(83);
+  for (const std::size_t h : {5, 13, 16, 21, 64}) {
+    std::vector<float> g4(4 * h), c_prev(h);
+    for (auto& v : g4) v = static_cast<float>(rng.uniform(-6, 6));
+    for (auto& v : c_prev) v = static_cast<float>(rng.uniform(-2, 2));
+    for (const bool with_prev : {true, false}) {
+      std::vector<float> fg = g4, fc(h), ftc(h), fh(h);
+      vm::lstm_cell(h, fg.data(), with_prev ? c_prev.data() : nullptr,
+                    fc.data(), ftc.data(), fh.data());
+      for (const auto& kept : kept_lists(h, rng)) {
+        const std::size_t n = kept.size();
+        std::vector<float> kg(4 * n), kcp(n), want_g(4 * n), want_c(n),
+            want_tc(n), want_h(n);
+        for (std::size_t j = 0; j < n; ++j) {
+          for (std::size_t gate = 0; gate < 4; ++gate) {
+            kg[gate * n + j] = g4[gate * h + kept[j]];
+            want_g[gate * n + j] = fg[gate * h + kept[j]];
+          }
+          kcp[j] = c_prev[kept[j]];
+          want_c[j] = fc[kept[j]];
+          want_tc[j] = ftc[kept[j]];
+          want_h[j] = fh[kept[j]];
+        }
+        std::vector<float> kc(n), ktc(n), kh(n);
+        vm::lstm_cell(n, kg.data(), with_prev ? kcp.data() : nullptr,
+                      kc.data(), ktc.data(), kh.data());
+        const auto bytes = [](const std::vector<float>& v) {
+          return v.size() * sizeof(float);
+        };
+        std::string what = "h=" + std::to_string(h) +
+                           (with_prev ? " c_prev" : " no c_prev") + " kept={";
+        for (const std::size_t j : kept) what += std::to_string(j) + ",";
+        what += "}";
+        EXPECT_EQ(std::memcmp(kg.data(), want_g.data(), bytes(kg)), 0)
+            << "gates " << what;
+        EXPECT_EQ(std::memcmp(kc.data(), want_c.data(), bytes(kc)), 0)
+            << "c " << what;
+        EXPECT_EQ(std::memcmp(ktc.data(), want_tc.data(), bytes(ktc)), 0)
+            << "tanh_c " << what;
+        EXPECT_EQ(std::memcmp(kh.data(), want_h.data(), bytes(kh)), 0)
+            << "h " << what;
+      }
+    }
   }
 }
 
