@@ -21,7 +21,6 @@
 #include "compress/quantize.hpp"
 #include "core/drop_pattern.hpp"
 #include "core/fedbiad_strategy.hpp"
-#include "fl/aggregate.hpp"
 #include "fl/fused_aggregate.hpp"
 #include "nn/loss.hpp"
 #include "nn/lstm.hpp"
@@ -57,6 +56,38 @@ void BM_MatmulXwt(benchmark::State& state) {
                           n * n);
 }
 BENCHMARK(BM_MatmulXwt)->Arg(128)->Arg(512);
+
+// The B-operand pack behind fc1's forward GEMM: bench_round's train_mlp
+// layer (128 units × 784 inputs, stored bias-in-row, stride 785). The arg is
+// the number of kept unit rows: 128 packs the whole layer (identity Gather),
+// fewer packs an ascending random subset through Gather::rows, as a
+// sub-model forward does (102 ≈ the rows a 20% drop keeps). Items = packed
+// floats.
+void BM_PackBt(benchmark::State& state) {
+  constexpr std::size_t kUnits = 128;
+  constexpr std::size_t kIn = 784;
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  tensor::Rng rng(30);
+  tensor::Matrix w(kUnits, kIn + 1);
+  w.fill_uniform(rng, -1, 1);
+  std::vector<std::size_t> offsets;
+  if (rows < kUnits) {
+    auto kept = rng.sample_without_replacement(kUnits, rows);
+    std::sort(kept.begin(), kept.end());
+    for (const auto r : kept) offsets.push_back(r * (kIn + 1));
+  }
+  const tensor::Gather gather{offsets.empty() ? nullptr : offsets.data(),
+                              nullptr};
+  std::vector<float> packed(tensor::gemm_packed_size(rows, kIn));
+  for (auto _ : state) {
+    tensor::gemm_pack_bt(rows, kIn, w.data(), kIn + 1, packed.data(), gather);
+    benchmark::DoNotOptimize(packed.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows * kIn));
+}
+BENCHMARK(BM_PackBt)->Arg(128)->Arg(102);
 
 // Args: hidden width, dropout rate in percent. At a nonzero rate the layer
 // runs the sub-model of the units a FedBIAD-style pattern keeps, with every
@@ -367,35 +398,10 @@ void BM_EncodeSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeSparse)->Arg(1000)->Arg(100000);
 
-void BM_Aggregate(benchmark::State& state) {
-  const std::size_t n = 500000;
-  const std::size_t clients = 10;
-  tensor::Rng rng(7);
-  std::vector<fl::ClientOutcome> outcomes(clients);
-  for (auto& o : outcomes) {
-    o.samples = 100;
-    o.values.resize(n);
-    o.present = wire::Bitset(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      o.values[i] = static_cast<float>(rng.normal(0, 1));
-      o.present.set(i, rng.bernoulli(0.5));
-    }
-  }
-  std::vector<float> global(n, 0.0F);
-  for (auto _ : state) {
-    fl::aggregate(global, outcomes,
-                  fl::AggregationRule::kPerCoordinateNormalized);
-    benchmark::DoNotOptimize(global.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * clients));
-}
-BENCHMARK(BM_Aggregate);
-
 // The server's actual ingest hot path: compact decode of a row-masked wire
 // payload straight into the shard-parallel fused committer, never
 // materializing a dense per-client vector. Items = model coordinates
-// offered per pass (clients × n), matching BM_Aggregate's accounting.
+// offered per pass (clients × n).
 void BM_FusedIngest(benchmark::State& state) {
   nn::MlpModel model({.input = 784, .hidden = 256, .classes = 10});
   tensor::Rng rng(14);

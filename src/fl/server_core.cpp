@@ -350,7 +350,8 @@ void ServerCore::commit(std::vector<PendingUpdate> batch) {
     // A synchronous round, bit for bit: compact outcomes in selection-slot
     // order through the fused committer under the strategy's rule — per
     // coordinate the double adds land in the same order with the same
-    // operands as fl::aggregate on the expanded decode (the goldens pin it).
+    // operands as the tests' dense oracle on the expanded decode
+    // (tests/aggregate.hpp; the goldens pin it).
     std::vector<FusedUpdate> fused(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       fused[i].update = &batch[i].outcome.compact;

@@ -34,11 +34,11 @@ struct TrainSettings {
 /// decodes the payload before aggregation (try_decode_outcome_compact
 /// below), filling `compact` (what the client transmitted, in
 /// O(transmitted) form) and `uplink_bytes` (payload.size(): measured
-/// traffic, not a model of it). Tests and the fl::aggregate oracle decode
-/// through decode_outcome instead, which fills the wide view: `values` (the
-/// dense length-N vector, untransmitted coordinates zeroed) and `present`
-/// (1 bit per coordinate — aggregation only trusts transmitted
-/// coordinates).
+/// traffic, not a model of it). Tests and their dense aggregation oracle
+/// (tests/aggregate.hpp) decode through decode_outcome instead, which fills
+/// the wide view: `values` (the dense length-N vector, untransmitted
+/// coordinates zeroed) and `present` (1 bit per coordinate — aggregation
+/// only trusts transmitted coordinates).
 struct ClientOutcome {
   std::size_t client_id = 0;
   std::size_t samples = 0;  ///< |D_k|, the aggregation weight (eq. 10)
@@ -177,9 +177,9 @@ using StrategyPtr = std::shared_ptr<Strategy>;
 /// decode_payload into `out.values` / `out.present` and records the
 /// measured `out.uplink_bytes`. The engines decode through
 /// try_decode_outcome_compact; tests and tools that drive run_client
-/// directly call this to reconstruct the dense view (the fl::aggregate
-/// oracle consumes it). Throws CheckError if `out` was already decoded
-/// through either view.
+/// directly call this to reconstruct the dense view (the tests' dense
+/// aggregation oracle consumes it). Throws CheckError if `out` was already
+/// decoded through either view.
 void decode_outcome(const Strategy& strategy,
                     const nn::ParameterStore& layout, ClientOutcome& out);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "parallel/thread_pool.hpp"
 #include "tensor/workspace.hpp"
@@ -48,32 +49,131 @@ inline float a_elem(const float* a, std::size_t lda, std::size_t i,
   return ATrans ? a[kk * lda + i] : a[i * lda + kk];
 }
 
+#if defined(FEDBIAD_GEMM_VECTOR)
+// Half a vector: the unit in which the B packer loads its stored rows.
+typedef float vh __attribute__((vector_size(sizeof(vf) / 2), aligned(4),
+                                may_alias));
+constexpr std::size_t HL = VL / 2;
+
+template <std::size_t... P>
+inline vf concat(vh lo, vh hi, std::index_sequence<P...> /*lanes*/) {
+  return __builtin_shufflevector(lo, hi, P...);
+}
+
+/// Lane p of one output of a block swap: `Hi` = false gives the row whose
+/// index has bit W clear (its own blocks with W clear, then the partner's),
+/// `Hi` = true the partner row. Indices ≥ VL select from the second operand.
+template <std::size_t W, bool Hi>
+constexpr int swap_lane(std::size_t p) {
+  if constexpr (Hi) {
+    return static_cast<int>((p & W) != 0 ? VL + p : p + W);
+  } else {
+    return static_cast<int>((p & W) != 0 ? VL + p - W : p);
+  }
+}
+
+template <std::size_t W, bool Hi, std::size_t... P>
+inline vf swap_blocks(vf x, vf y, std::index_sequence<P...> /*lanes*/) {
+  return __builtin_shufflevector(x, y, swap_lane<W, Hi>(P)...);
+}
+
+/// Finishes an in-register VL×VL transpose of r[0..VL). Stage W swaps the
+/// two off-diagonal W×W blocks of every 2W×2W block (row bit W trades
+/// places with column bit W). The stages commute, and the outermost one
+/// (W = HL) is left to the caller, which does it while loading half-rows;
+/// the stages here never cross a 128-bit half, so they map onto blends,
+/// permutes and shufps on AVX and SSE alike.
+template <std::size_t W = 1>
+inline void transpose(vf* r) {
+  for (std::size_t i = 0; i < VL; ++i) {
+    if ((i & W) != 0) continue;
+    const vf x = r[i];
+    const vf y = r[i + W];
+    r[i] = swap_blocks<W, false>(x, y, std::make_index_sequence<VL>{});
+    r[i + W] = swap_blocks<W, true>(x, y, std::make_index_sequence<VL>{});
+  }
+  if constexpr (2 * W < HL) transpose<2 * W>(r);
+}
+#endif
+
 /// Packs the (kcn × nc) logical B block starting at (kc, jc) into NR-wide
 /// column panels: panel jp holds bp[jp*kcn*NR + kk*NR + jj] = B(kc+kk,
-/// jc+jp+jj), zero-padded to NR so the micro-kernel never branches on width.
-/// `Gathered` routes stored rows and columns through the Gather lists; the
-/// ungathered instantiation keeps the list checks out of the plain pack.
-template <bool BTrans, bool Gathered>
+/// jc+jp+jj), padded with +0 to NR so the micro-kernel never branches on
+/// width. Stored rows are resolved through g.rows once per panel (or per
+/// panel row); `ColsGathered` reads stored columns through g.cols.
+///
+/// BTrans: a panel's NR stored rows are read VL columns at a time, in
+/// half-vectors, and two VL×VL register transposes turn them into VL panel
+/// rows; the missing rows of a partial panel enter as zeros. Only the last
+/// kcn mod VL columns are copied element by element. Gathered columns are
+/// copied element by element throughout: every lane is a separate load
+/// either way, and building vectors lane by lane for the transposes cost
+/// twice the plain copy. Otherwise a panel row is a piece of one stored
+/// row, copied whole when its columns are contiguous. The pack only moves
+/// bits.
+template <bool BTrans, bool ColsGathered>
 void pack_b(const float* b, std::size_t ldb, const Gather& g, std::size_t jc,
             std::size_t kc, std::size_t nc, std::size_t kcn, float* bp) {
-  const auto at = [&](std::size_t r, std::size_t col) {
-    if constexpr (Gathered) {
-      return b[(g.rows != nullptr ? g.rows[r] : r * ldb) +
-               (g.cols != nullptr ? g.cols[col] : col)];
-    } else {
-      return b[r * ldb + col];
-    }
+  const auto stored_row = [&](std::size_t r) {
+    return b + (g.rows != nullptr ? g.rows[r] : r * ldb);
   };
   for (std::size_t jp = 0; jp < nc; jp += NR) {
     const std::size_t nr = std::min(NR, nc - jp);
     float* panel = bp + jp * kcn;
-    for (std::size_t kk = 0; kk < kcn; ++kk) {
-      float* row = panel + kk * NR;
-      for (std::size_t jj = 0; jj < nr; ++jj) {
-        row[jj] = BTrans ? at(jc + jp + jj, kc + kk)
-                         : at(kc + kk, jc + jp + jj);
+    if constexpr (BTrans) {
+      // Row jj's column c is src[jj][c - kc] (contiguous columns) or
+      // src[jj][c] (gathered); rows past nr read a block of zeros.
+      static constexpr float kZeros[KC] = {};
+      const float* src[NR];
+      for (std::size_t jj = 0; jj < NR; ++jj) {
+        src[jj] = jj >= nr       ? kZeros
+                  : ColsGathered ? stored_row(jc + jp + jj)
+                                 : stored_row(jc + jp + jj) + kc;
       }
-      for (std::size_t jj = nr; jj < NR; ++jj) row[jj] = 0.0F;
+      std::size_t kk = 0;
+#if defined(FEDBIAD_GEMM_VECTOR)
+      for (; !ColsGathered && kk + VL <= kcn; kk += VL) {
+        // Lanes [l0, l0 + HL) of stored row jj's VL columns.
+        const auto half = [&](std::size_t jj, std::size_t l0) {
+          return *reinterpret_cast<const vh*>(src[jj] + kk + l0);
+        };
+        constexpr auto lanes = std::make_index_sequence<VL>{};
+        for (std::size_t h = 0; h < NR; h += VL) {
+          // The W = HL swap: r[t] takes the low halves of rows t and
+          // t + HL, r[t + HL] their high halves.
+          vf r[VL];
+          for (std::size_t t = 0; t < HL; ++t) {
+            r[t] = concat(half(h + t, 0), half(h + t + HL, 0), lanes);
+            r[t + HL] = concat(half(h + t, HL), half(h + t + HL, HL), lanes);
+          }
+          transpose(r);
+          for (std::size_t t = 0; t < VL; ++t) {
+            *reinterpret_cast<vf*>(panel + (kk + t) * NR + h) = r[t];
+          }
+        }
+      }
+#endif
+      for (; kk < kcn; ++kk) {
+        float* dst = panel + kk * NR;
+        const std::size_t c = ColsGathered ? g.cols[kc + kk] : kk;
+        for (std::size_t jj = 0; jj < nr; ++jj) dst[jj] = src[jj][c];
+        std::fill(dst + nr, dst + NR, 0.0F);
+      }
+    } else {
+      for (std::size_t kk = 0; kk < kcn; ++kk) {
+        const float* src = stored_row(kc + kk);
+        float* dst = panel + kk * NR;
+        if constexpr (ColsGathered) {
+          for (std::size_t jj = 0; jj < nr; ++jj) {
+            dst[jj] = src[g.cols[jc + jp + jj]];
+          }
+        } else if (nr == NR) {
+          std::memcpy(dst, src + jc + jp, NR * sizeof(float));
+        } else {
+          std::copy_n(src + jc + jp, nr, dst);
+        }
+        std::fill(dst + nr, dst + NR, 0.0F);
+      }
     }
   }
 }
@@ -82,7 +182,7 @@ template <bool BTrans>
 void pack_block(const float* b, std::size_t ldb, const Gather& g,
                 std::size_t jc, std::size_t kc, std::size_t nc,
                 std::size_t kcn, float* bp) {
-  if (g.identity()) {
+  if (g.cols == nullptr) {
     pack_b<BTrans, false>(b, ldb, g, jc, kc, nc, kcn, bp);
   } else {
     pack_b<BTrans, true>(b, ldb, g, jc, kc, nc, kcn, bp);

@@ -7,7 +7,8 @@
 // concatenate four gate blocks — are addressed in place, without copies.
 //
 // Internals (gemm.cpp): the K×N operand panel is packed into contiguous
-// NR-wide column panels (from the thread-local Workspace), and a register
+// NR-wide column panels (from the thread-local Workspace; a transposed
+// operand is staged through in-register VL×VL transposes), and a register
 // tile of MR×NR accumulators is updated with rank-1 steps. Each accumulator
 // lane is an independent float chain, so the compiler vectorizes the tile
 // without -ffast-math; the naive dot-product formulation it replaces could
@@ -38,10 +39,6 @@ namespace fedbiad::tensor {
 struct Gather {
   const std::size_t* rows = nullptr;
   const std::size_t* cols = nullptr;
-
-  [[nodiscard]] bool identity() const noexcept {
-    return rows == nullptr && cols == nullptr;
-  }
 };
 
 /// C(m×n) = A(m×k) · B(n×k)ᵀ, the "x · Wᵀ" forward kernel.

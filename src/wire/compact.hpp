@@ -20,7 +20,7 @@
 //
 // It never allocates O(N) unless the payload itself carries O(N) data.
 // Code that wants the wide view (a dense length-N vector plus presence set;
-// tests and the fl::aggregate oracle) derives it with expand().
+// tests and their dense aggregation oracle) derives it with expand().
 #pragma once
 
 #include <cstdint>

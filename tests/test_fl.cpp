@@ -9,7 +9,6 @@
 #include "common/check.hpp"
 #include "data/image_synth.hpp"
 #include "data/partition.hpp"
-#include "fl/aggregate.hpp"
 #include "fl/async_simulation.hpp"
 #include "fl/client_state.hpp"
 #include "fl/metrics.hpp"
@@ -17,8 +16,12 @@
 #include "netsim/tta.hpp"
 #include "nn/mlp_model.hpp"
 
+#include "aggregate.hpp"
+
 namespace fedbiad::fl {
 namespace {
+
+using reference::aggregate;
 
 ClientOutcome make_outcome(std::vector<float> values,
                            std::vector<std::uint8_t> present,

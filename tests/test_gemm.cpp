@@ -5,8 +5,10 @@
 // and strided operands that exercise the bias-in-row layouts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <tuple>
 #include <vector>
@@ -312,6 +314,153 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(7, 260),
                        ::testing::Values(Pick::kOne, Pick::kAll,
                                          Pick::kRagged, Pick::kRandom)));
+
+// ---- packed panel layout ----------------------------------------------------
+//
+// The packers must produce exactly the layout the micro-kernels read: for
+// each NC-wide column block (outer) and KC-deep k block (inner), NR-wide
+// panels of kcn rows, B(kc+kk, jc+jp+jj) at panel offset kk·NR + jj, and +0
+// in the lanes past n. The reference below writes that layout one element
+// at a time; the packers must match it byte for byte, including NaN
+// payloads, −0 and denormals in the source, whatever the gather.
+
+// The cache blocking of tensor/gemm.cpp (KC = NC = 256). NR depends on the
+// build's vector width, so it is read back from the packed size of one
+// element, which is one zero-padded panel row.
+constexpr std::size_t kPackKC = 256;
+constexpr std::size_t kPackNC = 256;
+
+/// A row-major operand with its stored selection: `stored(r, c)` is the
+/// element B's packers read for stored row r and stored column c.
+struct PackOperand {
+  std::vector<float> b;
+  std::size_t ldb = 0;
+  std::vector<std::size_t> row_off;  // empty: identity rows
+  std::vector<std::size_t> cols;     // empty: identity columns
+
+  [[nodiscard]] tensor::Gather gather() const {
+    return {row_off.empty() ? nullptr : row_off.data(),
+            cols.empty() ? nullptr : cols.data()};
+  }
+  [[nodiscard]] float stored(std::size_t r, std::size_t c) const {
+    return b[(row_off.empty() ? r * ldb : row_off[r]) +
+             (cols.empty() ? c : cols[c])];
+  }
+};
+
+/// `count` ascending indices spread over [0, 2·count): i·2 plus a random 0/1.
+std::vector<std::size_t> spread(std::size_t count, Rng& rng) {
+  std::vector<std::size_t> idx(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    idx[i] = 2 * i + static_cast<std::size_t>(rng.uniform_index(2));
+  }
+  return idx;
+}
+
+/// `rows` × `cols` logical stored operand (bias-in-row stride, one spare
+/// column), optionally gathered from a twice-as-large store. Values are
+/// random with a NaN payload, −0 and a denormal sprinkled in.
+PackOperand make_pack_operand(std::size_t rows, std::size_t cols,
+                              bool gather_rows, bool gather_cols, Rng& rng) {
+  PackOperand op;
+  const std::size_t stored_rows = gather_rows ? 2 * rows : rows;
+  const std::size_t stored_cols = gather_cols ? 2 * cols : cols;
+  op.ldb = stored_cols + 1;
+  op.b = random_vec(rng, stored_rows * op.ldb);
+  const std::uint32_t specials[] = {0x7FC01234U, 0x80000000U, 0x00000001U};
+  for (std::size_t i = 0; i < op.b.size(); i += 5) {
+    std::memcpy(&op.b[i], &specials[(i / 5) % 3], sizeof(float));
+  }
+  if (gather_rows) {
+    for (const std::size_t r : spread(rows, rng)) {
+      op.row_off.push_back(r * op.ldb);
+    }
+  }
+  if (gather_cols) op.cols = spread(cols, rng);
+  return op;
+}
+
+/// The packed form of logical B(kk, j), k × n, built element by element in
+/// the blocked order. `trans`: B(kk, j) = stored(j, kk) (gemm_pack_bt);
+/// otherwise stored(kk, j) (gemm_pack_b).
+std::vector<float> reference_pack(bool trans, std::size_t n, std::size_t k,
+                                  const PackOperand& op) {
+  const std::size_t nr = tensor::gemm_packed_size(1, 1);
+  std::vector<float> out;
+  for (std::size_t jc = 0; jc < n; jc += kPackNC) {
+    const std::size_t nc = std::min(kPackNC, n - jc);
+    const std::size_t padded = (nc + nr - 1) / nr * nr;
+    for (std::size_t kc = 0; kc < k; kc += kPackKC) {
+      const std::size_t kcn = std::min(kPackKC, k - kc);
+      for (std::size_t jp = 0; jp < padded; jp += nr) {
+        for (std::size_t kk = kc; kk < kc + kcn; ++kk) {
+          for (std::size_t j = jc + jp; j < jc + jp + nr; ++j) {
+            out.push_back(j >= jc + nc ? 0.0F
+                          : trans      ? op.stored(j, kk)
+                                       : op.stored(kk, j));
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// Packs with `pack` into a buffer pre-filled with 0xFF bytes (a NaN), so
+/// every byte the reference expects, padding included, must be written.
+template <typename PackFn>
+void expect_pack_matches(bool trans, std::size_t n, std::size_t k,
+                         const PackOperand& op, PackFn pack) {
+  const auto want = reference_pack(trans, n, k, op);
+  std::vector<float> got(tensor::gemm_packed_size(n, k));
+  ASSERT_EQ(got.size(), want.size());
+  std::memset(got.data(), 0xFF, got.size() * sizeof(float));
+  pack(n, k, op.b.data(), op.ldb, got.data(), op.gather());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0);
+}
+
+class GemmPack : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+// Each shape runs with the four gathers: identity, rows, columns, both.
+TEST_P(GemmPack, PackBtMatchesScalarReference) {
+  const auto n = static_cast<std::size_t>(std::get<0>(GetParam()));
+  const auto k = static_cast<std::size_t>(std::get<1>(GetParam()));
+  Rng rng(301);
+  for (const int mode : {0, 1, 2, 3}) {
+    SCOPED_TRACE(::testing::Message() << "gather rows " << (mode & 1)
+                                      << " cols " << (mode >> 1));
+    // Stored (n × k): the rows are B's output units, the columns k.
+    const auto op = make_pack_operand(n, k, (mode & 1) != 0,
+                                      (mode & 2) != 0, rng);
+    expect_pack_matches(/*trans=*/true, n, k, op,
+                        [](auto... args) { tensor::gemm_pack_bt(args...); });
+  }
+}
+
+TEST_P(GemmPack, PackBMatchesScalarReference) {
+  const auto n = static_cast<std::size_t>(std::get<0>(GetParam()));
+  const auto k = static_cast<std::size_t>(std::get<1>(GetParam()));
+  Rng rng(303);
+  for (const int mode : {0, 1, 2, 3}) {
+    SCOPED_TRACE(::testing::Message() << "gather rows " << (mode & 1)
+                                      << " cols " << (mode >> 1));
+    // Stored (k × n): the rows are k, the columns B's n outputs.
+    const auto op = make_pack_operand(k, n, (mode & 1) != 0,
+                                      (mode & 2) != 0, rng);
+    expect_pack_matches(/*trans=*/false, n, k, op,
+                        [](auto... args) { tensor::gemm_pack_b(args...); });
+  }
+}
+
+// n covers one column, partial panels for NR 8 and 16, exact panels, one
+// past, fc1's 102 kept units and one past the NC block; k covers tails of
+// every length for VL 4 and 8, exact vector multiples, the KC block edge
+// and fc1's 784 inputs.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GemmPack,
+    ::testing::Combine(::testing::Values(1, 6, 15, 16, 17, 102, 257),
+                       ::testing::Values(1, 7, 8, 9, 48, 256, 257, 784)));
 
 // ---- layer golden models --------------------------------------------------
 

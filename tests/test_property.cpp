@@ -23,7 +23,6 @@
 #include "data/image_synth.hpp"
 #include "data/partition.hpp"
 #include "data/text_synth.hpp"
-#include "fl/aggregate.hpp"
 #include "fl/async_simulation.hpp"
 #include "masked_step.hpp"
 #include "nn/lstm_lm_model.hpp"
@@ -34,6 +33,8 @@
 #include "wire/compact.hpp"
 #include "wire/reader.hpp"
 #include "wire/writer.hpp"
+
+#include "aggregate.hpp"
 
 namespace fedbiad {
 namespace {
@@ -85,7 +86,8 @@ TEST(AggregateProperty, SingleClientIsIdentityOnPresentCoords) {
     o.present.set(i, rng.bernoulli(0.5));
   }
   std::vector<fl::ClientOutcome> outs{o};
-  fl::aggregate(global, outs, fl::AggregationRule::kPerCoordinateNormalized);
+  reference::aggregate(global, outs,
+                       fl::AggregationRule::kPerCoordinateNormalized);
   for (std::size_t i = 0; i < 64; ++i) {
     if (o.present[i]) {
       EXPECT_FLOAT_EQ(global[i], o.values[i]);
@@ -113,7 +115,7 @@ TEST(AggregateProperty, MaskedAverageEqualsManualEquationTen) {
           outs[k].present[i] ? static_cast<float>(rng.normal(0, 1)) : 0.0F;
     }
   }
-  fl::aggregate(global, outs, fl::AggregationRule::kMaskedAverage);
+  reference::aggregate(global, outs, fl::AggregationRule::kMaskedAverage);
   for (std::size_t i = 0; i < n; ++i) {
     double acc = 0.0;
     for (const auto& o : outs) {
@@ -159,8 +161,8 @@ TEST(FedBiadProperty, DroppedUnitWeightsNeverTrain) {
   // aggregation of this single client the global keeps its previous values
   // there bit for bit — the wire-level form of "dropped rows never train".
   std::vector<float> aggregated = global;
-  fl::aggregate(aggregated, std::vector<fl::ClientOutcome>{out},
-                fl::AggregationRule::kPerCoordinateNormalized);
+  reference::aggregate(aggregated, std::vector<fl::ClientOutcome>{out},
+                       fl::AggregationRule::kPerCoordinateNormalized);
   bool any_dropped = false;
   for (std::size_t j = 0; j < store.droppable_rows(); ++j) {
     const auto ref = store.droppable_row(j);

@@ -6,7 +6,7 @@
 //     the wide view implied by the encoder's inputs — and rejects malformed
 //     buffers with the wire's exact DecodeError messages.
 //   * ShardedAccumulator::aggregate/merge reproduce the dense kernels
-//     (fl::aggregate and the coordinate-outer staleness merge) bit for bit
+//     (reference::aggregate and the coordinate-outer staleness merge) bit for bit
 //     over mixed compact forms spanning multiple accumulator blocks.
 //   * ClientRegistry: lazy profiles equal make_profiles exactly (random
 //     access, repeats, backward jumps, homogeneous fast path); the
@@ -36,7 +36,6 @@
 #include "checkpoint/checkpoint.hpp"
 #include "data/image_synth.hpp"
 #include "data/partition.hpp"
-#include "fl/aggregate.hpp"
 #include "fl/async_simulation.hpp"
 #include "fl/client_registry.hpp"
 #include "fl/fused_aggregate.hpp"
@@ -52,6 +51,8 @@
 #include "wire/compact.hpp"
 #include "wire/reader.hpp"
 #include "wire/update_codec.hpp"
+
+#include "aggregate.hpp"
 
 namespace fedbiad {
 namespace {
@@ -490,7 +491,7 @@ TEST(FusedAggregate, MatchesDenseKernelPerRuleAndOutcomeType) {
                             fl::AggregationRule::kPerCoordinateNormalized}) {
       std::vector<float> dense_global = base;
       std::vector<float> fused_global = base;
-      fl::aggregate(dense_global, b.dense, rule);
+      reference::aggregate(dense_global, b.dense, rule);
       sharded.aggregate(fused_global, b.fused, rule);
       expect_params_bit_identical(fused_global, dense_global);
     }

@@ -20,7 +20,6 @@
 #include "common/check.hpp"
 #include "data/image_synth.hpp"
 #include "data/partition.hpp"
-#include "fl/aggregate.hpp"
 #include "fl/async_simulation.hpp"
 #include "fl/engine_hooks.hpp"
 #include "fl/scheduler.hpp"
@@ -32,6 +31,8 @@
 #include "scenario/model.hpp"
 #include "tensor/rng.hpp"
 #include "wire/accounting.hpp"
+
+#include "aggregate.hpp"
 
 namespace fedbiad {
 namespace {
@@ -883,7 +884,7 @@ INSTANTIATE_TEST_SUITE_P(AllModes, ScenarioDeterminism,
 
 // Barrier + deadline: replay the engine's wave, compute each member's
 // timeline, pick a deadline that cuts exactly the slowest member, and check
-// the engine's partial aggregate against fl::aggregate over the survivors.
+// the engine's partial aggregate against reference::aggregate over the survivors.
 TEST(EngineScenario, BarrierDeadlineMatchesHandComputedReference) {
   baselines::FedAvgStrategy strategy;
   const auto fleet = stressed_fleet();
@@ -931,7 +932,7 @@ TEST(EngineScenario, BarrierDeadlineMatchesHandComputedReference) {
   }
   ASSERT_EQ(survivors.size(), 2u);
   std::vector<float> expect = rig.global;
-  fl::aggregate(expect, survivors, strategy.aggregation_rule());
+  reference::aggregate(expect, survivors, strategy.aggregation_rule());
 
   scenario::Config cfg;
   cfg.name = "deadline_ref";
@@ -976,7 +977,7 @@ TEST(EngineScenario, BarrierChurnMatchesHandComputedReference) {
     survivors.push_back(std::move(out));
   }
   std::vector<float> expect = rig.global;
-  fl::aggregate(expect, survivors, strategy.aggregation_rule());
+  reference::aggregate(expect, survivors, strategy.aggregation_rule());
 
   auto hooks = std::make_shared<TestHooks>();
   hooks->churn_fn = [](std::size_t, std::size_t seq) {
