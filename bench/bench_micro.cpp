@@ -605,8 +605,10 @@ void BM_FrameParse(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameParse)->Arg(407084);
 
-// Console output plus collection of every run for the FEDBIAD_JSON emitter.
-class MicroJsonReporter : public benchmark::ConsoleReporter {
+// Collects every run for the FEDBIAD_JSON emitter and forwards each call to
+// the display reporter --benchmark_format selects (console, json or csv).
+// Create it after benchmark::Initialize, which parses that flag.
+class MicroJsonReporter : public benchmark::BenchmarkReporter {
  public:
   struct Entry {
     std::string kernel;
@@ -627,12 +629,21 @@ class MicroJsonReporter : public benchmark::ConsoleReporter {
       if (it != run.counters.end()) e.items_per_second = it->second.value;
       entries_.push_back(std::move(e));
     }
-    ConsoleReporter::ReportRuns(runs);
+    display_->ReportRuns(runs);
   }
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+
+  void Finalize() override { display_->Finalize(); }
 
   [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
 
  private:
+  // Owned by the library.
+  benchmark::BenchmarkReporter* display_ =
+      benchmark::CreateDefaultDisplayReporter();
   std::vector<Entry> entries_;
 };
 

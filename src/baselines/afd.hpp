@@ -48,7 +48,7 @@ class AfdStrategy final : public fl::Strategy {
   double score_momentum_;
   double exploration_;
   std::vector<double> row_scores_;
-  /// Flat (offset, length) of every droppable row, captured on first use so
+  /// Flat (offset, length) of every weight row, captured on first use so
   /// end_round can score rows without a ParameterStore at hand.
   std::vector<std::pair<std::size_t, std::size_t>> row_extents_;
   core::DropPattern round_pattern_;

@@ -20,31 +20,20 @@ fl::ClientOutcome FedMpStrategy::run_client(fl::ClientContext& ctx) {
   nn::ParameterStore& store = ctx.model.store();
   const std::size_t n = store.size();
 
-  // Global magnitude threshold over droppable groups (the prunable weights);
-  // non-droppable parameters are always transmitted.
-  std::vector<float> magnitudes;
-  magnitudes.reserve(n);
   auto params = store.params();
-  for (const nn::RowGroup& g : store.groups()) {
-    if (!g.droppable) continue;
-    for (std::size_t i = g.offset; i < g.offset + g.size(); ++i) {
-      magnitudes.push_back(std::abs(params[i]));
-    }
-  }
   std::vector<std::uint8_t> mask(n, 1);
-  const std::size_t prunable = magnitudes.size();
-  if (prunable > 0 && prune_rate_ > 0.0) {
+  if (prune_rate_ > 0.0) {
+    // Global magnitude threshold over every parameter.
+    std::vector<float> magnitudes(n);
+    for (std::size_t i = 0; i < n; ++i) magnitudes[i] = std::abs(params[i]);
     const auto cut = static_cast<std::size_t>(
-        std::llround(prune_rate_ * static_cast<double>(prunable)));
+        std::llround(prune_rate_ * static_cast<double>(n)));
     std::nth_element(magnitudes.begin(),
                      magnitudes.begin() + static_cast<std::ptrdiff_t>(cut),
                      magnitudes.end());
     const float threshold = magnitudes[cut];
-    for (const nn::RowGroup& g : store.groups()) {
-      if (!g.droppable) continue;
-      for (std::size_t i = g.offset; i < g.offset + g.size(); ++i) {
-        if (std::abs(params[i]) < threshold) mask[i] = 0;
-      }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (std::abs(params[i]) < threshold) mask[i] = 0;
     }
   }
 
@@ -52,7 +41,7 @@ fl::ClientOutcome FedMpStrategy::run_client(fl::ClientContext& ctx) {
   out.samples = ctx.shard.size();
   // Kept values plus whichever position encoding measures cheaper — a dense
   // 1-bit occupancy bitmap (good at low prune rates) or delta-varint indices
-  // (good at high rates) — and fixed parameters dense; encode_pruned picks.
+  // (good at high rates); encode_pruned picks.
   out.payload = wire::encode_pruned(store, mask, params);
   out.is_update = false;
   out.mean_loss = stats.mean_loss;

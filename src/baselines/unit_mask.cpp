@@ -86,7 +86,6 @@ core::DropPattern WidthPlan::pattern(const nn::ParameterStore& store,
   for (const Rule& rule : rules_) {
     if (rule.axis != Rule::Axis::kRows) continue;
     const nn::RowGroup& grp = store.group(rule.group);
-    FEDBIAD_CHECK(grp.droppable, "row rule on non-droppable group " + grp.name);
     FEDBIAD_CHECK(rule.blocks * rule.units == grp.rows,
                   "row rule does not tile group " + grp.name);
     const std::size_t keep = surviving_units(rule.units, ratio);

@@ -26,8 +26,8 @@ namespace fedbiad::baselines {
 class WidthPlan {
  public:
   /// One masking rule.
-  ///  - kRows cuts whole rows of a droppable group: unit u owns row
-  ///    b·units + u of every one of `blocks` blocks.
+  ///  - kRows cuts whole rows of a group: unit u owns row b·units + u of
+  ///    every one of `blocks` blocks.
   ///  - kCols cuts column u of every row for cut units (columns at or beyond
   ///    `units` — e.g. the bias column — always survive).
   ///  - kLstmWhCols cuts, inside every surviving unit-major LSTM row, the
@@ -54,10 +54,10 @@ class WidthPlan {
                   std::span<std::uint8_t> present) const;
 
   /// The row pattern β of the width-`ratio` sub-model: the kRows rules' cut
-  /// units are dropped, every other droppable row is kept. Training it with
+  /// units are dropped, every other row is kept. Training it with
   /// Model::train_step(batch, β) + nn::sgd_step(β) never reads the cut
   /// columns, so the surviving coordinates match a step under build_mask's
-  /// coordinate mask. Every kRows group must be droppable.
+  /// coordinate mask.
   [[nodiscard]] core::DropPattern pattern(const nn::ParameterStore& store,
                                           double ratio) const;
 

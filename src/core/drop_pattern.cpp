@@ -9,13 +9,28 @@
 
 namespace fedbiad::core {
 
+namespace {
+
+/// f(begin, end) on each maximal run of coordinates of the rows `kept`
+/// drops.
+template <typename F>
+void for_each_dropped_run(const nn::ParameterStore& store,
+                          const std::vector<std::uint8_t>& kept, F&& f) {
+  FEDBIAD_CHECK(kept.size() == store.droppable_rows(),
+                "pattern/store mismatch");
+  nn::for_each_kept_run(
+      store, [&](std::size_t j) { return kept[j] == 0; }, f);
+}
+
+}  // namespace
+
 RowFilter eligible_all() {
-  return [](const nn::RowGroup& g) { return g.droppable; };
+  return [](const nn::RowGroup&) { return true; };
 }
 
 RowFilter eligible_dense() {
   return [](const nn::RowGroup& g) {
-    return g.droppable && g.kind == nn::GroupKind::kDense;
+    return g.kind == nn::GroupKind::kDense;
   };
 }
 
@@ -27,7 +42,7 @@ DropPattern DropPattern::sample(const nn::ParameterStore& store,
   DropPattern pattern(store.droppable_rows());
   for (std::size_t g = 0; g < store.groups().size(); ++g) {
     const nn::RowGroup& grp = store.group(g);
-    if (!grp.droppable || !eligible(grp)) continue;
+    if (!eligible(grp)) continue;
     const auto to_drop = static_cast<std::size_t>(
         std::llround(dropout_rate * static_cast<double>(grp.rows)));
     if (to_drop == 0) continue;
@@ -46,42 +61,28 @@ std::size_t DropPattern::kept_count() const {
 }
 
 void DropPattern::apply_to_params(nn::ParameterStore& store) const {
-  FEDBIAD_CHECK(rows() == store.droppable_rows(), "pattern/store mismatch");
-  for (std::size_t j = 0; j < rows(); ++j) {
-    if (kept_[j]) continue;
-    const auto ref = store.droppable_row(j);
-    tensor::fill(store.row_params(ref.group, ref.row), 0.0F);
-  }
+  auto params = store.params();
+  for_each_dropped_run(store, kept_, [&](std::size_t b, std::size_t e) {
+    tensor::fill(params.subspan(b, e - b), 0.0F);
+  });
 }
 
 void DropPattern::mark_presence(const nn::ParameterStore& store,
                                 std::span<std::uint8_t> present) const {
   FEDBIAD_CHECK(present.size() == store.size(), "presence size mismatch");
-  FEDBIAD_CHECK(rows() == store.droppable_rows(), "pattern/store mismatch");
-  for (std::size_t j = 0; j < rows(); ++j) {
-    if (kept_[j]) continue;
-    const auto ref = store.droppable_row(j);
-    const nn::RowGroup& grp = store.group(ref.group);
-    const std::size_t begin = grp.offset + ref.row * grp.row_len;
-    std::fill(present.begin() + static_cast<std::ptrdiff_t>(begin),
-              present.begin() + static_cast<std::ptrdiff_t>(begin + grp.row_len),
+  for_each_dropped_run(store, kept_, [&](std::size_t b, std::size_t e) {
+    std::fill(present.begin() + static_cast<std::ptrdiff_t>(b),
+              present.begin() + static_cast<std::ptrdiff_t>(e),
               std::uint8_t{0});
-  }
+  });
 }
 
 std::uint64_t DropPattern::upload_bytes(const nn::ParameterStore& store) const {
   FEDBIAD_CHECK(rows() == store.droppable_rows(), "pattern/store mismatch");
   std::uint64_t weights = 0;
-  for (std::size_t g = 0; g < store.groups().size(); ++g) {
-    const nn::RowGroup& grp = store.group(g);
-    if (!grp.droppable) {
-      weights += grp.size();
-      continue;
-    }
-    for (std::size_t r = 0; r < grp.rows; ++r) {
-      if (kept_[store.droppable_index(g, r)]) weights += grp.row_len;
-    }
-  }
+  nn::for_each_kept_run(
+      store, [&](std::size_t j) { return kept_[j] != 0; },
+      [&](std::size_t b, std::size_t e) { weights += e - b; });
   // Same formula the encoder is checked against, so the analytic oracle and
   // wire::encode_row_masked cannot drift apart.
   return wire::row_masked_bytes(weights, rows());

@@ -1,8 +1,8 @@
 // Row-wise dropping patterns β ∈ {0,1}^J (paper §III-C).
 //
-// A pattern covers every droppable row of a model (J = store.droppable_rows()
+// A pattern covers every weight row of a model (J = store.droppable_rows()
 // in paper notation). "Eligibility" narrows which rows a given strategy may
-// drop: FedBIAD drops any droppable row including recurrent connections;
+// drop: FedBIAD drops any row including recurrent connections;
 // FedDrop/AFD are restricted to fully connected layers (paper §V-A).
 // Ineligible rows are always kept.
 #pragma once
@@ -20,7 +20,7 @@ namespace fedbiad::core {
 /// particular strategy.
 using RowFilter = std::function<bool(const nn::RowGroup&)>;
 
-/// FedBIAD: every droppable group, recurrent connections included.
+/// FedBIAD: every group, recurrent connections included.
 [[nodiscard]] RowFilter eligible_all();
 
 /// FedDrop/AFD: fully connected (kDense) groups only.
@@ -30,7 +30,7 @@ class DropPattern {
  public:
   DropPattern() = default;
 
-  /// All-kept pattern over `rows` droppable rows.
+  /// All-kept pattern over `rows` weight rows.
   explicit DropPattern(std::size_t rows) : kept_(rows, 1) {}
 
   /// Samples a pattern from Z^S_N: within every eligible group exactly
@@ -56,9 +56,9 @@ class DropPattern {
   void mark_presence(const nn::ParameterStore& store,
                      std::span<std::uint8_t> present) const;
 
-  /// Wire size of a client upload under this pattern: kept rows of droppable
-  /// groups at 4 bytes/weight, non-droppable groups in full, plus the packed
-  /// 1-bit-per-row pattern itself (paper §IV-B step 3).
+  /// Wire size of a client upload under this pattern: kept rows at 4
+  /// bytes/weight plus the packed 1-bit-per-row pattern itself (paper §IV-B
+  /// step 3).
   [[nodiscard]] std::uint64_t upload_bytes(
       const nn::ParameterStore& store) const;
 

@@ -15,30 +15,18 @@ namespace fedbiad::core {
 
 namespace {
 
-/// Copies the trained values of kept rows (and every non-droppable
-/// coordinate) from the live parameters into the variational parameters
-/// U^k. Dropped rows keep their previous U values — dropping zeroes the
-/// sampled weight, not μ_j (paper eq. 4).
+/// Copies the trained values of kept rows from the live parameters into
+/// the variational parameters U^k. Dropped rows keep their previous U
+/// values — dropping zeroes the sampled weight, not μ_j (paper eq. 4).
 void sync_kept_rows(const nn::ParameterStore& store, const DropPattern& pattern,
                     std::span<const float> params, std::span<float> u_full) {
-  for (std::size_t g = 0; g < store.groups().size(); ++g) {
-    const nn::RowGroup& grp = store.group(g);
-    if (!grp.droppable) {
-      std::copy(params.begin() + static_cast<std::ptrdiff_t>(grp.offset),
-                params.begin() + static_cast<std::ptrdiff_t>(grp.offset +
-                                                             grp.size()),
-                u_full.begin() + static_cast<std::ptrdiff_t>(grp.offset));
-      continue;
-    }
-    for (std::size_t r = 0; r < grp.rows; ++r) {
-      if (!pattern.kept(store.droppable_index(g, r))) continue;
-      const std::size_t begin = grp.offset + r * grp.row_len;
-      std::copy(params.begin() + static_cast<std::ptrdiff_t>(begin),
-                params.begin() + static_cast<std::ptrdiff_t>(begin +
-                                                             grp.row_len),
-                u_full.begin() + static_cast<std::ptrdiff_t>(begin));
-    }
-  }
+  nn::for_each_kept_run(
+      store, [&](std::size_t j) { return pattern.kept(j); },
+      [&](std::size_t b, std::size_t e) {
+        std::copy(params.begin() + static_cast<std::ptrdiff_t>(b),
+                  params.begin() + static_cast<std::ptrdiff_t>(e),
+                  u_full.begin() + static_cast<std::ptrdiff_t>(b));
+      });
 }
 
 }  // namespace
@@ -47,21 +35,12 @@ bayes::ModelStructure structure_of(const nn::ParameterStore& store,
                                    double dropout_rate) {
   bayes::ModelStructure s;
   s.layers = store.groups().size();
-  std::size_t droppable_weights = 0;
-  std::size_t fixed_weights = 0;
   for (const nn::RowGroup& g : store.groups()) {
-    if (g.droppable) {
-      droppable_weights += g.size();
-    } else {
-      fixed_weights += g.size();
-    }
     s.width = std::max(s.width, g.rows);
     s.input = std::max(s.input, g.row_len - 1);
   }
-  s.sparsity = fixed_weights +
-               static_cast<std::size_t>(
-                   (1.0 - dropout_rate) *
-                   static_cast<double>(droppable_weights));
+  s.sparsity = static_cast<std::size_t>((1.0 - dropout_rate) *
+                                        static_cast<double>(store.size()));
   s.input = std::max<std::size_t>(1, std::min(s.input, s.width));
   s.weight_bound = 2.0;
   return s;

@@ -38,8 +38,8 @@ struct FedBiadConfig {
 
 class FedBiadStrategy final : public fl::Strategy {
  public:
-  /// Every droppable group is eligible (eligible_all()) — including
-  /// recurrent connections, the paper's headline capability.
+  /// Every group is eligible (eligible_all()) — including recurrent
+  /// connections, the paper's headline capability.
   explicit FedBiadStrategy(FedBiadConfig cfg);
 
   [[nodiscard]] std::string name() const override { return "FedBIAD"; }
@@ -79,9 +79,8 @@ class FedBiadStrategy final : public fl::Strategy {
 };
 
 /// Derives the (S, L, D, d, B) structure of eq. 13/15 from a parameter store
-/// and a dropout rate: S = (1-p)·N over droppable weights plus all
-/// non-droppable ones, L = number of weight matrices (row groups),
-/// D = widest layer, d = widest row.
+/// and a dropout rate: S = (1-p)·N over all N weights, L = number of weight
+/// matrices (row groups), D = widest layer, d = widest row.
 bayes::ModelStructure structure_of(const nn::ParameterStore& store,
                                    double dropout_rate);
 

@@ -49,7 +49,7 @@ DropPattern WeightScoreVector::make_pattern(const nn::ParameterStore& store,
   DropPattern pattern(rows());
   for (std::size_t g = 0; g < store.groups().size(); ++g) {
     const nn::RowGroup& grp = store.group(g);
-    if (!grp.droppable || !eligible(grp)) continue;
+    if (!eligible(grp)) continue;
     const auto to_drop = static_cast<std::size_t>(
         std::llround(dropout_rate * static_cast<double>(grp.rows)));
     if (to_drop == 0) continue;

@@ -1,9 +1,10 @@
 // Fused decode→aggregate: commits compact client updates straight into the
 // global model without ever materializing a dense per-client value vector.
 //
-// fl::aggregate (aggregate.hpp) streams dense length-N `values`/`present`
-// pairs — O(model) bytes per pending client, which is what caps how many
-// uploads the event-driven engine can hold in flight. The fused path takes
+// The dense rule, the test oracle reference::aggregate (tests/aggregate.hpp),
+// streams dense length-N `values`/`present` pairs — O(model) bytes per
+// pending client, which is what caps how many uploads the event-driven
+// engine could hold in flight. The fused path takes
 // wire::CompactUpdate views (O(transmitted) each) and accumulates them with
 // the *identical* floating-point operation sequence: coordinate blocks
 // outer, clients middle in batch order, coordinates inner ascending, every
@@ -62,7 +63,7 @@ namespace fedbiad::fl {
 /// src/CMakeLists.txt): per coordinate they execute exactly
 /// `acc += w * (double)v` as separate IEEE multiply and add, so their
 /// results are bit-identical to the scalar fused::ref:: versions below and
-/// to the dense kernel in fl/aggregate.cpp.
+/// to the dense test oracle in tests/aggregate.cpp.
 /// Vectorization batches *across* coordinates only — the operation sequence
 /// at any one coordinate is unchanged.
 namespace fused {
@@ -172,9 +173,10 @@ class ShardedAccumulator {
   ShardedAccumulator(const ShardedAccumulator&) = delete;
   ShardedAccumulator& operator=(const ShardedAccumulator&) = delete;
 
-  /// FedAvg-style commit: mirrors fl::aggregate bit for bit. `weight` must
-  /// be each update's sample count (the dense kernel derives it from
-  /// ClientOutcome::samples); total weight is their sum in batch order.
+  /// FedAvg-style commit: mirrors the test oracle reference::aggregate
+  /// (tests/aggregate.hpp) bit for bit. `weight` must be each update's
+  /// sample count (the dense oracle derives it from ClientOutcome::samples);
+  /// total weight is their sum in batch order.
   void aggregate(std::span<float> global_params,
                  std::span<const FusedUpdate> updates, AggregationRule rule);
 

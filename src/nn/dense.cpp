@@ -12,8 +12,7 @@ namespace fedbiad::nn {
 Dense::Dense(ParameterStore& store, std::string name, std::size_t in,
              std::size_t out)
     : in_(in), out_(out) {
-  group_ = store.add_group(std::move(name), GroupKind::kDense, out, in + 1,
-                           /*droppable=*/true);
+  group_ = store.add_group(std::move(name), GroupKind::kDense, out, in + 1);
 }
 
 void Dense::init(ParameterStore& store, tensor::Rng& rng) const {

@@ -21,7 +21,7 @@ class Dense {
   /// Unregistered placeholder; assign a registered Dense before use.
   Dense() = default;
 
-  /// Registers a droppable (out × in+1) kDense row group in `store`.
+  /// Registers an (out × in+1) kDense row group in `store`.
   Dense(ParameterStore& store, std::string name, std::size_t in,
         std::size_t out);
 

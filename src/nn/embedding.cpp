@@ -9,8 +9,7 @@ namespace fedbiad::nn {
 Embedding::Embedding(ParameterStore& store, std::string name,
                      std::size_t vocab, std::size_t dim)
     : vocab_(vocab), dim_(dim) {
-  group_ = store.add_group(std::move(name), GroupKind::kEmbedding, vocab, dim,
-                           /*droppable=*/true);
+  group_ = store.add_group(std::move(name), GroupKind::kEmbedding, vocab, dim);
 }
 
 void Embedding::init(ParameterStore& store, tensor::Rng& rng) const {

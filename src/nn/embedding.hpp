@@ -14,7 +14,7 @@ namespace fedbiad::nn {
 
 class Embedding {
  public:
-  /// Registers a droppable (vocab × dim) kEmbedding row group in `store`.
+  /// Registers a (vocab × dim) kEmbedding row group in `store`.
   Embedding(ParameterStore& store, std::string name, std::size_t vocab,
             std::size_t dim);
 

@@ -15,7 +15,7 @@ LstmLayer::LstmLayer(ParameterStore& store, const std::string& name_prefix,
                      std::size_t in, std::size_t hidden)
     : in_(in), hidden_(hidden) {
   group_ = store.add_group(name_prefix + ".unit", GroupKind::kRecurrentUnit,
-                          hidden, row_len(), /*droppable=*/true);
+                          hidden, row_len());
 }
 
 void LstmLayer::init(ParameterStore& store, tensor::Rng& rng) const {

@@ -1,7 +1,7 @@
 // LSTM layer with full backpropagation through time and unit-granular
 // weight rows.
 //
-// Parameter layout: ONE droppable row group with H rows — one per hidden
+// Parameter layout: ONE row group with H rows — one per hidden
 // unit. Row j concatenates everything unit j owns:
 //
 //   [ Wx_i[j,:] b_i[j] | Wx_f[j,:] b_f[j] | Wx_g[j,:] b_g[j] | Wx_o[j,:]

@@ -10,8 +10,8 @@ namespace fedbiad::nn {
 namespace {
 
 /// Calls f(begin, end) for each maximal run of adjacent coordinates the step
-/// covers, in storage order: the whole store when `kept` is empty, else
-/// every non-droppable group plus the kept rows of droppable groups.
+/// covers, in storage order: the whole store when `kept` is empty, else the
+/// kept rows' runs.
 template <typename F>
 void for_each_run(const ParameterStore& store,
                   std::span<const std::uint8_t> kept, F&& f) {
@@ -21,28 +21,8 @@ void for_each_run(const ParameterStore& store,
   }
   FEDBIAD_CHECK(kept.size() == store.droppable_rows(),
                 "sgd_step kept mask/store mismatch");
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  auto extend = [&](std::size_t b, std::size_t e) {
-    if (b != end) {
-      if (end > begin) f(begin, end);
-      begin = b;
-    }
-    end = e;
-  };
-  for (std::size_t g = 0; g < store.groups().size(); ++g) {
-    const RowGroup& grp = store.group(g);
-    if (!grp.droppable) {
-      extend(grp.offset, grp.offset + grp.size());
-      continue;
-    }
-    for (std::size_t r = 0; r < grp.rows; ++r) {
-      if (kept[store.droppable_index(g, r)] == 0) continue;
-      const std::size_t b = grp.offset + r * grp.row_len;
-      extend(b, b + grp.row_len);
-    }
-  }
-  if (end > begin) f(begin, end);
+  for_each_kept_run(
+      store, [&](std::size_t j) { return kept[j] != 0; }, f);
 }
 
 /// The clip factor for a gradient norm. It is monotone in the norm:

@@ -23,12 +23,12 @@ struct SgdConfig {
 /// after clipping the global gradient norm if configured.
 ///
 /// `kept` (empty = the whole store) is a dropout pattern's β, one byte per
-/// droppable row: the step then norms and updates only the kept rows of
-/// droppable groups plus every non-droppable group, and never reads or
-/// writes a dropped row. That is bit-identical to zeroing the dropped rows'
-/// gradients, stepping the whole store and zeroing their parameters again,
-/// provided those parameters are +0 on entry — their squared gradients
-/// would add exactly +0 to the norm and the update would leave them at +0.
+/// weight row: the step then norms and updates only the kept rows, run by
+/// run (nn::for_each_kept_run), and never reads or writes a dropped row.
+/// That is bit-identical to zeroing the dropped rows' gradients, stepping
+/// the whole store and zeroing their parameters again, provided those
+/// parameters are +0 on entry — their squared gradients would add exactly
+/// +0 to the norm and the update would leave them at +0.
 ///
 /// The clip norm is summed in vector lanes and certified against the serial
 /// left-to-right sum (tensor::squared_norm): the clip scale — hence every

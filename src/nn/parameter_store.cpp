@@ -1,15 +1,10 @@
 #include "nn/parameter_store.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/check.hpp"
 
 namespace fedbiad::nn {
-
-namespace {
-constexpr std::size_t kNotDroppable = std::numeric_limits<std::size_t>::max();
-}  // namespace
 
 const char* to_string(GroupKind kind) noexcept {
   switch (kind) {
@@ -24,8 +19,7 @@ const char* to_string(GroupKind kind) noexcept {
 }
 
 std::size_t ParameterStore::add_group(std::string name, GroupKind kind,
-                                      std::size_t rows, std::size_t row_len,
-                                      bool droppable) {
+                                      std::size_t rows, std::size_t row_len) {
   FEDBIAD_CHECK(!finalized_, "cannot add groups after finalize()");
   FEDBIAD_CHECK(rows > 0 && row_len > 0, "group must be non-empty");
   RowGroup g;
@@ -34,7 +28,6 @@ std::size_t ParameterStore::add_group(std::string name, GroupKind kind,
   g.rows = rows;
   g.row_len = row_len;
   g.offset = total_;
-  g.droppable = droppable;
   total_ += g.size();
   groups_.push_back(std::move(g));
   return groups_.size() - 1;
@@ -45,10 +38,9 @@ void ParameterStore::finalize() {
   FEDBIAD_CHECK(!groups_.empty(), "model has no parameters");
   params_.assign(total_, 0.0F);
   grads_.assign(total_, 0.0F);
-  droppable_base_.assign(groups_.size(), kNotDroppable);
+  droppable_base_.assign(groups_.size(), 0);
   droppable_rows_ = 0;
   for (std::size_t g = 0; g < groups_.size(); ++g) {
-    if (!groups_[g].droppable) continue;
     droppable_base_[g] = droppable_rows_;
     droppable_rows_ += groups_[g].rows;
   }
@@ -99,7 +91,6 @@ RowRef ParameterStore::droppable_row(std::size_t j) const {
   FEDBIAD_CHECK(j < droppable_rows_, "droppable row index out of range");
   // Groups are few (tens at most); a linear scan is fine and branch-friendly.
   for (std::size_t g = 0; g < groups_.size(); ++g) {
-    if (droppable_base_[g] == kNotDroppable) continue;
     if (j < droppable_base_[g] + groups_[g].rows) {
       return {g, j - droppable_base_[g]};
     }
@@ -111,8 +102,7 @@ RowRef ParameterStore::droppable_row(std::size_t j) const {
 std::size_t ParameterStore::droppable_index(std::size_t g,
                                             std::size_t r) const {
   FEDBIAD_CHECK(finalized_, "store not finalized");
-  FEDBIAD_CHECK(g < groups_.size() && droppable_base_[g] != kNotDroppable,
-                "group is not droppable");
+  FEDBIAD_CHECK(g < groups_.size(), "group index out of range");
   FEDBIAD_CHECK(r < groups_[g].rows, "row index out of range");
   return droppable_base_[g] + r;
 }

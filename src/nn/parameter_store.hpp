@@ -5,6 +5,9 @@
 // (one per weight matrix) describing how the flat storage decomposes into
 // weight rows — the unit of FedBIAD's spike-and-slab dropout, of upload
 // accounting, and of server-side reconstruction.
+//
+// Every row is droppable: groups are appended at the running total, so the
+// J rows, taken in global index order j, tile [0, size()) without gaps.
 #pragma once
 
 #include <cstddef>
@@ -32,7 +35,6 @@ struct RowGroup {
   std::size_t rows = 0;     ///< number of weight rows (dropout granularity)
   std::size_t row_len = 0;  ///< floats per row (bias tied into the row, if any)
   std::size_t offset = 0;   ///< first element inside the flat vector
-  bool droppable = false;   ///< participates in row-wise dropout at all
 
   [[nodiscard]] std::size_t size() const noexcept { return rows * row_len; }
 };
@@ -45,10 +47,11 @@ struct RowRef {
 
 class ParameterStore {
  public:
-  /// Registers a weight matrix of `rows` × `row_len` floats. Must be called
-  /// before finalize(). Returns the group index.
+  /// Registers a weight matrix of `rows` × `row_len` floats right after the
+  /// previous group; its rows take the next global row indices. Must be
+  /// called before finalize(). Returns the group index.
   std::size_t add_group(std::string name, GroupKind kind, std::size_t rows,
-                        std::size_t row_len, bool droppable);
+                        std::size_t row_len);
 
   /// Allocates parameter and gradient storage. No further add_group calls.
   void finalize();
@@ -78,7 +81,7 @@ class ParameterStore {
                                                   std::size_t r) const;
   [[nodiscard]] std::span<float> row_grads(std::size_t g, std::size_t r);
 
-  /// Total number of droppable weight rows J (paper notation).
+  /// Total number of weight rows J (paper notation), all droppable.
   [[nodiscard]] std::size_t droppable_rows() const noexcept {
     return droppable_rows_;
   }
@@ -86,7 +89,7 @@ class ParameterStore {
   /// Maps a global droppable-row index j ∈ [0, J) to its (group, row).
   [[nodiscard]] RowRef droppable_row(std::size_t j) const;
 
-  /// Inverse of droppable_row for droppable groups.
+  /// Inverse of droppable_row.
   [[nodiscard]] std::size_t droppable_index(std::size_t g, std::size_t r) const;
 
   void zero_grads();
@@ -95,12 +98,35 @@ class ParameterStore {
   std::vector<RowGroup> groups_;
   std::vector<float> params_;
   std::vector<float> grads_;
-  // Prefix sums of droppable rows per group (group -> first global row id,
-  // kNotDroppable for non-droppable groups).
+  // Prefix sums of rows per group (group -> first global row id).
   std::vector<std::size_t> droppable_base_;
   std::size_t droppable_rows_ = 0;
   std::size_t total_ = 0;
   bool finalized_ = false;
 };
+
+/// Calls f(begin, end) on each maximal run of adjacent coordinates whose
+/// rows are kept, in ascending coordinate order: row j is kept when
+/// `kept(j)` is true, and adjacent kept rows merge into one run, across
+/// group boundaries too. The one place a row pattern β becomes coordinate
+/// ranges; pass a negated predicate to walk the dropped rows instead.
+template <typename Kept, typename F>
+void for_each_kept_run(const ParameterStore& store, Kept&& kept, F&& f) {
+  std::size_t j = 0;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  for (const RowGroup& grp : store.groups()) {
+    for (std::size_t r = 0; r < grp.rows; ++r, ++j) {
+      if (!kept(j)) continue;
+      const std::size_t b = grp.offset + r * grp.row_len;
+      if (b != end) {
+        if (end > begin) f(begin, end);
+        begin = b;
+      }
+      end = b + grp.row_len;
+    }
+  }
+  if (end > begin) f(begin, end);
+}
 
 }  // namespace fedbiad::nn

@@ -10,7 +10,7 @@ Units kept_units(const ParameterStore& store, std::size_t group,
                  std::span<const std::uint8_t> kept,
                  std::vector<std::size_t>& buf) {
   const RowGroup& grp = store.group(group);
-  if (kept.empty() || !grp.droppable) return Units::all(grp.rows);
+  if (kept.empty()) return Units::all(grp.rows);
   FEDBIAD_CHECK(kept.size() == store.droppable_rows(),
                 "dropping pattern does not cover the model");
   const std::size_t base = store.droppable_index(group, 0);

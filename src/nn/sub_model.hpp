@@ -34,9 +34,9 @@ struct Units {
 };
 
 /// Rows of `group` kept by β (one byte per store.droppable_rows(), empty ⇒
-/// all kept). An empty β, a non-droppable group, or a fully kept group give
-/// Units::all(rows); otherwise `buf` receives the ascending kept rows and
-/// backs the returned list.
+/// all kept). An empty β or a fully kept group gives Units::all(rows);
+/// otherwise `buf` receives the ascending kept rows and backs the returned
+/// list.
 [[nodiscard]] Units kept_units(const ParameterStore& store, std::size_t group,
                                std::span<const std::uint8_t> kept,
                                std::vector<std::size_t>& buf);

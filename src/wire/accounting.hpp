@@ -43,8 +43,8 @@ inline constexpr std::uint64_t kCrcTrailerBytes = 4;
   return count * 4;
 }
 
-/// §IV-B step 3: kept weights (kept rows of droppable groups plus every
-/// non-droppable group, 4 bytes each) + the packed row pattern β.
+/// §IV-B step 3: kept weights (every coordinate of a kept row, 4 bytes
+/// each) + the packed row pattern β, one bit per weight row.
 [[nodiscard]] constexpr std::uint64_t row_masked_bytes(
     std::uint64_t kept_weights, std::uint64_t rows) {
   return dense_f32_bytes(kept_weights) + packed_bits_bytes(rows);
@@ -85,11 +85,11 @@ inline constexpr std::uint64_t kCrcTrailerBytes = 4;
   return candidates + 4;
 }
 
-/// Magnitude-pruning upload, occupancy-bitmap variant: 1 bit per prunable
-/// coordinate + kept prunable values + non-droppable values dense.
+/// Magnitude-pruning upload, occupancy-bitmap variant: 1 bit per
+/// coordinate + the kept values dense.
 [[nodiscard]] constexpr std::uint64_t pruned_bitmap_bytes(
-    std::uint64_t prunable, std::uint64_t kept, std::uint64_t fixed) {
-  return packed_bits_bytes(prunable) + dense_f32_bytes(kept + fixed);
+    std::uint64_t coords, std::uint64_t kept) {
+  return packed_bits_bytes(coords) + dense_f32_bytes(kept);
 }
 
 /// Exact size of a delta-varint index run: varint(count) + varint gaps

@@ -50,32 +50,14 @@ CompactUpdate decode_dense(const nn::ParameterStore& layout, Reader& r) {
 }
 
 CompactUpdate decode_row_masked(const nn::ParameterStore& layout, Reader& r) {
-  const std::size_t rows = layout.droppable_rows();
-  const auto packed = r.bytes(packed_bits_bytes(rows));
-  const Bitset row_bits = Bitset::from_packed(packed, rows);
   CompactUpdate u;
   u.form = CompactUpdate::Form::kBitmap;
   u.coords = layout.size();
-  u.present = Bitset(layout.size());
-  std::size_t kept = 0;
-  for (std::size_t g = 0; g < layout.groups().size(); ++g) {
-    const nn::RowGroup& grp = layout.group(g);
-    if (!grp.droppable) {
-      u.present.set_range(grp.offset, grp.offset + grp.size());
-      kept += grp.size();
-      continue;
-    }
-    for (std::size_t row = 0; row < grp.rows; ++row) {
-      if (!row_bits.test(layout.droppable_index(g, row))) continue;
-      const std::size_t begin = grp.offset + row * grp.row_len;
-      u.present.set_range(begin, begin + grp.row_len);
-      kept += grp.row_len;
-    }
-  }
-  // Groups are laid out at ascending contiguous offsets (ParameterStore
-  // appends them at the running total), so the wire's group-by-group value
-  // stream IS ascending-coordinate rank order: one bulk read suffices.
-  u.values.resize(kept);
+  u.present = expand_row_mask(
+      layout, r.bytes(packed_bits_bytes(layout.droppable_rows())));
+  // The encoder writes the kept rows in ascending coordinate order, so the
+  // value stream IS rank order: one bulk read suffices.
+  u.values.resize(u.present.count());
   r.f32_run(u.values);
   r.expect_done();
   u.build_rank_directory();
@@ -235,62 +217,29 @@ CompactUpdate decode_int8_dense(const nn::ParameterStore& layout, Reader& r,
 
 CompactUpdate decode_pruned(const nn::ParameterStore& layout, Reader& r,
                             bool bitmap_variant) {
-  std::uint64_t prunable = 0;
-  std::uint64_t fixed = 0;
-  for (const nn::RowGroup& grp : layout.groups()) {
-    if (grp.droppable) {
-      prunable += grp.size();
-    } else {
-      fixed += grp.size();
-    }
-  }
-  Bitset kept(static_cast<std::size_t>(prunable));
+  const std::size_t n = layout.size();
+  CompactUpdate u;
+  u.form = CompactUpdate::Form::kBitmap;
+  u.coords = n;
   if (bitmap_variant) {
-    kept = Bitset::from_packed(r.bytes(packed_bits_bytes(prunable)),
-                               static_cast<std::size_t>(prunable));
+    u.present = Bitset::from_packed(r.bytes(packed_bits_bytes(n)), n);
   } else {
+    u.present = Bitset(n);
     const std::uint64_t k = r.varint();
-    if (k > prunable) throw DecodeError("pruned entry count exceeds model");
+    if (k > n) throw DecodeError("pruned entry count exceeds model");
     std::uint64_t prev = 0;
     for (std::uint64_t i = 0; i < k; ++i) {
       const std::uint64_t gap = r.varint();
       const std::uint64_t idx = i == 0 ? gap : prev + gap + 1;
-      if (idx >= prunable) throw DecodeError("pruned index out of range");
-      kept.set(static_cast<std::size_t>(idx));
+      if (idx >= n) throw DecodeError("pruned index out of range");
+      u.present.set(static_cast<std::size_t>(idx));
       prev = idx;
     }
   }
-  // Wire value order is kept-prunable first, then the fixed groups — NOT
-  // ascending coordinate order when droppable and fixed groups interleave.
-  // Read both sections, then walk the (ascending, contiguous) groups once,
-  // merging the two cursors into rank order.
-  std::vector<float> kept_vals(kept.count());
-  r.f32_run(kept_vals);
-  std::vector<float> fixed_vals(static_cast<std::size_t>(fixed));
-  r.f32_run(fixed_vals);
+  // Kept values follow in ascending coordinate order, i.e. rank order.
+  u.values.resize(u.present.count());
+  r.f32_run(u.values);
   r.expect_done();
-  CompactUpdate u;
-  u.form = CompactUpdate::Form::kBitmap;
-  u.coords = layout.size();
-  u.present = Bitset(layout.size());
-  u.values.reserve(kept_vals.size() + fixed_vals.size());
-  std::size_t p = 0;   // prunable-space cursor
-  std::size_t kc = 0;  // kept-value cursor
-  std::size_t fc = 0;  // fixed-value cursor
-  for (const nn::RowGroup& grp : layout.groups()) {
-    if (!grp.droppable) {
-      u.present.set_range(grp.offset, grp.offset + grp.size());
-      for (std::size_t i = 0; i < grp.size(); ++i) {
-        u.values.push_back(fixed_vals[fc++]);
-      }
-      continue;
-    }
-    for (std::size_t i = grp.offset; i < grp.offset + grp.size(); ++i, ++p) {
-      if (!kept.test(p)) continue;
-      u.present.set(i);
-      u.values.push_back(kept_vals[kc++]);
-    }
-  }
   u.build_rank_directory();
   return u;
 }

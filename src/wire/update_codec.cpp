@@ -63,24 +63,21 @@ Payload encode_row_masked(const nn::ParameterStore& layout,
   const std::size_t rows = layout.droppable_rows();
   FEDBIAD_CHECK(row_kept.size() == rows, "row mask / layout mismatch");
   FEDBIAD_CHECK(values.size() == layout.size(), "values / layout mismatch");
+  const auto kept = [&](std::size_t j) { return row_kept[j] != 0; };
+  std::uint64_t kept_weights = 0;
+  nn::for_each_kept_run(layout, kept, [&](std::size_t b, std::size_t e) {
+    kept_weights += e - b;
+  });
+  // Uploads queue at the server with whatever capacity they were built
+  // with; an exact buffer keeps the in-flight payloads at their wire size.
   Writer w;
+  w.reserve(row_masked_bytes(kept_weights, rows));
   // Bitset::packed_bytes IS the wire form, so the packing convention lives
   // in exactly one place (its from_packed is what the decoder uses).
   w.bytes(Bitset::from_bytemask(row_kept).packed_bytes());
-  std::uint64_t kept_weights = 0;
-  for (std::size_t g = 0; g < layout.groups().size(); ++g) {
-    const nn::RowGroup& grp = layout.group(g);
-    if (!grp.droppable) {
-      w.f32_run(values.subspan(grp.offset, grp.size()));
-      kept_weights += grp.size();
-      continue;
-    }
-    for (std::size_t r = 0; r < grp.rows; ++r) {
-      if (row_kept[layout.droppable_index(g, r)] == 0) continue;
-      w.f32_run(values.subspan(grp.offset + r * grp.row_len, grp.row_len));
-      kept_weights += grp.row_len;
-    }
-  }
+  nn::for_each_kept_run(layout, kept, [&](std::size_t b, std::size_t e) {
+    w.f32_run(values.subspan(b, e - b));
+  });
   Payload p{.kind = PayloadKind::kRowMasked, .bytes = std::move(w).take()};
   FEDBIAD_DCHECK(p.size() == row_masked_bytes(kept_weights, rows),
                  "row-masked encoding size drifted from accounting");
@@ -217,39 +214,23 @@ Payload encode_pruned(const nn::ParameterStore& layout,
   const std::size_t n = layout.size();
   FEDBIAD_CHECK(coord_mask.size() == n && values.size() == n,
                 "mask / values / layout mismatch");
-  // Walk droppable groups in layout order, collecting the kept coordinates'
-  // prunable-space indices and values; fixed (non-droppable) groups are
-  // always transmitted dense.
+  // Collect the kept coordinates' indices and values in layout order.
   std::vector<std::uint32_t> kept_idx;
   std::vector<float> kept_val;
-  std::uint64_t prunable = 0;
-  std::uint64_t fixed = 0;
-  for (const nn::RowGroup& grp : layout.groups()) {
-    if (!grp.droppable) {
-      fixed += grp.size();
-      continue;
-    }
-    for (std::size_t i = grp.offset; i < grp.offset + grp.size(); ++i) {
-      if (coord_mask[i] != 0) {
-        kept_idx.push_back(static_cast<std::uint32_t>(prunable));
-        kept_val.push_back(values[i]);
-      }
-      ++prunable;
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (coord_mask[i] == 0) continue;
+    kept_idx.push_back(static_cast<std::uint32_t>(i));
+    kept_val.push_back(values[i]);
   }
-  const std::uint64_t bitmap_size =
-      pruned_bitmap_bytes(prunable, kept_idx.size(), fixed);
+  const std::uint64_t bitmap_size = pruned_bitmap_bytes(n, kept_idx.size());
   const std::uint64_t varint_size =
       delta_varint_index_bytes(std::span<const std::uint32_t>(kept_idx)) +
-      dense_f32_bytes(kept_idx.size() + fixed);
+      dense_f32_bytes(kept_idx.size());
   Writer w;
   PayloadKind kind;
   if (bitmap_size <= varint_size) {
     kind = PayloadKind::kPrunedBitmap;
-    Bitset occupancy(static_cast<std::size_t>(prunable));
-    for (const std::uint32_t idx : kept_idx) occupancy.set(idx);
-    w.bytes(occupancy.packed_bytes());
-    w.f32_run(kept_val);
+    w.bytes(Bitset::from_bytemask(coord_mask).packed_bytes());
   } else {
     kind = PayloadKind::kPrunedVarint;
     w.varint(kept_idx.size());
@@ -258,12 +239,8 @@ Payload encode_pruned(const nn::ParameterStore& layout,
       w.varint(i == 0 ? kept_idx[i] : kept_idx[i] - prev - 1);
       prev = kept_idx[i];
     }
-    w.f32_run(kept_val);
   }
-  for (const nn::RowGroup& grp : layout.groups()) {
-    if (grp.droppable) continue;
-    w.f32_run(values.subspan(grp.offset, grp.size()));
-  }
+  w.f32_run(kept_val);
   Payload p{.kind = kind, .bytes = std::move(w).take()};
   FEDBIAD_DCHECK(p.size() == std::min(bitmap_size, varint_size),
                  "pruned encoding size drifted from accounting");
@@ -272,21 +249,11 @@ Payload encode_pruned(const nn::ParameterStore& layout,
 
 Bitset expand_row_mask(const nn::ParameterStore& layout,
                        std::span<const std::uint8_t> packed) {
-  const std::size_t rows = layout.droppable_rows();
-  const Bitset row_bits = Bitset::from_packed(packed, rows);
+  const Bitset row_bits = Bitset::from_packed(packed, layout.droppable_rows());
   Bitset present(layout.size());
-  for (std::size_t g = 0; g < layout.groups().size(); ++g) {
-    const nn::RowGroup& grp = layout.group(g);
-    if (!grp.droppable) {
-      present.set_range(grp.offset, grp.offset + grp.size());
-      continue;
-    }
-    for (std::size_t r = 0; r < grp.rows; ++r) {
-      if (!row_bits.test(layout.droppable_index(g, r))) continue;
-      const std::size_t begin = grp.offset + r * grp.row_len;
-      present.set_range(begin, begin + grp.row_len);
-    }
-  }
+  nn::for_each_kept_run(
+      layout, [&](std::size_t j) { return row_bits.test(j); },
+      [&](std::size_t b, std::size_t e) { present.set_range(b, e); });
   return present;
 }
 

@@ -16,9 +16,8 @@
 //
 // Section formats (all little-endian; bit runs LSB-first):
 //   kDenseF32      f32[n]                                  (n from layout)
-//   kRowMasked     packed β (J bits, zero-padded) ∥ f32 kept-row weights in
-//                  layout order: non-droppable groups in full, then each
-//                  kept row of each droppable group           (J from layout)
+//   kRowMasked     packed β (J bits, zero-padded) ∥ f32 weights of each
+//                  kept row, ascending coordinate order       (J from layout)
 //   kSparseFixed   { position:u<aux>, value:f32 }[k], positions strictly
 //                  increasing; k = size / (4 + aux/8)
 //   kSparseVarint  varint k ∥ delta-varint positions ∥ f32[k]
@@ -26,10 +25,8 @@
 //                  { position:<aux> bits, sign:1 bit }[k]
 //   kSignMean      f32 scale ∥ 1 sign bit per candidate coordinate
 //   kInt8Dense     f32 scale ∥ i8 quant per candidate coordinate
-//   kPrunedBitmap  packed occupancy over prunable (droppable-group)
-//                  coordinates ∥ f32 kept prunable ∥ f32 non-droppable
-//   kPrunedVarint  varint k ∥ delta-varint prunable-space positions ∥
-//                  f32 kept prunable ∥ f32 non-droppable
+//   kPrunedBitmap  packed occupancy over every coordinate ∥ f32 kept
+//   kPrunedVarint  varint k ∥ delta-varint positions ∥ f32 kept
 //   kSubModel      f64 width ratio ∥ f32 surviving weights — the mask is
 //                  rebuilt from the ratio by the strategy's WidthPlan, so
 //                  decoding routes through Strategy::decode_payload_compact
@@ -98,7 +95,7 @@ void strip_seal(Payload& payload);
 [[nodiscard]] Payload encode_dense_f32(std::span<const float> values);
 
 /// `row_kept` is byte-per-row (DropPattern::bits()); `values` is the full
-/// dense vector, of which only kept/non-droppable coordinates are written.
+/// dense vector, of which only the kept rows' coordinates are written.
 [[nodiscard]] Payload encode_row_masked(const nn::ParameterStore& layout,
                                         std::span<const std::uint8_t> row_kept,
                                         std::span<const float> values);
@@ -129,15 +126,14 @@ void strip_seal(Payload& payload);
                                         std::size_t candidates);
 
 /// Magnitude-pruned upload: `coord_mask` is byte-per-coordinate over the
-/// full layout (non-droppable coordinates must be 1). Emits whichever of
-/// kPrunedBitmap / kPrunedVarint measures smaller.
+/// full layout. Emits whichever of kPrunedBitmap / kPrunedVarint measures
+/// smaller.
 [[nodiscard]] Payload encode_pruned(const nn::ParameterStore& layout,
                                     std::span<const std::uint8_t> coord_mask,
                                     std::span<const float> values);
 
 /// Expands a packed row pattern β (as transmitted, ceil(J/8) bytes) into the
-/// coordinate-level presence set: non-droppable coordinates and every
-/// coordinate of a kept row.
+/// coordinate-level presence set: every coordinate of a kept row.
 [[nodiscard]] Bitset expand_row_mask(const nn::ParameterStore& layout,
                                      std::span<const std::uint8_t> packed);
 

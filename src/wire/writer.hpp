@@ -21,6 +21,10 @@ namespace fedbiad::wire {
 
 class Writer {
  public:
+  /// Sizes the buffer for `n` bytes up front, so an encoder that knows its
+  /// output size hands over a payload without growth slack.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
 
   // Multi-byte fields grow the buffer once and store through the resized

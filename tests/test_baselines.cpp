@@ -434,15 +434,6 @@ TEST(WidthPlan, PatternsAreNested) {
   EXPECT_EQ(plan.pattern(store, 1.0).dropped_count(), 0u);
 }
 
-TEST(WidthPlan, RowRuleOnNonDroppableGroupThrows) {
-  nn::ParameterStore store;
-  store.add_group("frozen", nn::GroupKind::kDense, 4, 3, false);
-  store.finalize();
-  const WidthPlan plan(
-      {{.group = 0, .axis = WidthPlan::Rule::Axis::kRows, .units = 4}});
-  EXPECT_THROW((void)plan.pattern(store, 0.5), fedbiad::CheckError);
-}
-
 TEST(WidthPlan, WidthRoundsProductsNearAnInteger) {
   // 1 - 0.7 is 0.30000000000000004: ceil of its product with a multiple of
   // ten would keep one unit too many.

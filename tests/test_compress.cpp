@@ -272,7 +272,7 @@ INSTANTIATE_TEST_SUITE_P(Rates, SparsitySweep,
 
 nn::ParameterStore flat_layout(std::size_t n) {
   nn::ParameterStore store;
-  store.add_group("w", nn::GroupKind::kDense, n, 1, true);
+  store.add_group("w", nn::GroupKind::kDense, n, 1);
   store.finalize();
   return store;
 }

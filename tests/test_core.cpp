@@ -28,11 +28,13 @@ fl::ClientOutcome run_decoded(Strat& strat, fl::ClientContext& ctx) {
   return out;
 }
 
+/// Ragged three-group layout: 8×5 dense, 2×3 embedding, 4×5 recurrent.
+/// J = 14 rows; only fc1 is kDense.
 nn::ParameterStore make_store() {
   nn::ParameterStore store;
-  store.add_group("fc1", nn::GroupKind::kDense, 8, 5, true);
-  store.add_group("bias", nn::GroupKind::kDense, 2, 3, false);
-  store.add_group("wx", nn::GroupKind::kRecurrentUnit, 4, 5, true);
+  store.add_group("fc1", nn::GroupKind::kDense, 8, 5);
+  store.add_group("emb", nn::GroupKind::kEmbedding, 2, 3);
+  store.add_group("wx", nn::GroupKind::kRecurrentUnit, 4, 5);
   store.finalize();
   return store;
 }
@@ -47,9 +49,9 @@ TEST(DropPattern, SampleDropsExactPerGroupCounts) {
   auto store = make_store();
   tensor::Rng rng(3);
   const auto p = DropPattern::sample(store, 0.5, eligible_all(), rng);
-  // fc1: 8 rows → 4 dropped; wx: 4 rows → 2 dropped. J = 12, kept = 6.
-  EXPECT_EQ(p.rows(), 12u);
-  EXPECT_EQ(p.kept_count(), 6u);
+  // fc1: 8 rows → 4 dropped; emb: 2 → 1; wx: 4 → 2. J = 14, kept = 7.
+  EXPECT_EQ(p.rows(), 14u);
+  EXPECT_EQ(p.kept_count(), 7u);
   std::size_t fc1_kept = 0;
   for (std::size_t r = 0; r < 8; ++r) {
     fc1_kept += p.kept(store.droppable_index(0, r)) ? 1 : 0;
@@ -64,6 +66,10 @@ TEST(DropPattern, EligibilityProtectsRecurrentRows) {
   for (std::size_t r = 0; r < 4; ++r) {
     EXPECT_TRUE(p.kept(store.droppable_index(2, r)))
         << "recurrent row " << r << " must never be dropped by FC-only drop";
+  }
+  for (std::size_t r = 0; r < 2; ++r) {
+    EXPECT_TRUE(p.kept(store.droppable_index(1, r)))
+        << "embedding row " << r << " must never be dropped by FC-only drop";
   }
   EXPECT_EQ(p.dropped_count(), 4u);  // only fc1's half
 }
@@ -98,8 +104,6 @@ TEST(DropPattern, ApplyZeroesDroppedRowsOnly) {
       }
     }
   }
-  // Non-droppable group untouched.
-  for (const float v : store.group_params(1)) EXPECT_EQ(v, 1.0F);
 }
 
 TEST(DropPattern, ApplyToGradsMirrorsParams) {
@@ -129,16 +133,28 @@ TEST(DropPattern, PresenceMarksDroppedCoordinates) {
   p.mark_presence(store, present);
   std::size_t absent = 0;
   for (const auto b : present) absent += b == 0 ? 1 : 0;
-  EXPECT_EQ(absent, p.dropped_count() * 5);  // all rows are 5 wide
+  std::size_t dropped_coords = 0;
+  for (std::size_t j = 0; j < p.rows(); ++j) {
+    const auto ref = store.droppable_row(j);
+    const auto row = store.row_params(ref.group, ref.row);
+    const std::size_t begin =
+        static_cast<std::size_t>(row.data() - store.params().data());
+    for (std::size_t i = begin; i < begin + row.size(); ++i) {
+      EXPECT_EQ(present[i], p.kept(j) ? 1 : 0) << "row " << j;
+    }
+    if (!p.kept(j)) dropped_coords += row.size();
+  }
+  EXPECT_EQ(absent, dropped_coords);
+  EXPECT_EQ(absent, 4 * 5 + 1 * 3 + 2 * 5);
 }
 
 TEST(DropPattern, UploadBytesMatchesPaperAccounting) {
   auto store = make_store();
   tensor::Rng rng(19);
   const auto p = DropPattern::sample(store, 0.5, eligible_all(), rng);
-  // kept droppable rows: 6 × 5 floats; non-droppable: 6 floats; mask: 12 bits
-  // → 2 bytes.
-  const std::uint64_t expected = (6 * 5 + 6) * 4 + 2;
+  // kept rows: 4 + 2 rows × 5 floats and 1 row × 3; mask: 14 bits → 2
+  // bytes.
+  const std::uint64_t expected = (6 * 5 + 3) * 4 + 2;
   EXPECT_EQ(p.upload_bytes(store), expected);
   EXPECT_EQ(dense_model_bytes(store), store.size() * 4);
 }
@@ -154,7 +170,7 @@ class DropRateSweep : public ::testing::TestWithParam<double> {};
 TEST_P(DropRateSweep, KeptFractionTracksRate) {
   const double rate = GetParam();
   nn::ParameterStore store;
-  store.add_group("w", nn::GroupKind::kDense, 200, 10, true);
+  store.add_group("w", nn::GroupKind::kDense, 200, 10);
   store.finalize();
   tensor::Rng rng(23);
   const auto p = DropPattern::sample(store, rate, eligible_all(), rng);
@@ -255,7 +271,7 @@ TEST(WeightScore, QuantileInterpolates) {
 
 TEST(WeightScore, MakePatternKeepsTopScoredRows) {
   nn::ParameterStore store;
-  store.add_group("w", nn::GroupKind::kDense, 6, 3, true);
+  store.add_group("w", nn::GroupKind::kDense, 6, 3);
   store.finalize();
   WeightScoreVector s(std::vector<double>{5.0, 1.0, 4.0, 0.0, 3.0, 2.0});
   tensor::Rng rng(29);
@@ -281,7 +297,7 @@ TEST(WeightScore, MakePatternRespectsEligibility) {
 
 TEST(WeightScore, TieBreaksAreRandomNotIndexOrdered) {
   nn::ParameterStore store;
-  store.add_group("w", nn::GroupKind::kDense, 100, 2, true);
+  store.add_group("w", nn::GroupKind::kDense, 100, 2);
   store.finalize();
   WeightScoreVector s(100);  // all-zero scores: pure tie
   tensor::Rng r1(1), r2(2);

@@ -32,34 +32,93 @@ using tensor::Rng;
 
 TEST(ParameterStore, GroupRegistrationAndOffsets) {
   ParameterStore store;
-  const auto g0 = store.add_group("a", GroupKind::kDense, 4, 5, true);
-  const auto g1 = store.add_group("b", GroupKind::kEmbedding, 3, 2, false);
-  const auto g2 = store.add_group("c", GroupKind::kRecurrentUnit, 2, 2, true);
+  const auto g0 = store.add_group("a", GroupKind::kDense, 4, 5);
+  const auto g1 = store.add_group("b", GroupKind::kEmbedding, 3, 2);
+  const auto g2 = store.add_group("c", GroupKind::kRecurrentUnit, 2, 2);
   store.finalize();
   EXPECT_EQ(store.size(), 4u * 5 + 3u * 2 + 2u * 2);
   EXPECT_EQ(store.group(g0).offset, 0u);
   EXPECT_EQ(store.group(g1).offset, 20u);
   EXPECT_EQ(store.group(g2).offset, 26u);
-  EXPECT_EQ(store.droppable_rows(), 4u + 2u);  // groups a and c
+  EXPECT_EQ(store.droppable_rows(), 4u + 3u + 2u);  // every group's rows
 }
 
 TEST(ParameterStore, DroppableRowRoundTrip) {
   ParameterStore store;
-  store.add_group("a", GroupKind::kDense, 4, 5, true);
-  store.add_group("b", GroupKind::kEmbedding, 3, 2, false);
-  store.add_group("c", GroupKind::kRecurrentUnit, 2, 2, true);
+  store.add_group("a", GroupKind::kDense, 4, 5);
+  store.add_group("b", GroupKind::kEmbedding, 3, 2);
+  store.add_group("c", GroupKind::kRecurrentUnit, 2, 2);
   store.finalize();
   for (std::size_t j = 0; j < store.droppable_rows(); ++j) {
     const auto ref = store.droppable_row(j);
     EXPECT_EQ(store.droppable_index(ref.group, ref.row), j);
   }
-  EXPECT_THROW((void)store.droppable_row(6), fedbiad::CheckError);
-  EXPECT_THROW((void)store.droppable_index(1, 0), fedbiad::CheckError);
+  EXPECT_EQ(store.droppable_index(1, 0), 4u);
+  EXPECT_EQ(store.droppable_index(2, 1), 8u);
+  EXPECT_THROW((void)store.droppable_row(9), fedbiad::CheckError);
+  EXPECT_THROW((void)store.droppable_index(1, 3), fedbiad::CheckError);
+  EXPECT_THROW((void)store.droppable_index(3, 0), fedbiad::CheckError);
+}
+
+/// Row j's coordinate range starts where row j-1's ends, and the J rows
+/// together cover [0, size()): every coordinate belongs to exactly one
+/// droppable row.
+void expect_rows_tile(const ParameterStore& store) {
+  std::size_t next = 0;
+  for (std::size_t j = 0; j < store.droppable_rows(); ++j) {
+    const auto ref = store.droppable_row(j);
+    const auto row = store.row_params(ref.group, ref.row);
+    EXPECT_EQ(static_cast<std::size_t>(row.data() - store.params().data()),
+              next)
+        << "row " << j << " (" << store.group(ref.group).name << ")";
+    next += row.size();
+  }
+  EXPECT_EQ(next, store.size());
+}
+
+TEST(ParameterStore, RowsTileTheStore) {
+  expect_rows_tile(MlpModel(MlpConfig{}).store());
+  expect_rows_tile(LstmLmModel(LstmLmConfig{}).store());
+  ParameterStore ragged;
+  ragged.add_group("a", GroupKind::kDense, 4, 5);
+  ragged.add_group("b", GroupKind::kEmbedding, 3, 2);
+  ragged.add_group("c", GroupKind::kRecurrentUnit, 2, 7);
+  ragged.finalize();
+  expect_rows_tile(ragged);
+}
+
+/// The runs for_each_kept_run yields for `kept`, in call order.
+template <typename Kept>
+std::vector<std::pair<std::size_t, std::size_t>> kept_runs(
+    const ParameterStore& store, Kept&& kept) {
+  std::vector<std::pair<std::size_t, std::size_t>> runs;
+  for_each_kept_run(store, kept, [&](std::size_t b, std::size_t e) {
+    runs.emplace_back(b, e);
+  });
+  return runs;
+}
+
+TEST(ParameterStore, KeptRunsAreMaximalAcrossGroups) {
+  // Offsets: a rows at 0/5/10/15, b rows at 20/22/24, c rows at 26/33.
+  ParameterStore store;
+  store.add_group("a", GroupKind::kDense, 4, 5);
+  store.add_group("b", GroupKind::kEmbedding, 3, 2);
+  store.add_group("c", GroupKind::kRecurrentUnit, 2, 7);
+  store.finalize();
+  using Runs = std::vector<std::pair<std::size_t, std::size_t>>;
+  const std::vector<std::uint8_t> beta = {1, 1, 0, 1, 1, 0, 1, 1, 1};
+  EXPECT_EQ(kept_runs(store, [&](std::size_t j) { return beta[j] != 0; }),
+            (Runs{{0, 10}, {15, 22}, {24, 40}}));
+  EXPECT_EQ(kept_runs(store, [&](std::size_t j) { return beta[j] == 0; }),
+            (Runs{{10, 15}, {22, 24}}));
+  EXPECT_EQ(kept_runs(store, [](std::size_t) { return true; }),
+            (Runs{{0, 40}}));
+  EXPECT_TRUE(kept_runs(store, [](std::size_t) { return false; }).empty());
 }
 
 TEST(ParameterStore, RowSpansAreDisjointAndOrdered) {
   ParameterStore store;
-  store.add_group("a", GroupKind::kDense, 3, 4, true);
+  store.add_group("a", GroupKind::kDense, 3, 4);
   store.finalize();
   auto r0 = store.row_params(0, 0);
   auto r2 = store.row_params(0, 2);
@@ -70,16 +129,16 @@ TEST(ParameterStore, RowSpansAreDisjointAndOrdered) {
 TEST(ParameterStore, FinalizeGuards) {
   ParameterStore store;
   EXPECT_THROW(store.finalize(), fedbiad::CheckError);  // empty
-  store.add_group("a", GroupKind::kDense, 1, 1, true);
+  store.add_group("a", GroupKind::kDense, 1, 1);
   store.finalize();
-  EXPECT_THROW(store.add_group("b", GroupKind::kDense, 1, 1, true),
+  EXPECT_THROW(store.add_group("b", GroupKind::kDense, 1, 1),
                fedbiad::CheckError);
   EXPECT_THROW(store.finalize(), fedbiad::CheckError);  // twice
 }
 
 TEST(ParameterStore, ZeroGradsClears) {
   ParameterStore store;
-  store.add_group("a", GroupKind::kDense, 2, 2, true);
+  store.add_group("a", GroupKind::kDense, 2, 2);
   store.finalize();
   store.grads()[1] = 3.0F;
   store.zero_grads();
@@ -408,7 +467,7 @@ TEST(Loss, EvalResultMerge) {
 
 TEST(Optimizer, SgdStepMovesAgainstGradient) {
   ParameterStore store;
-  store.add_group("a", GroupKind::kDense, 1, 3, true);
+  store.add_group("a", GroupKind::kDense, 1, 3);
   store.finalize();
   store.params()[0] = 1.0F;
   store.grads()[0] = 2.0F;
@@ -419,7 +478,7 @@ TEST(Optimizer, SgdStepMovesAgainstGradient) {
 
 TEST(Optimizer, WeightDecayShrinksParams) {
   ParameterStore store;
-  store.add_group("a", GroupKind::kDense, 1, 2, true);
+  store.add_group("a", GroupKind::kDense, 1, 2);
   store.finalize();
   store.params()[0] = 1.0F;
   SgdConfig cfg{.lr = 0.1F, .weight_decay = 0.5F, .clip_norm = 0.0F};
@@ -429,7 +488,7 @@ TEST(Optimizer, WeightDecayShrinksParams) {
 
 TEST(Optimizer, ClipNormLimitsStep) {
   ParameterStore store;
-  store.add_group("a", GroupKind::kDense, 1, 2, true);
+  store.add_group("a", GroupKind::kDense, 1, 2);
   store.finalize();
   store.grads()[0] = 3.0F;
   store.grads()[1] = 4.0F;  // norm = 5
@@ -495,7 +554,7 @@ TEST(Optimizer, CertifiedClipMatchesSerialNorm) {
   for (const double ratio : ratios) {
     SCOPED_TRACE(testing::Message() << "clip/norm=" << ratio);
     ParameterStore store;
-    store.add_group("w", GroupKind::kDense, 1, kSize, false);
+    store.add_group("w", GroupKind::kDense, 1, kSize);
     store.finalize();
     auto grads = store.grads();
     const double target = (clip / ratio) * (clip / ratio);
@@ -539,14 +598,15 @@ TEST(Optimizer, CertifiedClipMatchesSerialNorm) {
   }
 }
 
-TEST(Optimizer, KeptRowsStepCoversNonDroppableGroups) {
-  // Droppable and non-droppable groups interleaved: the kept-rows step must
-  // update every non-droppable coordinate, as the masked full step does.
+TEST(Optimizer, KeptRowsStepMergesRunsAcrossGroups) {
+  // Ragged groups of every kind under a random β: kept runs that cross a
+  // group boundary merge into one, and the kept-rows step must still match
+  // the masked full step bit for bit.
   ParameterStore masked;
-  masked.add_group("a", GroupKind::kDense, 4, 5, true);
-  masked.add_group("b", GroupKind::kDense, 3, 2, false);
-  masked.add_group("c", GroupKind::kRecurrentUnit, 6, 7, true);
-  masked.add_group("d", GroupKind::kEmbedding, 1, 3, false);
+  masked.add_group("a", GroupKind::kDense, 4, 5);
+  masked.add_group("b", GroupKind::kDense, 3, 2);
+  masked.add_group("c", GroupKind::kRecurrentUnit, 6, 7);
+  masked.add_group("d", GroupKind::kEmbedding, 1, 3);
   masked.finalize();
   Rng rng(337);
   core::DropPattern pattern(masked.droppable_rows());
@@ -754,8 +814,8 @@ void expect_same_bits(std::span<const float> got, std::span<const float> want,
                 << ")";
 }
 
-/// Pattern over a store from per-group kept masks (non-droppable groups
-/// contribute nothing); groups not in `masks` are fully kept.
+/// Pattern over a store from per-group kept masks; groups not in `masks`
+/// are fully kept.
 core::DropPattern pattern_of(
     const ParameterStore& store,
     const std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>>&
@@ -901,7 +961,6 @@ void expect_sub_model_steps_match(const Config& cfg,
   const ParameterStore& store = full.store();
   std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> masks;
   for (std::size_t g = 0; g < store.groups().size(); ++g) {
-    if (!store.group(g).droppable) continue;
     // Hidden units take the parameterized count; vocabulary/class rows
     // drop about half, as FedBIAD's p = 0.5 does.
     const bool unit_group =
@@ -943,7 +1002,6 @@ void expect_kept_rows_sgd_matches_masked(const Config& cfg,
   const ParameterStore& store = masked.store();
   std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> masks;
   for (std::size_t g = 0; g < store.groups().size(); ++g) {
-    if (!store.group(g).droppable) continue;
     masks.emplace_back(g, kept_mask(store.group(g).rows, mode, rng));
   }
   const auto pattern = pattern_of(store, masks);

@@ -383,13 +383,13 @@ TEST(SimulationFailure, SelectionSkipsEmptyShards) {
 // and rejection of truncated or corrupted buffers without UB (the ubsan CI
 // job runs these under -fsanitize=undefined) ---
 
-/// A deliberately ragged layout: droppable groups of different row widths
-/// around a non-droppable group.
+/// A deliberately ragged layout: three groups of different row widths, so
+/// kept-row runs cross group boundaries of every width pair.
 nn::ParameterStore ragged_store() {
   nn::ParameterStore store;
-  store.add_group("fc", nn::GroupKind::kDense, 4, 3, true);
-  store.add_group("head", nn::GroupKind::kDense, 2, 5, false);
-  store.add_group("fc2", nn::GroupKind::kDense, 5, 7, true);
+  store.add_group("fc", nn::GroupKind::kDense, 4, 3);
+  store.add_group("head", nn::GroupKind::kDense, 2, 5);
+  store.add_group("fc2", nn::GroupKind::kDense, 5, 7);
   store.finalize();
   return store;
 }
@@ -543,14 +543,12 @@ TEST(WireCodec, RowMaskedRoundTripHostileValuesAndEdgePatterns) {
     const auto payload = wire::encode_row_masked(store, row_kept, values);
     const auto decoded =
         wire::expand(wire::decode_update_compact(store, payload));
-    // The pattern's coverage: fixed groups whole, droppable rows per β.
+    // The pattern's coverage: every coordinate of each kept row.
     std::vector<std::uint8_t> covered(store.size(), 0);
     for (std::size_t g = 0; g < store.groups().size(); ++g) {
       const nn::RowGroup& grp = store.group(g);
       for (std::size_t r = 0; r < grp.rows; ++r) {
-        if (grp.droppable && row_kept[store.droppable_index(g, r)] == 0) {
-          continue;
-        }
+        if (row_kept[store.droppable_index(g, r)] == 0) continue;
         for (std::size_t c = 0; c < grp.row_len; ++c) {
           covered[grp.offset + r * grp.row_len + c] = 1;
         }
@@ -784,7 +782,7 @@ TEST(WireOracle, StrategyUplinkIsMeasuredAndMatchesAnalytic) {
 TEST(SgdProperty, MaskedRowsStayZeroUnderWeightDecay) {
   // Weight decay must not resurrect dropped rows: decay of zero is zero.
   nn::ParameterStore store;
-  store.add_group("w", nn::GroupKind::kDense, 4, 3, true);
+  store.add_group("w", nn::GroupKind::kDense, 4, 3);
   store.finalize();
   for (auto& v : store.params()) v = 1.0F;
   for (auto& g : store.grads()) g = 0.5F;

@@ -41,6 +41,7 @@
 #include "fl/fused_aggregate.hpp"
 #include "fl/strategy.hpp"
 #include "netsim/client_profile.hpp"
+#include "nn/lstm_lm_model.hpp"
 #include "nn/mlp_model.hpp"
 #include "nn/parameter_store.hpp"
 #include "parallel/thread_pool.hpp"
@@ -61,11 +62,12 @@ namespace fs = std::filesystem;
 
 // --- shared fixtures -------------------------------------------------------
 
+/// Three groups of row widths 3, 5 and 7.
 nn::ParameterStore ragged_store() {
   nn::ParameterStore store;
-  store.add_group("fc", nn::GroupKind::kDense, 4, 3, true);
-  store.add_group("head", nn::GroupKind::kDense, 2, 5, false);
-  store.add_group("fc2", nn::GroupKind::kDense, 5, 7, true);
+  store.add_group("fc", nn::GroupKind::kDense, 4, 3);
+  store.add_group("head", nn::GroupKind::kDense, 2, 5);
+  store.add_group("fc2", nn::GroupKind::kDense, 5, 7);
   store.finalize();
   return store;
 }
@@ -74,9 +76,9 @@ nn::ParameterStore ragged_store() {
 /// the fused kernels cross a block boundary and end on a partial block.
 nn::ParameterStore wide_store() {
   nn::ParameterStore store;
-  store.add_group("emb", nn::GroupKind::kEmbedding, 64, 40, true);
-  store.add_group("fc", nn::GroupKind::kDense, 48, 50, true);
-  store.add_group("head", nn::GroupKind::kDense, 2, 37, false);
+  store.add_group("emb", nn::GroupKind::kEmbedding, 64, 40);
+  store.add_group("fc", nn::GroupKind::kDense, 48, 50);
+  store.add_group("head", nn::GroupKind::kDense, 2, 37);
   store.finalize();
   return store;
 }
@@ -133,15 +135,15 @@ wire::Decoded implied_sparse(std::size_t n,
   return implied(want, keep);
 }
 
-/// Byte-per-coordinate coverage of a row pattern: fixed groups whole, and
-/// every coordinate of each kept row of a droppable group.
+/// Byte-per-coordinate coverage of a row pattern: every coordinate of each
+/// kept row.
 std::vector<std::uint8_t> row_coverage(const nn::ParameterStore& store,
                                        std::span<const std::uint8_t> kept) {
   std::vector<std::uint8_t> keep(store.size(), 0);
   for (std::size_t g = 0; g < store.groups().size(); ++g) {
     const nn::RowGroup& grp = store.group(g);
     for (std::size_t r = 0; r < grp.rows; ++r) {
-      if (grp.droppable && kept[store.droppable_index(g, r)] == 0) continue;
+      if (kept[store.droppable_index(g, r)] == 0) continue;
       std::fill_n(keep.begin() + static_cast<std::ptrdiff_t>(
                                      grp.offset + r * grp.row_len),
                   grp.row_len, std::uint8_t{1});
@@ -195,6 +197,46 @@ TEST(CompactDecode, RowMaskedAllPatterns) {
   for (const auto& kept : {all_kept, all_dropped, ragged}) {
     expect_decodes_to(store, wire::encode_row_masked(store, kept, values),
                       implied(values, row_coverage(store, kept)));
+  }
+}
+
+// On the real model layouts, over random β: the row-masked decoder's
+// presence set is expand_row_mask of the transmitted β, and its values are
+// the kept coordinates gathered element by element, row by row.
+TEST(CompactDecode, RowMaskedMatchesExpandOnModelLayouts) {
+  const nn::MlpModel mlp(nn::MlpConfig{});
+  const nn::LstmLmModel lstm(nn::LstmLmConfig{});
+  tensor::Rng rng(317);
+  for (const nn::ParameterStore* store : {&mlp.store(), &lstm.store()}) {
+    const std::size_t J = store->droppable_rows();
+    const auto values = hostile_values(store->size(), 319);
+    for (const double keep : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+      SCOPED_TRACE(testing::Message() << "J=" << J << " keep=" << keep);
+      std::vector<std::uint8_t> kept(J);
+      for (auto& k : kept) k = rng.bernoulli(keep) ? 1 : 0;
+      const auto payload = wire::encode_row_masked(*store, kept, values);
+      const auto compact = wire::decode_update_compact(*store, payload);
+      const auto packed = std::span(payload.bytes).first((J + 7) / 8);
+      EXPECT_EQ(compact.present, wire::expand_row_mask(*store, packed));
+      EXPECT_EQ(compact.present,
+                wire::Bitset::from_bytemask(row_coverage(*store, kept)));
+      std::vector<float> gathered;
+      for (std::size_t j = 0; j < J; ++j) {
+        if (kept[j] == 0) continue;
+        const auto ref = store->droppable_row(j);
+        const nn::RowGroup& grp = store->group(ref.group);
+        const std::size_t begin = grp.offset + ref.row * grp.row_len;
+        for (std::size_t i = begin; i < begin + grp.row_len; ++i) {
+          gathered.push_back(values[i]);
+        }
+      }
+      ASSERT_EQ(compact.values.size(), gathered.size());
+      for (std::size_t i = 0; i < gathered.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(compact.values[i]),
+                  std::bit_cast<std::uint32_t>(gathered[i]))
+            << "kept value " << i;
+      }
+    }
   }
 }
 
@@ -313,23 +355,13 @@ TEST(CompactDecode, PrunedBothEmittedVariants) {
   const auto store = ragged_store();
   const std::size_t n = store.size();
   const auto values = hostile_values(n, 311);
-  std::vector<std::uint8_t> droppable(n, 0);
-  for (const auto& g : store.groups()) {
-    if (g.droppable) {
-      for (std::size_t i = 0; i < g.rows * g.row_len; ++i) {
-        droppable[g.offset + i] = 1;
-      }
-    }
-  }
-  // Dense mask (keep almost everything) and sparse mask (keep almost
-  // nothing droppable) so both kPrunedBitmap and kPrunedVarint are hit.
-  // Fixed coordinates are 1 in both, as encode_pruned requires, so the mask
-  // is exactly the transmitted set.
+  // Dense mask (keep everything) and sparse mask (keep a few coordinates)
+  // so both kPrunedBitmap and kPrunedVarint are hit. The mask is exactly
+  // the transmitted set.
   std::vector<std::uint8_t> dense_mask(n, 1);
   std::vector<std::uint8_t> sparse_mask(n);
   for (std::size_t i = 0; i < n; ++i) {
-    sparse_mask[i] = droppable[i] ? static_cast<std::uint8_t>(i % 97 == 0)
-                                  : std::uint8_t{1};
+    sparse_mask[i] = static_cast<std::uint8_t>(i % 13 == 5);
   }
   std::vector<wire::PayloadKind> kinds;
   for (const auto& mask : {dense_mask, sparse_mask}) {
@@ -559,9 +591,9 @@ std::vector<float> shifted_hostile(std::size_t n, std::uint64_t seed,
 // which only an accumulator started at 0.0 gets right.
 TEST(FusedAggregate, DenseMergeMatchesCoordinateOuterReference) {
   nn::ParameterStore store;
-  store.add_group("emb", nn::GroupKind::kEmbedding, 128, 70, true);
-  store.add_group("fc", nn::GroupKind::kDense, 96, 81, true);
-  store.add_group("head", nn::GroupKind::kDense, 3, 37, false);
+  store.add_group("emb", nn::GroupKind::kEmbedding, 128, 70);
+  store.add_group("fc", nn::GroupKind::kDense, 96, 81);
+  store.add_group("head", nn::GroupKind::kDense, 3, 37);
   store.finalize();
   const std::size_t n = store.size();
   constexpr std::size_t kBlock = fl::ShardedAccumulator::kBlock;
