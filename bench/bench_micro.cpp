@@ -1,6 +1,6 @@
 // Substrate microbenchmarks (google-benchmark): tensor kernels, LSTM
 // forward/backward, mask application, the posterior draw and the SGD step,
-// compressors, and aggregation.
+// image synthesis, compressors, and aggregation.
 // Not a paper artefact — used to track the simulator's own performance.
 //
 // With FEDBIAD_JSON=<path> set, additionally writes the results as a
@@ -21,6 +21,7 @@
 #include "compress/quantize.hpp"
 #include "core/drop_pattern.hpp"
 #include "core/fedbiad_strategy.hpp"
+#include "data/image_synth.hpp"
 #include "fl/fused_aggregate.hpp"
 #include "nn/loss.hpp"
 #include "nn/lstm.hpp"
@@ -283,6 +284,20 @@ BENCHMARK_CAPTURE(BM_SampleGaussian, mlp, false, -1.0);
 BENCHMARK_CAPTURE(BM_SampleGaussian, mlp_sd1e-2, false, 1e-2);
 BENCHMARK_CAPTURE(BM_SampleGaussian, lstm, true, -1.0);
 BENCHMARK_CAPTURE(BM_SampleGaussian, lstm_sd1e-2, true, 1e-2);
+
+// The MLP workloads' dataset synthesis: mnist_like, 4000 train + 800 test
+// samples (bench_round's set-up). Items = samples.
+void BM_MakeImageDatasets(benchmark::State& state) {
+  auto cfg = data::ImageSynthConfig::mnist_like(42);
+  cfg.train_samples = 4000;
+  cfg.test_samples = 800;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(data::make_image_datasets(cfg));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          4800);
+}
+BENCHMARK(BM_MakeImageDatasets);
 
 // One SGD step (certified clip norm + sgd_axpy) on the train_mlp store with
 // its optimizer settings; arg = dropout percent. A nonzero arg steps only

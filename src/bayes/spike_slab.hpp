@@ -15,12 +15,10 @@ namespace fedbiad::bayes {
 /// float(u[i] + √s2·rng.normal()) for i = 0, 1, … in order, and `rng` ends
 /// in exactly the state that loop leaves (cached deviate included, pending
 /// or stale), so parameters, streams and checkpoints match it byte for
-/// byte. Whole Box–Muller pairs run through the certified vector kernel
-/// (vmath::gaussian_pairs); pairs it cannot prove, a cached deviate pending
-/// on entry and the last one or two coordinates take the libm expression
-/// itself. The FEDBIAD_PORTABLE build runs the same path with the kernel's
-/// scalar body. `theta` may alias `u` (the same data); the two must not
-/// otherwise overlap.
+/// byte. It is tensor::draw_gaussian with sd = √s2, which runs whole
+/// Box–Muller pairs through the certified vector kernel; the FEDBIAD_PORTABLE
+/// build runs the same path with the kernel's scalar body. `theta` may alias
+/// `u` (the same data); the two must not otherwise overlap.
 void sample_gaussian(std::span<const float> u, double s2, tensor::Rng& rng,
                      std::span<float> theta);
 

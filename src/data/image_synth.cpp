@@ -2,8 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <span>
+#include <tuple>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "common/check.hpp"
+#include "tensor/gaussian_draw.hpp"
 #include "tensor/matrix.hpp"
 
 namespace fedbiad::data {
@@ -49,10 +57,14 @@ class ImageDataset final : public Dataset {
   std::size_t classes_;
 };
 
-/// Renders one sample: prototype blobs shifted by (dy, dx) plus noise.
-void render(const std::vector<Blob>& blobs, int dy, int dx, double brightness,
-            double noise, tensor::Rng& rng, std::span<float> out,
-            std::size_t height, std::size_t width) {
+/// The noiseless image Σ_b amp·exp(−½(ry² + rx²)) of prototype blobs
+/// shifted by (dy, dx): per pixel, the blobs in prototype order, the sum the
+/// per-pixel renderer took before adding noise, bit for bit (this TU does
+/// not contract).
+std::vector<double> render_field(const std::vector<Blob>& blobs, int dy,
+                                 int dx, std::size_t height,
+                                 std::size_t width) {
+  std::vector<double> out(height * width);
   for (std::size_t y = 0; y < height; ++y) {
     for (std::size_t x = 0; x < width; ++x) {
       double v = 0.0;
@@ -61,10 +73,10 @@ void render(const std::vector<Blob>& blobs, int dy, int dx, double brightness,
         const double rx = (static_cast<double>(x) - (b.cx + dx)) / b.sx;
         v += b.amp * std::exp(-0.5 * (ry * ry + rx * rx));
       }
-      v = v * brightness + noise * rng.normal();
-      out[y * width + x] = static_cast<float>(std::clamp(v, 0.0, 1.0));
+      out[y * width + x] = v;
     }
   }
+  return out;
 }
 
 ImageDatasets generate(const ImageSynthConfig& cfg) {
@@ -94,6 +106,11 @@ ImageDatasets generate(const ImageSynthConfig& cfg) {
   }
 
   const std::size_t dim = cfg.height * cfg.width;
+  // One field per (class, dy, dx) key, rendered on its first use: at most
+  // min(keys, samples) fields of dim doubles, freed on return. Rendering
+  // draws nothing from the rng.
+  std::map<std::tuple<std::size_t, int, int>, std::vector<double>> fields;
+  std::vector<double> base(dim);
   auto make_split = [&](std::size_t n) {
     tensor::Matrix x(n, dim);
     std::vector<std::int32_t> labels(n);
@@ -105,8 +122,21 @@ ImageDatasets generate(const ImageSynthConfig& cfg) {
       const int dx = static_cast<int>(rng.uniform_index(2 * cfg.max_shift + 1)) -
                      cfg.max_shift;
       const double brightness = rng.uniform(0.8, 1.2);
-      render(prototypes[c], dy, dx, brightness, cfg.noise, rng, x.row(i),
-             cfg.height, cfg.width);
+      const auto [it, fresh] = fields.try_emplace({c, dy, dx});
+      if (fresh) {
+        it->second =
+            render_field(prototypes[c], dy, dx, cfg.height, cfg.width);
+      }
+      const std::vector<double>& field = it->second;
+      for (std::size_t p = 0; p < dim; ++p) base[p] = field[p] * brightness;
+      // Pixel p is float(clamp(field·brightness + noise·z, 0, 1)) with the
+      // stream's next deviate z. The draw gives f = float(v) for that v, and
+      // the clamp commutes with the monotone rounding: f > 0 ? min(f, 1) : +0
+      // is the same float, down to the +0 of a v in [−2^-150, 0), which
+      // rounds to −0 first.
+      const std::span<float> row = x.row(i);
+      tensor::draw_gaussian(base, cfg.noise, rng, row);
+      for (float& f : row) f = f > 0.0F ? std::min(f, 1.0F) : 0.0F;
     }
     return std::make_shared<ImageDataset>(std::move(x), std::move(labels),
                                           cfg.classes);
@@ -147,7 +177,23 @@ ImageDatasets make_image_datasets(const ImageSynthConfig& cfg) {
   FEDBIAD_CHECK(cfg.classes >= 2, "need at least two classes");
   FEDBIAD_CHECK(cfg.train_samples > 0 && cfg.test_samples > 0,
                 "need non-empty splits");
-  return generate(cfg);
+  FEDBIAD_CHECK(cfg.height > 0 && cfg.width > 0, "need a non-empty image");
+  FEDBIAD_CHECK(cfg.blobs_per_class > 0, "need at least one blob per class");
+  FEDBIAD_CHECK(cfg.max_shift >= 0, "max_shift must be non-negative");
+  FEDBIAD_CHECK(std::isfinite(cfg.noise) && cfg.noise >= 0.0,
+                "noise must be finite and non-negative");
+  FEDBIAD_CHECK(cfg.class_overlap >= 0.0 && cfg.class_overlap <= 1.0,
+                "class_overlap must lie in [0, 1]");
+  ImageDatasets out = generate(cfg);
+#if defined(__GLIBC__)
+  // The field cache's buffers are freed now, but glibc keeps such small
+  // chunks resident in the heap: hand their pages back, so the cache does
+  // not outlive set-up in the process's memory. (One large block instead
+  // would be unmapped on free, but freeing it raises glibc's mmap
+  // threshold, and later buffers of a few hundred KB then stay resident.)
+  malloc_trim(0);
+#endif
+  return out;
 }
 
 }  // namespace fedbiad::data

@@ -95,7 +95,8 @@ float logsumexp(std::size_t n, const float* z);
 // the bound provably cannot change the rounded answer, handing the rest
 // back to the exact code (docs/ARCHITECTURE.md "Certified kernels").
 
-/// Certified Box–Muller posterior draw over `pairs` uniform pairs. Pair p's
+/// Certified Box–Muller draw over `pairs` uniform pairs (tensor::
+/// draw_gaussian walks an Rng stream through it). Pair p's
 /// exact result is the libm expression (Rng::box_muller, then the draw):
 ///   (zc, zs)   = Rng::box_muller(u1[p], u2[p])
 ///   y[2p]      = float(double(x[2p])   + sd·zc)
@@ -110,6 +111,13 @@ float logsumexp(std::size_t n, const float* z);
 /// do not overlap.
 std::size_t gaussian_pairs(std::size_t pairs, const double* u1,
                            const double* u2, const float* x, double sd,
+                           float* y, std::uint32_t* handed_back);
+
+/// The same draw over double bases, y[2p] = float(x[2p] + sd·zc) and so on:
+/// the same pair computation and certificate, only the load of x differs.
+/// y and x must not overlap.
+std::size_t gaussian_pairs(std::size_t pairs, const double* u1,
+                           const double* u2, const double* x, double sd,
                            float* y, std::uint32_t* handed_back);
 
 /// Σ double(x[i])² accumulated in 4×4 double lanes (4×2 on 128-bit

@@ -1,6 +1,7 @@
-// The certified double-lane vmath kernels: the Box–Muller posterior draw and
-// the sum of squares behind the SGD clip norm (contracts in vmath.hpp, the
-// argument in docs/ARCHITECTURE.md "Certified kernels").
+// The certified double-lane vmath kernels: the Box–Muller draw (posterior
+// weights and image pixel noise) and the sum of squares behind the SGD clip
+// norm (contracts in vmath.hpp, the argument in docs/ARCHITECTURE.md
+// "Certified kernels").
 //
 // Neither kernel reproduces libm's or the serial loop's rounding. Each one
 // computes a fast result together with a rigorous error bound, and the
@@ -277,9 +278,11 @@ inline float certify(double x, double z, double delta, double sd, bool& ok) {
 }
 
 // Pairs [begin, pairs) one at a time: writes every certified pair and
-// appends the others to handed_back[handed..]. Returns the new count.
+// appends the others to handed_back[handed..]. Returns the new count. X is
+// the base's type: float (the posterior draw) or double (the image noise).
+template <typename X>
 std::size_t scalar_pairs(std::size_t begin, std::size_t pairs,
-                         const double* u1, const double* u2, const float* x,
+                         const double* u1, const double* u2, const X* x,
                          double sd, float* y, std::uint32_t* handed_back,
                          std::size_t handed) {
   for (std::size_t p = begin; p < pairs; ++p) {
@@ -299,6 +302,20 @@ std::size_t scalar_pairs(std::size_t begin, std::size_t pairs,
 }
 
 #if defined(FEDBIAD_VMATH_VECTOR)
+// The bases of VD pairs, split into the cos and sin coordinates and widened
+// to double lanes. Both loads read x in full before any y is written.
+inline void load_bases(const float* x, vd& x_cos, vd& x_sin) {
+  const vf2 xv = *reinterpret_cast<const vf2_mem*>(x);
+  x_cos = widen(__builtin_shufflevector(xv, xv, FEDBIAD_EVENS));
+  x_sin = widen(__builtin_shufflevector(xv, xv, FEDBIAD_ODDS));
+}
+inline void load_bases(const double* x, vd& x_cos, vd& x_sin) {
+  const vd lo = dload(x);
+  const vd hi = dload(x + VD);
+  x_cos = __builtin_shufflevector(lo, hi, FEDBIAD_EVENS);
+  x_sin = __builtin_shufflevector(lo, hi, FEDBIAD_ODDS);
+}
+
 inline vfp certify(vd x, vd z, vd delta, double sd, vip& ok) {
   const vfp lo = __builtin_convertvector(x + sd * (z - delta), vfp);
   const vfp hi = __builtin_convertvector(x + sd * (z + delta), vfp);
@@ -313,18 +330,20 @@ inline vfp certify(vd x, vd z, vd delta, double sd, vip& ok) {
 
 #if defined(FEDBIAD_VMATH_VECTOR)
 
-std::size_t gaussian_pairs(std::size_t pairs, const double* u1,
-                           const double* u2, const float* x, double sd,
-                           float* y, std::uint32_t* handed_back) {
+namespace {
+
+template <typename X>
+std::size_t vector_pairs(std::size_t pairs, const double* u1,
+                         const double* u2, const X* x, double sd, float* y,
+                         std::uint32_t* handed_back) {
   std::size_t handed = 0;
   std::size_t p = 0;
   for (; p + VD <= pairs; p += VD) {
     vd z_cos, z_sin, delta;
     pair_core(dload(u1 + p), dload(u2 + p), z_cos, z_sin, delta);
     // x is read in full before y is written, so y may alias x.
-    const vf2 xv = *reinterpret_cast<const vf2_mem*>(x + 2 * p);
-    const vd x_cos = widen(__builtin_shufflevector(xv, xv, FEDBIAD_EVENS));
-    const vd x_sin = widen(__builtin_shufflevector(xv, xv, FEDBIAD_ODDS));
+    vd x_cos, x_sin;
+    load_bases(x + 2 * p, x_cos, x_sin);
     vip ok = vip{} - 1;
     const vfp yc = certify(x_cos, z_cos, delta, sd, ok);
     const vfp ys = certify(x_sin, z_sin, delta, sd, ok);
@@ -343,6 +362,20 @@ std::size_t gaussian_pairs(std::size_t pairs, const double* u1,
     }
   }
   return scalar_pairs(p, pairs, u1, u2, x, sd, y, handed_back, handed);
+}
+
+}  // namespace
+
+std::size_t gaussian_pairs(std::size_t pairs, const double* u1,
+                           const double* u2, const float* x, double sd,
+                           float* y, std::uint32_t* handed_back) {
+  return vector_pairs(pairs, u1, u2, x, sd, y, handed_back);
+}
+
+std::size_t gaussian_pairs(std::size_t pairs, const double* u1,
+                           const double* u2, const double* x, double sd,
+                           float* y, std::uint32_t* handed_back) {
+  return vector_pairs(pairs, u1, u2, x, sd, y, handed_back);
 }
 
 double sum_squares(std::size_t n, const float* x) {
@@ -369,6 +402,12 @@ double sum_squares(std::size_t n, const float* x) {
 
 std::size_t gaussian_pairs(std::size_t pairs, const double* u1,
                            const double* u2, const float* x, double sd,
+                           float* y, std::uint32_t* handed_back) {
+  return scalar_pairs(0, pairs, u1, u2, x, sd, y, handed_back, 0);
+}
+
+std::size_t gaussian_pairs(std::size_t pairs, const double* u1,
+                           const double* u2, const double* x, double sd,
                            float* y, std::uint32_t* handed_back) {
   return scalar_pairs(0, pairs, u1, u2, x, sd, y, handed_back, 0);
 }

@@ -20,6 +20,16 @@ void check_position_bits(std::size_t position_bits) {
                 "position width must be 16, 32, or 64 bits");
 }
 
+// A writer sized for a `body`-byte payload and its CRC trailer. Uploads
+// queue at the server with whatever capacity they were built with, so an
+// exact buffer keeps the in-flight payloads at their wire size, and
+// seal_payload appends the trailer without reallocating.
+Writer exact_writer(std::uint64_t body) {
+  Writer w;
+  w.reserve(framed_bytes(body));
+  return w;
+}
+
 }  // namespace
 
 const char* to_string(PayloadKind kind) noexcept {
@@ -49,7 +59,7 @@ const char* to_string(PayloadKind kind) noexcept {
 }
 
 Payload encode_dense_f32(std::span<const float> values) {
-  Writer w;
+  Writer w = exact_writer(dense_f32_bytes(values.size()));
   w.f32_run(values);
   Payload p{.kind = PayloadKind::kDenseF32, .bytes = std::move(w).take()};
   FEDBIAD_DCHECK(p.size() == dense_f32_bytes(values.size()),
@@ -68,10 +78,7 @@ Payload encode_row_masked(const nn::ParameterStore& layout,
   nn::for_each_kept_run(layout, kept, [&](std::size_t b, std::size_t e) {
     kept_weights += e - b;
   });
-  // Uploads queue at the server with whatever capacity they were built
-  // with; an exact buffer keeps the in-flight payloads at their wire size.
-  Writer w;
-  w.reserve(row_masked_bytes(kept_weights, rows));
+  Writer w = exact_writer(row_masked_bytes(kept_weights, rows));
   // Bitset::packed_bytes IS the wire form, so the packing convention lives
   // in exactly one place (its from_packed is what the decoder uses).
   w.bytes(Bitset::from_bytemask(row_kept).packed_bytes());
@@ -96,7 +103,7 @@ Payload encode_sparse_fixed(std::span<const std::uint32_t> indices,
   FEDBIAD_CHECK(indices.empty() || position_bits >= 64 ||
                     indices.back() < (std::uint64_t{1} << position_bits),
                 "sparse index exceeds the configured position width");
-  Writer w;
+  Writer w = exact_writer(sparse_fixed_bytes(indices.size(), position_bits));
   for (std::size_t i = 0; i < indices.size(); ++i) {
     FEDBIAD_CHECK(i == 0 || indices[i] > indices[i - 1],
                   "sparse indices must be increasing");
@@ -125,7 +132,7 @@ Payload encode_sparse_varint(std::span<const std::uint32_t> indices,
                              std::span<const float> values) {
   FEDBIAD_CHECK(indices.size() == values.size(),
                 "sparse index/value length mismatch");
-  Writer w;
+  Writer w = exact_writer(sparse_varint_bytes(indices));
   w.varint(indices.size());
   std::uint64_t prev = 0;
   for (std::size_t i = 0; i < indices.size(); ++i) {
@@ -154,7 +161,7 @@ Payload encode_ternary(float mu, std::span<const std::uint32_t> indices,
             .aux = static_cast<std::uint8_t>(position_bits),
             .bytes = {}};
   if (!indices.empty()) {
-    Writer w;
+    Writer w = exact_writer(ternary_bytes(indices.size(), position_bits));
     w.f32(mu);
     {
       BitWriter bw(w);
@@ -176,7 +183,11 @@ Payload encode_sign_mean(float scale, std::span<const std::uint8_t> mask,
                          std::span<const float> values) {
   FEDBIAD_CHECK(mask.empty() || mask.size() == values.size(),
                 "candidate mask / values mismatch");
-  Writer w;
+  const std::uint64_t candidates =
+      mask.empty() ? values.size()
+                   : values.size() - static_cast<std::uint64_t>(std::count(
+                                         mask.begin(), mask.end(), 0));
+  Writer w = exact_writer(sign_mean_bytes(candidates));
   w.f32(scale);
   std::uint64_t count = 0;
   {
@@ -197,7 +208,7 @@ Payload encode_int8_dense(float scale, std::span<const std::int8_t> quants,
                           std::size_t candidates) {
   FEDBIAD_CHECK(quants.size() == candidates,
                 "quant run must cover every candidate");
-  Writer w;
+  Writer w = exact_writer(int8_dense_bytes(candidates));
   w.f32(scale);
   for (const std::int8_t q : quants) {
     w.u8(static_cast<std::uint8_t>(q));
@@ -226,7 +237,7 @@ Payload encode_pruned(const nn::ParameterStore& layout,
   const std::uint64_t varint_size =
       delta_varint_index_bytes(std::span<const std::uint32_t>(kept_idx)) +
       dense_f32_bytes(kept_idx.size());
-  Writer w;
+  Writer w = exact_writer(std::min(bitmap_size, varint_size));
   PayloadKind kind;
   if (bitmap_size <= varint_size) {
     kind = PayloadKind::kPrunedBitmap;
@@ -259,10 +270,12 @@ Bitset expand_row_mask(const nn::ParameterStore& layout,
 
 void seal_payload(Payload& payload) {
   const std::uint32_t crc = crc32c(payload.bytes);
-  Writer w;
-  w.u32(crc);
-  const std::vector<std::uint8_t> trailer = std::move(w).take();
-  payload.bytes.insert(payload.bytes.end(), trailer.begin(), trailer.end());
+  // The encoders leave room for the trailer; a payload built elsewhere
+  // grows to exactly its sealed size, not by the vector's doubling.
+  payload.bytes.reserve(framed_bytes(payload.bytes.size()));
+  for (std::size_t i = 0; i < kCrcTrailerBytes; ++i) {
+    payload.bytes.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+  }
   FEDBIAD_DCHECK(payload.size() == framed_bytes(payload.size() -
                                                 kCrcTrailerBytes),
                  "sealed size diverged from the accounting oracle");

@@ -12,6 +12,7 @@
 #include "bayes/spike_slab.hpp"
 #include "bayes/theory.hpp"
 #include "common/check.hpp"
+#include "tensor/gaussian_draw.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/vmath.hpp"
 
@@ -267,6 +268,63 @@ TEST(SpikeSlab, CertifiedKernelHandsBackUndecidablePairs) {
     const float want_s = back[p] ? kUntouched : ys;
     ASSERT_EQ(std::memcmp(&y[2 * p], &want_c, sizeof(float)), 0) << p;
     ASSERT_EQ(std::memcmp(&y[2 * p + 1], &want_s, sizeof(float)), 0) << p;
+  }
+}
+
+TEST(SpikeSlab, CertifiedKernelOverDoubleBasesHandsBackUndecidablePairs) {
+  // The double-base overload (the image noise draw) at the same s̃: the same
+  // certificate, bases that no float holds.
+  constexpr std::size_t kPairs = 101770 / 2;
+  constexpr double kSd = 0.3;
+  tensor::Rng rng(91);
+  std::vector<double> x(2 * kPairs);
+  for (double& v : x) v = rng.uniform(-0.1, 1.1);
+  std::vector<double> u1(kPairs), u2(kPairs);
+  rng.box_muller_uniforms(u1.data(), u2.data(), kPairs);
+  const float kUntouched = -7.0F;
+  std::vector<float> y(2 * kPairs, kUntouched);
+  std::vector<std::uint32_t> handed_back(kPairs);
+  const std::size_t handed = tensor::vmath::gaussian_pairs(
+      kPairs, u1.data(), u2.data(), x.data(), kSd, y.data(),
+      handed_back.data());
+  EXPECT_GT(handed, 0u);
+  EXPECT_LT(handed, kPairs / 100);
+  std::vector<bool> back(kPairs, false);
+  for (std::size_t k = 0; k < handed; ++k) back[handed_back[k]] = true;
+  for (std::size_t p = 0; p < kPairs; ++p) {
+    const auto [z_cos, z_sin] = tensor::Rng::box_muller(u1[p], u2[p]);
+    const float yc = static_cast<float>(x[2 * p] + kSd * z_cos);
+    const float ys = static_cast<float>(x[2 * p + 1] + kSd * z_sin);
+    const float want_c = back[p] ? kUntouched : yc;
+    const float want_s = back[p] ? kUntouched : ys;
+    ASSERT_EQ(std::memcmp(&y[2 * p], &want_c, sizeof(float)), 0) << p;
+    ASSERT_EQ(std::memcmp(&y[2 * p + 1], &want_s, sizeof(float)), 0) << p;
+  }
+}
+
+TEST(SpikeSlab, CertifiedDrawOverDoubleBasesMatchesLibmLoop) {
+  tensor::Rng gen(101);
+  for (const double sd : {0.0, 0.45, 3.0}) {
+    for (const std::size_t n : {0, 1, 2, 3, 7, 784, 4097}) {
+      std::vector<double> x(n);
+      for (double& v : x) v = gen.uniform(0.0, 1.2);
+      for (const bool cached : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "sd=" << sd << " n=" << n << " cached=" << cached);
+        tensor::Rng want_rng(2000 + n);
+        if (cached) (void)want_rng.normal();
+        tensor::Rng got_rng = want_rng;
+        std::vector<float> want(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          want[i] = static_cast<float>(x[i] + sd * want_rng.normal());
+        }
+        std::vector<float> got(n);
+        tensor::draw_gaussian(std::span<const double>(x), sd, got_rng, got);
+        EXPECT_TRUE(n == 0 || std::memcmp(got.data(), want.data(),
+                                          n * sizeof(float)) == 0);
+        expect_same_state(got_rng, want_rng);
+      }
+    }
   }
 }
 

@@ -2,12 +2,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
+#include <numeric>
 #include <set>
+#include <string>
 
 #include "common/check.hpp"
 #include "data/image_synth.hpp"
 #include "data/partition.hpp"
 #include "data/text_synth.hpp"
+#include "image_synth.hpp"
 
 namespace fedbiad::data {
 namespace {
@@ -70,6 +75,133 @@ TEST(ImageSynth, BatchMatchesLabels) {
     EXPECT_EQ(b.targets[i], ds.train->label(idx[i]));
   }
 }
+
+TEST(ImageSynth, RejectsNegativeMaxShift) {
+  auto cfg = ImageSynthConfig::mnist_like(1);
+  cfg.train_samples = 4;
+  cfg.test_samples = 2;
+  cfg.max_shift = -1;
+  EXPECT_THROW(make_image_datasets(cfg), CheckError);
+  cfg.max_shift = 0;
+  EXPECT_NO_THROW(make_image_datasets(cfg));
+}
+
+TEST(ImageSynth, RejectsNegativeOrNonFiniteNoise) {
+  auto cfg = ImageSynthConfig::mnist_like(1);
+  cfg.train_samples = 4;
+  cfg.test_samples = 2;
+  for (const double noise : {-0.1, std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    cfg.noise = noise;
+    EXPECT_THROW(make_image_datasets(cfg), CheckError) << noise;
+  }
+  cfg.noise = 0.0;
+  EXPECT_NO_THROW(make_image_datasets(cfg));
+}
+
+TEST(ImageSynth, RejectsEmptyImagesAndBlobSets) {
+  auto cfg = ImageSynthConfig::mnist_like(1);
+  cfg.train_samples = 4;
+  cfg.test_samples = 2;
+  auto zero_height = cfg;
+  zero_height.height = 0;
+  EXPECT_THROW(make_image_datasets(zero_height), CheckError);
+  auto zero_width = cfg;
+  zero_width.width = 0;
+  EXPECT_THROW(make_image_datasets(zero_width), CheckError);
+  auto no_blobs = cfg;
+  no_blobs.blobs_per_class = 0;
+  EXPECT_THROW(make_image_datasets(no_blobs), CheckError);
+}
+
+TEST(ImageSynth, RejectsClassOverlapOutsideUnitInterval) {
+  auto cfg = ImageSynthConfig::fmnist_like(2);
+  cfg.train_samples = 4;
+  cfg.test_samples = 2;
+  for (const double overlap :
+       {-0.25, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    cfg.class_overlap = overlap;
+    EXPECT_THROW(make_image_datasets(cfg), CheckError) << overlap;
+  }
+  for (const double overlap : {0.0, 1.0}) {
+    cfg.class_overlap = overlap;
+    EXPECT_NO_THROW(make_image_datasets(cfg)) << overlap;
+  }
+}
+
+struct ParityCase {
+  std::string name;
+  ImageSynthConfig cfg;
+};
+
+ImageSynthConfig with(ImageSynthConfig cfg, std::size_t train,
+                      std::size_t test) {
+  cfg.train_samples = train;
+  cfg.test_samples = test;
+  return cfg;
+}
+
+std::vector<ParityCase> parity_cases() {
+  std::vector<ParityCase> cases;
+  // The MLP workloads' split.
+  cases.push_back({"mnist_like", with(ImageSynthConfig::mnist_like(42),
+                                      4000, 800)});
+  cases.push_back({"fmnist_like", with(ImageSynthConfig::fmnist_like(2),
+                                       1000, 200)});
+  cases.push_back({"defaults", with(ImageSynthConfig{}, 1000, 200)});
+  // Odd pixel counts: the stream's cached deviate crosses sample boundaries,
+  // and 1×3 leaves one kernel pair per sample at most.
+  ImageSynthConfig odd = with(ImageSynthConfig{}, 301, 57);
+  odd.height = 5;
+  odd.width = 7;
+  cases.push_back({"h5_w7", odd});
+  odd.height = 1;
+  odd.width = 3;
+  cases.push_back({"h1_w3", odd});
+  ImageSynthConfig fixed = with(ImageSynthConfig{}, 300, 60);
+  fixed.height = 9;
+  fixed.width = 9;
+  fixed.max_shift = 0;
+  cases.push_back({"max_shift_0", fixed});
+  ImageSynthConfig quiet = with(ImageSynthConfig{}, 300, 60);
+  quiet.noise = 0.0;
+  cases.push_back({"noise_0", quiet});
+  // Clamps at both ends on most pixels.
+  ImageSynthConfig loud = with(ImageSynthConfig{}, 300, 60);
+  loud.noise = 3.0;
+  cases.push_back({"noise_3", loud});
+  return cases;
+}
+
+class ImageSynthParity : public testing::TestWithParam<ParityCase> {};
+
+void expect_split_equal(const Dataset& got, const reference::ImageSplit& want,
+                        const char* split) {
+  SCOPED_TRACE(split);
+  ASSERT_EQ(got.size(), want.labels.size());
+  std::vector<std::size_t> idx(got.size());
+  std::iota(idx.begin(), idx.end(), std::size_t{0});
+  const Batch b = got.make_batch(idx);
+  ASSERT_EQ(b.x.size(), want.x.size());
+  EXPECT_EQ(std::memcmp(b.x.flat().data(), want.x.flat().data(),
+                        b.x.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(b.targets, want.labels);
+}
+
+TEST_P(ImageSynthParity, MatchesPerPixelRendererBitForBit) {
+  const ImageSynthConfig& cfg = GetParam().cfg;
+  const ImageDatasets got = make_image_datasets(cfg);
+  const reference::ImageSplits want = reference::make_image_datasets(cfg);
+  expect_split_equal(*got.train, want.train, "train");
+  expect_split_equal(*got.test, want.test, "test");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, ImageSynthParity, testing::ValuesIn(parity_cases()),
+    [](const testing::TestParamInfo<ParityCase>& info) {
+      return info.param.name;
+    });
 
 TEST(TextSynth, TokensWithinVocabulary) {
   auto cfg = TextSynthConfig::ptb_like(3);

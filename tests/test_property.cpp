@@ -612,6 +612,105 @@ TEST(WireCodec, DenseAndSparseRoundTripsIncludingEmpty) {
   }
 }
 
+// Uploads queue at the server with the capacity they were built with: every
+// encoder sizes its buffer for the payload and its CRC trailer, so sealing
+// appends in place and nothing rides along as growth slack.
+void expect_exact_capacity(wire::Payload payload) {
+  EXPECT_LE(payload.bytes.capacity(),
+            payload.bytes.size() + wire::kCrcTrailerBytes);
+  const std::uint64_t body = payload.size();
+  const std::uint8_t* before = payload.bytes.data();
+  wire::seal_payload(payload);
+  EXPECT_EQ(payload.size(), wire::framed_bytes(body));
+  EXPECT_LE(payload.bytes.capacity(),
+            payload.bytes.size() + wire::kCrcTrailerBytes);
+  if (body > 0) EXPECT_EQ(payload.bytes.data(), before);
+}
+
+// The MNIST MLP's 101,770 coordinates, with every tenth one selected.
+struct CapacityFixture {
+  nn::MlpModel model{{.input = 784, .hidden = 128, .classes = 10}};
+  std::vector<float> values = hostile_values(model.store().size(), 87);
+  std::vector<std::uint32_t> indices;
+  std::vector<float> picked;
+  std::vector<std::uint8_t> mask = std::vector<std::uint8_t>(values.size());
+
+  CapacityFixture() {
+    for (std::size_t i = 0; i < values.size(); i += 10) {
+      indices.push_back(static_cast<std::uint32_t>(i));
+      picked.push_back(values[i]);
+      mask[i] = 1;
+    }
+  }
+};
+
+TEST(WireCapacity, DenseF32) {
+  const CapacityFixture f;
+  expect_exact_capacity(wire::encode_dense_f32(f.values));
+  expect_exact_capacity(wire::encode_dense_f32({}));
+}
+
+TEST(WireCapacity, RowMasked) {
+  const CapacityFixture f;
+  const nn::ParameterStore& store = f.model.store();
+  std::vector<std::uint8_t> kept(store.droppable_rows(), 1);
+  for (std::size_t j = 0; j < kept.size(); j += 5) kept[j] = 0;
+  expect_exact_capacity(wire::encode_row_masked(store, kept, f.values));
+}
+
+TEST(WireCapacity, SparseFixed) {
+  const CapacityFixture f;
+  for (const std::size_t bits : {32, 64}) {
+    expect_exact_capacity(
+        wire::encode_sparse_fixed(f.indices, f.picked, bits));
+  }
+  const std::vector<std::uint32_t> low(f.indices.begin(),
+                                       f.indices.begin() + 100);
+  const std::vector<float> low_vals(f.picked.begin(), f.picked.begin() + 100);
+  expect_exact_capacity(wire::encode_sparse_fixed(low, low_vals, 16));
+}
+
+TEST(WireCapacity, SparseVarint) {
+  const CapacityFixture f;
+  expect_exact_capacity(wire::encode_sparse_varint(f.indices, f.picked));
+}
+
+TEST(WireCapacity, Ternary) {
+  const CapacityFixture f;
+  std::vector<std::uint8_t> negative(f.indices.size());
+  for (std::size_t k = 0; k < negative.size(); k += 3) negative[k] = 1;
+  expect_exact_capacity(wire::encode_ternary(0.5F, f.indices, negative, 32));
+}
+
+TEST(WireCapacity, SignMean) {
+  const CapacityFixture f;
+  expect_exact_capacity(wire::encode_sign_mean(0.5F, {}, f.values));
+  expect_exact_capacity(wire::encode_sign_mean(0.5F, f.mask, f.values));
+}
+
+TEST(WireCapacity, Int8Dense) {
+  const CapacityFixture f;
+  const std::vector<std::int8_t> quants(f.indices.size(), -3);
+  expect_exact_capacity(
+      wire::encode_int8_dense(0.5F, quants, f.indices.size()));
+}
+
+TEST(WireCapacity, Pruned) {
+  const CapacityFixture f;
+  const nn::ParameterStore& store = f.model.store();
+  // Every tenth coordinate favours the varint variant (one byte per gap,
+  // under the bitmap's one bit per coordinate only below 1/8 density);
+  // every second one favours the bitmap.
+  auto varint = wire::encode_pruned(store, f.mask, f.values);
+  EXPECT_EQ(varint.kind, wire::PayloadKind::kPrunedVarint);
+  expect_exact_capacity(std::move(varint));
+  std::vector<std::uint8_t> dense(f.mask.size());
+  for (std::size_t i = 0; i < dense.size(); i += 2) dense[i] = 1;
+  auto bitmap = wire::encode_pruned(store, dense, f.values);
+  EXPECT_EQ(bitmap.kind, wire::PayloadKind::kPrunedBitmap);
+  expect_exact_capacity(std::move(bitmap));
+}
+
 TEST(WireCodec, TruncatedAndCorruptedPayloadsAreRejected) {
   const auto store = ragged_store();
   const std::size_t J = store.droppable_rows();
