@@ -1,4 +1,4 @@
-// Ablations of FedBIAD's design choices (DESIGN.md experiment "abl"):
+// Ablations of FedBIAD's design choices (bench/README.md's bench map):
 //   1. Aggregation rule: per-row-normalized vs the literal eq. 10 average.
 //   2. Stage boundary Rb: never / mid / paper-like / always stage-two.
 //   3. Loss-gap window tau.
@@ -38,7 +38,7 @@ int main() {
               "===\n\n",
               p, w.sim.rounds);
 
-  std::printf("-- aggregation rule (DESIGN.md deviation) --\n");
+  std::printf("-- aggregation rule (see docs/ARCHITECTURE.md) --\n");
   report("per-row normalized (default)", w,
          run_cfg(w, {.dropout_rate = p, .stage_boundary = rb}));
   report("literal eq.10 masked average", w,

@@ -488,6 +488,46 @@ void BM_FusedMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedMerge)->Arg(1)->Arg(4);
 
+// The panel half of the staleness merge, which no bench_round workload
+// runs: K FedBIAD row-masked parameter uploads at p = 0.5 (bitmap compact
+// form) on the same 101,770-coordinate MLP, staleness-damped as in
+// BM_FusedMerge. Items = coordinates offered per pass (K × n).
+void BM_FusedMergeRowMasked(benchmark::State& state) {
+  nn::MlpModel model({.input = 784, .hidden = 128, .classes = 10});
+  const auto& store = model.store();
+  const std::size_t n = store.size();
+  const auto k = static_cast<std::size_t>(state.range(0));
+  tensor::Rng rng(31);
+  std::vector<float> global(n);
+  for (auto& g : global) g = static_cast<float>(rng.normal(0, 0.1));
+  std::vector<wire::CompactUpdate> compacts;
+  for (std::size_t c = 0; c < 2 * k; ++c) {
+    std::vector<float> values(n);
+    for (auto& v : values) v = static_cast<float>(rng.normal(0, 0.1));
+    const auto pattern =
+        core::DropPattern::sample(store, 0.5, core::eligible_all(), rng);
+    compacts.push_back(wire::decode_update_compact(
+        store, wire::encode_row_masked(store, pattern.bits(), values)));
+  }
+  std::vector<fl::FusedUpdate> batches[2];
+  for (std::size_t c = 0; c < 2 * k; ++c) {
+    const double staleness = static_cast<double>(c % k);
+    batches[c / k].push_back({&compacts[c],
+                              60.0 * std::pow(1.0 + staleness, -0.5),
+                              /*is_update=*/false});
+  }
+  fl::ShardedAccumulator sharded;
+  std::size_t pass = 0;
+  for (auto _ : state) {
+    sharded.merge(global, batches[pass++ & 1], 0.6);
+    benchmark::DoNotOptimize(global.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * k));
+}
+BENCHMARK(BM_FusedMergeRowMasked)->Arg(4);
+
 // CRC32C over a frame-sized buffer, both implementations: the slice-by-8
 // table walk every build carries, and the SSE4.2 dispatch the release
 // build seals/verifies every upload with. Items = bytes checksummed.

@@ -17,7 +17,7 @@ int main() {
 
   std::printf("=== Table I: accuracy / upload size / save ratio ===\n");
   std::printf("(scaled simulation — compare ordering and ratios, not "
-              "absolute values; see EXPERIMENTS.md)\n\n");
+              "absolute values; see bench/README.md)\n\n");
   for (const auto id : datasets) {
     const Workload w = make_workload(id);
     std::printf("--- %s (p=%.1f, rounds=%zu, clients=%zu, metric=top-%zu) "

@@ -2,7 +2,7 @@
 // 2/6/7/8): scaled-down workload definitions, strategy factories, and
 // table printing.
 //
-// Scaling note (DESIGN.md §2): models, client counts, and round counts are
+// Scaling note (bench/README.md): models, client counts, and round counts are
 // scaled to CPU budgets. Absolute numbers differ from the paper; the
 // comparative shape (who wins, save ratios, crossovers) is the target.
 // Environment overrides:

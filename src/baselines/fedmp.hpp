@@ -2,8 +2,9 @@
 // densely, then prunes the p-fraction of weights with the lowest absolute
 // values before uploading ("without considering their effect on training
 // loss", paper §II). Pruning is unstructured, so kept weights need position
-// metadata: we encode 16-bit block-relative positions (see DESIGN.md §2 on
-// FedMP upload accounting).
+// metadata: the upload carries an occupancy bitmap or delta-varint
+// positions, whichever is smaller (kPrunedBitmap / kPrunedVarint in the
+// wire-format section of docs/ARCHITECTURE.md).
 #pragma once
 
 #include "fl/strategy.hpp"

@@ -152,7 +152,7 @@ ImageDatasets generate(const ImageSynthConfig& cfg) {
 
 ImageSynthConfig ImageSynthConfig::mnist_like(std::uint64_t seed) {
   // Calibrated so the paper's 128-unit MLP saturates near the 95% the paper
-  // reports for MNIST (see EXPERIMENTS.md).
+  // reports for MNIST (see "Stand-ins and scaling" in bench/README.md).
   ImageSynthConfig cfg;
   cfg.seed = seed;
   cfg.noise = 0.45;

@@ -1,6 +1,6 @@
 // Synthetic image classification datasets.
 //
-// Stand-ins for MNIST and Fashion-MNIST (see DESIGN.md §2): each class has a
+// Stand-ins for MNIST and Fashion-MNIST (see bench/README.md): each class has a
 // prototype built from random Gaussian blobs on the pixel grid; samples are
 // the prototype under random translation, brightness jitter, and pixel
 // noise. The "fashion" variant shares blobs between neighbouring classes and

@@ -1,6 +1,6 @@
 // Synthetic next-word-prediction corpora.
 //
-// Stand-ins for PTB, WikiText-2, and Reddit (see DESIGN.md §2). Tokens are
+// Stand-ins for PTB, WikiText-2, and Reddit (see bench/README.md). Tokens are
 // generated from a mixture of "topics": each topic owns a permutation bigram
 // table (next = perm[prev]) followed with probability `structure_prob`;
 // otherwise the next token is drawn from a Zipfian unigram. The structure

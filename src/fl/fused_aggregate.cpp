@@ -1,14 +1,15 @@
 #include "fl/fused_aggregate.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <utility>
+#include <memory>
+#include <vector>
 
 #include "common/check.hpp"
 #include "parallel/thread_pool.hpp"
+#include "tensor/workspace.hpp"
 
 namespace fedbiad::fl {
 
@@ -16,80 +17,42 @@ namespace fused {
 
 namespace ref {
 
-void accumulate_run(double* acc, double* present_weight, const float* values,
-                    std::size_t len, double weight) {
+void accumulate_run(double* acc, double* weight_acc, const float* values,
+                    const float* global, std::size_t len, double weight) {
   for (std::size_t i = 0; i < len; ++i) {
-    acc[i] += weight * static_cast<double>(values[i]);
-    present_weight[i] += weight;
-  }
-}
-
-void merge_param_run(double* acc, double* weight_acc, const float* values,
-                     const float* global, std::size_t len, double weight) {
-  for (std::size_t i = 0; i < len; ++i) {
-    acc[i] += weight * (static_cast<double>(values[i]) -
-                        static_cast<double>(global[i]));
+    double d = static_cast<double>(values[i]);
+    if (global != nullptr) d -= static_cast<double>(global[i]);
+    acc[i] += weight * d;
     weight_acc[i] += weight;
   }
 }
 
-void accumulate_sparse(double* acc, double* present_weight,
+void accumulate_sparse(double* acc, double* weight_acc,
                        const std::uint32_t* indices, const float* values,
-                       std::size_t count, std::size_t base, double weight) {
+                       const float* global, std::size_t count,
+                       std::size_t base, double weight) {
   for (std::size_t c = 0; c < count; ++c) {
+    double d = static_cast<double>(values[c]);
+    if (global != nullptr) d -= static_cast<double>(global[indices[c]]);
     const std::size_t i = indices[c] - base;
-    acc[i] += weight * static_cast<double>(values[c]);
-    present_weight[i] += weight;
-  }
-}
-
-void merge_param_sparse(double* acc, double* weight_acc,
-                        const std::uint32_t* indices, const float* values,
-                        const float* global, std::size_t count,
-                        std::size_t base, double weight) {
-  for (std::size_t c = 0; c < count; ++c) {
-    const std::size_t i = indices[c] - base;
-    acc[i] += weight * (static_cast<double>(values[c]) -
-                        static_cast<double>(global[indices[c]]));
+    acc[i] += weight * d;
     weight_acc[i] += weight;
   }
 }
 
-void merge_step_run(float* global, const double* acc, const double* weight,
-                    std::size_t len, double mixing_rate) {
+void add_mean_run(float* global, const double* acc, const double* weight,
+                  std::size_t len, double rate) {
   for (std::size_t i = 0; i < len; ++i) {
     if (weight[i] > 0.0) {
-      global[i] += static_cast<float>(mixing_rate * acc[i] / weight[i]);
+      global[i] += static_cast<float>(rate * acc[i] / weight[i]);
     }
   }
 }
 
-void add_mean_run(float* global, const double* acc, const double* denom,
-                  std::size_t len) {
-  for (std::size_t i = 0; i < len; ++i) {
-    if (denom[i] > 0.0) global[i] += static_cast<float>(acc[i] / denom[i]);
-  }
-}
-
-void store_mean_run(float* global, const double* acc, const double* denom,
+void store_mean_run(float* global, const double* acc, const double* weight,
                     std::size_t len) {
   for (std::size_t i = 0; i < len; ++i) {
-    if (denom[i] > 0.0) global[i] = static_cast<float>(acc[i] / denom[i]);
-  }
-}
-
-void add_mean_const(float* global, const double* acc, double denom,
-                    std::size_t len) {
-  if (!(denom > 0.0)) return;
-  for (std::size_t i = 0; i < len; ++i) {
-    global[i] += static_cast<float>(acc[i] / denom);
-  }
-}
-
-void store_mean_const(float* global, const double* acc, double denom,
-                      std::size_t len) {
-  for (std::size_t i = 0; i < len; ++i) {
-    global[i] = static_cast<float>(acc[i] / denom);
+    if (weight[i] > 0.0) global[i] = static_cast<float>(acc[i] / weight[i]);
   }
 }
 
@@ -193,80 +156,53 @@ void merge_dense_range(float* global, std::span<const DenseTerm> terms,
   }
 }
 
-}  // namespace
-
-void accumulate_run(double* acc, double* present_weight, const float* values,
-                    std::size_t len, double weight) {
+// The run and sparse kernels with the delta as a compile-time flag: with
+// kDelta the global is widened and subtracted lane by lane, without it the
+// global is never read.
+template <bool kDelta>
+void accumulate_run_lanes(double* acc, double* weight_acc, const float* values,
+                          const float* global, std::size_t len,
+                          double weight) {
   const V4d wv = {weight, weight, weight, weight};
   std::size_t i = 0;
   for (; i + 4 <= len; i += 4) {
-    V4d v;
-    widen4(values + i, v);
-    add4d(acc + i, wv * v);
-    add4d(present_weight + i, wv);
-  }
-  if (i < len) {
-    ref::accumulate_run(acc + i, present_weight + i, values + i, len - i,
-                        weight);
-  }
-}
-
-void merge_param_run(double* acc, double* weight_acc, const float* values,
-                     const float* global, std::size_t len, double weight) {
-  const V4d wv = {weight, weight, weight, weight};
-  std::size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    V4d v, g;
-    widen4(values + i, v);
-    widen4(global + i, g);
-    add4d(acc + i, wv * (v - g));
+    V4d d;
+    widen4(values + i, d);
+    if constexpr (kDelta) {
+      V4d g;
+      widen4(global + i, g);
+      d = d - g;
+    }
+    add4d(acc + i, wv * d);
     add4d(weight_acc + i, wv);
   }
   if (i < len) {
-    ref::merge_param_run(acc + i, weight_acc + i, values + i, global + i,
-                         len - i, weight);
+    ref::accumulate_run(acc + i, weight_acc + i, values + i,
+                        kDelta ? global + i : nullptr, len - i, weight);
   }
 }
 
-void accumulate_sparse(double* acc, double* present_weight,
-                       const std::uint32_t* indices, const float* values,
-                       std::size_t count, std::size_t base, double weight) {
+template <bool kDelta>
+void accumulate_sparse_lanes(double* acc, double* weight_acc,
+                             const std::uint32_t* indices, const float* values,
+                             const float* global, std::size_t count,
+                             std::size_t base, double weight) {
   const V4d wv = {weight, weight, weight, weight};
   std::size_t c = 0;
   // Vectorize the multiply; scatter stays scalar. Indices are strictly
   // ascending, so the four destinations of one batch are distinct and the
   // scalar adds land in the same per-coordinate order as ref::.
   for (; c + 4 <= count; c += 4) {
-    V4d v;
-    widen4(values + c, v);
-    const V4d prod = wv * v;
-    for (std::size_t t = 0; t < 4; ++t) {
-      const std::size_t i = indices[c + t] - base;
-      acc[i] += prod[t];
-      present_weight[i] += weight;
+    V4d d;
+    widen4(values + c, d);
+    if constexpr (kDelta) {
+      const V4d g = {static_cast<double>(global[indices[c]]),
+                     static_cast<double>(global[indices[c + 1]]),
+                     static_cast<double>(global[indices[c + 2]]),
+                     static_cast<double>(global[indices[c + 3]])};
+      d = d - g;
     }
-  }
-  if (c < count) {
-    ref::accumulate_sparse(acc, present_weight, indices + c, values + c,
-                           count - c, base, weight);
-  }
-}
-
-void merge_param_sparse(double* acc, double* weight_acc,
-                        const std::uint32_t* indices, const float* values,
-                        const float* global, std::size_t count,
-                        std::size_t base, double weight) {
-  const V4d wv = {weight, weight, weight, weight};
-  std::size_t c = 0;
-  for (; c + 4 <= count; c += 4) {
-    const V4d g = {static_cast<double>(global[indices[c]]),
-                   static_cast<double>(global[indices[c + 1]]),
-                   static_cast<double>(global[indices[c + 2]]),
-                   static_cast<double>(global[indices[c + 3]])};
-    V4d v;
-    widen4(values + c, v);
-    const V4d delta = v - g;
-    const V4d prod = wv * delta;
+    const V4d prod = wv * d;
     for (std::size_t t = 0; t < 4; ++t) {
       const std::size_t i = indices[c + t] - base;
       acc[i] += prod[t];
@@ -274,77 +210,62 @@ void merge_param_sparse(double* acc, double* weight_acc,
     }
   }
   if (c < count) {
-    ref::merge_param_sparse(acc, weight_acc, indices + c, values + c, global,
-                            count - c, base, weight);
+    ref::accumulate_sparse(acc, weight_acc, indices + c, values + c, global,
+                           count - c, base, weight);
   }
 }
 
-void merge_step_run(float* global, const double* acc, const double* weight,
-                    std::size_t len, double mixing_rate) {
-  const V4d mr = {mixing_rate, mixing_rate, mixing_rate, mixing_rate};
+}  // namespace
+
+void accumulate_run(double* acc, double* weight_acc, const float* values,
+                    const float* global, std::size_t len, double weight) {
+  if (global != nullptr) {
+    accumulate_run_lanes<true>(acc, weight_acc, values, global, len, weight);
+  } else {
+    accumulate_run_lanes<false>(acc, weight_acc, values, nullptr, len, weight);
+  }
+}
+
+void accumulate_sparse(double* acc, double* weight_acc,
+                       const std::uint32_t* indices, const float* values,
+                       const float* global, std::size_t count,
+                       std::size_t base, double weight) {
+  if (global != nullptr) {
+    accumulate_sparse_lanes<true>(acc, weight_acc, indices, values, global,
+                                  count, base, weight);
+  } else {
+    accumulate_sparse_lanes<false>(acc, weight_acc, indices, values, nullptr,
+                                   count, base, weight);
+  }
+}
+
+void add_mean_run(float* global, const double* acc, const double* weight,
+                  std::size_t len, double rate) {
+  const V4d r = {rate, rate, rate, rate};
   const V4d zero = {};
   std::size_t i = 0;
   for (; i + 4 <= len; i += 4) {
     V4d a, w;
     load4d(acc + i, a);
     load4d(weight + i, w);
-    write4<true>(global + i, mr * a / w, w > zero);
+    write4<true>(global + i, r * a / w, w > zero);
   }
   if (i < len) {
-    ref::merge_step_run(global + i, acc + i, weight + i, len - i,
-                        mixing_rate);
+    ref::add_mean_run(global + i, acc + i, weight + i, len - i, rate);
   }
 }
 
-void add_mean_run(float* global, const double* acc, const double* denom,
-                  std::size_t len) {
-  const V4d zero = {};
-  std::size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    V4d a, d;
-    load4d(acc + i, a);
-    load4d(denom + i, d);
-    write4<true>(global + i, a / d, d > zero);
-  }
-  if (i < len) ref::add_mean_run(global + i, acc + i, denom + i, len - i);
-}
-
-void store_mean_run(float* global, const double* acc, const double* denom,
+void store_mean_run(float* global, const double* acc, const double* weight,
                     std::size_t len) {
   const V4d zero = {};
   std::size_t i = 0;
   for (; i + 4 <= len; i += 4) {
-    V4d a, d;
+    V4d a, w;
     load4d(acc + i, a);
-    load4d(denom + i, d);
-    write4<false>(global + i, a / d, d > zero);
+    load4d(weight + i, w);
+    write4<false>(global + i, a / w, w > zero);
   }
-  if (i < len) ref::store_mean_run(global + i, acc + i, denom + i, len - i);
-}
-
-void add_mean_const(float* global, const double* acc, double denom,
-                    std::size_t len) {
-  if (!(denom > 0.0)) return;
-  const V4d d = {denom, denom, denom, denom};
-  std::size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    V4d a;
-    load4d(acc + i, a);
-    write4<true>(global + i, a / d, kAllLanes);
-  }
-  if (i < len) ref::add_mean_const(global + i, acc + i, denom, len - i);
-}
-
-void store_mean_const(float* global, const double* acc, double denom,
-                      std::size_t len) {
-  const V4d d = {denom, denom, denom, denom};
-  std::size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    V4d a;
-    load4d(acc + i, a);
-    write4<false>(global + i, a / d, kAllLanes);
-  }
-  if (i < len) ref::store_mean_const(global + i, acc + i, denom, len - i);
+  if (i < len) ref::store_mean_run(global + i, acc + i, weight + i, len - i);
 }
 
 }  // namespace fused
@@ -404,50 +325,93 @@ SparseSlice sparse_slice(const wire::CompactUpdate& u, std::size_t b0,
           static_cast<std::size_t>(last - first)};
 }
 
-}  // namespace
-
-/// One shard's accumulator pair. Each panel is its own 64-byte-aligned
-/// allocation, so two chunks committing concurrently never write the same
-/// cache line.
-struct alignas(64) ShardedAccumulator::Panel {
-  std::array<double, kBlock> acc;
-  std::array<double, kBlock> present_weight;
-};
-
-ShardedAccumulator::ShardedAccumulator() = default;
-ShardedAccumulator::~ShardedAccumulator() = default;
-
-class ShardedAccumulator::PanelLease {
- public:
-  explicit PanelLease(ShardedAccumulator& owner)
-      : owner_(owner), panel_(owner.lease_panel()) {}
-  ~PanelLease() { owner_.restore_panel(std::move(panel_)); }
-  PanelLease(const PanelLease&) = delete;
-  PanelLease& operator=(const PanelLease&) = delete;
-
-  [[nodiscard]] Panel& get() noexcept { return *panel_; }
-
- private:
-  ShardedAccumulator& owner_;
-  std::unique_ptr<Panel> panel_;
-};
-
-std::unique_ptr<ShardedAccumulator::Panel> ShardedAccumulator::lease_panel() {
-  {
-    std::scoped_lock lock(mutex_);
-    if (!free_panels_.empty()) {
-      auto panel = std::move(free_panels_.back());
-      free_panels_.pop_back();
-      return panel;
+/// The one per-block accumulate walk of the committer. Over the
+/// kBlock-aligned window [b0, b0 + len) it zeroes acc and weight, then adds
+/// every update in batch order by its compact form. With `global` set (the
+/// merge), a parameter payload contributes its delta against it; the
+/// caller writes the block back only after the walk, so every delta sees
+/// the pre-merge value — the coordinate-outer reference's schedule.
+void accumulate_block(double* acc, double* weight,
+                      std::span<const FusedUpdate> updates,
+                      const float* global, std::size_t b0, std::size_t len) {
+  std::fill_n(acc, len, 0.0);
+  std::fill_n(weight, len, 0.0);
+  for (const FusedUpdate& fu : updates) {
+    const wire::CompactUpdate& u = *fu.update;
+    const double w = fu.weight;
+    // Update payloads already are deltas.
+    const float* g = fu.is_update ? nullptr : global;
+    const auto g_at = [g](std::size_t i) { return g ? g + i : nullptr; };
+    switch (u.form) {
+      case wire::CompactUpdate::Form::kEmpty:
+        break;
+      case wire::CompactUpdate::Form::kDense:
+        fused::accumulate_run(acc, weight, u.values.data() + b0, g_at(b0),
+                              len, w);
+        break;
+      case wire::CompactUpdate::Form::kBitmap:
+        walk_bitmap_aligned(
+            u, b0, len,
+            [&](std::size_t i, const float* v, std::size_t run_len) {
+              fused::accumulate_run(acc + (i - b0), weight + (i - b0), v,
+                                    g_at(i), run_len, w);
+            },
+            [&](std::size_t i, float v) {
+              double d = static_cast<double>(v);
+              if (g != nullptr) d -= static_cast<double>(g[i]);
+              acc[i - b0] += w * d;
+              weight[i - b0] += w;
+            });
+        break;
+      case wire::CompactUpdate::Form::kSparse: {
+        const SparseSlice s = sparse_slice(u, b0, len);
+        fused::accumulate_sparse(acc, weight, u.indices.data() + s.c0,
+                                 u.values.data() + s.c0, g, s.count, b0, w);
+        break;
+      }
     }
   }
-  return std::make_unique<Panel>();
 }
 
-void ShardedAccumulator::restore_panel(std::unique_ptr<Panel> panel) {
-  std::scoped_lock lock(mutex_);
-  free_panels_.push_back(std::move(panel));
+/// Commits `updates` block by block: the parallel loop iterates whole
+/// kBlock blocks (block-owner partitioning, see the header), each chunk
+/// takes one 64-byte-aligned panel pair from its thread's Workspace, and
+/// every block is accumulated by accumulate_block and handed to
+/// write_back(global + b0, acc, weight, len).
+template <typename WriteBack>
+void commit_blocks(std::span<float> global_params,
+                   std::span<const FusedUpdate> updates, const float* global,
+                   const WriteBack& write_back) {
+  constexpr std::size_t kBlock = ShardedAccumulator::kBlock;
+  constexpr std::size_t kLine = 64;
+  constexpr std::size_t kPanelBytes = 2 * kBlock * sizeof(double);
+  const std::size_t n = global_params.size();
+  const std::size_t nblocks = (n + kBlock - 1) / kBlock;
+  // The grain scales the old per-coordinate estimate by kBlock, keeping
+  // the serial threshold for small models unchanged.
+  parallel::parallel_for(
+      nblocks,
+      [&](std::size_t bbegin, std::size_t bend) {
+        tensor::Workspace::Scope scope;
+        // One cache line over, then rounded up to the line.
+        void* raw = tensor::Workspace::local()
+                        .alloc<double>(2 * kBlock + kLine / sizeof(double))
+                        .data();
+        std::size_t space = kPanelBytes + kLine;
+        auto* acc = static_cast<double*>(
+            std::align(kLine, kPanelBytes, raw, space));
+        double* weight = acc + kBlock;
+        for (std::size_t b = bbegin; b < bend; ++b) {
+          const std::size_t b0 = b * kBlock;
+          const std::size_t len = std::min(kBlock, n - b0);
+          accumulate_block(acc, weight, updates, global, b0, len);
+          write_back(global_params.data() + b0, acc, weight, len);
+        }
+      },
+      kBlock * updates.size() * 2);
 }
+
+}  // namespace
 
 void ShardedAccumulator::aggregate(std::span<float> global_params,
                                    std::span<const FusedUpdate> updates,
@@ -464,70 +428,20 @@ void ShardedAccumulator::aggregate(std::span<float> global_params,
     FEDBIAD_CHECK(u.weight > 0.0, "client outcome without samples");
     total_weight += u.weight;
   }
-
-  // Block-owner partition: the loop space is whole kBlock panels, so every
-  // block is aligned and owned by exactly one chunk. The grain scales the
-  // old per-coordinate estimate by kBlock, keeping the serial threshold for
-  // small models unchanged.
-  const std::size_t nblocks = (n + kBlock - 1) / kBlock;
-  parallel::parallel_for(
-      nblocks,
-      [&](std::size_t bbegin, std::size_t bend) {
-        PanelLease lease(*this);
-        double* acc = lease.get().acc.data();
-        double* present_weight = lease.get().present_weight.data();
-        for (std::size_t b = bbegin; b < bend; ++b) {
-          const std::size_t b0 = b * kBlock;
-          const std::size_t len = std::min(kBlock, n - b0);
-          std::fill_n(acc, len, 0.0);
-          std::fill_n(present_weight, len, 0.0);
-          for (const FusedUpdate& u : updates) {
-            const double w = u.weight;
-            using Form = wire::CompactUpdate::Form;
-            switch (u.update->form) {
-              case Form::kEmpty:
-                break;
-              case Form::kDense:
-                fused::accumulate_run(acc, present_weight,
-                                      u.update->values.data() + b0, len, w);
-                break;
-              case Form::kBitmap:
-                walk_bitmap_aligned(
-                    *u.update, b0, len,
-                    [&](std::size_t i, const float* v, std::size_t run_len) {
-                      fused::accumulate_run(acc + (i - b0),
-                                            present_weight + (i - b0), v,
-                                            run_len, w);
-                    },
-                    [&](std::size_t i, float v) {
-                      acc[i - b0] += w * static_cast<double>(v);
-                      present_weight[i - b0] += w;
-                    });
-                break;
-              case Form::kSparse: {
-                const SparseSlice s = sparse_slice(*u.update, b0, len);
-                fused::accumulate_sparse(acc, present_weight,
-                                         u.update->indices.data() + s.c0,
-                                         u.update->values.data() + s.c0,
-                                         s.count, b0, w);
-                break;
-              }
-            }
-          }
-          float* g = global_params.data() + b0;
-          const bool masked = rule == AggregationRule::kMaskedAverage;
-          if (is_update && masked) {
-            fused::add_mean_const(g, acc, total_weight, len);
-          } else if (is_update) {
-            fused::add_mean_run(g, acc, present_weight, len);
-          } else if (masked) {
-            fused::store_mean_const(g, acc, total_weight, len);
-          } else {
-            fused::store_mean_run(g, acc, present_weight, len);
-          }
-        }
-      },
-      kBlock * updates.size() * 2);
+  FEDBIAD_CHECK(total_weight > 0.0, "aggregate with no weight");
+  const bool masked = rule == AggregationRule::kMaskedAverage;
+  commit_blocks(global_params, updates, nullptr,
+                [&](float* g, const double* acc, double* weight,
+                    std::size_t len) {
+                  // kMaskedAverage divides every coordinate by the batch's
+                  // total weight, transmitted or not.
+                  if (masked) std::fill_n(weight, len, total_weight);
+                  if (is_update) {
+                    fused::add_mean_run(g, acc, weight, len, 1.0);
+                  } else {
+                    fused::store_mean_run(g, acc, weight, len);
+                  }
+                });
 }
 
 void ShardedAccumulator::merge(std::span<float> global_params,
@@ -551,12 +465,12 @@ void ShardedAccumulator::merge(std::span<float> global_params,
     }
   }
 
-  const std::size_t nblocks = (n + kBlock - 1) / kBlock;
   if (all_dense) {
     // Every coordinate sees the same transmitting set, so the panel path's
     // per-coordinate weight sum is this one scalar; with no dense update
     // it stays 0.0 and the panel path would write nothing either.
     if (!(weight_sum > 0.0)) return;
+    const std::size_t nblocks = (n + kBlock - 1) / kBlock;
     parallel::parallel_for(
         nblocks,
         [&](std::size_t bbegin, std::size_t bend) {
@@ -568,83 +482,11 @@ void ShardedAccumulator::merge(std::span<float> global_params,
     return;
   }
 
-  parallel::parallel_for(
-      nblocks,
-      [&](std::size_t bbegin, std::size_t bend) {
-        PanelLease lease(*this);
-        double* acc = lease.get().acc.data();
-        double* weight = lease.get().present_weight.data();
-        for (std::size_t b = bbegin; b < bend; ++b) {
-          const std::size_t b0 = b * kBlock;
-          const std::size_t len = std::min(kBlock, n - b0);
-          std::fill_n(acc, len, 0.0);
-          std::fill_n(weight, len, 0.0);
-          const float* gin = global_params.data();
-          for (const FusedUpdate& u : updates) {
-            const double w = u.weight;
-            // The global is read here and stepped only in the write-back
-            // below, so every update's delta sees the pre-merge value —
-            // the same read/write schedule as the coordinate-outer
-            // reference merge. Update payloads are already deltas, so they
-            // take the plain accumulate kernels.
-            switch (u.update->form) {
-              case Form::kEmpty:
-                break;
-              case Form::kDense:
-                if (u.is_update) {
-                  fused::accumulate_run(acc, weight,
-                                        u.update->values.data() + b0, len, w);
-                } else {
-                  fused::merge_param_run(acc, weight,
-                                         u.update->values.data() + b0,
-                                         gin + b0, len, w);
-                }
-                break;
-              case Form::kBitmap:
-                walk_bitmap_aligned(
-                    *u.update, b0, len,
-                    [&](std::size_t i, const float* v, std::size_t run_len) {
-                      if (u.is_update) {
-                        fused::accumulate_run(acc + (i - b0),
-                                              weight + (i - b0), v, run_len,
-                                              w);
-                      } else {
-                        fused::merge_param_run(acc + (i - b0),
-                                               weight + (i - b0), v, gin + i,
-                                               run_len, w);
-                      }
-                    },
-                    [&](std::size_t i, float vf) {
-                      const double v = static_cast<double>(vf);
-                      const double delta =
-                          u.is_update ? v
-                                      : v - static_cast<double>(gin[i]);
-                      acc[i - b0] += w * delta;
-                      weight[i - b0] += w;
-                    });
-                break;
-              case Form::kSparse: {
-                const SparseSlice s = sparse_slice(*u.update, b0, len);
-                if (u.is_update) {
-                  fused::accumulate_sparse(acc, weight,
-                                           u.update->indices.data() + s.c0,
-                                           u.update->values.data() + s.c0,
-                                           s.count, b0, w);
-                } else {
-                  fused::merge_param_sparse(acc, weight,
-                                            u.update->indices.data() + s.c0,
-                                            u.update->values.data() + s.c0,
-                                            gin, s.count, b0, w);
-                }
-                break;
-              }
-            }
-          }
-          fused::merge_step_run(global_params.data() + b0, acc, weight, len,
-                                mixing_rate);
-        }
-      },
-      kBlock * updates.size() * 2);
+  commit_blocks(global_params, updates, global_params.data(),
+                [&](float* g, const double* acc, const double* weight,
+                    std::size_t len) {
+                  fused::add_mean_run(g, acc, weight, len, mixing_rate);
+                });
 }
 
 }  // namespace fedbiad::fl

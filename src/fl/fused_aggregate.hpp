@@ -14,10 +14,16 @@
 // path — tests/test_scale.cpp pins this per payload form, and the 12
 // engine goldens pin it end to end.
 //
-// ShardedAccumulator owns the per-block accumulator panels: each parallel
-// chunk leases a cache-aligned panel pair from a free list, so concurrent
-// commits never share an accumulator cache line (no false sharing) and the
-// allocations persist across rounds instead of being rebuilt per commit.
+// One walk serves both commits. Per block it zeroes an accumulator pair
+// (sums and transmitted weight), adds each update by its compact form —
+// a dense run, bitmap words, or a sparse slice — taking the delta against
+// the pre-merge global only for merge()'s parameter payloads, and hands
+// the block to the caller's write-back: aggregate() divides by the
+// per-coordinate weight (kMaskedAverage fills the weight panel with the
+// batch's total weight), merge() steps the global by mixing_rate times
+// the weighted mean. Each parallel chunk takes its panel pair from its
+// thread's tensor::Workspace, so the panels are thread-private, 64-byte
+// aligned and reused across rounds; the committer itself holds no state.
 //
 // Partitioning is block-owner: the parallel loop iterates whole kBlock
 // panels, so every block starts at a kBlock-aligned coordinate regardless
@@ -48,10 +54,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <vector>
 
 #include "fl/strategy.hpp"
 #include "wire/compact.hpp"
@@ -68,82 +71,48 @@ namespace fedbiad::fl {
 /// at any one coordinate is unchanged.
 namespace fused {
 
-/// Contiguous run: acc[i] += weight * (double)values[i] and
-/// present_weight[i] += weight for i in [0, len).
-void accumulate_run(double* acc, double* present_weight, const float* values,
-                    std::size_t len, double weight);
-
-/// Parameter-payload merge run: acc[i] += weight * ((double)values[i] -
-/// (double)global[i]) and weight_acc[i] += weight for i in [0, len).
-void merge_param_run(double* acc, double* weight_acc, const float* values,
-                     const float* global, std::size_t len, double weight);
+/// Contiguous run: acc[i] += weight * d[i] and weight_acc[i] += weight for
+/// i in [0, len), where d[i] is (double)values[i], or with `global` set
+/// (double)values[i] - (double)global[i] — a parameter payload's delta.
+void accumulate_run(double* acc, double* weight_acc, const float* values,
+                    const float* global, std::size_t len, double weight);
 
 /// Sparse gather: for c in [0, count), acc[indices[c] - base] +=
-/// weight * (double)values[c] (and present_weight likewise). `indices` must
-/// be strictly ascending and within [base, base + kBlock).
-void accumulate_sparse(double* acc, double* present_weight,
+/// weight * d[c] (and weight_acc likewise), with d[c] as above but the
+/// global read at the absolute coordinate indices[c]. `indices` must be
+/// strictly ascending and within [base, base + kBlock).
+void accumulate_sparse(double* acc, double* weight_acc,
                        const std::uint32_t* indices, const float* values,
-                       std::size_t count, std::size_t base, double weight);
-
-/// Sparse parameter-payload merge: delta is values[c] minus the global at
-/// the absolute coordinate indices[c].
-void merge_param_sparse(double* acc, double* weight_acc,
-                        const std::uint32_t* indices, const float* values,
-                        const float* global, std::size_t count,
-                        std::size_t base, double weight);
+                       const float* global, std::size_t count,
+                       std::size_t base, double weight);
 
 // Write-back kernels: the end of every panel block. Each coordinate takes
-// one true IEEE double divide and a rounding to float; lanes whose
-// denominator is not > 0 keep their global bits (a lane mask, not a
-// branch).
+// one true IEEE double divide and a rounding to float; lanes whose weight
+// is not > 0 keep their global bits (a lane mask, not a branch).
 
-/// Staleness-merge step: where weight[i] > 0,
-/// global[i] += (float)(mixing_rate * acc[i] / weight[i]).
-void merge_step_run(float* global, const double* acc, const double* weight,
-                    std::size_t len, double mixing_rate);
+/// Where weight[i] > 0, global[i] += (float)(rate * acc[i] / weight[i]).
+/// At rate 1.0 this is the plain mean: 1.0 * acc is exact.
+void add_mean_run(float* global, const double* acc, const double* weight,
+                  std::size_t len, double rate);
 
-/// Where denom[i] > 0, global[i] += (float)(acc[i] / denom[i]).
-void add_mean_run(float* global, const double* acc, const double* denom,
-                  std::size_t len);
-
-/// Where denom[i] > 0, global[i] = (float)(acc[i] / denom[i]).
-void store_mean_run(float* global, const double* acc, const double* denom,
+/// Where weight[i] > 0, global[i] = (float)(acc[i] / weight[i]).
+void store_mean_run(float* global, const double* acc, const double* weight,
                     std::size_t len);
-
-/// One denominator for the run (kMaskedAverage's total weight): if
-/// denom > 0, global[i] += (float)(acc[i] / denom).
-void add_mean_const(float* global, const double* acc, double denom,
-                    std::size_t len);
-
-/// global[i] = (float)(acc[i] / denom), unconditionally.
-void store_mean_const(float* global, const double* acc, double denom,
-                      std::size_t len);
 
 /// Scalar reference kernels — the loops the vector versions must match
 /// bitwise (tests/test_scale.cpp pins them against each other on ragged
 /// lengths).
 namespace ref {
-void accumulate_run(double* acc, double* present_weight, const float* values,
-                    std::size_t len, double weight);
-void merge_param_run(double* acc, double* weight_acc, const float* values,
-                     const float* global, std::size_t len, double weight);
-void accumulate_sparse(double* acc, double* present_weight,
+void accumulate_run(double* acc, double* weight_acc, const float* values,
+                    const float* global, std::size_t len, double weight);
+void accumulate_sparse(double* acc, double* weight_acc,
                        const std::uint32_t* indices, const float* values,
-                       std::size_t count, std::size_t base, double weight);
-void merge_param_sparse(double* acc, double* weight_acc,
-                        const std::uint32_t* indices, const float* values,
-                        const float* global, std::size_t count,
-                        std::size_t base, double weight);
-void merge_step_run(float* global, const double* acc, const double* weight,
-                    std::size_t len, double mixing_rate);
-void add_mean_run(float* global, const double* acc, const double* denom,
-                  std::size_t len);
-void store_mean_run(float* global, const double* acc, const double* denom,
+                       const float* global, std::size_t count,
+                       std::size_t base, double weight);
+void add_mean_run(float* global, const double* acc, const double* weight,
+                  std::size_t len, double rate);
+void store_mean_run(float* global, const double* acc, const double* weight,
                     std::size_t len);
-void add_mean_const(float* global, const double* acc, double denom,
-                    std::size_t len);
-void store_mean_const(float* global, const double* acc, double denom,
-                      std::size_t len);
 }  // namespace ref
 
 }  // namespace fused
@@ -159,19 +128,14 @@ struct FusedUpdate {
   bool is_update = false;  ///< delta payload vs full-parameter payload
 };
 
+/// The fused committer. It holds no state: its panels live in the calling
+/// threads' Workspaces for the length of one call.
 class ShardedAccumulator {
  public:
   /// Coordinates per accumulator block. Equals the dense kernel's block and
   /// CompactUpdate::kRankStride, so a block start costs one rank-directory
   /// probe.
   static constexpr std::size_t kBlock = 4096;
-
-  // Out of line: Panel is incomplete here, and both special members
-  // instantiate the panel vector's destructor.
-  ShardedAccumulator();
-  ~ShardedAccumulator();
-  ShardedAccumulator(const ShardedAccumulator&) = delete;
-  ShardedAccumulator& operator=(const ShardedAccumulator&) = delete;
 
   /// FedAvg-style commit: mirrors the test oracle reference::aggregate
   /// (tests/aggregate.hpp) bit for bit. `weight` must be each update's
@@ -188,16 +152,6 @@ class ShardedAccumulator {
   /// batches merge in registers without panels (see the file comment).
   void merge(std::span<float> global_params,
              std::span<const FusedUpdate> updates, double mixing_rate);
-
- private:
-  struct Panel;
-  class PanelLease;
-
-  [[nodiscard]] std::unique_ptr<Panel> lease_panel();
-  void restore_panel(std::unique_ptr<Panel> panel);
-
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<Panel>> free_panels_;
 };
 
 }  // namespace fedbiad::fl

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "fl/fused_aggregate.hpp"
 #include "tensor/ops.hpp"
 
 namespace fedbiad::fl {
@@ -31,7 +32,7 @@ const char* to_string(AggregationMode mode) {
   return "?";
 }
 
-void staleness_merge(ShardedAccumulator& acc, std::span<float> global,
+void staleness_merge(std::span<float> global,
                      const std::vector<PendingUpdate>& batch,
                      const StalenessConfig& cfg, std::size_t commit_version) {
   FEDBIAD_CHECK(!batch.empty(), "staleness merge with no updates");
@@ -47,7 +48,7 @@ void staleness_merge(ShardedAccumulator& acc, std::span<float> global,
                       std::pow(1.0 + staleness, -cfg.exponent);
     fused[k].is_update = up.outcome.is_update;
   }
-  acc.merge(global, fused, cfg.mixing_rate);
+  ShardedAccumulator().merge(global, fused, cfg.mixing_rate);
 }
 
 bool IdleSet::is_idle(std::size_t pos) const {
@@ -358,9 +359,10 @@ void ServerCore::commit(std::vector<PendingUpdate> batch) {
       fused[i].weight = static_cast<double>(batch[i].outcome.samples);
       fused[i].is_update = batch[i].outcome.is_update;
     }
-    sharded_.aggregate(global_, fused, strategy_->aggregation_rule());
+    ShardedAccumulator().aggregate(global_, fused,
+                                   strategy_->aggregation_rule());
   } else {
-    staleness_merge(sharded_, global_, batch, cfg_.staleness, version_);
+    staleness_merge(global_, batch, cfg_.staleness, version_);
     for (const PendingUpdate& up : batch) {
       staleness_acc += static_cast<double>(version_ - up.dispatch_version);
     }

@@ -34,7 +34,6 @@
 #include "checkpoint/checkpoint.hpp"
 #include "data/dataset.hpp"
 #include "fl/engine_hooks.hpp"
-#include "fl/fused_aggregate.hpp"
 #include "fl/metrics.hpp"
 #include "fl/simulation.hpp"
 #include "fl/strategy.hpp"
@@ -69,7 +68,7 @@ struct PendingUpdate {
 /// outcomes subtract it, update-type outcomes already are one), deltas are
 /// averaged per coordinate over the transmitting clients with weight
 /// |D_k| · (1+τ_k)^-a, and the global takes an α-sized step along the mean.
-void staleness_merge(ShardedAccumulator& acc, std::span<float> global,
+void staleness_merge(std::span<float> global,
                      const std::vector<PendingUpdate>& batch,
                      const StalenessConfig& cfg, std::size_t commit_version);
 
@@ -238,7 +237,6 @@ class ServerCore {
   tensor::Rng rng_;
   std::unique_ptr<nn::Model> model_;
   std::vector<float> global_;
-  ShardedAccumulator sharded_;
   std::shared_ptr<const wire::Payload> broadcast_;  ///< this version's
   std::uint64_t downlink_bytes_ = 0;
 

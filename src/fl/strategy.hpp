@@ -82,7 +82,8 @@ struct ClientContext {
   double deadline_seconds = 0.0;
 };
 
-/// How the server combines client values (DESIGN.md §2 discusses the two).
+/// How the server combines client values (the `AggregationRule` bullet of
+/// docs/ARCHITECTURE.md discusses the two).
 enum class AggregationRule {
   /// Literal eq. 10: weighted average of β ∘ U including the zeros of
   /// dropped rows. Kept for tests and the ablation bench.

@@ -14,7 +14,7 @@ namespace fedbiad::nn {
 
 struct LstmLmConfig {
   std::size_t vocab = 1000;
-  std::size_t embed = 64;    ///< paper: 300 (scaled; see DESIGN.md)
+  std::size_t embed = 64;    ///< paper: 300 (scaled; see bench/README.md)
   std::size_t hidden = 64;   ///< paper: 300
   std::size_t layers = 2;
 };

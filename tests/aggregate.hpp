@@ -25,7 +25,8 @@ namespace fedbiad::reference {
 /// kMaskedAverage implements eq. 10 literally (dropped coordinates count as
 /// zeros); kPerCoordinateNormalized averages every coordinate over the
 /// clients that transmitted it and keeps the previous global value where no
-/// client did (see DESIGN.md §2 for why this is the default).
+/// client did (the `AggregationRule` bullet of docs/ARCHITECTURE.md says why
+/// this is the default).
 void aggregate(std::span<float> global_params,
                std::span<const fl::ClientOutcome> outcomes,
                fl::AggregationRule rule);

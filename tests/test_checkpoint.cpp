@@ -6,9 +6,13 @@
 // strategy, under fault injection, and across thread counts.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -142,7 +146,12 @@ void expect_snapshot_equal(const checkpoint::EngineSnapshot& a,
   EXPECT_EQ(a.rejected_deliveries, b.rejected_deliveries);
   EXPECT_EQ(a.wasted_uplink_bytes, b.wasted_uplink_bytes);
   EXPECT_EQ(a.rejected_bytes, b.rejected_bytes);
-  EXPECT_EQ(a.global, b.global);
+  ASSERT_EQ(a.global.size(), b.global.size());
+  for (std::size_t i = 0; i < a.global.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(a.global[i]),
+              std::bit_cast<std::uint32_t>(b.global[i]))
+        << "global " << i;
+  }
   ASSERT_EQ(a.rounds.size(), b.rounds.size());
   for (std::size_t i = 0; i < a.rounds.size(); ++i) {
     EXPECT_EQ(a.rounds[i].round, b.rounds[i].round);
@@ -182,6 +191,8 @@ void expect_snapshot_equal(const checkpoint::EngineSnapshot& a,
     EXPECT_EQ(a.jobs[i].has_pending, b.jobs[i].has_pending);
     EXPECT_EQ(a.jobs[i].samples, b.jobs[i].samples);
     EXPECT_EQ(a.jobs[i].is_update, b.jobs[i].is_update);
+    EXPECT_EQ(a.jobs[i].payload.kind, b.jobs[i].payload.kind);
+    EXPECT_EQ(a.jobs[i].payload.aux, b.jobs[i].payload.aux);
     EXPECT_EQ(a.jobs[i].payload.bytes, b.jobs[i].payload.bytes);
     EXPECT_EQ(a.jobs[i].train_seconds, b.jobs[i].train_seconds);
     EXPECT_EQ(a.jobs[i].mean_loss, b.jobs[i].mean_loss);
@@ -208,6 +219,160 @@ TEST(CheckpointFile, WriteReadRoundTrip) {
     EXPECT_EQ(entry.path().filename().string().rfind(".tmp-", 0),
               std::string::npos);
   }
+}
+
+// --- Golden checkpoint file -------------------------------------------------
+
+/// A snapshot with every field set to a value no default shares, built by
+/// hand rather than by training, so no build's arithmetic can move it: jobs
+/// with and without a pending upload, every event kind plus a job-less
+/// event, two round records, a strategy blob, and a global holding NaN, -0
+/// and a denormal.
+checkpoint::EngineSnapshot golden_snapshot() {
+  checkpoint::EngineSnapshot snap;
+  snap.engine = "buffered";
+  snap.seed = 20230714;
+  snap.rounds_target = 40;
+  snap.clock = 37.625;
+  snap.version = 2;
+  snap.dispatched = 300;  // a two-byte varint
+  // An rng state mid-sequence with half a Box–Muller pair cached, set by
+  // hand so no libm can move the cached deviate.
+  snap.rng.s[0] = 0x9E3779B97F4A7C15;
+  snap.rng.s[1] = 0xBF58476D1CE4E5B9;
+  snap.rng.s[2] = 0x94D049BB133111EB;
+  snap.rng.s[3] = 0x2545F4914F6CDD1D;
+  snap.rng.cached_normal = -0.8125;
+  snap.rng.has_cached_normal = true;
+  snap.committed = 17;
+  snap.abandoned = 3;
+  snap.rejected = 2;
+  snap.rejected_deliveries = 5;
+  snap.wasted_uplink_bytes = 70000;
+  snap.rejected_bytes = 1234567;
+  snap.global = {std::numeric_limits<float>::quiet_NaN(),
+                 -0.0F,
+                 std::numeric_limits<float>::denorm_min(),
+                 1.5F,
+                 -std::numeric_limits<float>::infinity(),
+                 std::bit_cast<float>(std::uint32_t{0x7FC01234}),  // NaN payload
+                 -3.0e-39F};
+  snap.param_count = snap.global.size();
+  for (std::size_t r = 1; r <= 2; ++r) {
+    const double k = static_cast<double>(r);
+    fl::RoundRecord rec;
+    rec.round = r;
+    rec.train_loss = 2.25 / k;
+    rec.test_loss = 2.5 / k;
+    rec.top1 = 0.125 * k;
+    rec.topk = 0.375 * k;
+    rec.participants = 4 + r;
+    rec.uplink_bytes_total = 200000 * r;
+    rec.uplink_bytes_max = 60000 + r;
+    rec.downlink_bytes = 407084;
+    rec.lttr_seconds = 0.75 * k;
+    rec.upload_seconds = 1.0 / 3.0 * k;
+    rec.download_seconds = 0.0625 * k;
+    rec.aggregate_seconds = 1e-4 * k;
+    rec.clock_seconds = 18.5 * k;
+    rec.mean_staleness = 0.5 * k;
+    rec.abandoned = r;
+    rec.wasted_uplink_bytes = 35000 * r;
+    rec.rejected = r;
+    rec.rejected_bytes = 600000 * r;
+    snap.rounds.push_back(rec);
+  }
+  snap.strategy_state = {0, 1, 127, 128, 255};
+  checkpoint::JobSnapshot pending;
+  pending.client = 9;
+  pending.slot = 3;
+  pending.version = 1;
+  pending.dispatch_index = 290;
+  pending.attempt = 2;
+  pending.dispatch_clock = 30.5;
+  pending.download_seconds = 0.25;
+  pending.compute_seconds = 4.75;
+  pending.upload_start = 35.5;
+  pending.churn_fails = true;
+  pending.churn_fraction = 0.625;
+  pending.has_pending = true;
+  pending.samples = 600;
+  pending.is_update = true;
+  pending.payload.kind = wire::PayloadKind::kSparseFixed;
+  pending.payload.aux = 17;
+  pending.payload.bytes = {0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x80};
+  pending.train_seconds = 0.0375;
+  pending.mean_loss = 1.75;
+  pending.last_loss = 1.5;
+  snap.jobs.push_back(pending);
+  checkpoint::JobSnapshot training;
+  training.client = 12;
+  training.slot = 4;
+  training.version = 2;
+  training.dispatch_index = 299;
+  training.attempt = 1;
+  training.dispatch_clock = 37.625;
+  training.download_seconds = 0.125;
+  training.compute_seconds = 5.5;
+  training.upload_start = 43.25;
+  training.churn_fails = false;
+  training.churn_fraction = 0.875;
+  training.has_pending = false;
+  training.samples = 550;
+  training.is_update = false;
+  training.payload.kind = wire::PayloadKind::kRowMasked;
+  training.payload.bytes = {1, 2, 3};
+  training.train_seconds = 0.0625;
+  training.mean_loss = 2.125;
+  training.last_loss = 2.0;
+  snap.jobs.push_back(training);
+  snap.events = {
+      {checkpoint::EventKind::kTraining, 1, 43.125, 0},
+      {checkpoint::EventKind::kDelivery, 0, 38.0, 1},
+      {checkpoint::EventKind::kChurnAbandon, 0, 37.75, 4096},
+      {checkpoint::EventKind::kDeadline, 1, 45.0, 2},
+      {checkpoint::EventKind::kDuplicate, 0, 38.5, 65},
+      {checkpoint::EventKind::kDuplicate, checkpoint::kNoJob, 39.0, 407093},
+  };
+  return snap;
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// tests/golden/checkpoint_v<format>.fbck pins the .fbck format:
+// write_snapshot must reproduce its bytes, and read_snapshot of it must
+// give back the struct field by field. A format change without a version
+// bump fails here; after a bump the test looks for the new version's file,
+// which FEDBIAD_UPDATE_GOLDEN=1 writes (the old file can then go).
+TEST(CheckpointFile, GoldenFileMatchesWriterAndReader) {
+  const checkpoint::EngineSnapshot snap = golden_snapshot();
+  const std::string dir = fresh_dir("golden");
+  checkpoint::write_snapshot(dir, snap);
+  const std::vector<std::uint8_t> written =
+      read_file(checkpoint::list_snapshots(dir).at(0));
+  wire::Reader header(written);
+  (void)header.bytes(4);  // magic
+  const std::string golden = std::string(FEDBIAD_GOLDEN_DIR) +
+                             "/checkpoint_v" +
+                             std::to_string(header.u32()) + ".fbck";
+  const char* update = std::getenv("FEDBIAD_UPDATE_GOLDEN");
+  if (update != nullptr && update[0] != '\0' && update[0] != '0') {
+    std::ofstream(golden, std::ios::binary)
+        .write(reinterpret_cast<const char*>(written.data()),
+               static_cast<std::streamsize>(written.size()));
+    GTEST_SKIP() << "rewrote " << golden;
+  }
+  ASSERT_TRUE(fs::exists(golden))
+      << golden << " is missing; write it with FEDBIAD_UPDATE_GOLDEN=1";
+  const std::vector<std::uint8_t> checked_in = read_file(golden);
+  EXPECT_TRUE(written == checked_in)
+      << "write_snapshot's bytes differ from " << golden << " ("
+      << written.size() << " vs " << checked_in.size()
+      << " bytes): a format change needs a kFormatVersion bump";
+  expect_snapshot_equal(checkpoint::read_snapshot(golden), snap);
 }
 
 TEST(CheckpointFile, RestoredRngContinuesTheSequence) {

@@ -149,15 +149,7 @@ std::vector<ParityCase> parity_cases() {
   cases.push_back({"fmnist_like", with(ImageSynthConfig::fmnist_like(2),
                                        1000, 200)});
   cases.push_back({"defaults", with(ImageSynthConfig{}, 1000, 200)});
-  // Odd pixel counts: the stream's cached deviate crosses sample boundaries,
-  // and 1×3 leaves one kernel pair per sample at most.
-  ImageSynthConfig odd = with(ImageSynthConfig{}, 301, 57);
-  odd.height = 5;
-  odd.width = 7;
-  cases.push_back({"h5_w7", odd});
-  odd.height = 1;
-  odd.width = 3;
-  cases.push_back({"h1_w3", odd});
+  // Odd image sizes: see ImageSynthOddGeometryParity in test_image_synth.cpp.
   ImageSynthConfig fixed = with(ImageSynthConfig{}, 300, 60);
   fixed.height = 9;
   fixed.width = 9;

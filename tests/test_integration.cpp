@@ -185,7 +185,8 @@ TEST(Integration, ComposedFedBiadDgcRunsAndCompressesHard) {
 }
 
 TEST(Integration, MaskedAverageUnderperformsNormalized) {
-  // The DESIGN.md deviation note: literal eq. 10 shrinks rows each round.
+  // The `AggregationRule` bullet of docs/ARCHITECTURE.md: literal eq. 10
+  // shrinks rows each round.
   ImageWorld world;
   const auto normalized = world.run(std::make_shared<core::FedBiadStrategy>(
       core::FedBiadConfig{.dropout_rate = 0.5,

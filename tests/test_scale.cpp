@@ -26,6 +26,7 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -48,6 +49,7 @@
 #include "scenario/config.hpp"
 #include "scenario/model.hpp"
 #include "tensor/rng.hpp"
+#include "tensor/workspace.hpp"
 #include "wire/bitset.hpp"
 #include "wire/compact.hpp"
 #include "wire/reader.hpp"
@@ -667,6 +669,82 @@ TEST(FusedAggregate, DenseMergeMatchesCoordinateOuterReference) {
   }
 }
 
+// The panel path — a dense, a bitmap, a sparse and an empty update in one
+// batch — on any thread count and over stale scratch: the barrier
+// aggregate under both rules and the staleness merge, for both payload
+// types, must land on the dense oracle and the coordinate-outer reference
+// bit for bit. Each batch runs inside a one-worker pool, where
+// parallel_for runs inline and whose Workspace a task first fills with
+// NaN, so a panel not zeroed per block shows; there the aggregates and the
+// merge interleave over the same retained panels. It runs again split
+// across the global pool. The store has five blocks, the last one ragged,
+// so four workers get a block each.
+TEST(FusedAggregate, PanelPathMatchesReferenceOnAnyThreadCountAndStaleScratch) {
+  nn::ParameterStore store;
+  store.add_group("emb", nn::GroupKind::kEmbedding, 128, 70);
+  store.add_group("fc", nn::GroupKind::kDense, 96, 81);
+  store.add_group("head", nn::GroupKind::kDense, 3, 37);
+  store.finalize();
+  const std::size_t n = store.size();
+  constexpr std::size_t kBlock = fl::ShardedAccumulator::kBlock;
+  ASSERT_NE(n % kBlock, 0U);
+  ASSERT_GT(n, 4 * kBlock) << "four workers need a block each";
+  std::vector<float> base(n);
+  tensor::Rng rng(415);
+  for (auto& v : base) v = static_cast<float>(rng.normal());
+
+  parallel::ThreadPool serial(1);
+  serial
+      .submit([] {
+        tensor::Workspace::Scope scope;
+        auto scratch = tensor::Workspace::local().alloc<double>(4 * kBlock);
+        std::fill(scratch.begin(), scratch.end(),
+                  std::numeric_limits<double>::quiet_NaN());
+      })
+      .get();
+  fl::ShardedAccumulator sharded;
+  for (const bool is_update : {false, true}) {
+    const Batch b = mixed_batch(store, is_update);
+    std::vector<fl::FusedUpdate> damped = b.fused;
+    std::vector<double> weights;
+    for (std::size_t k = 0; k < damped.size(); ++k) {
+      damped[k].weight *= std::pow(2.0 + static_cast<double>(k), -0.5);
+      weights.push_back(damped[k].weight);
+    }
+    std::vector<float> ref_masked = base;
+    std::vector<float> ref_normalized = base;
+    std::vector<float> ref_merged = base;
+    reference::aggregate(ref_masked, b.dense,
+                         fl::AggregationRule::kMaskedAverage);
+    reference::aggregate(ref_normalized, b.dense,
+                         fl::AggregationRule::kPerCoordinateNormalized);
+    reference_merge(ref_merged, b.dense, weights, 0.6);
+
+    for (const bool pooled : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "is_update " << is_update
+                                      << (pooled ? " pooled" : " serial"));
+      std::vector<float> masked = base;
+      std::vector<float> normalized = base;
+      std::vector<float> merged = base;
+      const auto commit = [&] {
+        sharded.aggregate(masked, b.fused,
+                          fl::AggregationRule::kMaskedAverage);
+        sharded.merge(merged, damped, 0.6);
+        sharded.aggregate(normalized, b.fused,
+                          fl::AggregationRule::kPerCoordinateNormalized);
+      };
+      if (pooled) {
+        commit();
+      } else {
+        serial.submit(commit).get();
+      }
+      expect_params_bit_identical(masked, ref_masked);
+      expect_params_bit_identical(normalized, ref_normalized);
+      expect_params_bit_identical(merged, ref_merged);
+    }
+  }
+}
+
 // --- vector kernels == scalar reference, bitwise ---------------------------
 
 void expect_doubles_bit_identical(std::span<const double> a,
@@ -694,23 +772,18 @@ TEST(FusedKernels, VectorMatchesScalarRefBitwiseOnRaggedLengths) {
     const auto values = hostile_values(len, 501 + len);
     const auto global = hostile_values(len, 601 + len);
     const double weight = 3.25;
-    std::vector<double> acc_v(len, 0.125), acc_r(len, 0.125);
-    std::vector<double> w_v(len, 0.5), w_r(len, 0.5);
-    fl::fused::accumulate_run(acc_v.data(), w_v.data(), values.data(), len,
-                              weight);
-    fl::fused::ref::accumulate_run(acc_r.data(), w_r.data(), values.data(),
-                                   len, weight);
-    expect_doubles_bit_identical(acc_v, acc_r, "accumulate_run acc", len);
-    expect_doubles_bit_identical(w_v, w_r, "accumulate_run weight", len);
-
-    std::vector<double> macc_v(len, -0.25), macc_r(len, -0.25);
-    std::vector<double> mw_v(len, 1.5), mw_r(len, 1.5);
-    fl::fused::merge_param_run(macc_v.data(), mw_v.data(), values.data(),
-                               global.data(), len, weight);
-    fl::fused::ref::merge_param_run(macc_r.data(), mw_r.data(), values.data(),
-                                    global.data(), len, weight);
-    expect_doubles_bit_identical(macc_v, macc_r, "merge_param_run acc", len);
-    expect_doubles_bit_identical(mw_v, mw_r, "merge_param_run weight", len);
+    // Without a global the run adds the values; with one, their deltas.
+    for (const float* g : {static_cast<const float*>(nullptr), global.data()}) {
+      const char* what = g == nullptr ? "accumulate_run" : "delta run";
+      std::vector<double> acc_v(len, 0.125), acc_r(len, 0.125);
+      std::vector<double> w_v(len, 0.5), w_r(len, 0.5);
+      fl::fused::accumulate_run(acc_v.data(), w_v.data(), values.data(), g,
+                                len, weight);
+      fl::fused::ref::accumulate_run(acc_r.data(), w_r.data(), values.data(),
+                                     g, len, weight);
+      expect_doubles_bit_identical(acc_v, acc_r, what, len);
+      expect_doubles_bit_identical(w_v, w_r, what, len);
+    }
   }
 }
 
@@ -731,32 +804,23 @@ TEST(FusedKernels, SparseVectorMatchesScalarRefBitwise) {
       const auto g = hostile_values(kBlock, 801 + count);
       global.assign(g.begin(), g.end());
     }
-    const double weight = 0.375;
-    std::vector<double> acc_v(kBlock, 0.0625), acc_r(kBlock, 0.0625);
-    std::vector<double> w_v(kBlock, 2.0), w_r(kBlock, 2.0);
-    fl::fused::accumulate_sparse(acc_v.data(), w_v.data(), indices.data(),
-                                 values.data(), count, base, weight);
-    fl::fused::ref::accumulate_sparse(acc_r.data(), w_r.data(), indices.data(),
-                                      values.data(), count, base, weight);
-    expect_doubles_bit_identical(acc_v, acc_r, "accumulate_sparse acc", count);
-    expect_doubles_bit_identical(w_v, w_r, "accumulate_sparse weight", count);
-
-    std::vector<double> macc_v(kBlock, -1.0), macc_r(kBlock, -1.0);
-    std::vector<double> mw_v(kBlock, 0.75), mw_r(kBlock, 0.75);
-    // merge_param_sparse reads the global at absolute coordinates.
+    // The delta form reads the global at absolute coordinates.
     std::vector<float> wide_global(base + kBlock);
     std::copy(global.begin(), global.end(), wide_global.begin() + base);
-    fl::fused::merge_param_sparse(macc_v.data(), mw_v.data(), indices.data(),
-                                  values.data(), wide_global.data(), count,
-                                  base, weight);
-    fl::fused::ref::merge_param_sparse(macc_r.data(), mw_r.data(),
-                                       indices.data(), values.data(),
-                                       wide_global.data(), count, base,
-                                       weight);
-    expect_doubles_bit_identical(macc_v, macc_r, "merge_param_sparse acc",
-                                 count);
-    expect_doubles_bit_identical(mw_v, mw_r, "merge_param_sparse weight",
-                                 count);
+    const double weight = 0.375;
+    const float* const globals[] = {nullptr, wide_global.data()};
+    for (const float* g : globals) {
+      const char* what = g == nullptr ? "accumulate_sparse" : "delta sparse";
+      std::vector<double> acc_v(kBlock, 0.0625), acc_r(kBlock, 0.0625);
+      std::vector<double> w_v(kBlock, 2.0), w_r(kBlock, 2.0);
+      fl::fused::accumulate_sparse(acc_v.data(), w_v.data(), indices.data(),
+                                   values.data(), g, count, base, weight);
+      fl::fused::ref::accumulate_sparse(acc_r.data(), w_r.data(),
+                                        indices.data(), values.data(), g,
+                                        count, base, weight);
+      expect_doubles_bit_identical(acc_v, acc_r, what, count);
+      expect_doubles_bit_identical(w_v, w_r, what, count);
+    }
   }
 }
 
@@ -905,17 +969,11 @@ TEST(FusedKernels, WriteBackMatchesScalarRefBitwiseOnRaggedLengths) {
     const auto acc = hostile_sums(len, 901 + len);
     const auto denom = mixed_denominators(len, 951 + len);
     const auto global = hostile_values(len, 991 + len);
-    {
+    for (const double rate : {0.6, 1.0}) {
       std::vector<float> v = global, r = global;
-      fl::fused::merge_step_run(v.data(), acc.data(), denom.data(), len, 0.6);
-      fl::fused::ref::merge_step_run(r.data(), acc.data(), denom.data(), len,
-                                     0.6);
-      expect_floats(v, r, "merge_step_run", len);
-    }
-    {
-      std::vector<float> v = global, r = global;
-      fl::fused::add_mean_run(v.data(), acc.data(), denom.data(), len);
-      fl::fused::ref::add_mean_run(r.data(), acc.data(), denom.data(), len);
+      fl::fused::add_mean_run(v.data(), acc.data(), denom.data(), len, rate);
+      fl::fused::ref::add_mean_run(r.data(), acc.data(), denom.data(), len,
+                                   rate);
       expect_floats(v, r, "add_mean_run", len);
     }
     {
@@ -924,18 +982,21 @@ TEST(FusedKernels, WriteBackMatchesScalarRefBitwiseOnRaggedLengths) {
       fl::fused::ref::store_mean_run(r.data(), acc.data(), denom.data(), len);
       expect_floats(v, r, "store_mean_run", len);
     }
-    // Scalar denominators, zero weight included: add_mean_const is then a
-    // no-op and store_mean_const divides by it anyway, as the loops did.
-    for (const double d : {3.5, 0.0, -1.0, 1e-300}) {
-      std::vector<float> v = global, r = global;
-      fl::fused::add_mean_const(v.data(), acc.data(), d, len);
-      fl::fused::ref::add_mean_const(r.data(), acc.data(), d, len);
-      expect_floats(v, r, "add_mean_const", len);
-      v = global;
-      r = global;
-      fl::fused::store_mean_const(v.data(), acc.data(), d, len);
-      fl::fused::ref::store_mean_const(r.data(), acc.data(), d, len);
-      expect_floats(v, r, "store_mean_const", len);
+    // kMaskedAverage's weight panel holds the batch's total weight at every
+    // coordinate: at rate 1.0 the kernels are then the plain loops over one
+    // positive denominator.
+    for (const double d : {3.5, 1e-300}) {
+      const std::vector<double> total(len, d);
+      std::vector<float> add = global, store = global;
+      std::vector<float> add_r = global, store_r = global;
+      fl::fused::add_mean_run(add.data(), acc.data(), total.data(), len, 1.0);
+      fl::fused::store_mean_run(store.data(), acc.data(), total.data(), len);
+      for (std::size_t i = 0; i < len; ++i) {
+        add_r[i] += static_cast<float>(acc[i] / d);
+        store_r[i] = static_cast<float>(acc[i] / d);
+      }
+      expect_floats(add, add_r, "add_mean_run over a total", len);
+      expect_floats(store, store_r, "store_mean_run over a total", len);
     }
   }
 }
