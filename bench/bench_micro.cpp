@@ -12,7 +12,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,6 +36,7 @@
 #include "transport/protocol.hpp"
 #include "transport/ring_buffer.hpp"
 #include "transport/transport.hpp"
+#include "wire/accounting.hpp"
 #include "wire/compact.hpp"
 #include "wire/crc32c.hpp"
 #include "wire/update_codec.hpp"
@@ -623,32 +626,44 @@ void BM_FrameDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameDispatch)->Arg(0)->Arg(407084);
 
-// The receiving side of that frame: fed in 64 KiB pieces as the TCP
-// backends receive it, CRC-verified, and handed out as a FrameBody that
-// takes over the parser's buffer. Items = wire bytes.
+// Delivers `wire` to `parser` the way the TCP backends receive it: reads of
+// at most 64 KiB straight into prepare()'s room, the memcpy standing in for
+// recv().
+void receive(transport::FrameParser& parser,
+             std::span<const std::uint8_t> wire) {
+  constexpr std::size_t kRead = 64 * 1024;
+  for (std::size_t at = 0; at < wire.size();) {
+    const std::span<std::uint8_t> room = parser.prepare();
+    const std::size_t n = std::min({room.size(), kRead, wire.size() - at});
+    std::memcpy(room.data(), wire.data() + at, n);
+    parser.commit(n);
+    at += n;
+  }
+}
+
+// The receiving side of that frame: received as the TCP backends receive
+// it, CRC-verified, and handed out as a FrameBody that slices the parser's
+// storage. Items = wire bytes.
 void BM_FrameParse(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   tensor::Rng rng(23);
-  transport::DispatchMsg msg{.dispatch_index = 1,
-                             .round = 1,
-                             .slot = 0,
-                             .model_version = 0,
-                             .rng_stream = 1,
-                             .broadcast = std::vector<std::uint8_t>(n)};
-  for (auto& b : msg.broadcast) {
+  std::vector<std::uint8_t> broadcast(n);
+  for (auto& b : broadcast) {
     b = static_cast<std::uint8_t>(rng.uniform_index(256));
   }
+  const transport::DispatchMsg msg{.dispatch_index = 1,
+                                   .round = 1,
+                                   .slot = 0,
+                                   .model_version = 0,
+                                   .rng_stream = 1,
+                                   .broadcast = std::move(broadcast)};
   std::vector<std::uint8_t> wire;
   transport::append_frame(wire, transport::FrameType::kDispatch,
                           transport::encode(msg));
-  const std::span<const std::uint8_t> bytes(wire);
-  constexpr std::size_t kChunk = 64 * 1024;
   transport::FrameParser parser(transport::TransportLimits{}.max_frame_bytes);
   transport::Frame frame;
   for (auto _ : state) {
-    for (std::size_t at = 0; at < bytes.size(); at += kChunk) {
-      parser.feed(bytes.subspan(at, std::min(kChunk, bytes.size() - at)));
-    }
+    receive(parser, wire);
     if (parser.next(frame) != transport::FrameParser::Status::kFrame) {
       state.SkipWithError("frame did not parse");
       break;
@@ -659,6 +674,57 @@ void BM_FrameParse(benchmark::State& state) {
                           static_cast<std::int64_t>(wire.size()));
 }
 BENCHMARK(BM_FrameParse)->Arg(407084);
+
+// The server's whole receive path for one upload, from wire bytes to the
+// compact view the committer reads: receive() into the parser, then
+// decode_upload, strip_seal and decode_update_compact. The argument is the
+// sealed payload size on the MNIST MLP (101,770 floats): 324,430 B is
+// FedBIAD's row-masked upload at p = 0.2 (ingest_replay's), 407,084 B the
+// dense one (tcp_async's). Items = wire bytes.
+void BM_ReceiveUpload(benchmark::State& state) {
+  nn::MlpModel model({.input = 784, .hidden = 128, .classes = 10});
+  tensor::Rng rng(29);
+  model.init_params(rng);
+  const auto& store = model.store();
+  const bool dense = static_cast<std::uint64_t>(state.range(0)) ==
+                     wire::framed_bytes(wire::dense_f32_bytes(store.size()));
+  wire::Payload payload =
+      dense ? wire::encode_dense_f32(store.params())
+            : wire::encode_row_masked(
+                  store,
+                  core::DropPattern::sample(store, 0.2, core::eligible_all(),
+                                            rng)
+                      .bits(),
+                  store.params());
+  wire::seal_payload(payload);
+  if (payload.size() != static_cast<std::uint64_t>(state.range(0))) {
+    state.SkipWithError("no MLP upload has that size");
+    return;
+  }
+  transport::UploadMsg msg;
+  msg.payload = payload.bytes;
+  std::vector<std::uint8_t> wire;
+  transport::append_frame(wire, transport::FrameType::kUpload,
+                          transport::encode(msg));
+  transport::FrameParser parser(transport::TransportLimits{}.max_frame_bytes);
+  transport::Frame frame;
+  for (auto _ : state) {
+    receive(parser, wire);
+    if (parser.next(frame) != transport::FrameParser::Status::kFrame) {
+      state.SkipWithError("frame did not parse");
+      break;
+    }
+    wire::Payload received{.kind = payload.kind,
+                           .aux = payload.aux,
+                           .bytes = transport::decode_upload(frame.body).payload};
+    wire::strip_seal(received);
+    const auto update = wire::decode_update_compact(store, received);
+    benchmark::DoNotOptimize(update.values.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(wire.size()));
+}
+BENCHMARK(BM_ReceiveUpload)->Arg(324430)->Arg(407084);
 
 // Collects every run for the FEDBIAD_JSON emitter and forwards each call to
 // the display reporter --benchmark_format selects (console, json or csv).

@@ -100,13 +100,13 @@ fl::ClientOutcome ComposedStrategy::run_client(fl::ClientContext& ctx) {
   out.samples = inner_out.samples;
   out.payload.kind = sparse.payload.kind;
   out.payload.aux = sparse.payload.aux;
-  out.payload.bytes.reserve(prefix + sparse.payload.bytes.size());
-  out.payload.bytes.assign(inner_out.payload.bytes.begin(),
-                           inner_out.payload.bytes.begin() +
-                               static_cast<std::ptrdiff_t>(prefix));
-  out.payload.bytes.insert(out.payload.bytes.end(),
-                           sparse.payload.bytes.begin(),
-                           sparse.payload.bytes.end());
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(prefix + sparse.payload.bytes.size());
+  bytes.assign(inner_out.payload.bytes.begin(),
+               inner_out.payload.bytes.begin() + prefix);
+  bytes.insert(bytes.end(), sparse.payload.bytes.begin(),
+               sparse.payload.bytes.end());
+  out.payload.bytes = std::move(bytes);
   out.is_update = true;
   out.mean_loss = inner_out.mean_loss;
   out.last_loss = inner_out.last_loss;
@@ -119,14 +119,12 @@ wire::CompactUpdate ComposedStrategy::decode_payload_compact(
   if (payload.bytes.size() < prefix) {
     throw wire::DecodeError("composed payload shorter than its row pattern");
   }
-  const auto bytes = std::span<const std::uint8_t>(payload.bytes);
-  const wire::Bitset candidates =
-      wire::expand_row_mask(layout, bytes.first(prefix));
+  const wire::Bitset candidates = wire::expand_row_mask(
+      layout, std::span<const std::uint8_t>(payload.bytes).first(prefix));
   wire::Payload section;
   section.kind = payload.kind;
   section.aux = payload.aux;
-  section.bytes.assign(bytes.begin() + static_cast<std::ptrdiff_t>(prefix),
-                       bytes.end());
+  section.bytes = payload.bytes.slice(prefix, payload.bytes.size() - prefix);
   return wire::decode_update_compact(layout, section, &candidates);
 }
 

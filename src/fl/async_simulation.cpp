@@ -506,14 +506,17 @@ class AsyncSimulation::Driver final : public ServerDriver {
     if (fault.truncate) {
       const auto cut = static_cast<std::size_t>(
           fault.position * static_cast<double>(framed - 1));
-      probe.payload.bytes.resize(cut);
+      probe.payload.bytes = probe.payload.bytes.slice(0, cut);
       delivered = cut;
     } else {
       const auto bit = std::min<std::size_t>(
           static_cast<std::size_t>(fault.position *
                                    static_cast<double>(framed * 8)),
           framed * 8 - 1);
-      probe.payload.bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      std::vector<std::uint8_t> damaged(probe.payload.bytes.begin(),
+                                        probe.payload.bytes.end());
+      damaged[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      probe.payload.bytes = std::move(damaged);
     }
     const DecodeStatus status = try_decode_outcome_compact(
         *sim_.strategy_, core_.layout(), probe, /*framed=*/true,

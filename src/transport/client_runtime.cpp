@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "tensor/ops.hpp"
 #include "wire/compact.hpp"
 
 namespace fedbiad::transport {
@@ -163,14 +162,12 @@ void ClientRuntime::handle_dispatch(const DispatchMsg& msg) {
 }
 
 UploadMsg ClientRuntime::train(const DispatchMsg& msg) {
-  // Decode the broadcast exactly as the engine snapshots it: dense f32 is
-  // lossless, so the local model starts bit-identical to the global.
-  wire::Payload broadcast;
-  broadcast.kind = wire::PayloadKind::kDenseF32;
-  broadcast.bytes = msg.broadcast;
-  const std::vector<float> global =
-      wire::decode_update_compact(model_->store(), broadcast).values;
-  tensor::copy(global, model_->store().params());
+  // Decode the broadcast straight into the model: dense f32 is lossless,
+  // so the local model starts bit-identical to the engine's snapshot. The
+  // strategy diffs against a copy, as the engine's clients do.
+  const std::span<float> params = model_->store().params();
+  wire::decode_dense_f32(msg.broadcast, params);
+  const std::vector<float> global(params.begin(), params.end());
 
   // The engine's client rng chain, reproduced remotely: the stream id
   // travelled in the Dispatch, the rest is config.
@@ -226,9 +223,12 @@ void ClientRuntime::send_upload(std::uint64_t dispatch_index,
                         .split(dispatch_index)
                         .split(attempt_);
     if (r.bernoulli(cfg_.corrupt_probability)) {
-      const std::size_t bit = r.uniform_index(wire_msg.payload.size() * 8);
-      wire_msg.payload[bit / 8] ^=
-          static_cast<std::uint8_t>(1u << (bit % 8));
+      // The cached payload is shared; flip the bit in a copy.
+      std::vector<std::uint8_t> damaged(wire_msg.payload.begin(),
+                                        wire_msg.payload.end());
+      const std::size_t bit = r.uniform_index(damaged.size() * 8);
+      damaged[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      wire_msg.payload = std::move(damaged);
     }
   }
   if (!transport_.send(FrameType::kUpload, encode(wire_msg))) {

@@ -20,7 +20,6 @@
 namespace fedbiad::transport {
 namespace {
 
-constexpr std::size_t kRecvChunk = 64 * 1024;
 // epoll data.u64 value reserved for the listening socket.
 constexpr std::uint64_t kListenerTag = 0;
 
@@ -131,11 +130,12 @@ void EpollServerTransport::accept_ready() {
 }
 
 void EpollServerTransport::conn_readable(SessionId session) {
-  std::uint8_t buf[kRecvChunk];
   for (;;) {
     auto it = conns_.find(session);
     if (it == conns_.end()) return;
-    const ssize_t n = ::recv(it->second->fd, buf, sizeof(buf), 0);
+    // Bytes land in the parser's storage, which the frame bodies slice.
+    const std::span<std::uint8_t> room = it->second->parser.prepare();
+    const ssize_t n = ::recv(it->second->fd, room.data(), room.size(), 0);
     if (n == 0) {
       close(session, "peer disconnected");
       return;
@@ -146,7 +146,7 @@ void EpollServerTransport::conn_readable(SessionId session) {
       close(session, errno_text("recv"));
       return;
     }
-    it->second->parser.feed({buf, static_cast<std::size_t>(n)});
+    it->second->parser.commit(static_cast<std::size_t>(n));
     Frame frame;
     for (;;) {
       // on_frame may close this or any other session — re-resolve.
@@ -375,9 +375,9 @@ void TcpClientTransport::step(double max_wait_seconds) {
   pollfd pfd{fd_, POLLIN, 0};
   const int rc = ::poll(&pfd, 1, timeout_ms);
   if (rc <= 0) return;
-  std::uint8_t buf[kRecvChunk];
   for (;;) {
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    const std::span<std::uint8_t> room = parser_->prepare();
+    const ssize_t n = ::recv(fd_, room.data(), room.size(), 0);
     if (n == 0) {
       drop("peer disconnected");
       return;
@@ -388,7 +388,7 @@ void TcpClientTransport::step(double max_wait_seconds) {
       drop(errno_text("recv"));
       return;
     }
-    parser_->feed({buf, static_cast<std::size_t>(n)});
+    parser_->commit(static_cast<std::size_t>(n));
     Frame frame;
     for (;;) {
       if (!connected()) return;  // a handler may have shut us down

@@ -1,6 +1,7 @@
 #include "transport/frame.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "common/check.hpp"
@@ -13,6 +14,10 @@ constexpr std::size_t kLenBytes = 4;
 constexpr std::size_t kCrcBytes = 4;
 // len counts type + body + crc, so the smallest legal value is 5.
 constexpr std::uint32_t kMinLen = 1 + kCrcBytes;
+// prepare()'s room while no frame length is buffered: enough for a burst of
+// control frames, small enough that the part of a large frame read into it
+// costs little to move into that frame's own storage.
+constexpr std::size_t kReadRoomBytes = 16 * 1024;
 
 std::uint32_t load_u32le(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |
@@ -46,21 +51,6 @@ const char* to_string(FrameType type) {
     case FrameType::kFin: return "fin";
   }
   return "unknown";
-}
-
-FrameBody::FrameBody(std::vector<std::uint8_t> storage, std::size_t offset,
-                     std::size_t size)
-    : storage_(std::move(storage)), offset_(offset), size_(size) {
-  FEDBIAD_CHECK(offset <= storage_.size() && size <= storage_.size() - offset,
-                "frame body outside its storage");
-}
-
-bool FrameBody::operator==(const FrameBody& other) const {
-  return std::equal(begin(), end(), other.begin(), other.end());
-}
-
-bool FrameBody::operator==(const std::vector<std::uint8_t>& bytes) const {
-  return std::equal(begin(), end(), bytes.begin(), bytes.end());
 }
 
 FrameEnvelope frame_envelope(FrameType type,
@@ -107,28 +97,46 @@ FrameParser::FrameParser(std::size_t max_frame_bytes)
 }
 
 void FrameParser::feed(std::span<const std::uint8_t> data) {
-  if (failed()) return;  // stream is dead; don't grow memory for it
-  buffer_.insert(buffer_.end(), data.begin(), data.end());
+  if (failed() || data.empty()) return;  // a dead stream doesn't grow memory
+  if (capacity_ - end_ < data.size()) {
+    relocate(std::max(buffered_bytes() + data.size(), announced_frame_bytes()));
+  }
+  std::memcpy(storage_ + end_, data.data(), data.size());
+  end_ += data.size();
 }
 
 void FrameParser::feed(std::vector<std::uint8_t>&& data) {
-  if (failed()) return;
-  if (buffer_.size() == consumed_) {
-    buffer_ = std::move(data);
-    consumed_ = 0;
-  } else {
-    buffer_.insert(buffer_.end(), data.begin(), data.end());
+  if (failed() || data.empty()) return;
+  if (buffered_bytes() != 0) {
+    feed(std::span<const std::uint8_t>(data));
+    return;
   }
+  auto adopted = std::make_shared<std::vector<std::uint8_t>>(std::move(data));
+  storage_ = adopted->data();
+  capacity_ = end_ = adopted->size();
+  begin_ = 0;
+  owner_ = std::move(adopted);
+}
+
+std::span<std::uint8_t> FrameParser::prepare() {
+  FEDBIAD_CHECK(!failed(), "prepare() on a failed stream");
+  std::size_t want = announced_frame_bytes();
+  // Length unknown, or its frame already complete: room for one read.
+  if (want <= buffered_bytes()) want = buffered_bytes() + kReadRoomBytes;
+  if (capacity_ - begin_ < want) relocate(want);
+  return {storage_ + end_, capacity_ - end_};
+}
+
+void FrameParser::commit(std::size_t n) {
+  FEDBIAD_CHECK(n <= capacity_ - end_, "commit() beyond the prepared room");
+  end_ += n;
 }
 
 FrameParser::Status FrameParser::next(Frame& out) {
   if (failed()) return Status::kError;
-  const std::size_t avail = buffer_.size() - consumed_;
-  if (avail < kLenBytes) {
-    compact(0);
-    return Status::kNeedMore;
-  }
-  const std::uint8_t* p = buffer_.data() + consumed_;
+  const std::size_t avail = buffered_bytes();
+  if (avail < kLenBytes) return Status::kNeedMore;
+  const std::uint8_t* p = storage_ + begin_;
   const std::uint32_t len = load_u32le(p);
   // Bounds come first: an announced length is judged before any of its
   // bytes are awaited, so an attacker cannot make us buffer toward an
@@ -144,12 +152,7 @@ FrameParser::Status FrameParser::next(Frame& out) {
          " bytes exceeds limit of " + std::to_string(max_frame_bytes_));
     return Status::kError;
   }
-  if (avail < frame_bytes) {
-    // The rest arrives into one allocation, sized within the limit just
-    // checked, that the body can then take over.
-    compact(frame_bytes);
-    return Status::kNeedMore;
-  }
+  if (avail < frame_bytes) return Status::kNeedMore;
 
   const std::uint8_t* frame = p + kLenBytes;
   const std::size_t sealed = len - kCrcBytes;  // type + body
@@ -166,42 +169,46 @@ FrameParser::Status FrameParser::next(Frame& out) {
   }
   out.type = static_cast<FrameType>(frame[0]);
   const std::size_t body_bytes = sealed - 1;
-  const std::size_t rest = avail - frame_bytes;
-  if (consumed_ == 0 && rest <= body_bytes) {
-    // The buffer becomes the body's storage. Copying the bytes behind the
-    // frame costs no more than the body copy this saves.
-    std::vector<std::uint8_t> behind(
-        buffer_.begin() + static_cast<std::ptrdiff_t>(frame_bytes),
-        buffer_.end());
-    out.body = FrameBody(std::move(buffer_), kLenBytes + 1, body_bytes);
-    buffer_ = std::move(behind);
-    return Status::kFrame;
-  }
-  out.body = FrameBody(std::vector<std::uint8_t>(frame + 1, frame + sealed), 0,
-                       body_bytes);
-  consumed_ += frame_bytes;
-  if (consumed_ == buffer_.size()) {
-    buffer_ = std::vector<std::uint8_t>();  // the storage, not just contents
-    consumed_ = 0;
+  out.body = FrameBody(owner_, frame + 1, body_bytes);
+  begin_ += frame_bytes;
+  const std::size_t rest = buffered_bytes();
+  if (rest == 0) {
+    release_storage();
+  } else if (rest <= body_bytes) {
+    // Copying the bytes behind the frame costs no more than the body did
+    // to receive, and lets the body's storage go with the body.
+    relocate(std::max(rest, announced_frame_bytes()));
   }
   return Status::kFrame;
 }
 
-void FrameParser::fail(std::string message) {
-  error_ = std::move(message);
-  buffer_ = std::vector<std::uint8_t>();
-  consumed_ = 0;
+std::size_t FrameParser::announced_frame_bytes() const noexcept {
+  if (buffered_bytes() < kLenBytes) return 0;
+  const std::uint32_t len = load_u32le(storage_ + begin_);
+  const std::size_t frame_bytes = kLenBytes + static_cast<std::size_t>(len);
+  return len < kMinLen || frame_bytes > max_frame_bytes_ ? 0 : frame_bytes;
 }
 
-void FrameParser::compact(std::size_t want) {
-  if (consumed_ == 0 && buffer_.capacity() >= want) return;
-  std::vector<std::uint8_t> fresh;
-  fresh.reserve(std::max(want, buffer_.size() - consumed_));
-  fresh.insert(fresh.end(),
-               buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_),
-               buffer_.end());
-  buffer_ = std::move(fresh);
-  consumed_ = 0;
+void FrameParser::fail(std::string message) {
+  error_ = std::move(message);
+  release_storage();
+}
+
+void FrameParser::relocate(std::size_t capacity) {
+  const std::size_t pending = buffered_bytes();
+  auto fresh = std::make_shared_for_overwrite<std::uint8_t[]>(capacity);
+  if (pending != 0) std::memcpy(fresh.get(), storage_ + begin_, pending);
+  storage_ = fresh.get();
+  owner_ = std::move(fresh);
+  capacity_ = capacity;
+  begin_ = 0;
+  end_ = pending;
+}
+
+void FrameParser::release_storage() noexcept {
+  owner_.reset();
+  storage_ = nullptr;
+  capacity_ = begin_ = end_ = 0;
 }
 
 }  // namespace fedbiad::transport

@@ -11,30 +11,33 @@
 // any message decoding runs.
 //
 // FrameParser is an incremental, bounded parser made for non-blocking
-// sockets: feed() it whatever recv() returned (any split, byte-at-a-time
-// included) and pull complete frames with next(). It enforces
-// max_frame_bytes as soon as the 4-byte length prefix is readable — an
-// attacker announcing a 4GiB frame is rejected before a single body byte
-// is buffered. Errors are sticky: a stream that framed garbage once cannot
+// sockets: recv() into its prepare() room and commit() what arrived, or
+// feed() it bytes (any split, byte-at-a-time included), and pull complete
+// frames with next(). It enforces max_frame_bytes as soon as the 4-byte
+// length prefix is readable — an attacker announcing a 4GiB frame is
+// rejected before a single body byte is buffered, and prepare() never
+// sizes storage to a length that next() would reject. Errors are sticky: a stream that framed garbage once cannot
 // resynchronise (TCP guarantees ordered bytes, so garbage means a corrupt
 // or malicious peer, and the connection must die).
 //
-// Bytes cross this layer with one copy per frame. A sender frames a body
-// given as head||tail, where the tail's CRC is already known (a Dispatch's
-// model broadcast, checksummed once per model version): the frame CRC
-// combines crc32c(type||head) with it, so only the head is read. A
-// receiver's FrameBody owns its bytes. When a complete frame sits at the
-// front of the parser's buffer, the buffer itself becomes the body's
-// storage and nothing is copied; any other frame is copied out once.
+// A sender frames a body given as head||tail, where the tail's CRC is
+// already known (a Dispatch's model broadcast, checksummed once per model
+// version): the frame CRC combines crc32c(type||head) with it, so only the
+// head is read. A receiver copies no body: bytes land in the parser's
+// storage (a socket read goes straight into prepare()'s room, a loopback
+// delivery's vector is adopted whole), and every FrameBody is a slice of
+// that storage.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <vector>
+
+#include "wire/shared_bytes.hpp"
 
 namespace fedbiad::transport {
 
@@ -52,39 +55,10 @@ enum class FrameType : std::uint8_t {
 
 [[nodiscard]] const char* to_string(FrameType type);
 
-/// A parsed frame's body: `size()` bytes at `offset` inside storage it
-/// owns — often the parser's whole receive buffer, taken over rather than
-/// copied. It stays valid for as long as the FrameBody (or a copy, or the
-/// object it was moved into) lives, whatever happens to the parser. A
-/// contiguous range, so it converts to std::span<const std::uint8_t>.
-class FrameBody {
- public:
-  using const_iterator = const std::uint8_t*;
-  using iterator = const_iterator;
-
-  FrameBody() = default;
-  FrameBody(std::vector<std::uint8_t> storage, std::size_t offset,
-            std::size_t size);
-
-  [[nodiscard]] const std::uint8_t* data() const noexcept {
-    return storage_.data() + offset_;
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] const_iterator begin() const noexcept { return data(); }
-  [[nodiscard]] const_iterator end() const noexcept { return data() + size_; }
-
-  [[nodiscard]] bool operator==(const FrameBody& other) const;
-  [[nodiscard]] bool operator==(const std::vector<std::uint8_t>& bytes) const;
-
- private:
-  std::vector<std::uint8_t> storage_;
-  std::size_t offset_ = 0;
-  std::size_t size_ = 0;
-};
-
-static_assert(
-    std::is_convertible_v<const FrameBody&, std::span<const std::uint8_t>>);
+/// A parsed frame's body: a slice of the storage the parser received it
+/// into. It stays valid for as long as the FrameBody (or a copy or slice of
+/// it) lives, whatever happens to the parser.
+using FrameBody = wire::SharedBytes;
 
 /// One parsed frame: type plus the body (crc already verified and
 /// stripped).
@@ -142,16 +116,28 @@ class FrameParser {
   void feed(std::span<const std::uint8_t> data);
 
   /// Same, for bytes the caller hands over: when nothing is buffered the
-  /// vector itself becomes the buffer (no copy); otherwise it is appended
+  /// vector itself becomes the storage (no copy); otherwise it is copied in
   /// behind the buffered partial frame.
   void feed(std::vector<std::uint8_t>&& data);
 
+  /// Room to receive into, directly behind the buffered bytes: write up to
+  /// its size, then commit() how many bytes arrived. When a frame's length
+  /// is buffered and the frame does not fit the storage, its bytes move to
+  /// storage of exactly that frame's size and the room is the frame's
+  /// rest; otherwise the room is what the storage has left, at least a
+  /// read's worth (16 KiB) when no length is buffered. Never empty. Not
+  /// for a failed stream.
+  [[nodiscard]] std::span<std::uint8_t> prepare();
+
+  /// Buffers the first `n` bytes of the last prepare()'s room.
+  void commit(std::size_t n);
+
   /// Extracts the next complete frame, if any. Call in a loop until it
   /// stops returning kFrame. Once kError is returned every future call
-  /// returns kError with the same message. A frame at the front of the
-  /// buffer, followed by no more bytes than its body holds, takes the
-  /// buffer as its body's storage (the bytes after it move to a fresh
-  /// buffer); any other frame's body is copied out.
+  /// returns kError with the same message. The body is a slice of the
+  /// storage, not a copy. When no more bytes follow the frame than its
+  /// body holds, those bytes move to fresh storage, so a short pending
+  /// frame does not pin a large one's.
   [[nodiscard]] Status next(Frame& out);
 
   [[nodiscard]] bool failed() const noexcept { return !error_.empty(); }
@@ -159,26 +145,32 @@ class FrameParser {
 
   /// Bytes currently buffered (diagnostics).
   [[nodiscard]] std::size_t buffered_bytes() const noexcept {
-    return buffer_.size() - consumed_;
+    return end_ - begin_;
   }
 
-  /// Bytes the buffer holds allocated (diagnostics). Storage is released
-  /// or handed to a body as frames complete, so a parser does not keep
-  /// the largest frame it ever saw.
+  /// Bytes of storage the parser holds (diagnostics). Storage is dropped
+  /// once every buffered frame is out, so a parser does not keep the
+  /// largest frame it ever saw.
   [[nodiscard]] std::size_t buffer_capacity() const noexcept {
-    return buffer_.capacity();
+    return capacity_;
   }
 
  private:
   void fail(std::string message);
-  /// Moves the unconsumed bytes to the front of a buffer with room for
-  /// `want` bytes (no-op when nothing is consumed and the room exists), so
-  /// the storage tracks what is pending, not the largest frame seen.
-  void compact(std::size_t want);
+  /// Wire size of the frame whose length prefix is buffered, or 0 when
+  /// fewer than 4 bytes are or the length is out of bounds.
+  [[nodiscard]] std::size_t announced_frame_bytes() const noexcept;
+  /// Moves the buffered bytes to the front of fresh storage of `capacity`
+  /// bytes. Storage already handed out in bodies is never written again.
+  void relocate(std::size_t capacity);
+  void release_storage() noexcept;
 
   std::size_t max_frame_bytes_;
-  std::vector<std::uint8_t> buffer_;
-  std::size_t consumed_ = 0;  ///< prefix of buffer_ already handed out
+  std::shared_ptr<const void> owner_;  ///< keeps `storage_` alive
+  std::uint8_t* storage_ = nullptr;
+  std::size_t capacity_ = 0;
+  std::size_t begin_ = 0;  ///< first byte not yet handed out
+  std::size_t end_ = 0;    ///< one past the last byte received
   std::string error_;
 };
 

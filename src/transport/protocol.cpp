@@ -24,11 +24,13 @@ void put_bytes(wire::Writer& w, std::span<const std::uint8_t> b) {
   w.bytes(b);
 }
 
-std::vector<std::uint8_t> get_bytes(wire::Reader& r) {
+// The byte run as a slice of `body`, which `r` reads.
+wire::SharedBytes get_bytes(wire::Reader& r, const wire::SharedBytes& body) {
   const std::uint64_t n = r.varint();
   if (n > r.remaining()) throw wire::DecodeError("byte run truncated");
   const auto span = r.bytes(static_cast<std::size_t>(n));
-  return {span.begin(), span.end()};
+  return body.slice(static_cast<std::size_t>(span.data() - body.data()),
+                    span.size());
 }
 
 void put_string(wire::Writer& w, const std::string& s) {
@@ -101,7 +103,7 @@ std::vector<std::uint8_t> encode(const DispatchMsg& m) {
   return body;
 }
 
-DispatchMsg decode_dispatch(std::span<const std::uint8_t> body) {
+DispatchMsg decode_dispatch(const wire::SharedBytes& body) {
   wire::Reader r(body);
   DispatchMsg m;
   m.dispatch_index = r.u64();
@@ -109,7 +111,7 @@ DispatchMsg decode_dispatch(std::span<const std::uint8_t> body) {
   m.slot = r.u64();
   m.model_version = r.u64();
   m.rng_stream = r.u64();
-  m.broadcast = get_bytes(r);
+  m.broadcast = get_bytes(r, body);
   r.expect_done();
   return m;
 }
@@ -126,7 +128,7 @@ std::vector<std::uint8_t> encode(const UploadMsg& m) {
   return std::move(w).take();
 }
 
-UploadMsg decode_upload(std::span<const std::uint8_t> body) {
+UploadMsg decode_upload(const wire::SharedBytes& body) {
   wire::Reader r(body);
   UploadMsg m;
   m.dispatch_index = r.u64();
@@ -135,7 +137,7 @@ UploadMsg decode_upload(std::span<const std::uint8_t> body) {
   m.train_seconds = r.f64();
   m.mean_loss = r.f64();
   m.last_loss = r.f64();
-  m.payload = get_bytes(r);
+  m.payload = get_bytes(r, body);
   r.expect_done();
   return m;
 }

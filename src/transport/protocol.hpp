@@ -6,6 +6,10 @@
 // survive corruption still cannot smuggle a malformed body past the
 // runtimes.
 //
+// Dispatch and Upload decode without copying their byte runs: the
+// broadcast and the payload are slices of the frame body, sharing its
+// storage (wire/shared_bytes.hpp).
+//
 // Session metadata rides in the handshake, not in every message: Hello
 // announces the payload kind/aux the client's strategy emits (exactly like
 // the in-process registration path), so Upload bodies carry only the
@@ -25,6 +29,7 @@
 
 #include "transport/frame.hpp"
 #include "wire/reader.hpp"
+#include "wire/shared_bytes.hpp"
 
 namespace fedbiad::transport {
 
@@ -48,7 +53,7 @@ struct DispatchMsg {
   std::uint64_t slot = 0;  ///< selection-order slot within the wave
   std::uint64_t model_version = 0;
   std::uint64_t rng_stream = 0;  ///< second split of the client rng chain
-  std::vector<std::uint8_t> broadcast;  ///< encoded global (kDenseF32)
+  wire::SharedBytes broadcast;  ///< encoded global (kDenseF32)
 };
 
 struct UploadMsg {
@@ -58,7 +63,7 @@ struct UploadMsg {
   double train_seconds = 0.0;
   double mean_loss = 0.0;
   double last_loss = 0.0;
-  std::vector<std::uint8_t> payload;  ///< sealed strategy payload bytes
+  wire::SharedBytes payload;  ///< sealed strategy payload bytes
 };
 
 struct UploadAckMsg {
@@ -91,11 +96,12 @@ struct FinMsg {
 [[nodiscard]] std::vector<std::uint8_t> encode_dispatch_head(
     const DispatchMsg& m, std::size_t broadcast_bytes);
 
-/// All decoders throw wire::DecodeError on any malformation.
+/// All decoders throw wire::DecodeError on any malformation. A decoded
+/// Dispatch's broadcast and Upload's payload are slices of `body`.
 [[nodiscard]] HelloMsg decode_hello(std::span<const std::uint8_t> body);
 [[nodiscard]] WelcomeMsg decode_welcome(std::span<const std::uint8_t> body);
-[[nodiscard]] DispatchMsg decode_dispatch(std::span<const std::uint8_t> body);
-[[nodiscard]] UploadMsg decode_upload(std::span<const std::uint8_t> body);
+[[nodiscard]] DispatchMsg decode_dispatch(const wire::SharedBytes& body);
+[[nodiscard]] UploadMsg decode_upload(const wire::SharedBytes& body);
 [[nodiscard]] UploadAckMsg decode_upload_ack(std::span<const std::uint8_t> body);
 [[nodiscard]] RejectMsg decode_reject(std::span<const std::uint8_t> body);
 [[nodiscard]] FinMsg decode_fin(std::span<const std::uint8_t> body);

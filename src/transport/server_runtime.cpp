@@ -109,7 +109,7 @@ void ServerRuntime::try_send_dispatch(std::size_t client) {
   if (sess == client_session_.end()) return;  // offline; retried on Hello
   // The frame CRC combines the head's with the version's cached one, so
   // no dispatch rereads the model to checksum it.
-  const std::vector<std::uint8_t>& model = inf->second.broadcast->bytes;
+  const wire::SharedBytes& model = inf->second.broadcast->bytes;
   if (!transport_.send(sess->second, FrameType::kDispatch,
                        encode_dispatch_head(inf->second.msg, model.size()),
                        model, inf->second.broadcast_crc)) {
@@ -380,7 +380,9 @@ void ServerRuntime::finish_upload(DecodeJob& job) {
   fl::PendingUpdate up;
   up.slot = inf.msg.slot;
   up.dispatch_version = inf.msg.model_version;
-  job.outcome.payload.bytes = {};  // decoded; only the compact view is kept
+  // Decoded: only the compact view is kept, and dropping the payload slice
+  // frees the frame's storage.
+  job.outcome.payload.bytes = {};
   up.outcome = std::move(job.outcome);
   inflight_.erase(it);
   send_control(job.session, FrameType::kUploadAck,

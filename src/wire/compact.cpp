@@ -37,15 +37,19 @@ std::size_t candidate_total(std::size_t n, const Bitset* candidates) {
   return candidates == nullptr ? n : candidates->count();
 }
 
+void read_dense(Reader& r, std::span<float> out) {
+  if (r.remaining() != dense_f32_bytes(out.size())) {
+    throw DecodeError("dense payload length mismatch");
+  }
+  r.f32_run(out);
+}
+
 CompactUpdate decode_dense(const nn::ParameterStore& layout, Reader& r) {
   CompactUpdate u;
   u.form = CompactUpdate::Form::kDense;
   u.coords = layout.size();
-  if (r.remaining() != dense_f32_bytes(layout.size())) {
-    throw DecodeError("dense payload length mismatch");
-  }
   u.values.resize(layout.size());
-  r.f32_run(u.values);
+  read_dense(r, u.values);
   return u;
 }
 
@@ -325,6 +329,12 @@ CompactUpdate decode_update_compact(const nn::ParameterStore& layout,
   }
   throw DecodeError(std::string("payload kind ") + to_string(payload.kind) +
                     " has no layout-generic decoder");
+}
+
+void decode_dense_f32(std::span<const std::uint8_t> bytes,
+                      std::span<float> out) {
+  Reader r(bytes);
+  read_dense(r, out);
 }
 
 Decoded expand(const CompactUpdate& update) {

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "nn/parameter_store.hpp"
@@ -95,6 +96,12 @@ struct CompactUpdate {
 [[nodiscard]] CompactUpdate decode_update_compact(
     const nn::ParameterStore& layout, const Payload& payload,
     const Bitset* candidates = nullptr);
+
+/// Decodes kDenseF32 bytes straight into `out`, one float per slot: the
+/// client's path from a broadcast to its model. Throws DecodeError unless
+/// `bytes` holds exactly out.size() floats.
+void decode_dense_f32(std::span<const std::uint8_t> bytes,
+                      std::span<float> out);
 
 /// Expands to the wide Decoded view (absent coordinates zeroed).
 [[nodiscard]] Decoded expand(const CompactUpdate& update);

@@ -270,12 +270,14 @@ Bitset expand_row_mask(const nn::ParameterStore& layout,
 
 void seal_payload(Payload& payload) {
   const std::uint32_t crc = crc32c(payload.bytes);
+  std::vector<std::uint8_t> bytes = std::move(payload.bytes).release();
   // The encoders leave room for the trailer; a payload built elsewhere
   // grows to exactly its sealed size, not by the vector's doubling.
-  payload.bytes.reserve(framed_bytes(payload.bytes.size()));
+  bytes.reserve(framed_bytes(bytes.size()));
   for (std::size_t i = 0; i < kCrcTrailerBytes; ++i) {
-    payload.bytes.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+    bytes.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
   }
+  payload.bytes = std::move(bytes);
   FEDBIAD_DCHECK(payload.size() == framed_bytes(payload.size() -
                                                 kCrcTrailerBytes),
                  "sealed size diverged from the accounting oracle");
@@ -288,7 +290,8 @@ bool verify_seal(const Payload& payload) noexcept {
   for (std::size_t i = 0; i < kCrcTrailerBytes; ++i) {
     stored |= static_cast<std::uint32_t>(payload.bytes[body + i]) << (8 * i);
   }
-  return crc32c(std::span(payload.bytes).first(body)) == stored;
+  return crc32c(std::span<const std::uint8_t>(payload.bytes).first(body)) ==
+         stored;
 }
 
 void strip_seal(Payload& payload) {
@@ -297,7 +300,8 @@ void strip_seal(Payload& payload) {
                           ? "frame shorter than its CRC trailer"
                           : "frame CRC mismatch (corrupt or truncated)");
   }
-  payload.bytes.resize(payload.bytes.size() - kCrcTrailerBytes);
+  payload.bytes =
+      payload.bytes.slice(0, payload.bytes.size() - kCrcTrailerBytes);
 }
 
 }  // namespace fedbiad::wire

@@ -39,6 +39,7 @@
 
 #include "nn/parameter_store.hpp"
 #include "wire/bitset.hpp"
+#include "wire/shared_bytes.hpp"
 
 namespace fedbiad::wire {
 
@@ -58,13 +59,14 @@ enum class PayloadKind : std::uint8_t {
 [[nodiscard]] const char* to_string(PayloadKind kind) noexcept;
 
 /// An encoded client→server update. `bytes` is the transmitted buffer —
-/// uplink accounting is size(), measured, not modeled. `kind`/`aux` ride in
-/// the struct because they are negotiated per session, not per message.
+/// uplink accounting is size(), measured, not modeled. A received payload's
+/// bytes are a slice of the frame they arrived in. `kind`/`aux` ride in the
+/// struct because they are negotiated per session, not per message.
 struct Payload {
   PayloadKind kind = PayloadKind::kDenseF32;
   /// Kind parameter: position width in bits for kSparseFixed/kTernary.
   std::uint8_t aux = 0;
-  std::vector<std::uint8_t> bytes;
+  SharedBytes bytes;
 
   [[nodiscard]] std::uint64_t size() const noexcept { return bytes.size(); }
   [[nodiscard]] bool empty() const noexcept { return bytes.empty(); }
@@ -79,15 +81,17 @@ struct Payload {
 // truncation before the section decoder ever runs. The trailer is counted
 // by wire::framed_bytes (accounting.hpp).
 
-/// Appends the CRC32C trailer to `payload` in place.
+/// Appends the CRC32C trailer to `payload`, in place when `payload` is the
+/// only holder of its bytes.
 void seal_payload(Payload& payload);
 
 /// True when `payload` ends in a trailer matching its body. A buffer too
 /// short to hold a trailer verifies false, never throws.
 [[nodiscard]] bool verify_seal(const Payload& payload) noexcept;
 
-/// Removes a verified trailer in place. Throws DecodeError when the trailer
-/// is missing or does not match the body (corrupt or truncated frame).
+/// Narrows `payload` to its body once the trailer verifies. Throws
+/// DecodeError when the trailer is missing or does not match the body
+/// (corrupt or truncated frame).
 void strip_seal(Payload& payload);
 
 // --- encoders (client side) ---

@@ -617,7 +617,8 @@ void expect_malformed_submodels_rejected(const fl::Strategy& strat,
   }
   wire::Payload short_by_one =
       plan.encode_submodel(store, 0.5, hostile_values(store.size()));
-  short_by_one.bytes.resize(short_by_one.bytes.size() - sizeof(float));
+  short_by_one.bytes =
+      short_by_one.bytes.slice(0, short_by_one.bytes.size() - sizeof(float));
   EXPECT_THROW((void)strat.decode_payload_compact(store, short_by_one),
                wire::DecodeError)
       << strat.name();

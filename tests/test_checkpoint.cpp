@@ -107,7 +107,7 @@ checkpoint::EngineSnapshot sample_snapshot() {
   job.has_pending = true;
   job.samples = 8;
   job.is_update = true;
-  job.payload.bytes = {9, 8, 7, 6, 5};
+  job.payload.bytes = std::vector<std::uint8_t>{9, 8, 7, 6, 5};
   job.train_seconds = 0.03;
   job.mean_loss = 1.5;
   job.last_loss = 1.25;
@@ -300,7 +300,8 @@ checkpoint::EngineSnapshot golden_snapshot() {
   pending.is_update = true;
   pending.payload.kind = wire::PayloadKind::kSparseFixed;
   pending.payload.aux = 17;
-  pending.payload.bytes = {0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x80};
+  pending.payload.bytes =
+      std::vector<std::uint8_t>{0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x80};
   pending.train_seconds = 0.0375;
   pending.mean_loss = 1.75;
   pending.last_loss = 1.5;
@@ -321,7 +322,7 @@ checkpoint::EngineSnapshot golden_snapshot() {
   training.samples = 550;
   training.is_update = false;
   training.payload.kind = wire::PayloadKind::kRowMasked;
-  training.payload.bytes = {1, 2, 3};
+  training.payload.bytes = std::vector<std::uint8_t>{1, 2, 3};
   training.train_seconds = 0.0625;
   training.mean_loss = 2.125;
   training.last_loss = 2.0;

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <ostream>
 #include <set>
 #include <string>
 
@@ -133,6 +134,10 @@ struct ParityCase {
   std::string name;
   ImageSynthConfig cfg;
 };
+
+// Without it GTest prints the case's raw bytes, a heap address among them,
+// so the ctest names would change from build to build.
+void PrintTo(const ParityCase& c, std::ostream* os) { *os << c.name; }
 
 ImageSynthConfig with(ImageSynthConfig cfg, std::size_t train,
                       std::size_t test) {

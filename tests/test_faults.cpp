@@ -164,12 +164,13 @@ TEST(Crc32c, CombineMatchesOnePassAtEverySplitLength) {
 }
 
 wire::Payload sealed_payload(std::size_t body_bytes, std::uint64_t seed) {
-  wire::Payload p;
+  std::vector<std::uint8_t> bytes(body_bytes);
   tensor::Rng rng(seed);
-  p.bytes.resize(body_bytes);
-  for (auto& b : p.bytes) {
+  for (auto& b : bytes) {
     b = static_cast<std::uint8_t>(rng.uniform_index(256));
   }
+  wire::Payload p;
+  p.bytes = std::move(bytes);
   wire::seal_payload(p);
   return p;
 }
@@ -194,7 +195,9 @@ TEST(CrcFrame, DetectsEverySingleBitFlip) {
   const wire::Payload sealed = sealed_payload(24, 3);
   for (std::size_t bit = 0; bit < sealed.size() * 8; ++bit) {
     wire::Payload p = sealed;
-    p.bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    auto flipped = std::move(p.bytes).release();  // a copy: `sealed` shares it
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    p.bytes = std::move(flipped);
     EXPECT_FALSE(wire::verify_seal(p)) << "bit " << bit;
     EXPECT_THROW(wire::strip_seal(p), wire::DecodeError);
   }
@@ -204,7 +207,7 @@ TEST(CrcFrame, DetectsEveryTruncation) {
   const wire::Payload sealed = sealed_payload(32, 5);
   for (std::size_t cut = 0; cut < sealed.size(); ++cut) {
     wire::Payload p = sealed;
-    p.bytes.resize(cut);
+    p.bytes = p.bytes.slice(0, cut);
     EXPECT_FALSE(wire::verify_seal(p)) << "cut " << cut;
     EXPECT_THROW(wire::strip_seal(p), wire::DecodeError);
   }
@@ -212,7 +215,7 @@ TEST(CrcFrame, DetectsEveryTruncation) {
 
 TEST(CrcFrame, VerifyRejectsFrameShorterThanTrailer) {
   wire::Payload p;
-  p.bytes = {1, 2, 3};  // < kCrcTrailerBytes
+  p.bytes = std::vector<std::uint8_t>{1, 2, 3};  // < kCrcTrailerBytes
   EXPECT_FALSE(wire::verify_seal(p));
   EXPECT_THROW(wire::strip_seal(p), wire::DecodeError);
 }
@@ -273,7 +276,9 @@ TEST(TryDecode, UnframedSuccessMatchesThrowingDecode) {
 TEST(TryDecode, CorruptFrameWrapsDispatchContext) {
   DecodeRig rig = make_decode_rig();
   wire::seal_payload(rig.outcome.payload);
-  rig.outcome.payload.bytes[5] ^= 0x10;
+  auto bytes = std::move(rig.outcome.payload.bytes).release();
+  bytes[5] ^= 0x10;
+  rig.outcome.payload.bytes = std::move(bytes);
   const auto status = fl::try_decode_outcome_compact(
       rig.strategy, rig.model->store(), rig.outcome, /*framed=*/true,
       {7, 42, 3.5});
@@ -290,7 +295,8 @@ TEST(TryDecode, CorruptFrameWrapsDispatchContext) {
 TEST(TryDecode, TruncatedFrameRejectsWithoutThrowing) {
   DecodeRig rig = make_decode_rig();
   wire::seal_payload(rig.outcome.payload);
-  rig.outcome.payload.bytes.resize(rig.outcome.payload.size() / 2);
+  rig.outcome.payload.bytes =
+      rig.outcome.payload.bytes.slice(0, rig.outcome.payload.size() / 2);
   const auto status = fl::try_decode_outcome_compact(
       rig.strategy, rig.model->store(), rig.outcome, /*framed=*/true,
       {1, 2, 0.0});
@@ -300,7 +306,8 @@ TEST(TryDecode, TruncatedFrameRejectsWithoutThrowing) {
 
 TEST(TryDecode, GarbageBodyRejectsEvenUnframed) {
   DecodeRig rig = make_decode_rig();
-  rig.outcome.payload.bytes.resize(3);  // too short for any section header
+  // Too short for any section header.
+  rig.outcome.payload.bytes = rig.outcome.payload.bytes.slice(0, 3);
   const auto status = fl::try_decode_outcome_compact(
       rig.strategy, rig.model->store(), rig.outcome, /*framed=*/false,
       {0, 0, 0.0});

@@ -616,15 +616,21 @@ TEST(WireCodec, DenseAndSparseRoundTripsIncludingEmpty) {
 // encoder sizes its buffer for the payload and its CRC trailer, so sealing
 // appends in place and nothing rides along as growth slack.
 void expect_exact_capacity(wire::Payload payload) {
-  EXPECT_LE(payload.bytes.capacity(),
-            payload.bytes.size() + wire::kCrcTrailerBytes);
+  // The payload is its bytes' only holder, so release() hands back the
+  // encoder's own vector and its capacity can be read.
+  const auto slack = [](wire::Payload& p) {
+    std::vector<std::uint8_t> bytes = std::move(p.bytes).release();
+    const std::size_t unused = bytes.capacity() - bytes.size();
+    p.bytes = std::move(bytes);
+    return unused;
+  };
+  EXPECT_LE(slack(payload), wire::kCrcTrailerBytes);
   const std::uint64_t body = payload.size();
   const std::uint8_t* before = payload.bytes.data();
   wire::seal_payload(payload);
   EXPECT_EQ(payload.size(), wire::framed_bytes(body));
-  EXPECT_LE(payload.bytes.capacity(),
-            payload.bytes.size() + wire::kCrcTrailerBytes);
   if (body > 0) EXPECT_EQ(payload.bytes.data(), before);
+  EXPECT_LE(slack(payload), wire::kCrcTrailerBytes);
 }
 
 // The MNIST MLP's 101,770 coordinates, with every tenth one selected.
@@ -722,12 +728,14 @@ TEST(WireCodec, TruncatedAndCorruptedPayloadsAreRejected) {
   // Truncation and extension at the payload level.
   for (const std::size_t cut : {std::size_t{1}, base.bytes.size() / 2}) {
     wire::Payload truncated = base;
-    truncated.bytes.resize(base.bytes.size() - cut);
+    truncated.bytes = base.bytes.slice(0, base.bytes.size() - cut);
     EXPECT_THROW((void)wire::decode_update_compact(store, truncated),
                  wire::DecodeError);
   }
   wire::Payload extended = base;
-  extended.bytes.push_back(0);
+  auto longer = std::move(extended.bytes).release();
+  longer.push_back(0);
+  extended.bytes = std::move(longer);
   EXPECT_THROW((void)wire::decode_update_compact(store, extended),
                wire::DecodeError);
 
@@ -735,7 +743,9 @@ TEST(WireCodec, TruncatedAndCorruptedPayloadsAreRejected) {
   wire::Payload padded = base;
   const std::size_t pattern_bytes = (J + 7) / 8;
   if (J % 8 != 0) {
-    padded.bytes[pattern_bytes - 1] |= std::uint8_t{1} << (J % 8);
+    auto bytes = std::move(padded.bytes).release();
+    bytes[pattern_bytes - 1] |= std::uint8_t{1} << (J % 8);
+    padded.bytes = std::move(bytes);
     EXPECT_THROW((void)wire::decode_update_compact(store, padded),
                  wire::DecodeError);
   }
@@ -743,7 +753,9 @@ TEST(WireCodec, TruncatedAndCorruptedPayloadsAreRejected) {
   // A corrupted pattern byte changes the kept count, so the value section
   // length no longer matches and decode must reject rather than misread.
   wire::Payload flipped = base;
-  flipped.bytes[0] ^= 0x01;
+  auto flipped_bytes = std::move(flipped.bytes).release();
+  flipped_bytes[0] ^= 0x01;
+  flipped.bytes = std::move(flipped_bytes);
   EXPECT_THROW((void)wire::decode_update_compact(store, flipped),
                wire::DecodeError);
 

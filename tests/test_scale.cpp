@@ -382,19 +382,21 @@ TEST(CompactDecode, RejectsMalformedBuffers) {
   std::vector<std::pair<wire::Payload, std::string>> malformed;
   {
     auto p = wire::encode_dense_f32(values);
-    p.bytes.resize(p.bytes.size() - 3);
+    p.bytes = p.bytes.slice(0, p.bytes.size() - 3);
     malformed.emplace_back(std::move(p), "dense payload length mismatch");
   }
   {
     std::vector<std::uint8_t> kept(store.droppable_rows(), 1);
     auto p = wire::encode_row_masked(store, kept, values);
-    p.bytes.push_back(0);
+    auto bytes = std::move(p.bytes).release();
+    bytes.push_back(0);
+    p.bytes = std::move(bytes);
     malformed.emplace_back(std::move(p), "trailing bytes after payload");
   }
   {
     std::vector<std::uint8_t> kept(store.droppable_rows(), 1);
     auto p = wire::encode_row_masked(store, kept, values);
-    p.bytes.pop_back();
+    p.bytes = p.bytes.slice(0, p.bytes.size() - 1);
     malformed.emplace_back(std::move(p), "payload truncated");
   }
   {

@@ -20,13 +20,19 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "../tools/transport_demo.hpp"
+#include "baselines/fedavg.hpp"
+#include "baselines/heterofl.hpp"
+#include "baselines/unit_mask.hpp"
 #include "common/check.hpp"
 #include "fl/scheduler.hpp"
+#include "fl/strategy.hpp"
+#include "nn/mlp_model.hpp"
 #include "transport/client_runtime.hpp"
 #include "transport/epoll.hpp"
 #include "transport/frame.hpp"
@@ -35,8 +41,11 @@
 #include "transport/ring_buffer.hpp"
 #include "transport/server_runtime.hpp"
 #include "wire/accounting.hpp"
+#include "wire/compact.hpp"
 #include "wire/crc32c.hpp"
 #include "wire/reader.hpp"
+#include "wire/shared_bytes.hpp"
+#include "wire/update_codec.hpp"
 
 namespace fedbiad {
 namespace {
@@ -283,6 +292,97 @@ TEST(FrameCodec, RvalueFeedMatchesSpanFeedAtEverySplit) {
       EXPECT_EQ(parser.buffered_bytes(), 0u);
     }
   }
+}
+
+// Delivers `bytes` through the parser's direct-read API, as the TCP backends
+// receive: each read lands in prepare()'s room and is at most `read` bytes.
+void receive_into(FrameParser& parser, std::span<const std::uint8_t> bytes,
+                  std::size_t read = SIZE_MAX) {
+  while (!bytes.empty()) {
+    const std::span<std::uint8_t> room = parser.prepare();
+    ASSERT_FALSE(room.empty());
+    const std::size_t n = std::min({room.size(), read, bytes.size()});
+    std::memcpy(room.data(), bytes.data(), n);
+    parser.commit(n);
+    bytes = bytes.subspan(n);
+  }
+}
+
+TEST(FrameCodec, DirectReadMatchesSpanFeedAtEverySplit) {
+  // The stream above, received into prepare()'s room in three arrivals cut
+  // at every pair of offsets, and whole in reads of 1 and 7 bytes, must
+  // yield exactly the frames feed(span) yields.
+  std::vector<std::uint8_t> stream;
+  transport::append_frame(stream, FrameType::kUpload, some_body(11, 25));
+  transport::append_frame(stream, FrameType::kFin, some_body(0, 26));
+  transport::append_frame(stream, FrameType::kDispatch, some_body(19, 27));
+  const auto drain = [](FrameParser& parser) {
+    std::vector<Frame> frames;
+    Frame f;
+    while (parser.next(f) == FrameParser::Status::kFrame) frames.push_back(f);
+    return frames;
+  };
+  FrameParser reference(1 << 20);
+  reference.feed(std::span<const std::uint8_t>(stream));
+  const auto want = drain(reference);
+  ASSERT_EQ(want.size(), 3u);
+  const auto expect_frames = [&want](const std::vector<Frame>& got,
+                                     const std::string& where) {
+    ASSERT_EQ(got.size(), want.size()) << where;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].type, want[i].type) << where;
+      EXPECT_EQ(got[i].body, want[i].body) << where;
+    }
+  };
+  const std::span<const std::uint8_t> all(stream);
+  for (std::size_t a = 0; a <= stream.size(); ++a) {
+    for (std::size_t b = a; b <= stream.size(); ++b) {
+      FrameParser parser(1 << 20);
+      receive_into(parser, all.subspan(0, a));
+      auto got = drain(parser);
+      receive_into(parser, all.subspan(a, b - a));
+      for (auto& f : drain(parser)) got.push_back(std::move(f));
+      receive_into(parser, all.subspan(b));
+      for (auto& f : drain(parser)) got.push_back(std::move(f));
+      expect_frames(got, std::to_string(a) + "," + std::to_string(b));
+      EXPECT_EQ(parser.buffered_bytes(), 0u);
+      EXPECT_EQ(parser.buffer_capacity(), 0u);
+    }
+  }
+  for (const std::size_t read : {std::size_t{1}, std::size_t{7}}) {
+    FrameParser parser(1 << 20);
+    std::vector<Frame> got;
+    for (std::size_t at = 0; at < stream.size(); at += read) {
+      receive_into(parser, all.subspan(at, std::min(read, stream.size() - at)));
+      for (auto& f : drain(parser)) got.push_back(std::move(f));
+    }
+    expect_frames(got, "reads of " + std::to_string(read));
+  }
+}
+
+TEST(FrameCodec, DirectReadLandsInTheBodysStorage) {
+  // The first read fills a read-sized room; once the length is known the
+  // room is exactly the frame's rest, and the body is read where the
+  // bytes were received, not from a copy.
+  const auto body = some_body(100000, 46);
+  const auto wire = wire_of(FrameType::kUpload, body);
+  FrameParser parser(1 << 20);
+  auto room = parser.prepare();
+  ASSERT_LT(room.size(), wire.size());
+  const std::size_t first = room.size();
+  std::memcpy(room.data(), wire.data(), first);
+  parser.commit(first);
+  Frame f;
+  ASSERT_EQ(parser.next(f), FrameParser::Status::kNeedMore);
+  room = parser.prepare();
+  ASSERT_EQ(room.size(), wire.size() - first);
+  EXPECT_EQ(parser.buffer_capacity(), wire.size());
+  std::memcpy(room.data(), wire.data() + first, room.size());
+  parser.commit(room.size());
+  ASSERT_EQ(parser.next(f), FrameParser::Status::kFrame);
+  EXPECT_EQ(f.body, body);
+  EXPECT_EQ(f.body.data() + (first - 5), room.data());
+  EXPECT_EQ(parser.buffer_capacity(), 0u);
 }
 
 // --- one copy per frame: head/tail framing and the parser's move path ------
@@ -756,7 +856,8 @@ TEST(Protocol, DispatchHeadThenBroadcastMatchesEncode) {
     auto joined = transport::encode_dispatch_head(header, n);
     joined.insert(joined.end(), with.broadcast.begin(), with.broadcast.end());
     EXPECT_EQ(joined, transport::encode(with)) << n;
-    EXPECT_EQ(transport::decode_dispatch(joined).broadcast, with.broadcast);
+    EXPECT_EQ(transport::decode_dispatch(std::move(joined)).broadcast,
+              with.broadcast);
   }
 }
 
@@ -771,13 +872,16 @@ TEST(Protocol, TruncationAtEveryLengthRejected) {
   const auto full = transport::encode(upload);
   for (std::size_t n = 0; n < full.size(); ++n) {
     const std::span<const std::uint8_t> cut(full.data(), n);
-    EXPECT_THROW(transport::decode_upload(cut), wire::DecodeError) << n;
+    EXPECT_THROW(transport::decode_upload(
+                     std::vector<std::uint8_t>(cut.begin(), cut.end())),
+                 wire::DecodeError)
+        << n;
   }
-  EXPECT_NO_THROW(transport::decode_upload(full));
+  EXPECT_NO_THROW(transport::decode_upload(std::vector<std::uint8_t>(full)));
   // Trailing junk is as fatal as truncation.
   auto padded = full;
   padded.push_back(0);
-  EXPECT_THROW(transport::decode_upload(padded), wire::DecodeError);
+  EXPECT_THROW(transport::decode_upload(std::move(padded)), wire::DecodeError);
 }
 
 TEST(Protocol, LyingByteRunLengthRejected) {
@@ -792,7 +896,203 @@ TEST(Protocol, LyingByteRunLengthRejected) {
   // it claims more bytes than remain.
   bytes[40] = 0xFF;
   bytes[41] |= 0x01;
-  EXPECT_THROW(transport::decode_dispatch(bytes), wire::DecodeError);
+  EXPECT_THROW(transport::decode_dispatch(std::move(bytes)), wire::DecodeError);
+}
+
+// --- receive path: decoded byte runs slice the frame ----------------------
+
+/// True when `inner`'s bytes lie inside `outer`'s.
+bool within(std::span<const std::uint8_t> inner,
+            std::span<const std::uint8_t> outer) {
+  const std::less_equal<const std::uint8_t*> le;
+  return le(outer.data(), inner.data()) &&
+         le(inner.data() + inner.size(), outer.data() + outer.size());
+}
+
+TEST(ReceivePath, DecodedRunsSliceTheFrameAndOutliveIt) {
+  const auto broadcast = some_body(5000, 50);
+  const auto payload = some_body(3000, 51);
+  transport::DispatchMsg dispatch = dispatch_fields(broadcast.size());
+  dispatch.broadcast = std::vector<std::uint8_t>(broadcast);
+  const transport::UploadMsg upload{
+      .dispatch_index = 3,
+      .samples = 9,
+      .payload = std::vector<std::uint8_t>(payload)};
+  std::vector<std::uint8_t> stream =
+      wire_of(FrameType::kDispatch, transport::encode(dispatch));
+  const auto second = wire_of(FrameType::kUpload, transport::encode(upload));
+  stream.insert(stream.end(), second.begin(), second.end());
+  // Received both ways the backends receive: reads into prepare()'s room
+  // (TCP) and a delivered vector taken over whole (loopback).
+  for (const bool delivered : {false, true}) {
+    transport::DispatchMsg got_dispatch;
+    transport::UploadMsg got_upload;
+    {
+      auto parser = std::make_unique<FrameParser>(1 << 20);
+      if (delivered) {
+        parser->feed(std::vector<std::uint8_t>(stream));
+      } else {
+        receive_into(*parser, stream, 1500);
+      }
+      auto frame = std::make_unique<Frame>();
+      ASSERT_EQ(parser->next(*frame), FrameParser::Status::kFrame);
+      got_dispatch = transport::decode_dispatch(frame->body);
+      EXPECT_TRUE(within(got_dispatch.broadcast, frame->body)) << delivered;
+      ASSERT_EQ(parser->next(*frame), FrameParser::Status::kFrame);
+      got_upload = transport::decode_upload(frame->body);
+      EXPECT_TRUE(within(got_upload.payload, frame->body)) << delivered;
+    }
+    // Frame and parser are gone; under ASan a dangling slice fails here.
+    EXPECT_EQ(got_dispatch.broadcast, broadcast) << delivered;
+    EXPECT_EQ(got_upload.payload, payload) << delivered;
+  }
+}
+
+void expect_same_compact(const wire::CompactUpdate& a,
+                         const wire::CompactUpdate& b) {
+  EXPECT_EQ(a.form, b.form);
+  EXPECT_EQ(a.coords, b.coords);
+  EXPECT_TRUE(a.present == b.present);
+  EXPECT_EQ(a.indices, b.indices);
+  EXPECT_EQ(a.rank_directory, b.rank_directory);
+  ASSERT_EQ(a.values.size(), b.values.size());
+  EXPECT_TRUE(a.values.empty() ||
+              std::memcmp(a.values.data(), b.values.data(),
+                          a.values.size() * sizeof(float)) == 0);
+}
+
+TEST(ReceivePath, EveryPayloadKindDecodesFromAnOddOffsetInTheFrame) {
+  nn::MlpModel model({.input = 20, .hidden = 6, .classes = 3});
+  tensor::Rng rng(52);
+  model.init_params(rng);
+  const nn::ParameterStore& store = model.store();
+  const std::size_t n = store.size();
+  std::vector<float> values(n);
+  for (auto& v : values) v = static_cast<float>(rng.normal());
+  std::vector<std::uint32_t> indices;
+  std::vector<float> picked;
+  std::vector<std::uint8_t> negative;
+  for (std::uint32_t i = 1; i < n; i += 3) {
+    indices.push_back(i);
+    picked.push_back(values[i]);
+    negative.push_back(static_cast<std::uint8_t>(i % 2));
+  }
+  std::vector<std::uint8_t> rows(store.droppable_rows(), 1);
+  rows[1] = 0;
+  std::vector<std::int8_t> quants(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    quants[i] = static_cast<std::int8_t>(static_cast<int>(i % 255) - 127);
+  }
+  std::vector<std::uint8_t> most(n, 1);  // encodes as kPrunedBitmap
+  most[2] = 0;
+  std::vector<std::uint8_t> one(n, 0);  // encodes as kPrunedVarint
+  one[5] = 1;
+  const baselines::FedAvgStrategy generic;
+  const auto plan = baselines::WidthPlan::for_mlp(model);
+  const auto heterofl = baselines::HeteroFlStrategy::fjord(plan, 0.5);
+  std::vector<std::pair<wire::Payload, const fl::Strategy*>> cases;
+  cases.emplace_back(wire::encode_dense_f32(values), &generic);
+  cases.emplace_back(wire::encode_row_masked(store, rows, values), &generic);
+  cases.emplace_back(wire::encode_sparse_fixed(indices, picked, 32), &generic);
+  cases.emplace_back(wire::encode_sparse_varint(indices, picked), &generic);
+  cases.emplace_back(wire::encode_ternary(0.25F, indices, negative, 16),
+                     &generic);
+  cases.emplace_back(wire::encode_sign_mean(0.5F, {}, values), &generic);
+  cases.emplace_back(wire::encode_int8_dense(0.01F, quants, n), &generic);
+  cases.emplace_back(wire::encode_pruned(store, most, values), &generic);
+  cases.emplace_back(wire::encode_pruned(store, one, values), &generic);
+  cases.emplace_back(plan.encode_submodel(store, 0.5, values), &heterofl);
+  std::set<wire::PayloadKind> kinds;
+  for (const auto& c : cases) kinds.insert(c.first.kind);
+  ASSERT_EQ(kinds.size(), 10u) << "every PayloadKind once";
+
+  for (auto& [payload, strategy] : cases) {
+    SCOPED_TRACE(wire::to_string(payload.kind));
+    wire::seal_payload(payload);
+    const transport::UploadMsg upload{.dispatch_index = 1,
+                                      .payload = payload.bytes};
+    const auto upload_wire =
+        wire_of(FrameType::kUpload, transport::encode(upload));
+    // A frame of `pad` body bytes ahead of the upload shifts its payload by
+    // one byte: one of the two lands at an odd address.
+    std::size_t odd = 0;
+    for (const std::size_t pad : {std::size_t{0}, std::size_t{1}}) {
+      std::vector<std::uint8_t> stream =
+          wire_of(FrameType::kUploadAck, some_body(pad, 53));
+      stream.insert(stream.end(), upload_wire.begin(), upload_wire.end());
+      FrameParser parser(1 << 20);
+      parser.feed(std::move(stream));
+      Frame f;
+      ASSERT_EQ(parser.next(f), FrameParser::Status::kFrame);
+      ASSERT_EQ(parser.next(f), FrameParser::Status::kFrame);
+      const transport::UploadMsg got = transport::decode_upload(f.body);
+      ASSERT_TRUE(within(got.payload, f.body));
+      if (reinterpret_cast<std::uintptr_t>(got.payload.data()) % 2 == 0) {
+        continue;
+      }
+      ++odd;
+      fl::ClientOutcome sliced;
+      sliced.payload = {.kind = payload.kind,
+                        .aux = payload.aux,
+                        .bytes = got.payload};
+      fl::ClientOutcome fresh;
+      fresh.payload = {.kind = payload.kind,
+                       .aux = payload.aux,
+                       .bytes = std::vector<std::uint8_t>(
+                           payload.bytes.begin(), payload.bytes.end())};
+      const auto a = fl::try_decode_outcome_compact(*strategy, store, sliced,
+                                                    /*framed=*/true, {});
+      const auto b = fl::try_decode_outcome_compact(*strategy, store, fresh,
+                                                    /*framed=*/true, {});
+      ASSERT_TRUE(a.ok) << a.error;
+      ASSERT_TRUE(b.ok) << b.error;
+      expect_same_compact(sliced.compact, fresh.compact);
+      EXPECT_EQ(sliced.uplink_bytes, fresh.uplink_bytes);
+    }
+    EXPECT_EQ(odd, 1u);
+  }
+}
+
+TEST(ReceivePath, TruncatedAndLyingBodiesThrowFromFrameStorage) {
+  const transport::UploadMsg upload{.dispatch_index = 1,
+                                    .samples = 2,
+                                    .payload = some_body(33, 54)};
+  transport::DispatchMsg dispatch = dispatch_fields(20);
+  dispatch.broadcast = some_body(20, 55);
+  // The byte-run length follows the Upload's 41 and the Dispatch's 40
+  // bytes of fields.
+  const struct {
+    FrameType type;
+    std::vector<std::uint8_t> body;
+    std::size_t run_length_at;
+  } kinds[] = {{FrameType::kUpload, transport::encode(upload), 41},
+               {FrameType::kDispatch, transport::encode(dispatch), 40}};
+  for (const auto& k : kinds) {
+    const auto decode = [&k](const wire::SharedBytes& body) {
+      if (k.type == FrameType::kUpload) {
+        (void)transport::decode_upload(body);
+      } else {
+        (void)transport::decode_dispatch(body);
+      }
+    };
+    FrameParser parser(1 << 20);
+    receive_into(parser, wire_of(k.type, k.body));
+    Frame f;
+    ASSERT_EQ(parser.next(f), FrameParser::Status::kFrame);
+    for (std::size_t n = 0; n < f.body.size(); ++n) {
+      EXPECT_THROW(decode(f.body.slice(0, n)), wire::DecodeError)
+          << to_string(k.type) << " cut to " << n;
+    }
+    EXPECT_NO_THROW(decode(f.body));
+    // A run length claiming more bytes than remain: the frame checks out,
+    // the decode must not.
+    auto lying = k.body;
+    lying[k.run_length_at] = 0xFF;
+    lying[k.run_length_at + 1] |= 0x01;
+    receive_into(parser, wire_of(k.type, lying));
+    ASSERT_EQ(parser.next(f), FrameParser::Status::kFrame);
+    EXPECT_THROW(decode(f.body), wire::DecodeError) << to_string(k.type);
+  }
 }
 
 // --- loopback: runtimes, parity, chaos ------------------------------------
