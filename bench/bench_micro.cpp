@@ -32,10 +32,9 @@
 #include "nn/optimizer.hpp"
 #include "nn/sub_model.hpp"
 #include "tensor/gemm.hpp"
+#include "transport/epoll.hpp"
 #include "transport/frame.hpp"
 #include "transport/protocol.hpp"
-#include "transport/ring_buffer.hpp"
-#include "transport/transport.hpp"
 #include "wire/accounting.hpp"
 #include "wire/compact.hpp"
 #include "wire/crc32c.hpp"
@@ -564,62 +563,36 @@ void BM_Crc32cHw(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32cHw)->Arg(4096)->Arg(1 << 20);
 
-// One dispatch frame (407,093 B on the ingest benchmark) queued into and
-// drained from a transport send ring of the default 4 MiB capacity. One
-// byte stays queued so the head never rewinds: it walks the ring, and
-// since the capacity is not a multiple of the frame, some writes wrap.
-// Items = bytes written.
-void BM_RingBufferWrite(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  tensor::Rng rng(17);
-  std::vector<std::uint8_t> frame(n);
-  for (auto& b : frame) b = static_cast<std::uint8_t>(rng.uniform_index(256));
-  transport::RingBuffer ring(transport::TransportLimits{}.send_buffer_bytes);
-  ring.write(std::span<const std::uint8_t>(frame).first(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ring.write(frame));
-    benchmark::ClobberMemory();
-    ring.consume(n);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_RingBufferWrite)->Arg(407093);
-
-// One Dispatch framed the way the server sends it: the head (five u64
-// fields and the varint length) encoded per dispatch, the broadcast's
-// CRC32C cached per model version, and header, head, broadcast and trailer
-// written into a 4 MiB send ring, then drained. The argument is the
+// One Dispatch queued the way the epoll server sends it: the head (five
+// u64 fields and the varint length) encoded per dispatch, the broadcast's
+// CRC32C cached per model version, the envelope built around them, and the
+// frame pushed onto a session's send queue — header and head copied, the
+// broadcast shared by reference — then marked written. The argument is the
 // broadcast size (407,084 B is the MNIST MLP's, 101,770 floats); 0 times
 // the framing alone. Items = wire bytes.
 void BM_FrameDispatch(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   tensor::Rng rng(19);
-  std::vector<std::uint8_t> broadcast(n);
-  for (auto& b : broadcast) {
-    b = static_cast<std::uint8_t>(rng.uniform_index(256));
-  }
-  const std::uint32_t broadcast_crc = wire::crc32c(broadcast);
+  std::vector<std::uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform_index(256));
+  const std::uint32_t broadcast_crc = wire::crc32c(bytes);
+  const wire::SharedBytes broadcast(std::move(bytes));
   transport::DispatchMsg msg{.dispatch_index = 1,
                              .round = 1,
                              .slot = 0,
                              .model_version = 0,
                              .rng_stream = 1,
                              .broadcast = {}};
-  transport::RingBuffer ring(transport::TransportLimits{}.send_buffer_bytes);
+  transport::SendQueue queue;
   std::size_t wire = 0;
   for (auto _ : state) {
     ++msg.dispatch_index;
-    const auto head = transport::encode_dispatch_head(msg, n);
-    const auto env = transport::frame_envelope(
-        transport::FrameType::kDispatch, head, n, broadcast_crc);
-    ring.write(env.header);
-    ring.write(head);
-    ring.write(broadcast);
-    ring.write(env.trailer);
-    benchmark::ClobberMemory();
-    wire = ring.size();
-    ring.consume(wire);
+    queue.push(transport::FrameType::kDispatch,
+               transport::encode_dispatch_head(msg, n), broadcast,
+               broadcast_crc);
+    wire = queue.bytes();
+    benchmark::DoNotOptimize(wire);
+    queue.consume(wire);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(wire));

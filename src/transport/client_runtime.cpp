@@ -231,7 +231,8 @@ void ClientRuntime::send_upload(std::uint64_t dispatch_index,
       wire_msg.payload = std::move(damaged);
     }
   }
-  if (!transport_.send(FrameType::kUpload, encode(wire_msg))) {
+  const auto head = encode_upload_head(wire_msg, wire_msg.payload.size());
+  if (!transport_.send(FrameType::kUpload, head, wire_msg.payload)) {
     return;  // connection died; Welcome after reconnect re-sends
   }
   ++uploads_sent_;

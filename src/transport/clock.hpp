@@ -73,10 +73,6 @@ class DeadlineTimer {
     return id_ != fl::EventScheduler::kNoEvent;
   }
 
-  [[nodiscard]] double timeout_seconds() const noexcept {
-    return timeout_seconds_;
-  }
-
  private:
   fl::EventScheduler& sched_;
   double timeout_seconds_;

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "wire/crc32c.hpp"
 
 namespace fedbiad::transport {
 namespace {
@@ -32,7 +34,51 @@ void set_nodelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+constexpr std::size_t kMaxIov = 64;  // per sendmsg; a Dispatch takes 3
+
+ssize_t send_iov(int fd, std::span<iovec> iov, std::size_t count) {
+  msghdr msg{};
+  msg.msg_iov = iov.data();
+  msg.msg_iovlen = count;
+  return ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+}
+
 }  // namespace
+
+void SendQueue::push(FrameType type, std::span<const std::uint8_t> head,
+                     wire::SharedBytes tail, std::uint32_t tail_crc) {
+  const FrameEnvelope env = frame_envelope(type, head, tail.size(), tail_crc);
+  bytes_ += frame_wire_size(head.size() + tail.size());
+  std::vector<std::uint8_t> prefix(env.header.size() + head.size());
+  std::copy(head.begin(), head.end(),
+            std::copy(env.header.begin(), env.header.end(), prefix.begin()));
+  parts_.emplace_back(std::move(prefix));
+  if (!tail.empty()) parts_.push_back(std::move(tail));
+  parts_.emplace_back(
+      std::vector<std::uint8_t>(env.trailer.begin(), env.trailer.end()));
+}
+
+std::size_t SendQueue::gather(std::span<iovec> iov) const {
+  std::size_t used = 0;
+  for (auto part = parts_.begin(); part != parts_.end() && used < iov.size();
+       ++part) {
+    const std::size_t skip = used == 0 ? written_ : 0;
+    // sendmsg only reads through iov_base.
+    iov[used++] = {const_cast<std::uint8_t*>(part->data() + skip),
+                   part->size() - skip};
+  }
+  return used;
+}
+
+void SendQueue::consume(std::size_t n) {
+  FEDBIAD_CHECK(n <= bytes_, "send queue consume past contents");
+  bytes_ -= n;
+  written_ += n;
+  while (!parts_.empty() && written_ >= parts_.front().size()) {
+    written_ -= parts_.front().size();
+    parts_.pop_front();
+  }
+}
 
 // --- EpollServerTransport ---
 
@@ -40,7 +86,6 @@ EpollServerTransport::Conn::Conn(int conn_fd, const TransportLimits& limits,
                                  fl::EventScheduler& sched)
     : fd(conn_fd),
       parser(limits.max_frame_bytes),
-      out(limits.send_buffer_bytes),
       read_deadline(sched, limits.read_deadline_seconds),
       write_deadline(sched, limits.write_deadline_seconds) {}
 
@@ -170,9 +215,9 @@ bool EpollServerTransport::flush(SessionId session) {
   auto it = conns_.find(session);
   if (it == conns_.end()) return false;
   Conn& c = *it->second;
-  while (!c.out.empty()) {
-    const auto run = c.out.peek();
-    const ssize_t n = ::send(c.fd, run.data(), run.size(), MSG_NOSIGNAL);
+  std::array<iovec, kMaxIov> iov{};
+  while (c.out.bytes() != 0) {
+    const ssize_t n = send_iov(c.fd, iov, c.out.gather(iov));
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -182,7 +227,7 @@ bool EpollServerTransport::flush(SessionId session) {
         }
         // Armed once per park and deliberately NOT re-armed on partial
         // progress — the total drain time is bounded, so a peer ack'ing a
-        // byte per second cannot hold the ring hostage.
+        // byte per second cannot hold the queue hostage.
         if (!c.write_deadline.armed()) {
           c.write_deadline.arm(
               [this, session] { close(session, "write deadline exceeded"); });
@@ -206,39 +251,30 @@ bool EpollServerTransport::flush(SessionId session) {
   return conns_.count(session) != 0;
 }
 
-void EpollServerTransport::conn_writable(SessionId session) { flush(session); }
-
-bool EpollServerTransport::send(SessionId session, FrameType type,
-                                std::span<const std::uint8_t> body) {
-  return send(session, type, body, {}, 0);
-}
-
 bool EpollServerTransport::send(SessionId session, FrameType type,
                                 std::span<const std::uint8_t> head,
-                                std::span<const std::uint8_t> tail,
+                                const wire::SharedBytes& tail,
                                 std::uint32_t tail_crc) {
   auto it = conns_.find(session);
   if (it == conns_.end()) return false;
   Conn& c = *it->second;
   const std::size_t wire_size = frame_wire_size(head.size() + tail.size());
-  FEDBIAD_CHECK(wire_size <= c.out.capacity(),
-                "frame exceeds the session send-ring capacity");
-  // Refuse before framing: a full ring costs no copy and no CRC, however
+  FEDBIAD_CHECK(wire_size <= limits_.send_buffer_bytes,
+                "frame exceeds the session send budget");
+  // Refuse before framing: a full budget costs no copy and no CRC, however
   // often the caller retries.
-  if (wire_size > c.out.free_space()) {
-    c.refused = true;  // backpressure: on_drain fires once the ring empties
+  if (wire_size > send_space(session)) {
+    c.refused = true;  // backpressure: on_drain fires once the queue empties
     return false;
   }
-  const FrameEnvelope env = frame_envelope(type, head, tail.size(), tail_crc);
-  const bool queued = c.out.write(env.header) && c.out.write(head) &&
-                      c.out.write(tail) && c.out.write(env.trailer);
-  FEDBIAD_CHECK(queued, "send ring refused a frame that fits");
+  c.out.push(type, head, tail, tail_crc);
   return flush(session);
 }
 
 std::size_t EpollServerTransport::send_space(SessionId session) const {
   auto it = conns_.find(session);
-  return it == conns_.end() ? 0 : it->second->out.free_space();
+  if (it == conns_.end()) return 0;
+  return limits_.send_buffer_bytes - it->second->out.bytes();
 }
 
 void EpollServerTransport::close(SessionId session, const std::string& reason) {
@@ -276,7 +312,7 @@ void EpollServerTransport::step(double max_wait_seconds) {
       continue;
     }
     if ((events[i].events & EPOLLIN) != 0) conn_readable(session);
-    if ((events[i].events & EPOLLOUT) != 0) conn_writable(session);
+    if ((events[i].events & EPOLLOUT) != 0) flush(session);
   }
   // Harvest offloaded work (decode-on-arrival results) before deadlines:
   // frames delivered this slice must finish ahead of timers firing at
@@ -335,24 +371,26 @@ bool TcpClientTransport::connect() {
 }
 
 bool TcpClientTransport::send(FrameType type,
-                              std::span<const std::uint8_t> body) {
+                              std::span<const std::uint8_t> head,
+                              std::span<const std::uint8_t> tail) {
   if (!connected()) return false;
-  std::vector<std::uint8_t> wire;
-  append_frame(wire, type, body);
-  std::size_t off = 0;
+  // Borrows the tail (no owner): the queue dies before this returns.
+  SendQueue out;
+  out.push(type, head, wire::SharedBytes({}, tail.data(), tail.size()),
+           wire::crc32c(tail));
+  std::array<iovec, 3> iov{};
   int stalled_ms = 0;
-  while (off < wire.size()) {
-    const ssize_t n =
-        ::send(fd_, wire.data() + off, wire.size() - off, MSG_NOSIGNAL);
+  while (out.bytes() != 0) {
+    const ssize_t n = send_iov(fd_, iov, out.gather(iov));
     if (n > 0) {
-      off += static_cast<std::size_t>(n);
+      out.consume(static_cast<std::size_t>(n));
       stalled_ms = 0;
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // Clients are single-session: blocking here (bounded) is simpler
-      // and safer than a ring. 30s of zero progress means a dead server.
+      // Clients are single-session: waiting here (bounded) is simpler and
+      // safer than queueing. 30s of zero progress means a dead server.
       if (stalled_ms >= 30'000) {
         drop("send stalled");
         return false;

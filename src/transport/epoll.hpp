@@ -6,28 +6,52 @@
 // clock — the same arithmetic the virtual-clock engine uses), blocks in
 // epoll_wait at most that long, handles readiness, then advances the
 // scheduler to wall-now so due deadlines fire. Per-connection state is a
-// FrameParser for the inbound stream and a bounded RingBuffer for the
-// outbound one; a peer that overflows its ring sees send() refused
-// (backpressure), a peer that stops draining is evicted by the write
-// deadline, and a peer that stops producing complete frames is evicted by
-// the read deadline.
+// FrameParser for the inbound stream and a SendQueue (frames by reference,
+// written with sendmsg) for the outbound one; a peer whose queue would pass
+// the send budget sees send() refused (backpressure), a peer that stops
+// draining is evicted by the write deadline, and a peer that stops
+// producing complete frames is evicted by the read deadline.
 //
 // TcpClientTransport is the deliberately simpler connecting side: clients
-// are single-session processes, so sends poll() for writability instead
-// of maintaining a ring, and step() is a poll+recv slice.
+// are single-session processes, so sends poll() for writability until the
+// frame is out instead of queueing, and step() is a poll+recv slice.
 #pragma once
 
+#include <sys/uio.h>
+
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
 
 #include "transport/clock.hpp"
 #include "transport/frame.hpp"
-#include "transport/ring_buffer.hpp"
 #include "transport/transport.hpp"
 
 namespace fedbiad::transport {
+
+/// Frames queued for a peer: each an owned prefix (header and head), the
+/// tail by reference (kept alive until its last byte is written) and the
+/// trailer. gather() and consume() resume a partial write at any byte.
+class SendQueue {
+ public:
+  /// Queues the frame (type, head||tail); tail_crc as for frame_envelope().
+  void push(FrameType type, std::span<const std::uint8_t> head,
+            wire::SharedBytes tail, std::uint32_t tail_crc);
+  /// Points `iov` at the unwritten bytes, in order, as far as it has room;
+  /// returns how many entries it filled.
+  [[nodiscard]] std::size_t gather(std::span<iovec> iov) const;
+  /// Marks the next `n` unwritten bytes written (n <= bytes()).
+  void consume(std::size_t n);
+  /// Queued wire bytes not yet written.
+  [[nodiscard]] std::size_t bytes() const noexcept { return bytes_; }
+
+ private:
+  std::deque<wire::SharedBytes> parts_;  ///< none of them empty
+  std::size_t written_ = 0;  ///< bytes of the front part already written
+  std::size_t bytes_ = 0;
+};
 
 class EpollServerTransport final : public ServerTransport {
  public:
@@ -48,12 +72,14 @@ class EpollServerTransport final : public ServerTransport {
     tick_ = std::move(hook);
   }
   [[nodiscard]] bool send(SessionId session, FrameType type,
-                          std::span<const std::uint8_t> body) override;
-  /// Writes header, head, tail and trailer straight into the send ring:
-  /// one copy of the body, and a CRC over the head only.
+                          std::span<const std::uint8_t> body) override {
+    return send(session, type, body, {}, 0);
+  }
+  /// Queues header and head by copy and the tail by reference, with a CRC
+  /// over the head only.
   [[nodiscard]] bool send(SessionId session, FrameType type,
                           std::span<const std::uint8_t> head,
-                          std::span<const std::uint8_t> tail,
+                          const wire::SharedBytes& tail,
                           std::uint32_t tail_crc) override;
   [[nodiscard]] std::size_t send_space(SessionId session) const override;
   void close(SessionId session, const std::string& reason) override;
@@ -67,7 +93,7 @@ class EpollServerTransport final : public ServerTransport {
     Conn(int fd, const TransportLimits& limits, fl::EventScheduler& sched);
     int fd;
     FrameParser parser;
-    RingBuffer out;
+    SendQueue out;
     DeadlineTimer read_deadline;
     DeadlineTimer write_deadline;
     bool refused = false;     ///< a send() was refused since the last drain
@@ -76,9 +102,8 @@ class EpollServerTransport final : public ServerTransport {
 
   void accept_ready();
   void conn_readable(SessionId session);
-  void conn_writable(SessionId session);
-  /// Flushes the ring to the socket; parks on EAGAIN. Returns false when
-  /// the connection died during the flush.
+  /// Writes the send queue to the socket; parks on EAGAIN. Returns false
+  /// when the connection died during the flush.
   bool flush(SessionId session);
   void arm_read_deadline(SessionId session);
   void update_epoll(SessionId session);
@@ -111,7 +136,13 @@ class TcpClientTransport final : public ClientTransport {
   [[nodiscard]] bool connect() override;
   [[nodiscard]] bool connected() const override { return fd_ >= 0; }
   [[nodiscard]] bool send(FrameType type,
-                          std::span<const std::uint8_t> body) override;
+                          std::span<const std::uint8_t> body) override {
+    return send(type, {}, body);
+  }
+  /// Writes header, head, tail and trailer with sendmsg; only the head is
+  /// copied (so the 2-argument send copies nothing).
+  [[nodiscard]] bool send(FrameType type, std::span<const std::uint8_t> head,
+                          std::span<const std::uint8_t> tail) override;
   void step(double max_wait_seconds) override;
   void shutdown() override;
 

@@ -89,22 +89,17 @@ void LoopbackTransport::client_detached(SessionId session) {
 }
 
 bool LoopbackTransport::send(SessionId session, FrameType type,
-                             std::span<const std::uint8_t> body) {
-  return send(session, type, body, {}, 0);
-}
-
-bool LoopbackTransport::send(SessionId session, FrameType type,
                              std::span<const std::uint8_t> head,
-                             std::span<const std::uint8_t> tail,
+                             const wire::SharedBytes& tail,
                              std::uint32_t tail_crc) {
   auto it = sessions_.find(session);
   if (it == sessions_.end()) return false;
   Session& s = *it->second;
   const std::size_t wire_size = frame_wire_size(head.size() + tail.size());
-  // A frame bigger than the whole ring could never drain — that is a
+  // A frame bigger than the whole budget could never drain — that is a
   // programming error (tune send_buffer_bytes), not backpressure.
   FEDBIAD_CHECK(wire_size <= s.capacity,
-                "frame exceeds the session send-ring capacity");
+                "frame exceeds the session send budget");
   if (s.queued_to_client + wire_size > s.capacity) {
     s.refused = true;
     if (!s.write_deadline.armed()) {
@@ -215,9 +210,9 @@ void LoopbackTransport::deliver(Delivery d) {
     held_[d.session].push_back(std::move(d));
     return;
   }
-  // The peer consumed these bytes: free the ring before running its
+  // The peer consumed these bytes: free its budget before running its
   // handler, which may trigger further sends into the freed space.
-  FEDBIAD_CHECK(s.queued_to_client >= d.wire.size(), "ring accounting broke");
+  FEDBIAD_CHECK(s.queued_to_client >= d.wire.size(), "send budget accounting broke");
   s.queued_to_client -= d.wire.size();
   if (s.queued_to_client == 0) s.write_deadline.cancel();
   s.from_server.feed(std::move(d.wire));

@@ -12,9 +12,9 @@
 //
 // Chaos hooks:
 //   - Endpoint::pause()/unpause(): hold deliveries to a client (a stalled
-//     reader), letting its send ring fill → backpressure → write-deadline
+//     reader), letting its send budget fill → backpressure → write-deadline
 //     eviction once advance_time passes the deadline.
-//   - set_session_send_capacity(): shrink one session's ring to force
+//   - set_session_send_capacity(): shrink one session's send budget to force
 //     refusals quickly.
 //   - Endpoint::shutdown(): abrupt disconnect mid-round.
 #pragma once
@@ -49,7 +49,7 @@ class LoopbackTransport final : public ServerTransport {
     void step(double max_wait_seconds) override;
     void shutdown() override;
 
-    /// Chaos hook: stop consuming deliveries (the peer's ring keeps
+    /// Chaos hook: stop consuming deliveries (the peer's send budget keeps
     /// filling). unpause() re-delivers everything held, in order.
     void pause() { paused_ = true; }
     void unpause();
@@ -75,10 +75,12 @@ class LoopbackTransport final : public ServerTransport {
     tick_ = std::move(hook);
   }
   [[nodiscard]] bool send(SessionId session, FrameType type,
-                          std::span<const std::uint8_t> body) override;
+                          std::span<const std::uint8_t> body) override {
+    return send(session, type, body, {}, 0);
+  }
   [[nodiscard]] bool send(SessionId session, FrameType type,
                           std::span<const std::uint8_t> head,
-                          std::span<const std::uint8_t> tail,
+                          const wire::SharedBytes& tail,
                           std::uint32_t tail_crc) override;
   [[nodiscard]] std::size_t send_space(SessionId session) const override;
   void close(SessionId session, const std::string& reason) override;
@@ -91,12 +93,8 @@ class LoopbackTransport final : public ServerTransport {
   /// delivers whatever those firings queued.
   void advance_time(double dt);
 
-  /// Chaos hook: override one session's send-ring capacity.
+  /// Chaos hook: override one session's send budget.
   void set_session_send_capacity(SessionId session, std::size_t bytes);
-
-  [[nodiscard]] const TransportLimits& limits() const noexcept {
-    return limits_;
-  }
 
  private:
   struct Delivery {
@@ -110,7 +108,7 @@ class LoopbackTransport final : public ServerTransport {
     Endpoint* endpoint;       ///< null once the client side detached
     FrameParser from_client;  ///< reassembles the client→server stream
     FrameParser from_server;  ///< reassembles the server→client stream
-    std::size_t capacity;     ///< server→client ring budget
+    std::size_t capacity;     ///< server→client send budget
     std::size_t queued_to_client = 0;
     bool refused = false;  ///< a send() was refused since the last drain
     DeadlineTimer read_deadline;

@@ -16,15 +16,9 @@
 namespace fedbiad::transport {
 namespace {
 
-// Byte runs are length-prefixed with a varint so a corrupt length cannot
-// silently swallow the rest of the body — the Reader bounds-check catches
-// it and the expect_done() below catches any shortfall.
-void put_bytes(wire::Writer& w, std::span<const std::uint8_t> b) {
-  w.varint(b.size());
-  w.bytes(b);
-}
-
-// The byte run as a slice of `body`, which `r` reads.
+// A byte run ends the body, length-prefixed with a varint (by the *_head
+// encoders) so a corrupt length cannot swallow the rest of the body: the
+// Reader bounds-check and expect_done() catch it. Returns a slice of body.
 wire::SharedBytes get_bytes(wire::Reader& r, const wire::SharedBytes& body) {
   const std::uint64_t n = r.varint();
   if (n > r.remaining()) throw wire::DecodeError("byte run truncated");
@@ -93,7 +87,7 @@ std::vector<std::uint8_t> encode_dispatch_head(const DispatchMsg& m,
   w.u64(m.slot);
   w.u64(m.model_version);
   w.u64(m.rng_stream);
-  w.varint(broadcast_bytes);  // put_bytes' length prefix
+  w.varint(broadcast_bytes);  // the byte run's length prefix
   return std::move(w).take();
 }
 
@@ -116,7 +110,8 @@ DispatchMsg decode_dispatch(const wire::SharedBytes& body) {
   return m;
 }
 
-std::vector<std::uint8_t> encode(const UploadMsg& m) {
+std::vector<std::uint8_t> encode_upload_head(const UploadMsg& m,
+                                             std::size_t payload_bytes) {
   wire::Writer w;
   w.u64(m.dispatch_index);
   w.u64(m.samples);
@@ -124,8 +119,14 @@ std::vector<std::uint8_t> encode(const UploadMsg& m) {
   w.f64(m.train_seconds);
   w.f64(m.mean_loss);
   w.f64(m.last_loss);
-  put_bytes(w, m.payload);
+  w.varint(payload_bytes);  // the byte run's length prefix
   return std::move(w).take();
+}
+
+std::vector<std::uint8_t> encode(const UploadMsg& m) {
+  std::vector<std::uint8_t> body = encode_upload_head(m, m.payload.size());
+  body.insert(body.end(), m.payload.begin(), m.payload.end());
+  return body;
 }
 
 UploadMsg decode_upload(const wire::SharedBytes& body) {

@@ -96,6 +96,11 @@ struct FinMsg {
 [[nodiscard]] std::vector<std::uint8_t> encode_dispatch_head(
     const DispatchMsg& m, std::size_t broadcast_bytes);
 
+/// The Upload body up to its payload bytes, likewise: encode(m) ==
+/// encode_upload_head(m, m.payload.size()) || m.payload.
+[[nodiscard]] std::vector<std::uint8_t> encode_upload_head(
+    const UploadMsg& m, std::size_t payload_bytes);
+
 /// All decoders throw wire::DecodeError on any malformation. A decoded
 /// Dispatch's broadcast and Upload's payload are slices of `body`.
 [[nodiscard]] HelloMsg decode_hello(std::span<const std::uint8_t> body);

@@ -326,7 +326,7 @@ void ServerRuntime::handle_upload(SessionId session, const Frame& frame) {
     return;
   }
 
-  // Decode-queue backpressure, the send-ring discipline mirrored: a full
+  // Decode-queue backpressure, the send-budget discipline mirrored: a full
   // queue parks the arrival (behind any earlier parked upload, so finish
   // order stays arrival order), and an overflowing park buffer sheds the
   // submitting session before memory grows. The shed upload's dispatch

@@ -41,7 +41,7 @@
 //                          order — at the transport's scheduler tick, so
 //                          trajectories are bit-identical to the inline
 //                          path at any worker count. A full decode queue
-//                          parks arrivals exactly like a full send ring;
+//                          parks arrivals exactly like a full send budget;
 //                          overflow sheds the submitting session.
 #pragma once
 

@@ -47,14 +47,14 @@ struct TransportLimits {
   /// Hard cap on one frame's wire size; larger announcements are rejected
   /// at the length prefix, before any body byte is buffered.
   std::size_t max_frame_bytes = 16u << 20;
-  /// Per-connection send ring capacity. A frame that does not fit in a
-  /// completely empty ring can never be sent and is a programming error;
-  /// a frame that does not fit right now is backpressure.
+  /// Per-connection budget of queued, unwritten wire bytes (nothing is
+  /// preallocated). A frame bigger than the budget can never be sent and is
+  /// a programming error; one that does not fit right now is backpressure.
   std::size_t send_buffer_bytes = 4u << 20;
   /// Evict a peer that hasn't delivered a *complete* frame for this long.
   /// Trickling bytes does not reset it — that is the slowloris defence.
   double read_deadline_seconds = 30.0;
-  /// Evict a peer whose send ring hasn't fully drained this long after the
+  /// Evict a peer whose send queue hasn't fully drained this long after the
   /// first parked write. Deliberately not reset on partial progress, so a
   /// peer ack'ing one byte per second cannot hold memory forever.
   double write_deadline_seconds = 30.0;
@@ -75,8 +75,8 @@ class ServerTransport {
     /// server-initiated close). Fired exactly once per on_open; the
     /// session id is dead afterwards.
     virtual void on_close(SessionId session, const std::string& reason) = 0;
-    /// A previously refused send (ring full) would now fit: the ring fully
-    /// drained after a send() returned false on this session.
+    /// A previously refused send (budget full) would now fit: the queue
+    /// fully drained after a send() returned false on this session.
     virtual void on_drain(SessionId session) = 0;
   };
 
@@ -94,9 +94,9 @@ class ServerTransport {
   /// harvest decode-on-arrival results; see server_runtime.
   virtual void set_tick_hook(std::function<bool()> hook) = 0;
 
-  /// Queues one frame for the peer. Returns false when the send ring
+  /// Queues one frame for the peer. Returns false when the send budget
   /// cannot hold it right now — nothing is queued, and on_drain() fires
-  /// once the ring has fully drained. Callers park the message and retry.
+  /// once the queue has fully drained. Callers park the message and retry.
   [[nodiscard]] virtual bool send(SessionId session, FrameType type,
                                   std::span<const std::uint8_t> body) = 0;
 
@@ -105,22 +105,20 @@ class ServerTransport {
   /// Dispatch as its own few header bytes plus the model broadcast it
   /// shares with every client of that version, checksummed once. Bytes on
   /// the wire are exactly those of send(session, type, head||tail). The
-  /// backends override this to frame without joining the two (see
-  /// frame_envelope()); this default joins them and calls the 3-argument
-  /// send, so decorators that only forward that one (a tracing wrapper,
-  /// say) keep working unchanged.
+  /// epoll backend holds the tail by reference until its last byte is
+  /// written, so the caller need not keep it alive. This default joins head
+  /// and tail and calls the 3-argument send, so decorators that only
+  /// forward that one (a tracing wrapper, say) keep working unchanged.
   [[nodiscard]] virtual bool send(SessionId session, FrameType type,
                                   std::span<const std::uint8_t> head,
-                                  std::span<const std::uint8_t> tail,
+                                  const wire::SharedBytes& tail,
                                   std::uint32_t /*tail_crc*/) {
-    std::vector<std::uint8_t> body;
-    body.reserve(head.size() + tail.size());
-    body.insert(body.end(), head.begin(), head.end());
+    std::vector<std::uint8_t> body(head.begin(), head.end());
     body.insert(body.end(), tail.begin(), tail.end());
     return send(session, type, body);
   }
 
-  /// Free bytes in the session's send ring (0 for unknown sessions).
+  /// Bytes left in the session's send budget (0 for unknown sessions).
   [[nodiscard]] virtual std::size_t send_space(SessionId session) const = 0;
 
   /// Closes a connection; on_close(session, reason) fires.
@@ -166,6 +164,17 @@ class ClientTransport {
   /// cannot be buffered.
   [[nodiscard]] virtual bool send(FrameType type,
                                   std::span<const std::uint8_t> body) = 0;
+
+  /// Same, for the body head||tail (an Upload's fields, then its sealed
+  /// payload): the same wire bytes. The TCP client writes the parts without
+  /// joining them; this default joins them.
+  [[nodiscard]] virtual bool send(FrameType type,
+                                  std::span<const std::uint8_t> head,
+                                  std::span<const std::uint8_t> tail) {
+    std::vector<std::uint8_t> body(head.begin(), head.end());
+    body.insert(body.end(), tail.begin(), tail.end());
+    return send(type, body);
+  }
 
   /// Runs one slice of the client's loop (receive + deliver callbacks).
   virtual void step(double max_wait_seconds) = 0;

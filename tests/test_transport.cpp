@@ -1,22 +1,26 @@
 // Tests for the transport subsystem: the adversarial frame-parser surface
 // (every read split, oversized announcements, crc corruption, interleaved
-// garbage, handshake replays), the ring buffer and deadline machinery, the
+// garbage, handshake replays), the send queue and deadline machinery, the
 // protocol codecs, loopback bit-parity of the transport server runtime
 // against the in-process engine, deterministic chaos (corruption, abrupt
 // disconnects with session resume, dead clients, backpressure, slowloris
 // eviction), crash-and-resume from commit-boundary checkpoints, and the
-// epoll TCP backend end-to-end over localhost.
+// epoll TCP backend end-to-end over localhost, its backpressure and partial
+// writes included.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -38,7 +42,6 @@
 #include "transport/frame.hpp"
 #include "transport/loopback.hpp"
 #include "transport/protocol.hpp"
-#include "transport/ring_buffer.hpp"
 #include "transport/server_runtime.hpp"
 #include "wire/accounting.hpp"
 #include "wire/compact.hpp"
@@ -457,6 +460,54 @@ TEST(FrameCodec, HeadTailFramingMatchesReferenceBytes) {
   }
 }
 
+// --- send queue -------------------------------------------------------------
+
+TEST(SendQueue, GatherAndConsumeResumeAtEveryByte) {
+  // Frames with and without a tail, an empty body and an empty head, written
+  // out the way flush() does it, `step` bytes per write and at most
+  // `iov_cap` iovecs per gather: every write stops somewhere new, inside a
+  // prefix, a tail or a trailer.
+  const auto ack = transport::encode(transport::UploadAckMsg{3});
+  const wire::SharedBytes tail = some_body(100, 30);
+  const wire::SharedBytes small = some_body(5, 31);
+  const auto head = transport::encode_dispatch_head(dispatch_fields(100), 100);
+  std::vector<std::uint8_t> want;
+  for (const auto& frame :
+       {reference_frame(FrameType::kUploadAck, ack),
+        reference_frame(FrameType::kDispatch, joined(head, tail)),
+        reference_frame(FrameType::kFin, {}),
+        reference_frame(FrameType::kDispatch, small)}) {
+    want.insert(want.end(), frame.begin(), frame.end());
+  }
+  for (const std::size_t step : {1, 2, 3, 5, 7, 64, 1000}) {
+    for (const std::size_t iov_cap : {1, 2, 64}) {
+      transport::SendQueue q;
+      q.push(FrameType::kUploadAck, ack, {}, 0);
+      q.push(FrameType::kDispatch, head, tail, wire::crc32c(tail));
+      q.push(FrameType::kFin, {}, {}, 0);
+      q.push(FrameType::kDispatch, {}, small, wire::crc32c(small));
+      ASSERT_EQ(q.bytes(), want.size());
+      std::vector<std::uint8_t> got;
+      std::vector<iovec> iov(iov_cap);
+      while (q.bytes() != 0) {
+        const std::size_t used = q.gather(iov);
+        ASSERT_GT(used, 0u);
+        std::size_t wrote = 0;
+        for (std::size_t i = 0; i < used && wrote < step; ++i) {
+          const auto* base = static_cast<const std::uint8_t*>(iov[i].iov_base);
+          const std::size_t n = std::min(iov[i].iov_len, step - wrote);
+          got.insert(got.end(), base, base + n);
+          wrote += n;
+        }
+        q.consume(wrote);
+        ASSERT_EQ(q.bytes(), want.size() - got.size())
+            << step << "," << iov_cap;
+      }
+      EXPECT_EQ(got, want) << step << "," << iov_cap;
+    }
+  }
+}
+
 TEST(FrameCodec, ParserReleasesFinishedFrameStorage) {
   // A parser must not keep the largest frame it ever buffered, or every
   // session holds its biggest upload and Dispatch for its whole life.
@@ -653,97 +704,6 @@ TEST(FrameCodec, BodyOutlivesLaterFeedsAndTheParser) {
   const Frame kept = copied;  // copies own their bytes too
   copied = Frame{};
   EXPECT_EQ(kept.body, b2);
-}
-
-// --- ring buffer ----------------------------------------------------------
-
-TEST(RingBuffer, AllOrNothingWriteAndWraparound) {
-  transport::RingBuffer ring(16);
-  EXPECT_TRUE(ring.empty());
-  EXPECT_FALSE(ring.write(some_body(17, 1)));  // over capacity: refused whole
-  EXPECT_TRUE(ring.empty());
-  const auto a = some_body(10, 2);
-  ASSERT_TRUE(ring.write(a));
-  EXPECT_EQ(ring.size(), 10u);
-  EXPECT_FALSE(ring.write(some_body(7, 3)));  // 10 + 7 > 16
-  ring.consume(6);
-  const auto b = some_body(7, 4);
-  ASSERT_TRUE(ring.write(b));  // wraps
-  std::vector<std::uint8_t> drained;
-  while (!ring.empty()) {
-    const auto run = ring.peek();
-    drained.insert(drained.end(), run.begin(), run.end());
-    ring.consume(run.size());
-  }
-  std::vector<std::uint8_t> want(a.begin() + 6, a.end());
-  want.insert(want.end(), b.begin(), b.end());
-  EXPECT_EQ(drained, want);
-  EXPECT_EQ(ring.free_space(), 16u);
-}
-
-TEST(RingBuffer, WritesEndingExactlyAtCapacityAndEmptyWrites) {
-  transport::RingBuffer ring(16);
-  EXPECT_TRUE(ring.write({}));  // empty write: accepted, no effect
-  EXPECT_TRUE(ring.empty());
-  const auto a = some_body(16, 5);
-  ASSERT_TRUE(ring.write(a));  // fills the ring exactly
-  EXPECT_EQ(ring.free_space(), 0u);
-  EXPECT_TRUE(ring.write({}));  // still accepted when full
-  EXPECT_FALSE(ring.write(some_body(1, 6)));
-  const auto run = ring.peek();
-  EXPECT_EQ(std::vector<std::uint8_t>(run.begin(), run.end()), a);
-  ring.consume(5);
-  const auto b = some_body(5, 7);
-  ASSERT_TRUE(ring.write(b));  // ends exactly at the old head
-  EXPECT_EQ(ring.free_space(), 0u);
-  std::vector<std::uint8_t> drained;
-  while (!ring.empty()) {
-    const auto r = ring.peek();
-    drained.insert(drained.end(), r.begin(), r.end());
-    ring.consume(r.size());
-  }
-  std::vector<std::uint8_t> want(a.begin() + 5, a.end());
-  want.insert(want.end(), b.begin(), b.end());
-  EXPECT_EQ(drained, want);
-}
-
-TEST(RingBuffer, WrapAtEveryHeadOffsetMatchesReferenceDeque) {
-  constexpr std::size_t kCap = 16;
-  std::uint64_t seed = 100;
-  for (std::size_t head = 0; head < kCap; ++head) {
-    for (std::size_t fill = 0; fill <= kCap; ++fill) {
-      for (std::size_t len = 0; len <= kCap; ++len) {
-        // An empty ring always rewinds its head to 0.
-        if (fill == 0 && head != 0) continue;
-        // Move the head to `head` with `fill` bytes queued (the queued
-        // bytes themselves may wrap), then write `len` more: every wrap
-        // point of every write size.
-        transport::RingBuffer ring(kCap);
-        const auto pre = some_body(fill, ++seed);
-        const std::size_t unwrapped = std::min(fill, kCap - head);
-        std::vector<std::uint8_t> first = some_body(head, ++seed);
-        first.insert(first.end(), pre.begin(), pre.begin() + unwrapped);
-        ASSERT_TRUE(ring.write(first));
-        ring.consume(head);
-        ASSERT_TRUE(ring.write(std::span(pre).subspan(unwrapped)));
-        ASSERT_EQ(ring.peek().size(), unwrapped);  // the head is at `head`
-        std::deque<std::uint8_t> ref(pre.begin(), pre.end());
-        const auto bytes = some_body(len, ++seed);
-        const bool fits = fill + len <= kCap;
-        ASSERT_EQ(ring.write(bytes), fits) << head << "," << fill << "," << len;
-        if (fits) ref.insert(ref.end(), bytes.begin(), bytes.end());
-        ASSERT_EQ(ring.size(), ref.size());
-        std::vector<std::uint8_t> drained;
-        while (!ring.empty()) {
-          const auto r = ring.peek();
-          drained.insert(drained.end(), r.begin(), r.end());
-          ring.consume(r.size());
-        }
-        EXPECT_EQ(drained, std::vector<std::uint8_t>(ref.begin(), ref.end()))
-            << head << "," << fill << "," << len;
-      }
-    }
-  }
 }
 
 // --- scheduler adapter + deadline timers ----------------------------------
@@ -961,11 +921,11 @@ void expect_same_compact(const wire::CompactUpdate& a,
                           a.values.size() * sizeof(float)) == 0);
 }
 
-TEST(ReceivePath, EveryPayloadKindDecodesFromAnOddOffsetInTheFrame) {
-  nn::MlpModel model({.input = 20, .hidden = 6, .classes = 3});
-  tensor::Rng rng(52);
-  model.init_params(rng);
-  const nn::ParameterStore& store = model.store();
+// One unsealed payload of every PayloadKind over `store`'s layout, values
+// drawn from `rng`; the kSubModel one is `plan`'s at width 0.5.
+std::vector<wire::Payload> payload_of_every_kind(
+    const nn::ParameterStore& store, const baselines::WidthPlan& plan,
+    tensor::Rng& rng) {
   const std::size_t n = store.size();
   std::vector<float> values(n);
   for (auto& v : values) v = static_cast<float>(rng.normal());
@@ -987,27 +947,38 @@ TEST(ReceivePath, EveryPayloadKindDecodesFromAnOddOffsetInTheFrame) {
   most[2] = 0;
   std::vector<std::uint8_t> one(n, 0);  // encodes as kPrunedVarint
   one[5] = 1;
+  std::vector<wire::Payload> payloads;
+  payloads.push_back(wire::encode_dense_f32(values));
+  payloads.push_back(wire::encode_row_masked(store, rows, values));
+  payloads.push_back(wire::encode_sparse_fixed(indices, picked, 32));
+  payloads.push_back(wire::encode_sparse_varint(indices, picked));
+  payloads.push_back(wire::encode_ternary(0.25F, indices, negative, 16));
+  payloads.push_back(wire::encode_sign_mean(0.5F, {}, values));
+  payloads.push_back(wire::encode_int8_dense(0.01F, quants, n));
+  payloads.push_back(wire::encode_pruned(store, most, values));
+  payloads.push_back(wire::encode_pruned(store, one, values));
+  payloads.push_back(plan.encode_submodel(store, 0.5, values));
+  std::set<wire::PayloadKind> kinds;
+  for (const auto& p : payloads) kinds.insert(p.kind);
+  EXPECT_EQ(kinds.size(), 10u) << "every PayloadKind once";
+  return payloads;
+}
+
+TEST(ReceivePath, EveryPayloadKindDecodesFromAnOddOffsetInTheFrame) {
+  nn::MlpModel model({.input = 20, .hidden = 6, .classes = 3});
+  tensor::Rng rng(52);
+  model.init_params(rng);
+  const nn::ParameterStore& store = model.store();
   const baselines::FedAvgStrategy generic;
   const auto plan = baselines::WidthPlan::for_mlp(model);
   const auto heterofl = baselines::HeteroFlStrategy::fjord(plan, 0.5);
-  std::vector<std::pair<wire::Payload, const fl::Strategy*>> cases;
-  cases.emplace_back(wire::encode_dense_f32(values), &generic);
-  cases.emplace_back(wire::encode_row_masked(store, rows, values), &generic);
-  cases.emplace_back(wire::encode_sparse_fixed(indices, picked, 32), &generic);
-  cases.emplace_back(wire::encode_sparse_varint(indices, picked), &generic);
-  cases.emplace_back(wire::encode_ternary(0.25F, indices, negative, 16),
-                     &generic);
-  cases.emplace_back(wire::encode_sign_mean(0.5F, {}, values), &generic);
-  cases.emplace_back(wire::encode_int8_dense(0.01F, quants, n), &generic);
-  cases.emplace_back(wire::encode_pruned(store, most, values), &generic);
-  cases.emplace_back(wire::encode_pruned(store, one, values), &generic);
-  cases.emplace_back(plan.encode_submodel(store, 0.5, values), &heterofl);
-  std::set<wire::PayloadKind> kinds;
-  for (const auto& c : cases) kinds.insert(c.first.kind);
-  ASSERT_EQ(kinds.size(), 10u) << "every PayloadKind once";
 
-  for (auto& [payload, strategy] : cases) {
+  for (wire::Payload& payload : payload_of_every_kind(store, plan, rng)) {
     SCOPED_TRACE(wire::to_string(payload.kind));
+    const fl::Strategy* strategy =
+        payload.kind == wire::PayloadKind::kSubModel
+            ? static_cast<const fl::Strategy*>(&heterofl)
+            : &generic;
     wire::seal_payload(payload);
     const transport::UploadMsg upload{.dispatch_index = 1,
                                       .payload = payload.bytes};
@@ -1050,6 +1021,47 @@ TEST(ReceivePath, EveryPayloadKindDecodesFromAnOddOffsetInTheFrame) {
       EXPECT_EQ(sliced.uplink_bytes, fresh.uplink_bytes);
     }
     EXPECT_EQ(odd, 1u);
+  }
+}
+
+TEST(Protocol, UploadHeadThenPayloadMatchesEncode) {
+  // encode(m) == encode_upload_head(m, n) || payload for a sealed payload
+  // of every kind and raw payloads on both sides of each varint length
+  // step; ClientRuntime sends the two halves without joining them.
+  nn::MlpModel model({.input = 20, .hidden = 6, .classes = 3});
+  tensor::Rng rng(54);
+  model.init_params(rng);
+  std::vector<wire::SharedBytes> payloads;
+  for (wire::Payload& p : payload_of_every_kind(
+           model.store(), baselines::WidthPlan::for_mlp(model), rng)) {
+    wire::seal_payload(p);
+    payloads.push_back(std::move(p.bytes));
+  }
+  for (const std::size_t n : {0, 1, 127, 128, 16383, 16384}) {
+    payloads.push_back(some_body(n, 55 + n));
+  }
+  std::uint64_t index = 0;
+  for (const wire::SharedBytes& payload : payloads) {
+    ++index;
+    const auto x = static_cast<double>(index);
+    const transport::UploadMsg m{
+        .dispatch_index = index << 40,
+        .samples = 600 + index,
+        .is_update = static_cast<std::uint8_t>(index % 2),
+        .train_seconds = 0.125 * x,
+        .mean_loss = -1.0 / x,
+        .last_loss = 2.5,
+        .payload = payload};
+    const auto want = transport::encode(m);
+    // The head ignores m.payload; only its size argument counts.
+    transport::UploadMsg other = m;
+    other.payload = some_body(3, 56);
+    EXPECT_EQ(joined(transport::encode_upload_head(other, payload.size()),
+                     payload),
+              want)
+        << index;
+    EXPECT_EQ(transport::decode_upload(std::vector<std::uint8_t>(want)).payload,
+              payload);
   }
 }
 
@@ -1441,14 +1453,14 @@ TEST(LoopbackChaos, BackpressureRefusesParksAndDrains) {
 }
 
 struct OpenRecorder : transport::ServerTransport::Handler {
-  std::vector<SessionId> opened;
+  std::vector<SessionId> opened, drained;
   std::vector<std::pair<SessionId, std::string>> closed;
   void on_open(SessionId s) override { opened.push_back(s); }
   void on_frame(SessionId, Frame&&) override {}
   void on_close(SessionId s, const std::string& r) override {
     closed.emplace_back(s, r);
   }
-  void on_drain(SessionId) override {}
+  void on_drain(SessionId s) override { drained.push_back(s); }
 };
 
 TEST(LoopbackTransport, HeadTailSendDeliversReferenceFrames) {
@@ -1465,7 +1477,7 @@ TEST(LoopbackTransport, HeadTailSendDeliversReferenceFrames) {
   const SessionId session = handler.opened[0];
   transport::ServerTransport& base = net;
   for (const std::size_t n : kBroadcastSizes) {
-    const auto tail = some_body(n, 50 + n);
+    const wire::SharedBytes tail = some_body(n, 50 + n);
     const auto head = transport::encode_dispatch_head(dispatch_fields(n), n);
     const auto want = reference_frame(FrameType::kDispatch, joined(head, tail));
     peer.frames.clear();
@@ -1483,7 +1495,7 @@ TEST(LoopbackTransport, HeadTailSendDeliversReferenceFrames) {
     EXPECT_EQ(transport::decode_dispatch(peer.frames[0].body).broadcast, tail);
   }
   // The head/tail send shares the budget and refusal path of send(body).
-  const auto tail = some_body(1000, 60);
+  const wire::SharedBytes tail = some_body(1000, 60);
   const auto head = transport::encode_dispatch_head(dispatch_fields(1), 1000);
   net.set_session_send_capacity(
       session, transport::frame_wire_size(head.size() + tail.size()));
@@ -1530,7 +1542,7 @@ TEST(LoopbackTransport, DefaultHeadTailSendJoinsForForwardingDecorators) {
   ScriptedPeer peer(net, 107);
   ASSERT_TRUE(peer.endpoint.connect());
   ASSERT_EQ(handler.opened.size(), 1u);
-  const auto tail = some_body(769, 61);
+  const wire::SharedBytes tail = some_body(769, 61);
   const auto head = transport::encode_dispatch_head(dispatch_fields(2), 769);
   transport::ServerTransport& base = traced;
   ASSERT_TRUE(base.send(handler.opened[0], FrameType::kDispatch, head, tail,
@@ -1770,45 +1782,73 @@ TEST(Tcp, EndToEndMatchesEngineAcrossThreads) {
   }
 }
 
-TEST(Tcp, HeadTailSendWritesReferenceBytes) {
-  // The epoll backend writes header, head, tail and trailer straight into
-  // its send ring; a raw socket must read exactly the reference frame.
-  transport::EpollServerTransport net({}, 0);
-  OpenRecorder handler;
-  net.set_handler(&handler);
+// Connects a raw socket to `net` and steps it until the session opens.
+// rcvbuf > 0 shrinks the socket's receive buffer first, so that a peer that
+// does not read fills the server's socket early and its writes park.
+int dial_raw(transport::EpollServerTransport& net, const OpenRecorder& handler,
+             int rcvbuf = 0) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
+  EXPECT_GE(fd, 0);
+  if (rcvbuf > 0) {
+    EXPECT_EQ(
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf), 0);
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(net.port());
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
-  for (int i = 0; i < 200 && handler.opened.empty(); ++i) net.step(0.05);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  const std::size_t before = handler.opened.size();
+  for (int i = 0; i < 200 && handler.opened.size() == before; ++i) {
+    net.step(0.05);
+  }
+  EXPECT_EQ(handler.opened.size(), before + 1);
+  return fd;
+}
+
+// Reads `n` bytes from `fd` (giving up after 30 s), stepping `net` between
+// reads so that it writes what it parked.
+std::vector<std::uint8_t> read_from(int fd, std::size_t n,
+                                    transport::ServerTransport& net) {
+  std::vector<std::uint8_t> got;
+  std::vector<std::uint8_t> buf(1 << 16);
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (got.size() < n && std::chrono::steady_clock::now() < give_up) {
+    net.step(0.0);
+    pollfd pfd{fd, POLLIN, 0};
+    ::poll(&pfd, 1, 1);
+    const ssize_t r = ::recv(
+        fd, buf.data(), std::min(buf.size(), n - got.size()), MSG_DONTWAIT);
+    if (r > 0) got.insert(got.end(), buf.begin(), buf.begin() + r);
+  }
+  return got;
+}
+
+TEST(Tcp, HeadTailSendWritesReferenceBytes) {
+  // The epoll backend queues header and head by copy and the tail by
+  // reference, and writes them with sendmsg; a raw socket must read exactly
+  // the reference frame.
+  transport::EpollServerTransport net({}, 0);
+  OpenRecorder handler;
+  net.set_handler(&handler);
+  const int fd = dial_raw(net, handler);
   ASSERT_EQ(handler.opened.size(), 1u);
   const SessionId session = handler.opened[0];
   transport::ServerTransport& base = net;
 
-  std::vector<std::uint8_t> buf(1 << 16);
   for (const std::size_t n : kBroadcastSizes) {
-    const auto tail = some_body(n, 70 + n);
+    const wire::SharedBytes tail = some_body(n, 70 + n);
     const auto head = transport::encode_dispatch_head(dispatch_fields(n), n);
     const auto want = reference_frame(FrameType::kDispatch, joined(head, tail));
-    // A control frame first, through send(body): both sends share the ring.
+    // A control frame first, through send(body): both sends share the queue.
     const auto ack = transport::encode(transport::UploadAckMsg{n});
     const auto want_ack = reference_frame(FrameType::kUploadAck, ack);
     ASSERT_TRUE(net.send(session, FrameType::kUploadAck, ack));
     ASSERT_TRUE(base.send(session, FrameType::kDispatch, head, tail,
                           wire::crc32c(tail)));
-    std::vector<std::uint8_t> got;
-    const std::size_t total = want_ack.size() + want.size();
-    for (int guard = 0; got.size() < total && guard < 100000; ++guard) {
-      net.step(0.0);  // flushes what the socket refused earlier
-      const ssize_t r =
-          ::recv(fd, buf.data(), std::min(buf.size(), total - got.size()),
-                 MSG_DONTWAIT);
-      if (r > 0) got.insert(got.end(), buf.begin(), buf.begin() + r);
-    }
-    ASSERT_EQ(got.size(), total) << n;
+    const auto got = read_from(fd, want_ack.size() + want.size(), net);
+    ASSERT_EQ(got.size(), want_ack.size() + want.size()) << n;
     EXPECT_TRUE(same_bytes(std::span(got).first(want_ack.size()), want_ack))
         << n;
     EXPECT_TRUE(same_bytes(std::span(got).subspan(want_ack.size()), want))
@@ -1816,6 +1856,213 @@ TEST(Tcp, HeadTailSendWritesReferenceBytes) {
   }
   EXPECT_TRUE(handler.closed.empty());
   ::close(fd);
+}
+
+TEST(Tcp, BackpressureRefusesAndDrainsLikeLoopback) {
+  // LoopbackChaos.BackpressureRefusesParksAndDrains over a real socket: a
+  // peer that does not read fills the kernel's buffers, then the session's
+  // send budget, and the server refuses.
+  transport::TransportLimits limits;
+  limits.send_buffer_bytes = 1 << 20;
+  transport::EpollServerTransport net(limits, 0);
+  OpenRecorder handler;
+  net.set_handler(&handler);
+  const int fd = dial_raw(net, handler, 4096);
+  ASSERT_EQ(handler.opened.size(), 1u);
+  const SessionId session = handler.opened[0];
+  transport::ServerTransport& base = net;
+  EXPECT_EQ(net.send_space(session), limits.send_buffer_bytes);
+  EXPECT_THROW(
+      (void)net.send(session, FrameType::kDispatch,
+                     some_body(limits.send_buffer_bytes, 79)),
+      CheckError);
+
+  std::vector<std::uint8_t> want;  // every accepted frame, in order
+  const auto accept = [&](FrameType type, std::span<const std::uint8_t> body) {
+    const auto frame = reference_frame(type, body);
+    want.insert(want.end(), frame.begin(), frame.end());
+  };
+  constexpr std::size_t kTail = 32 << 10;
+  for (std::size_t i = 0;; ++i) {
+    ASSERT_LT(i, 4096u) << "the server never refused";
+    const wire::SharedBytes tail = some_body(kTail, 80 + i);
+    const auto head =
+        transport::encode_dispatch_head(dispatch_fields(i), kTail);
+    const std::size_t space = net.send_space(session);
+    if (!base.send(session, FrameType::kDispatch, head, tail,
+                   wire::crc32c(tail))) {
+      // Refused only because it does not fit, and nothing was queued.
+      EXPECT_GT(transport::frame_wire_size(head.size() + kTail), space);
+      EXPECT_EQ(net.send_space(session), space);
+      break;
+    }
+    accept(FrameType::kDispatch, joined(head, tail));
+    net.step(0.0);
+  }
+  // Let delayed ACKs land, then make the server write once more: the kernel
+  // takes what they freed (EPOLLOUT stays quiet until a third of its buffer
+  // is free) and is full from then on, since the peer reads nothing. So
+  // each frame after that queues whole, and send_space moves by exactly its
+  // wire size.
+  for (int i = 0; i < 6; ++i) net.step(0.05);
+  if (net.send_space(session) >= transport::kFrameOverheadBytes) {
+    ASSERT_TRUE(net.send(session, FrameType::kFin, {}));
+    accept(FrameType::kFin, {});
+  }
+  const std::size_t space = net.send_space(session);
+  std::size_t left = space;
+  if (space >= transport::kFrameOverheadBytes) {
+    const auto fit = some_body(space - transport::kFrameOverheadBytes, 81);
+    const auto over = some_body(fit.size() + 1, 81);
+    EXPECT_FALSE(net.send(session, FrameType::kUploadAck, over));
+    EXPECT_EQ(net.send_space(session), space);
+    ASSERT_TRUE(net.send(session, FrameType::kUploadAck, fit));
+    accept(FrameType::kUploadAck, fit);
+    left = 0;
+  }
+  EXPECT_EQ(net.send_space(session), left);
+  EXPECT_FALSE(net.send(session, FrameType::kFin, {}));  // 9 bytes > left
+  EXPECT_EQ(net.send_space(session), left);
+  for (int i = 0; i < 3; ++i) net.step(0.01);
+  EXPECT_TRUE(handler.drained.empty());
+
+  // The peer reads: the queue drains to the last byte, on_drain fires once,
+  // and the budget is whole again.
+  const auto got = read_from(fd, want.size(), net);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_TRUE(same_bytes(got, want));
+  for (int i = 0; i < 3; ++i) net.step(0.01);
+  ASSERT_EQ(handler.drained.size(), 1u);
+  EXPECT_EQ(handler.drained[0], session);
+  EXPECT_EQ(net.send_space(session), limits.send_buffer_bytes);
+  EXPECT_TRUE(handler.closed.empty());
+  ::close(fd);
+
+  // And the eviction half: a peer that never reads is closed once the
+  // write deadline passes.
+  limits.write_deadline_seconds = 0.2;
+  transport::EpollServerTransport strict(limits, 0);
+  OpenRecorder evicted;
+  strict.set_handler(&evicted);
+  const int stalled = dial_raw(strict, evicted, 4096);
+  ASSERT_EQ(evicted.opened.size(), 1u);
+  const auto body = some_body(kTail, 82);
+  for (std::size_t i = 0; i < 4096; ++i) {
+    if (!strict.send(evicted.opened[0], FrameType::kDispatch, body)) break;
+    strict.step(0.0);
+  }
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (evicted.closed.empty() && std::chrono::steady_clock::now() < give_up) {
+    strict.step(0.05);
+  }
+  ASSERT_EQ(evicted.closed.size(), 1u);
+  EXPECT_NE(evicted.closed[0].second.find("write deadline exceeded"),
+            std::string::npos);
+  EXPECT_TRUE(evicted.drained.empty());
+  ::close(stalled);
+}
+
+TEST(Tcp, QueuedTailOutlivesTheCallersReference) {
+  // The caller's SharedBytes dies right after send(); the socket takes part
+  // of the tail, and the rest is written from the queue's own reference.
+  // Under ASan a queue that kept only a pointer reads freed memory here.
+  transport::TransportLimits limits;
+  limits.send_buffer_bytes = 8 << 20;
+  transport::EpollServerTransport net(limits, 0);
+  OpenRecorder handler;
+  net.set_handler(&handler);
+  const int fd = dial_raw(net, handler, 4096);
+  ASSERT_EQ(handler.opened.size(), 1u);
+  const SessionId session = handler.opened[0];
+  // Longer than the kernel's largest send buffer plus the peer's receive
+  // buffer, so the first write cannot take it all.
+  constexpr std::size_t kTail = 6 << 20;
+  const auto head = transport::encode_dispatch_head(dispatch_fields(1), kTail);
+  std::vector<std::uint8_t> want;
+  {
+    wire::SharedBytes tail = some_body(kTail, 83);
+    want = reference_frame(FrameType::kDispatch, joined(head, tail));
+    transport::ServerTransport& base = net;
+    ASSERT_TRUE(base.send(session, FrameType::kDispatch, head, tail,
+                          wire::crc32c(tail)));
+  }
+  // The write stopped inside the tail: the prefix is out, the trailer not.
+  const std::size_t queued = limits.send_buffer_bytes - net.send_space(session);
+  EXPECT_GT(queued, 4u);
+  EXPECT_LT(queued, kTail + 4);
+  const auto got = read_from(fd, want.size(), net);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_TRUE(same_bytes(got, want));
+  EXPECT_EQ(net.send_space(session), limits.send_buffer_bytes);
+  EXPECT_TRUE(handler.closed.empty());
+  ::close(fd);
+}
+
+TEST(Tcp, ClientSendSurvivesPartialWrites) {
+  // A multi-MB Upload to a raw reader that pauses 100 us after each read,
+  // through a small receive buffer: the client's sendmsg stops partway
+  // through the payload many times and resumes where it stopped.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  const int rcvbuf = 4096;  // inherited by the accepted socket
+  ASSERT_EQ(::setsockopt(listener, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                         sizeof rcvbuf),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  transport::TcpClientTransport client("127.0.0.1", ntohs(addr.sin_port));
+  ASSERT_TRUE(client.connect());
+  const int peer = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(peer, 0);
+  const timeval patience{5, 0};  // a lost byte fails the test, not hangs it
+  ASSERT_EQ(::setsockopt(peer, SOL_SOCKET, SO_RCVTIMEO, &patience,
+                         sizeof patience),
+            0);
+
+  constexpr std::size_t kPayload = 3 << 20;
+  const auto payload = some_body(kPayload, 84);
+  const transport::UploadMsg upload{.dispatch_index = 9,
+                                    .samples = 60,
+                                    .is_update = 1,
+                                    .train_seconds = 0.25,
+                                    .mean_loss = 1.5,
+                                    .last_loss = 1.25,
+                                    .payload = {}};
+  const auto head = transport::encode_upload_head(upload, kPayload);
+  const auto fin = transport::encode(transport::FinMsg{4});
+  std::vector<std::uint8_t> want =
+      reference_frame(FrameType::kUpload, joined(head, payload));
+  const auto want_fin = reference_frame(FrameType::kFin, fin);
+  want.insert(want.end(), want_fin.begin(), want_fin.end());
+
+  std::vector<std::uint8_t> got;
+  std::thread reader([&] {
+    std::vector<std::uint8_t> buf(64 << 10);
+    while (got.size() < want.size()) {
+      const ssize_t r = ::recv(peer, buf.data(), buf.size(), 0);
+      if (r <= 0) return;
+      got.insert(got.end(), buf.begin(), buf.begin() + r);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  const bool sent = client.send(FrameType::kUpload, head, payload);
+  const bool sent_fin = client.send(FrameType::kFin, fin);
+  if (!sent || !sent_fin) client.shutdown();  // unblocks the reader
+  reader.join();
+  EXPECT_TRUE(sent);
+  EXPECT_TRUE(sent_fin);
+  EXPECT_EQ(got.size(), want.size());
+  EXPECT_TRUE(same_bytes(got, want));
+  ::close(peer);
+  ::close(listener);
 }
 
 TEST(Tcp, GarbageAndOversizedStreamsAreClosed) {
