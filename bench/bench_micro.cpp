@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/fedavg.hpp"
 #include "bayes/spike_slab.hpp"
 #include "compress/dgc.hpp"
 #include "compress/quantize.hpp"
@@ -32,6 +33,7 @@
 #include "nn/optimizer.hpp"
 #include "nn/sub_model.hpp"
 #include "tensor/gemm.hpp"
+#include "transport/decode_pool.hpp"
 #include "transport/epoll.hpp"
 #include "transport/frame.hpp"
 #include "transport/protocol.hpp"
@@ -390,7 +392,7 @@ void BM_DecodeRowMasked(benchmark::State& state) {
       wire::encode_row_masked(store, pattern.bits(), store.params());
   for (auto _ : state) {
     auto decoded = wire::decode_update_compact(store, payload);
-    benchmark::DoNotOptimize(decoded.values.data());
+    benchmark::DoNotOptimize(decoded.values().data.bytes());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(store.size()));
@@ -649,8 +651,10 @@ void BM_FrameParse(benchmark::State& state) {
 BENCHMARK(BM_FrameParse)->Arg(407084);
 
 // The server's whole receive path for one upload, from wire bytes to the
-// compact view the committer reads: receive() into the parser, then
-// decode_upload, strip_seal and decode_update_compact. The argument is the
+// compact view the committer reads: receive() into the parser, then the
+// server runtime's own receive step (transport::upload_job, which derives
+// the seal's CRC from the frame's, and DecodeJob::decode, whose compact
+// view borrows its values from the frame). The argument is the
 // sealed payload size on the MNIST MLP (101,770 floats): 324,430 B is
 // FedBIAD's row-masked upload at p = 0.2 (ingest_replay's), 407,084 B the
 // dense one (tcp_async's). Items = wire bytes.
@@ -681,18 +685,21 @@ void BM_ReceiveUpload(benchmark::State& state) {
                           transport::encode(msg));
   transport::FrameParser parser(transport::TransportLimits{}.max_frame_bytes);
   transport::Frame frame;
+  const baselines::FedAvgStrategy strategy;
   for (auto _ : state) {
     receive(parser, wire);
     if (parser.next(frame) != transport::FrameParser::Status::kFrame) {
       state.SkipWithError("frame did not parse");
       break;
     }
-    wire::Payload received{.kind = payload.kind,
-                           .aux = payload.aux,
-                           .bytes = transport::decode_upload(frame.body).payload};
-    wire::strip_seal(received);
-    const auto update = wire::decode_update_compact(store, received);
-    benchmark::DoNotOptimize(update.values.data());
+    const auto job = transport::upload_job(frame, 1, 0, payload.kind,
+                                           payload.aux, 0.0);
+    job->decode(strategy, store);
+    if (!job->status.ok) {
+      state.SkipWithError(job->status.error.c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(job->outcome.compact.values().data.bytes());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(wire.size()));

@@ -74,27 +74,27 @@ KernelBatch make_kernel_batch(std::size_t coords, std::size_t updates) {
   for (std::size_t u = 0; u < updates; ++u) {
     CompactUpdate cu;
     cu.coords = coords;
+    std::vector<float> values;
     if (u % 4 < 2) {
       cu.form = CompactUpdate::Form::kDense;
-      cu.values.resize(coords);
-      for (auto& v : cu.values) v = static_cast<float>(rng.normal());
+      values.resize(coords);
     } else if (u % 4 == 2) {
       cu.form = CompactUpdate::Form::kBitmap;
       cu.present = fedbiad::wire::Bitset(coords);
       for (std::size_t row = 0; row < coords; row += 256) {
         cu.present.set_range(row, std::min(row + 128, coords));
       }
-      cu.values.resize(cu.present.count());
-      for (auto& v : cu.values) v = static_cast<float>(rng.normal());
+      values.resize(cu.present.count());
       cu.build_rank_directory();
     } else {
       cu.form = CompactUpdate::Form::kSparse;
       for (std::size_t i = 0; i < coords; i += 16) {
         cu.indices.push_back(static_cast<std::uint32_t>(i));
       }
-      cu.values.resize(cu.indices.size());
-      for (auto& v : cu.values) v = static_cast<float>(rng.normal());
+      values.resize(cu.indices.size());
     }
+    for (auto& v : values) v = static_cast<float>(rng.normal());
+    cu.set_values(std::move(values));
     b.contributions += cu.transmitted();
     b.storage.push_back(std::move(cu));
   }

@@ -145,10 +145,9 @@ wire::CompactUpdate WidthPlan::decode_submodel(
   wire::CompactUpdate u;
   u.coords = layout.size();
   u.present = wire::Bitset::from_bytemask(mask);
-  u.values.resize(u.present.count());
-  r.f32_run(u.values);
+  wire::read_values(u, r, payload.bytes, u.present.count());
   r.expect_done();
-  if (u.values.size() == u.coords) {
+  if (u.values().size() == u.coords) {
     u.form = wire::CompactUpdate::Form::kDense;
     u.present = wire::Bitset();
   } else {

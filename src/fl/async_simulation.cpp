@@ -92,8 +92,10 @@ class AsyncSimulation::Driver final : public ServerDriver {
       // so the snapshot is bit-identical to the global. The last version's
       // copy goes first, so two are never held at once.
       snapshot_.reset();
-      snapshot_ = std::make_shared<const std::vector<float>>(
-          wire::decode_update_compact(core_.layout(), *broadcast).values);
+      std::vector<float> snapshot(core_.layout().size());
+      wire::decode_dense_f32(broadcast->bytes, snapshot);
+      snapshot_ =
+          std::make_shared<const std::vector<float>>(std::move(snapshot));
       snapshot_version_ = core_.version();
     }
     job.download_s = prof.download_seconds(broadcast->size());
@@ -520,7 +522,8 @@ class AsyncSimulation::Driver final : public ServerDriver {
     }
     const DecodeStatus status = try_decode_outcome_compact(
         *sim_.strategy_, core_.layout(), probe, /*framed=*/true,
-        DecodeContext{job.client, job.dispatch_index, sched_.now()});
+        DecodeContext{job.client, job.dispatch_index, sched_.now(),
+                      /*sealed_crc=*/std::nullopt});
     FEDBIAD_CHECK(!status.ok, "injected corruption slipped past the CRC frame");
     core_.charge_delivery(delivered);
     if (job.attempt < retry_policy_.max_attempts) {
@@ -566,7 +569,8 @@ class AsyncSimulation::Driver final : public ServerDriver {
     if (faulty_) {
       const DecodeStatus status = try_decode_outcome_compact(
           *sim_.strategy_, core_.layout(), up.outcome, /*framed=*/true,
-          DecodeContext{job.client, job.dispatch_index, sched_.now()});
+          DecodeContext{job.client, job.dispatch_index, sched_.now(),
+                        /*sealed_crc=*/std::nullopt});
       FEDBIAD_CHECK(status.ok, status.error);
     } else {
       decode_outcome_compact(*sim_.strategy_, core_.layout(), up.outcome);

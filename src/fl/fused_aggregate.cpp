@@ -17,7 +17,7 @@ namespace fused {
 
 namespace ref {
 
-void accumulate_run(double* acc, double* weight_acc, const float* values,
+void accumulate_run(double* acc, double* weight_acc, wire::F32Ptr values,
                     const float* global, std::size_t len, double weight) {
   for (std::size_t i = 0; i < len; ++i) {
     double d = static_cast<double>(values[i]);
@@ -28,7 +28,7 @@ void accumulate_run(double* acc, double* weight_acc, const float* values,
 }
 
 void accumulate_sparse(double* acc, double* weight_acc,
-                       const std::uint32_t* indices, const float* values,
+                       const std::uint32_t* indices, wire::F32Ptr values,
                        const float* global, std::size_t count,
                        std::size_t base, double weight) {
   for (std::size_t c = 0; c < count; ++c) {
@@ -77,10 +77,12 @@ using V4i = std::int32_t __attribute__((vector_size(16)));
 // the convertvector form to two half-width converts plus an insert, while
 // this form folds into the single full-width convert-from-memory
 // instruction. Conversion is exact either way, so the contract is safe.
+// Each p[k] is a memcpy load, so `p` may sit at any byte: the convert's
+// memory operand has no alignment requirement.
 // The helpers take and hand back vectors by reference: passing a 32-byte
 // vector by value trips GCC's -Wpsabi ABI note on the portable (no-AVX)
 // build, an error under FEDBIAD_WERROR.
-inline void widen4(const float* p, V4d& out) noexcept {
+inline void widen4(wire::F32Ptr p, V4d& out) noexcept {
   out = V4d{static_cast<double>(p[0]), static_cast<double>(p[1]),
             static_cast<double>(p[2]), static_cast<double>(p[3])};
 }
@@ -117,7 +119,7 @@ constexpr V4l kAllLanes = {-1, -1, -1, -1};
 
 /// One non-empty update of an all-dense merge batch.
 struct DenseTerm {
-  const float* values = nullptr;  ///< all N coordinates
+  wire::F32Ptr values;  ///< all N coordinates
   double weight = 0.0;
   bool is_update = false;
 };
@@ -160,9 +162,9 @@ void merge_dense_range(float* global, std::span<const DenseTerm> terms,
 // kDelta the global is widened and subtracted lane by lane, without it the
 // global is never read.
 template <bool kDelta>
-void accumulate_run_lanes(double* acc, double* weight_acc, const float* values,
-                          const float* global, std::size_t len,
-                          double weight) {
+void accumulate_run_lanes(double* acc, double* weight_acc,
+                          wire::F32Ptr values, const float* global,
+                          std::size_t len, double weight) {
   const V4d wv = {weight, weight, weight, weight};
   std::size_t i = 0;
   for (; i + 4 <= len; i += 4) {
@@ -184,9 +186,10 @@ void accumulate_run_lanes(double* acc, double* weight_acc, const float* values,
 
 template <bool kDelta>
 void accumulate_sparse_lanes(double* acc, double* weight_acc,
-                             const std::uint32_t* indices, const float* values,
-                             const float* global, std::size_t count,
-                             std::size_t base, double weight) {
+                             const std::uint32_t* indices,
+                             wire::F32Ptr values, const float* global,
+                             std::size_t count, std::size_t base,
+                             double weight) {
   const V4d wv = {weight, weight, weight, weight};
   std::size_t c = 0;
   // Vectorize the multiply; scatter stays scalar. Indices are strictly
@@ -217,7 +220,7 @@ void accumulate_sparse_lanes(double* acc, double* weight_acc,
 
 }  // namespace
 
-void accumulate_run(double* acc, double* weight_acc, const float* values,
+void accumulate_run(double* acc, double* weight_acc, wire::F32Ptr values,
                     const float* global, std::size_t len, double weight) {
   if (global != nullptr) {
     accumulate_run_lanes<true>(acc, weight_acc, values, global, len, weight);
@@ -227,7 +230,7 @@ void accumulate_run(double* acc, double* weight_acc, const float* values,
 }
 
 void accumulate_sparse(double* acc, double* weight_acc,
-                       const std::uint32_t* indices, const float* values,
+                       const std::uint32_t* indices, wire::F32Ptr values,
                        const float* global, std::size_t count,
                        std::size_t base, double weight) {
   if (global != nullptr) {
@@ -277,7 +280,7 @@ constexpr std::size_t kWordBits = wire::Bitset::kWordBits;
 /// Walks the transmitted coordinates of bitmap update `u` inside the
 /// kBlock-aligned window [b0, b0 + len): zero words are skipped, all-ones
 /// words are handed to `run(i, vals, kWordBits)` (a contiguous slice of the
-/// value array — the vectorized fast path), and mixed words walk their set
+/// value run — the vectorized fast path), and mixed words walk their set
 /// bits via countr_zero into `one(i, v)`. b0 % kWordBits == 0 is required,
 /// which the block-owner partitioning guarantees; b0 % kRankStride == 0
 /// additionally makes the rank() below a single directory probe.
@@ -285,7 +288,7 @@ template <typename Run, typename One>
 void walk_bitmap_aligned(const wire::CompactUpdate& u, std::size_t b0,
                          std::size_t len, Run&& run, One&& one) {
   const std::span<const std::uint64_t> words = u.present.words();
-  const float* vals = u.values.data();
+  const wire::F32Ptr vals = u.values().data;
   std::size_t c = u.rank(b0);
   const std::size_t end = b0 + len;
   std::size_t i = b0;
@@ -346,13 +349,13 @@ void accumulate_block(double* acc, double* weight,
       case wire::CompactUpdate::Form::kEmpty:
         break;
       case wire::CompactUpdate::Form::kDense:
-        fused::accumulate_run(acc, weight, u.values.data() + b0, g_at(b0),
+        fused::accumulate_run(acc, weight, u.values().data + b0, g_at(b0),
                               len, w);
         break;
       case wire::CompactUpdate::Form::kBitmap:
         walk_bitmap_aligned(
             u, b0, len,
-            [&](std::size_t i, const float* v, std::size_t run_len) {
+            [&](std::size_t i, wire::F32Ptr v, std::size_t run_len) {
               fused::accumulate_run(acc + (i - b0), weight + (i - b0), v,
                                     g_at(i), run_len, w);
             },
@@ -366,7 +369,7 @@ void accumulate_block(double* acc, double* weight,
       case wire::CompactUpdate::Form::kSparse: {
         const SparseSlice s = sparse_slice(u, b0, len);
         fused::accumulate_sparse(acc, weight, u.indices.data() + s.c0,
-                                 u.values.data() + s.c0, g, s.count, b0, w);
+                                 u.values().data + s.c0, g, s.count, b0, w);
         break;
       }
     }
@@ -458,7 +461,7 @@ void ShardedAccumulator::merge(std::span<float> global_params,
                   "client outcome size mismatch (payload not decoded?)");
     FEDBIAD_CHECK(u.weight > 0.0, "client outcome without samples");
     if (u.update->form == Form::kDense) {
-      dense.push_back({u.update->values.data(), u.weight, u.is_update});
+      dense.push_back({u.update->values().data, u.weight, u.is_update});
       weight_sum += u.weight;
     } else if (u.update->form != Form::kEmpty) {
       all_dense = false;

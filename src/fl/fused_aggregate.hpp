@@ -68,13 +68,15 @@ namespace fedbiad::fl {
 /// results are bit-identical to the scalar fused::ref:: versions below and
 /// to the dense test oracle in tests/aggregate.cpp.
 /// Vectorization batches *across* coordinates only — the operation sequence
-/// at any one coordinate is unchanged.
+/// at any one coordinate is unchanged. Values arrive as wire::F32Ptr: a
+/// received update's values are a slice of its frame at any byte
+/// alignment, so every kernel loads them unaligned.
 namespace fused {
 
 /// Contiguous run: acc[i] += weight * d[i] and weight_acc[i] += weight for
 /// i in [0, len), where d[i] is (double)values[i], or with `global` set
 /// (double)values[i] - (double)global[i] — a parameter payload's delta.
-void accumulate_run(double* acc, double* weight_acc, const float* values,
+void accumulate_run(double* acc, double* weight_acc, wire::F32Ptr values,
                     const float* global, std::size_t len, double weight);
 
 /// Sparse gather: for c in [0, count), acc[indices[c] - base] +=
@@ -82,7 +84,7 @@ void accumulate_run(double* acc, double* weight_acc, const float* values,
 /// global read at the absolute coordinate indices[c]. `indices` must be
 /// strictly ascending and within [base, base + kBlock).
 void accumulate_sparse(double* acc, double* weight_acc,
-                       const std::uint32_t* indices, const float* values,
+                       const std::uint32_t* indices, wire::F32Ptr values,
                        const float* global, std::size_t count,
                        std::size_t base, double weight);
 
@@ -103,10 +105,10 @@ void store_mean_run(float* global, const double* acc, const double* weight,
 /// bitwise (tests/test_scale.cpp pins them against each other on ragged
 /// lengths).
 namespace ref {
-void accumulate_run(double* acc, double* weight_acc, const float* values,
+void accumulate_run(double* acc, double* weight_acc, wire::F32Ptr values,
                     const float* global, std::size_t len, double weight);
 void accumulate_sparse(double* acc, double* weight_acc,
-                       const std::uint32_t* indices, const float* values,
+                       const std::uint32_t* indices, wire::F32Ptr values,
                        const float* global, std::size_t count,
                        std::size_t base, double weight);
 void add_mean_run(float* global, const double* acc, const double* weight,

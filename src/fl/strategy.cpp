@@ -84,7 +84,7 @@ DecodeStatus try_decode_outcome_compact(const Strategy& strategy,
     // strip_seal mutates the payload only after the trailer verifies, and a
     // later section-decoder failure discards the payload anyway, so the
     // in-place strip never leaves a half-consumed frame in play.
-    if (framed) wire::strip_seal(out.payload);
+    if (framed) wire::strip_seal(out.payload, ctx.sealed_crc);
     decode_outcome_compact(strategy, layout, out);
     out.uplink_bytes = wire_size;
     return {};

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -191,6 +192,11 @@ struct DecodeContext {
   std::size_t client_id = 0;
   std::size_t dispatch_seq = 0;
   double clock = 0.0;
+  /// wire::crc32c of the whole sealed payload, when a receiver derived it
+  /// from the verified CRC of the frame the payload arrived in (see
+  /// transport::decode_upload): the seal check then reads no payload byte.
+  /// Empty otherwise, and the seal is checked by reading the payload.
+  std::optional<std::uint32_t> sealed_crc;
 };
 
 /// Result of a non-throwing decode: `ok`, or a context-wrapped reason.
@@ -213,7 +219,8 @@ void decode_outcome_compact(const Strategy& strategy,
 /// fault-tolerant sessions, where a malformed upload is a survivable
 /// transport event, not a programming error. When `framed` is set the
 /// payload must carry a valid CRC32C trailer (wire::seal_payload); the
-/// trailer is verified and stripped before the section decoder runs, and
+/// trailer is verified (through ctx.sealed_crc when set) and stripped
+/// before the section decoder runs, and
 /// `out.uplink_bytes` charges the framed (on-the-wire) size. On failure
 /// `out` is left undecoded and the returned status carries the wire error
 /// wrapped with `ctx`.

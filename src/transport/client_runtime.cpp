@@ -6,6 +6,7 @@
 
 #include "common/check.hpp"
 #include "wire/compact.hpp"
+#include "wire/crc32c.hpp"
 
 namespace fedbiad::transport {
 
@@ -213,6 +214,9 @@ void ClientRuntime::send_upload(std::uint64_t dispatch_index,
                                 const UploadMsg& upload) {
   UploadMsg wire_msg = upload;
   wire_msg.dispatch_index = dispatch_index;
+  // train() sealed the payload, so its CRC is the residue: the frame CRC
+  // follows without reading it. A damaged copy has no known CRC.
+  std::optional<std::uint32_t> payload_crc = wire::kCrc32cResidue;
   if (cfg_.corrupt_probability > 0.0 && !wire_msg.payload.empty()) {
     // Deterministic injection: keyed per attempt so a retry redraws — with
     // p < 1 the retry path recovers, with p = 1 the retry budget drains
@@ -229,10 +233,12 @@ void ClientRuntime::send_upload(std::uint64_t dispatch_index,
       const std::size_t bit = r.uniform_index(damaged.size() * 8);
       damaged[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
       wire_msg.payload = std::move(damaged);
+      payload_crc.reset();
     }
   }
   const auto head = encode_upload_head(wire_msg, wire_msg.payload.size());
-  if (!transport_.send(FrameType::kUpload, head, wire_msg.payload)) {
+  if (!transport_.send(FrameType::kUpload, head, wire_msg.payload,
+                       payload_crc)) {
     return;  // connection died; Welcome after reconnect re-sends
   }
   ++uploads_sent_;

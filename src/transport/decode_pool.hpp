@@ -4,8 +4,8 @@
 // transport thread, serializing CRC verification and payload decode behind
 // socket I/O. DecodePool moves that work onto a private ThreadPool: the
 // transport thread submits a DecodeJob per upload frame at delivery time,
-// workers run fl::try_decode_outcome_compact (seal verification + compact
-// decode — the expensive, side-effect-free step), and the transport thread
+// workers run DecodeJob::decode (seal verification + compact decode — the
+// side-effect-free step), and the transport thread
 // harvests finished jobs at the event loop's scheduler tick.
 //
 // Determinism contract: jobs come back in submission order (see
@@ -28,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "fl/strategy.hpp"
@@ -47,9 +48,26 @@ struct DecodeJob {
   std::uint64_t dispatch_index = 0;
   std::uint64_t framed_bytes = 0;  ///< on-the-wire payload size, for ledgers
   double arrival_clock = 0.0;      ///< transport now() at frame delivery
+  /// wire::crc32c of the sealed payload, derived from its frame's verified
+  /// CRC (fl::DecodeContext::sealed_crc); empty when not known.
+  std::optional<std::uint32_t> sealed_crc;
   fl::ClientOutcome outcome;       ///< payload in, compact view out
-  fl::DecodeStatus status;         ///< set by the worker
+  fl::DecodeStatus status;         ///< set by decode()
+
+  /// The receive step's second half: verifies the payload seal and decodes
+  /// the payload into outcome.compact, setting `status`. Runs on a
+  /// DecodePool worker, or inline on the transport thread.
+  void decode(const fl::Strategy& strategy, const nn::ParameterStore& layout);
 };
+
+/// The receive step's first half, on the transport thread: the job for one
+/// Upload frame from `client`, whose session announced payload `kind` and
+/// `aux`, delivered at `arrival_clock`. The payload stays a slice of the
+/// frame, and its seal's CRC comes from the frame's (decode_upload). Throws
+/// wire::DecodeError when the body is malformed.
+[[nodiscard]] std::unique_ptr<DecodeJob> upload_job(
+    const Frame& frame, SessionId session, std::size_t client,
+    wire::PayloadKind kind, std::uint8_t aux, double arrival_clock);
 
 class DecodePool {
  public:

@@ -36,6 +36,14 @@ void set_nodelay(int fd) {
 
 constexpr std::size_t kMaxIov = 64;  // per sendmsg; a Dispatch takes 3
 
+// A wait in seconds as an epoll_wait/poll timeout: rounded up to whole
+// milliseconds, so a wait shorter than one sleeps rather than spins until
+// its deadline, and capped at 60 s.
+int wait_ms(double seconds) {
+  return static_cast<int>(
+      std::min(std::ceil(std::max(seconds, 0.0) * 1000.0), 60'000.0));
+}
+
 ssize_t send_iov(int fd, std::span<iovec> iov, std::size_t count) {
   msghdr msg{};
   msg.msg_iov = iov.data();
@@ -296,10 +304,8 @@ void EpollServerTransport::step(double max_wait_seconds) {
   if (std::isfinite(next)) {
     wait = std::min(wait, std::max(0.0, next - clock_.now()));
   }
-  const int timeout_ms =
-      static_cast<int>(std::min(wait * 1000.0, 60'000.0));
   epoll_event events[64];
-  const int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
+  const int n = ::epoll_wait(epoll_fd_, events, 64, wait_ms(wait));
   for (int i = 0; i < n; ++i) {
     const std::uint64_t tag = events[i].data.u64;
     if (tag == kListenerTag) {
@@ -372,12 +378,13 @@ bool TcpClientTransport::connect() {
 
 bool TcpClientTransport::send(FrameType type,
                               std::span<const std::uint8_t> head,
-                              std::span<const std::uint8_t> tail) {
+                              std::span<const std::uint8_t> tail,
+                              std::optional<std::uint32_t> tail_crc) {
   if (!connected()) return false;
   // Borrows the tail (no owner): the queue dies before this returns.
   SendQueue out;
   out.push(type, head, wire::SharedBytes({}, tail.data(), tail.size()),
-           wire::crc32c(tail));
+           tail_crc ? *tail_crc : wire::crc32c(tail));
   std::array<iovec, 3> iov{};
   int stalled_ms = 0;
   while (out.bytes() != 0) {
@@ -408,10 +415,8 @@ bool TcpClientTransport::send(FrameType type,
 
 void TcpClientTransport::step(double max_wait_seconds) {
   if (!connected()) return;
-  const int timeout_ms = static_cast<int>(
-      std::min(std::max(max_wait_seconds, 0.0) * 1000.0, 60'000.0));
   pollfd pfd{fd_, POLLIN, 0};
-  const int rc = ::poll(&pfd, 1, timeout_ms);
+  const int rc = ::poll(&pfd, 1, wait_ms(max_wait_seconds));
   if (rc <= 0) return;
   for (;;) {
     const std::span<std::uint8_t> room = parser_->prepare();

@@ -137,12 +137,14 @@ class TcpClientTransport final : public ClientTransport {
   [[nodiscard]] bool connected() const override { return fd_ >= 0; }
   [[nodiscard]] bool send(FrameType type,
                           std::span<const std::uint8_t> body) override {
-    return send(type, {}, body);
+    return send(type, {}, body, std::nullopt);
   }
   /// Writes header, head, tail and trailer with sendmsg; only the head is
-  /// copied (so the 2-argument send copies nothing).
+  /// copied (so the 2-argument send copies nothing), and with `tail_crc`
+  /// given only the head is read.
   [[nodiscard]] bool send(FrameType type, std::span<const std::uint8_t> head,
-                          std::span<const std::uint8_t> tail) override;
+                          std::span<const std::uint8_t> tail,
+                          std::optional<std::uint32_t> tail_crc) override;
   void step(double max_wait_seconds) override;
   void shutdown() override;
 

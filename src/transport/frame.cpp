@@ -170,6 +170,7 @@ FrameParser::Status FrameParser::next(Frame& out) {
   out.type = static_cast<FrameType>(frame[0]);
   const std::size_t body_bytes = sealed - 1;
   out.body = FrameBody(owner_, frame + 1, body_bytes);
+  out.crc = got;
   begin_ += frame_bytes;
   const std::size_t rest = buffered_bytes();
   if (rest == 0) {

@@ -27,12 +27,22 @@
 // storage (a socket read goes straight into prepare()'s room, a loopback
 // delivery's vector is adopted whole), and every FrameBody is a slice of
 // that storage.
+//
+// A received Upload is read twice: once here, by the frame CRC, and once
+// by the committer. The parser keeps the CRC it verified (Frame::crc);
+// the sealed payload is the body's tail, so its CRC follows from the
+// frame's and the few bytes ahead of it (decode_upload), and the payload
+// seal is checked against that without a second pass. The decoded update
+// borrows its values from the frame storage (wire/compact.hpp), where
+// they sit at whatever byte offset the frame put them, so whoever reads
+// them uses unaligned loads.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -65,6 +75,11 @@ using FrameBody = wire::SharedBytes;
 struct Frame {
   FrameType type = FrameType::kHello;
   FrameBody body;
+  /// The CRC FrameParser::next verified, wire::crc32c(type||body); empty
+  /// for a frame that no parser checked. A receiver derives the CRC of any
+  /// tail of the body from it (decode_upload does, for the sealed payload)
+  /// instead of reading those bytes again.
+  std::optional<std::uint32_t> crc;
 };
 
 /// Bytes between itself and the body: u32 len + u8 type + u32 crc.

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "wire/crc32c.hpp"
 #include "wire/reader.hpp"
 #include "wire/writer.hpp"
 
@@ -140,6 +141,22 @@ UploadMsg decode_upload(const wire::SharedBytes& body) {
   m.last_loss = r.f64();
   m.payload = get_bytes(r, body);
   r.expect_done();
+  return m;
+}
+
+UploadMsg decode_upload(const Frame& frame) {
+  UploadMsg m = decode_upload(frame.body);
+  if (frame.crc) {
+    // crc(type||body) = crc(type||head)·x^(8|payload|) ^ crc(payload).
+    const auto type = static_cast<std::uint8_t>(frame.type);
+    const auto head = static_cast<std::size_t>(m.payload.data() -
+                                               frame.body.data());
+    std::uint32_t crc = wire::crc32c({&type, 1});
+    crc = wire::crc32c(std::span<const std::uint8_t>(frame.body).first(head),
+                       crc);
+    m.payload_crc =
+        *frame.crc ^ wire::crc32c_combine(crc, 0, m.payload.size());
+  }
   return m;
 }
 

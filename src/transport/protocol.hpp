@@ -8,7 +8,9 @@
 //
 // Dispatch and Upload decode without copying their byte runs: the
 // broadcast and the payload are slices of the frame body, sharing its
-// storage (wire/shared_bytes.hpp).
+// storage (wire/shared_bytes.hpp). An Upload decoded from its parsed frame
+// also carries its payload's CRC, derived from the frame's, so the server
+// checks the payload seal without reading the payload again.
 //
 // Session metadata rides in the handshake, not in every message: Hello
 // announces the payload kind/aux the client's strategy emits (exactly like
@@ -24,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,6 +67,9 @@ struct UploadMsg {
   double mean_loss = 0.0;
   double last_loss = 0.0;
   wire::SharedBytes payload;  ///< sealed strategy payload bytes
+  /// wire::crc32c(payload), when decode_upload derived it from the CRC its
+  /// frame was verified with; encode() ignores it.
+  std::optional<std::uint32_t> payload_crc;
 };
 
 struct UploadAckMsg {
@@ -107,6 +113,12 @@ struct FinMsg {
 [[nodiscard]] WelcomeMsg decode_welcome(std::span<const std::uint8_t> body);
 [[nodiscard]] DispatchMsg decode_dispatch(const wire::SharedBytes& body);
 [[nodiscard]] UploadMsg decode_upload(const wire::SharedBytes& body);
+/// The same, for a parsed Upload frame. When the frame carries the CRC the
+/// parser verified, payload_crc is derived from it: the payload is the
+/// body's tail, so crc32c(payload) is the frame CRC xor crc32c(type||the
+/// body ahead of the payload) shifted past the payload's length. Only
+/// those few bytes ahead of it are read.
+[[nodiscard]] UploadMsg decode_upload(const Frame& frame);
 [[nodiscard]] UploadAckMsg decode_upload_ack(std::span<const std::uint8_t> body);
 [[nodiscard]] RejectMsg decode_reject(std::span<const std::uint8_t> body);
 [[nodiscard]] FinMsg decode_fin(std::span<const std::uint8_t> body);

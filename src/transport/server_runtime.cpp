@@ -288,40 +288,23 @@ void ServerRuntime::handle_hello(SessionId session, const Frame& frame) {
 }
 
 void ServerRuntime::handle_upload(SessionId session, const Frame& frame) {
-  UploadMsg msg;
+  // Submit half: capture everything the completion needs — including the
+  // arrival clock, so timestamps don't depend on when a worker runs — and
+  // hand the sealed payload to the decode pool (or decode inline).
+  const std::size_t client = sessions_[session].client;
+  const auto& [kind, aux] = meta_.at(client);
+  std::unique_ptr<DecodeJob> job;
   try {
-    msg = decode_upload(frame.body);
+    job = upload_job(frame, session, client,
+                     static_cast<wire::PayloadKind>(kind), aux,
+                     transport_.now());
   } catch (const wire::DecodeError& e) {
     transport_.close(session, std::string("malformed upload: ") + e.what());
     return;
   }
-  const std::size_t client = sessions_[session].client;
-
-  // Submit half: capture everything the completion needs — including the
-  // arrival clock, so timestamps don't depend on when a worker runs — and
-  // hand the sealed payload to the decode pool (or decode inline).
-  auto job = std::make_unique<DecodeJob>();
-  job->session = session;
-  job->client = client;
-  job->dispatch_index = msg.dispatch_index;
-  job->framed_bytes = msg.payload.size();
-  job->arrival_clock = transport_.now();
-  fl::ClientOutcome& out = job->outcome;
-  out.client_id = client;
-  out.samples = static_cast<std::size_t>(msg.samples);
-  out.is_update = msg.is_update != 0;
-  out.train_seconds = msg.train_seconds;
-  out.mean_loss = msg.mean_loss;
-  out.last_loss = msg.last_loss;
-  const auto& [kind, aux] = meta_.at(client);
-  out.payload.kind = static_cast<wire::PayloadKind>(kind);
-  out.payload.aux = aux;
-  out.payload.bytes = std::move(msg.payload);
 
   if (decode_pool_ == nullptr) {
-    job->status = fl::try_decode_outcome_compact(
-        *strategy_, core_.layout(), out, /*framed=*/true,
-        fl::DecodeContext{client, msg.dispatch_index, transport_.now()});
+    job->decode(*strategy_, core_.layout());
     finish_upload(*job);
     return;
   }
@@ -380,8 +363,9 @@ void ServerRuntime::finish_upload(DecodeJob& job) {
   fl::PendingUpdate up;
   up.slot = inf.msg.slot;
   up.dispatch_version = inf.msg.model_version;
-  // Decoded: only the compact view is kept, and dropping the payload slice
-  // frees the frame's storage.
+  // Decoded: the compact view is all the commit reads. Its values borrow
+  // the frame's storage, which lives until the commit drops the update;
+  // the payload slice itself is no longer needed.
   job.outcome.payload.bytes = {};
   up.outcome = std::move(job.outcome);
   inflight_.erase(it);

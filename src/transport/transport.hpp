@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -166,11 +167,14 @@ class ClientTransport {
                                   std::span<const std::uint8_t> body) = 0;
 
   /// Same, for the body head||tail (an Upload's fields, then its sealed
-  /// payload): the same wire bytes. The TCP client writes the parts without
-  /// joining them; this default joins them.
-  [[nodiscard]] virtual bool send(FrameType type,
-                                  std::span<const std::uint8_t> head,
-                                  std::span<const std::uint8_t> tail) {
+  /// payload): the same wire bytes. `tail_crc`, when given, must equal
+  /// wire::crc32c(tail) — a sealed payload's is wire::kCrc32cResidue — and
+  /// spares the sender reading the tail to checksum it. The TCP client
+  /// writes the parts without joining them; this default joins them.
+  [[nodiscard]] virtual bool send(
+      FrameType type, std::span<const std::uint8_t> head,
+      std::span<const std::uint8_t> tail,
+      std::optional<std::uint32_t> /*tail_crc*/) {
     std::vector<std::uint8_t> body(head.begin(), head.end());
     body.insert(body.end(), tail.begin(), tail.end());
     return send(type, body);

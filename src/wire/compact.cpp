@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "common/check.hpp"
 #include "wire/accounting.hpp"
@@ -37,32 +39,32 @@ std::size_t candidate_total(std::size_t n, const Bitset* candidates) {
   return candidates == nullptr ? n : candidates->count();
 }
 
-void read_dense(Reader& r, std::span<float> out) {
-  if (r.remaining() != dense_f32_bytes(out.size())) {
+void check_dense_length(const Reader& r, std::size_t count) {
+  if (r.remaining() != dense_f32_bytes(count)) {
     throw DecodeError("dense payload length mismatch");
   }
-  r.f32_run(out);
 }
 
-CompactUpdate decode_dense(const nn::ParameterStore& layout, Reader& r) {
+CompactUpdate decode_dense(const nn::ParameterStore& layout, Reader& r,
+                           const SharedBytes& payload) {
   CompactUpdate u;
   u.form = CompactUpdate::Form::kDense;
   u.coords = layout.size();
-  u.values.resize(layout.size());
-  read_dense(r, u.values);
+  check_dense_length(r, layout.size());
+  read_values(u, r, payload, layout.size());
   return u;
 }
 
-CompactUpdate decode_row_masked(const nn::ParameterStore& layout, Reader& r) {
+CompactUpdate decode_row_masked(const nn::ParameterStore& layout, Reader& r,
+                                const SharedBytes& payload) {
   CompactUpdate u;
   u.form = CompactUpdate::Form::kBitmap;
   u.coords = layout.size();
   u.present = expand_row_mask(
       layout, r.bytes(packed_bits_bytes(layout.droppable_rows())));
   // The encoder writes the kept rows in ascending coordinate order, so the
-  // value stream IS rank order: one bulk read suffices.
-  u.values.resize(u.present.count());
-  r.f32_run(u.values);
+  // value stream IS rank order: the run is the values as they stand.
+  read_values(u, r, payload, u.present.count());
   r.expect_done();
   u.build_rank_directory();
   return u;
@@ -79,7 +81,8 @@ CompactUpdate decode_sparse_fixed(const nn::ParameterStore& layout, Reader& r,
   u.form = CompactUpdate::Form::kSparse;
   u.coords = layout.size();
   u.indices.reserve(k);
-  u.values.reserve(k);
+  std::vector<float> values;
+  values.reserve(k);
   std::uint64_t prev = 0;
   for (std::size_t i = 0; i < k; ++i) {
     std::uint64_t idx = 0;
@@ -98,14 +101,15 @@ CompactUpdate decode_sparse_fixed(const nn::ParameterStore& layout, Reader& r,
     if (i > 0 && idx <= prev) throw DecodeError("sparse indices not sorted");
     prev = idx;
     u.indices.push_back(static_cast<std::uint32_t>(idx));
-    u.values.push_back(r.f32());
+    values.push_back(r.f32());
   }
   r.expect_done();
+  u.set_values(std::move(values));
   return u;
 }
 
 CompactUpdate decode_sparse_varint(const nn::ParameterStore& layout,
-                                   Reader& r) {
+                                   Reader& r, const SharedBytes& payload) {
   const std::uint64_t k = r.varint();
   if (k > layout.size()) throw DecodeError("sparse entry count exceeds model");
   CompactUpdate u;
@@ -120,8 +124,7 @@ CompactUpdate decode_sparse_varint(const nn::ParameterStore& layout,
     u.indices[i] = static_cast<std::uint32_t>(idx);
     prev = idx;
   }
-  u.values.resize(k);
-  r.f32_run(u.values);
+  read_values(u, r, payload, k);
   r.expect_done();
   return u;
 }
@@ -142,7 +145,8 @@ CompactUpdate decode_ternary(const nn::ParameterStore& layout, Reader& r,
   const float mu = r.f32();
   BitReader bits(r);
   u.indices.reserve(k);
-  u.values.reserve(k);
+  std::vector<float> values;
+  values.reserve(k);
   std::uint64_t prev = 0;
   for (std::uint64_t i = 0; i < k; ++i) {
     const std::uint64_t idx = bits.bits(static_cast<unsigned>(position_bits));
@@ -151,10 +155,11 @@ CompactUpdate decode_ternary(const nn::ParameterStore& layout, Reader& r,
     prev = idx;
     const bool negative = bits.bit();
     u.indices.push_back(static_cast<std::uint32_t>(idx));
-    u.values.push_back(negative ? -mu : mu);
+    values.push_back(negative ? -mu : mu);
   }
   bits.expect_padding_zero();
   r.expect_done();
+  u.set_values(std::move(values));
   return u;
 }
 
@@ -168,23 +173,21 @@ CompactUpdate decode_sign_mean(const nn::ParameterStore& layout, Reader& r,
   CompactUpdate u;
   u.coords = layout.size();
   BitReader bits(r);
+  std::vector<float> values;
+  values.reserve(count);
+  for_each_candidate(layout.size(), candidates, [&](std::size_t) {
+    values.push_back(bits.bit() ? -scale : scale);
+  });
+  bits.expect_padding_zero();
+  r.expect_done();
+  u.set_values(std::move(values));
   if (candidates == nullptr) {
     u.form = CompactUpdate::Form::kDense;
-    u.values.resize(layout.size());
-    for (std::size_t i = 0; i < layout.size(); ++i) {
-      u.values[i] = bits.bit() ? -scale : scale;
-    }
   } else {
     u.form = CompactUpdate::Form::kBitmap;
     u.present = *candidates;
-    u.values.reserve(count);
-    for_each_candidate(layout.size(), candidates, [&](std::size_t) {
-      u.values.push_back(bits.bit() ? -scale : scale);
-    });
     u.build_rank_directory();
   }
-  bits.expect_padding_zero();
-  r.expect_done();
   return u;
 }
 
@@ -197,30 +200,28 @@ CompactUpdate decode_int8_dense(const nn::ParameterStore& layout, Reader& r,
   const float scale = r.f32();
   CompactUpdate u;
   u.coords = layout.size();
-  auto dequant = [&] {
+  std::vector<float> values;
+  values.reserve(count);
+  for_each_candidate(layout.size(), candidates, [&](std::size_t) {
     const auto q = static_cast<std::int8_t>(r.u8());
     // Same expression the quantizer used client-side, so the dequantized
     // float is bit-identical to what it trained with.
-    return static_cast<float>(q) * scale;
-  };
+    values.push_back(static_cast<float>(q) * scale);
+  });
+  r.expect_done();
+  u.set_values(std::move(values));
   if (candidates == nullptr) {
     u.form = CompactUpdate::Form::kDense;
-    u.values.resize(layout.size());
-    for (std::size_t i = 0; i < layout.size(); ++i) u.values[i] = dequant();
   } else {
     u.form = CompactUpdate::Form::kBitmap;
     u.present = *candidates;
-    u.values.reserve(count);
-    for_each_candidate(layout.size(), candidates,
-                       [&](std::size_t) { u.values.push_back(dequant()); });
     u.build_rank_directory();
   }
-  r.expect_done();
   return u;
 }
 
 CompactUpdate decode_pruned(const nn::ParameterStore& layout, Reader& r,
-                            bool bitmap_variant) {
+                            const SharedBytes& payload, bool bitmap_variant) {
   const std::size_t n = layout.size();
   CompactUpdate u;
   u.form = CompactUpdate::Form::kBitmap;
@@ -241,8 +242,7 @@ CompactUpdate decode_pruned(const nn::ParameterStore& layout, Reader& r,
     }
   }
   // Kept values follow in ascending coordinate order, i.e. rank order.
-  u.values.resize(u.present.count());
-  r.f32_run(u.values);
+  read_values(u, r, payload, u.present.count());
   r.expect_done();
   u.build_rank_directory();
   return u;
@@ -286,16 +286,51 @@ void CompactUpdate::build_rank_directory() {
   }
 }
 
+void CompactUpdate::set_values(std::vector<float> values) {
+  if (values.empty()) {
+    value_bytes_ = {};
+    return;
+  }
+  auto owned = std::make_shared<const std::vector<float>>(std::move(values));
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(owned->data());
+  const std::size_t size = owned->size() * sizeof(float);
+  value_bytes_ = SharedBytes(std::move(owned), bytes, size);
+}
+
+void CompactUpdate::borrow_values(SharedBytes bytes) {
+  FEDBIAD_CHECK(bytes.size() % sizeof(float) == 0,
+                "a value run is a whole number of floats");
+  value_bytes_ = std::move(bytes);
+}
+
 void CompactUpdate::clear() {
   form = Form::kEmpty;
   coords = 0;
   present = Bitset();
   indices.clear();
   indices.shrink_to_fit();
-  values.clear();
-  values.shrink_to_fit();
+  value_bytes_ = {};
   rank_directory.clear();
   rank_directory.shrink_to_fit();
+}
+
+std::vector<float> F32Run::to_vector() const {
+  std::vector<float> out(count);
+  if (count != 0) std::memcpy(out.data(), data.bytes(), count * sizeof(float));
+  return out;
+}
+
+void read_values(CompactUpdate& u, Reader& r, const SharedBytes& payload,
+                 std::size_t count) {
+  if constexpr (std::endian::native == std::endian::little) {
+    const std::span<const std::uint8_t> run = r.bytes(count * sizeof(float));
+    u.borrow_values(payload.slice(
+        static_cast<std::size_t>(run.data() - payload.data()), run.size()));
+  } else {
+    std::vector<float> values(count);
+    r.f32_run(values);
+    u.set_values(std::move(values));
+  }
 }
 
 CompactUpdate decode_update_compact(const nn::ParameterStore& layout,
@@ -305,14 +340,14 @@ CompactUpdate decode_update_compact(const nn::ParameterStore& layout,
   const std::size_t position_bits = payload.aux == 0 ? 64 : payload.aux;
   switch (payload.kind) {
     case PayloadKind::kDenseF32:
-      return decode_dense(layout, r);
+      return decode_dense(layout, r, payload.bytes);
     case PayloadKind::kRowMasked:
-      return decode_row_masked(layout, r);
+      return decode_row_masked(layout, r, payload.bytes);
     case PayloadKind::kSparseFixed:
       check_position_bits(position_bits);
       return decode_sparse_fixed(layout, r, position_bits);
     case PayloadKind::kSparseVarint:
-      return decode_sparse_varint(layout, r);
+      return decode_sparse_varint(layout, r, payload.bytes);
     case PayloadKind::kTernary:
       check_position_bits(position_bits);
       return decode_ternary(layout, r, position_bits);
@@ -321,9 +356,9 @@ CompactUpdate decode_update_compact(const nn::ParameterStore& layout,
     case PayloadKind::kInt8Dense:
       return decode_int8_dense(layout, r, candidates);
     case PayloadKind::kPrunedBitmap:
-      return decode_pruned(layout, r, true);
+      return decode_pruned(layout, r, payload.bytes, true);
     case PayloadKind::kPrunedVarint:
-      return decode_pruned(layout, r, false);
+      return decode_pruned(layout, r, payload.bytes, false);
     case PayloadKind::kSubModel:
       break;  // needs the strategy's WidthPlan; fall through to the error
   }
@@ -334,10 +369,12 @@ CompactUpdate decode_update_compact(const nn::ParameterStore& layout,
 void decode_dense_f32(std::span<const std::uint8_t> bytes,
                       std::span<float> out) {
   Reader r(bytes);
-  read_dense(r, out);
+  check_dense_length(r, out.size());
+  r.f32_run(out);
 }
 
 Decoded expand(const CompactUpdate& update) {
+  const F32Run values = update.values();
   Decoded d;
   d.values.assign(update.coords, 0.0F);
   d.present = Bitset(update.coords);
@@ -345,9 +382,9 @@ Decoded expand(const CompactUpdate& update) {
     case CompactUpdate::Form::kEmpty:
       break;
     case CompactUpdate::Form::kDense:
-      FEDBIAD_CHECK(update.values.size() == update.coords,
+      FEDBIAD_CHECK(values.size() == update.coords,
                     "dense compact update size mismatch");
-      d.values = update.values;
+      d.values = values.to_vector();
       d.present.assign(update.coords, true);
       break;
     case CompactUpdate::Form::kBitmap: {
@@ -356,17 +393,17 @@ Decoded expand(const CompactUpdate& update) {
       d.present = update.present;
       std::size_t c = 0;
       for (std::size_t i = 0; i < update.coords; ++i) {
-        if (update.present.test(i)) d.values[i] = update.values[c++];
+        if (update.present.test(i)) d.values[i] = values[c++];
       }
-      FEDBIAD_CHECK(c == update.values.size(),
+      FEDBIAD_CHECK(c == values.size(),
                     "bitmap compact update value count mismatch");
       break;
     }
     case CompactUpdate::Form::kSparse:
-      FEDBIAD_CHECK(update.indices.size() == update.values.size(),
+      FEDBIAD_CHECK(update.indices.size() == values.size(),
                     "sparse compact update index/value mismatch");
       for (std::size_t c = 0; c < update.indices.size(); ++c) {
-        d.values[update.indices[c]] = update.values[c];
+        d.values[update.indices[c]] = values[c];
         d.present.set(update.indices[c]);
       }
       break;

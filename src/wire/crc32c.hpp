@@ -25,7 +25,10 @@
 // same GF(2) arithmetic the merge tables are built from; it is available
 // on every build, portable included. The transport frames a model
 // broadcast this way: the broadcast's CRC is computed once per model
-// version and combined with each Dispatch's own few header bytes.
+// version and combined with each Dispatch's own few header bytes. The
+// server checks an Upload's payload seal the same way: the frame's verified
+// CRC, less its own few header bytes, is the sealed payload's CRC, which
+// must be kCrc32cResidue.
 #pragma once
 
 #include <cstddef>
@@ -54,6 +57,12 @@ namespace fedbiad::wire {
 [[nodiscard]] std::uint32_t crc32c_combine(std::uint32_t crc_a,
                                            std::uint32_t crc_b,
                                            std::size_t len_b) noexcept;
+
+/// The CRC of every run that ends in its own CRC: crc32c(M || le32(c)) ==
+/// kCrc32cResidue exactly when c == crc32c(M), for any M. A sealed payload
+/// (wire/update_codec.hpp) is such a run, so its CRC alone certifies the
+/// seal, without reading the bytes again.
+inline constexpr std::uint32_t kCrc32cResidue = 0x48674BC7U;
 
 /// True when crc32c() routes through the SSE4.2 CRC32 instruction (i.e.
 /// this TU was compiled with -msse4.2 and not FEDBIAD_PORTABLE).

@@ -283,8 +283,10 @@ void seal_payload(Payload& payload) {
                  "sealed size diverged from the accounting oracle");
 }
 
-bool verify_seal(const Payload& payload) noexcept {
+bool verify_seal(const Payload& payload,
+                 std::optional<std::uint32_t> sealed_crc) noexcept {
   if (payload.bytes.size() < kCrcTrailerBytes) return false;
+  if (sealed_crc) return *sealed_crc == kCrc32cResidue;
   const std::size_t body = payload.bytes.size() - kCrcTrailerBytes;
   std::uint32_t stored = 0;
   for (std::size_t i = 0; i < kCrcTrailerBytes; ++i) {
@@ -294,8 +296,8 @@ bool verify_seal(const Payload& payload) noexcept {
          stored;
 }
 
-void strip_seal(Payload& payload) {
-  if (!verify_seal(payload)) {
+void strip_seal(Payload& payload, std::optional<std::uint32_t> sealed_crc) {
+  if (!verify_seal(payload, sealed_crc)) {
     throw DecodeError(payload.bytes.size() < kCrcTrailerBytes
                           ? "frame shorter than its CRC trailer"
                           : "frame CRC mismatch (corrupt or truncated)");

@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -86,13 +87,21 @@ struct Payload {
 void seal_payload(Payload& payload);
 
 /// True when `payload` ends in a trailer matching its body. A buffer too
-/// short to hold a trailer verifies false, never throws.
-[[nodiscard]] bool verify_seal(const Payload& payload) noexcept;
+/// short to hold a trailer verifies false, never throws. `sealed_crc`, when
+/// given, must be wire::crc32c of the whole sealed payload, trailer
+/// included (a receiver derives it from the CRC of the frame the payload
+/// arrived in): the seal then verifies exactly when it equals
+/// kCrc32cResidue, and no payload byte is read. Without it the body is
+/// checksummed and compared with the trailer; both accept the same bytes.
+[[nodiscard]] bool verify_seal(
+    const Payload& payload,
+    std::optional<std::uint32_t> sealed_crc = std::nullopt) noexcept;
 
-/// Narrows `payload` to its body once the trailer verifies. Throws
-/// DecodeError when the trailer is missing or does not match the body
-/// (corrupt or truncated frame).
-void strip_seal(Payload& payload);
+/// Narrows `payload` to its body once the trailer verifies (sealed_crc as
+/// for verify_seal). Throws DecodeError when the trailer is missing or does
+/// not match the body (corrupt or truncated frame).
+void strip_seal(Payload& payload,
+                std::optional<std::uint32_t> sealed_crc = std::nullopt);
 
 // --- encoders (client side) ---
 

@@ -41,4 +41,24 @@ void aggregate(std::span<float> global_params,
   }
 }
 
+void merge(std::span<float> global_params,
+           std::span<const fl::ClientOutcome> outcomes,
+           std::span<const double> weights, double mixing_rate) {
+  FEDBIAD_CHECK(weights.size() == outcomes.size(), "one weight per outcome");
+  for (std::size_t i = 0; i < global_params.size(); ++i) {
+    double acc = 0.0;
+    double w = 0.0;
+    for (std::size_t k = 0; k < outcomes.size(); ++k) {
+      if (!outcomes[k].present.test(i)) continue;
+      const double v = static_cast<double>(outcomes[k].values[i]);
+      const double delta = outcomes[k].is_update
+                               ? v
+                               : v - static_cast<double>(global_params[i]);
+      acc += weights[k] * delta;
+      w += weights[k];
+    }
+    if (w > 0.0) global_params[i] += static_cast<float>(mixing_rate * acc / w);
+  }
+}
+
 }  // namespace fedbiad::reference

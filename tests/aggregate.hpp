@@ -31,4 +31,12 @@ void aggregate(std::span<float> global_params,
                std::span<const fl::ClientOutcome> outcomes,
                fl::AggregationRule rule);
 
+/// The dense coordinate-outer staleness merge the engine used before the
+/// fused path: per coordinate, deltas against the pre-merge global are
+/// weight-averaged in batch order (outcome k at weights[k]) and the global
+/// steps by mixing_rate.
+void merge(std::span<float> global_params,
+           std::span<const fl::ClientOutcome> outcomes,
+           std::span<const double> weights, double mixing_rate);
+
 }  // namespace fedbiad::reference

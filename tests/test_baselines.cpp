@@ -573,11 +573,11 @@ void expect_submodel_decode(const fl::Strategy& strat, const WidthPlan& plan,
       std::count(mask.begin(), mask.end(), std::uint8_t{1}));
   ASSERT_EQ(u.size(), n);
   ASSERT_EQ(u.transmitted(), kept);
-  ASSERT_EQ(u.values.size(), kept);
+  ASSERT_EQ(u.values().size(), kept);
   if (kept == n) {
     ASSERT_EQ(u.form, wire::CompactUpdate::Form::kDense);
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(u.values[i]),
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(u.values()[i]),
                 std::bit_cast<std::uint32_t>(values[i]))
           << "coordinate " << i;
     }
@@ -590,7 +590,7 @@ void expect_submodel_decode(const fl::Strategy& strat, const WidthPlan& plan,
     ASSERT_EQ(u.rank(i), naive) << "rank at " << i;
     ASSERT_EQ(u.present.test(i), mask[i] != 0) << "coordinate " << i;
     if (mask[i] == 0) continue;
-    ASSERT_EQ(std::bit_cast<std::uint32_t>(u.values[naive]),
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(u.values()[naive]),
               std::bit_cast<std::uint32_t>(values[i]))
         << "coordinate " << i;
     ++naive;

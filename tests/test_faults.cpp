@@ -265,10 +265,12 @@ TEST(TryDecode, UnframedSuccessMatchesThrowingDecode) {
   ASSERT_TRUE(status.ok) << status.error;
   fl::decode_outcome_compact(b.strategy, b.model->store(), b.outcome);
   EXPECT_EQ(a.outcome.compact.form, b.outcome.compact.form);
-  ASSERT_EQ(a.outcome.compact.values.size(), b.outcome.compact.values.size());
-  for (std::size_t i = 0; i < a.outcome.compact.values.size(); ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint32_t>(a.outcome.compact.values[i]),
-              std::bit_cast<std::uint32_t>(b.outcome.compact.values[i]));
+  const wire::F32Run av = a.outcome.compact.values();
+  const wire::F32Run bv = b.outcome.compact.values();
+  ASSERT_EQ(av.size(), bv.size());
+  for (std::size_t i = 0; i < av.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(av[i]),
+              std::bit_cast<std::uint32_t>(bv[i]));
   }
   EXPECT_EQ(a.outcome.uplink_bytes, b.outcome.uplink_bytes);
 }

@@ -232,9 +232,9 @@ TEST(CompactDecode, RowMaskedMatchesExpandOnModelLayouts) {
           gathered.push_back(values[i]);
         }
       }
-      ASSERT_EQ(compact.values.size(), gathered.size());
+      ASSERT_EQ(compact.values().size(), gathered.size());
       for (std::size_t i = 0; i < gathered.size(); ++i) {
-        ASSERT_EQ(std::bit_cast<std::uint32_t>(compact.values[i]),
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(compact.values()[i]),
                   std::bit_cast<std::uint32_t>(gathered[i]))
             << "kept value " << i;
       }
@@ -534,27 +534,6 @@ TEST(FusedAggregate, MatchesDenseKernelPerRuleAndOutcomeType) {
   }
 }
 
-/// The dense coordinate-outer staleness merge the engine used before the
-/// fused path: per coordinate, deltas against the pre-merge global are
-/// weight-averaged in batch order and the global steps by mixing_rate.
-void reference_merge(std::span<float> global,
-                     const std::vector<fl::ClientOutcome>& batch,
-                     std::span<const double> weights, double mixing_rate) {
-  for (std::size_t i = 0; i < global.size(); ++i) {
-    double acc = 0.0;
-    double w = 0.0;
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      if (!batch[k].present.test(i)) continue;
-      const double v = static_cast<double>(batch[k].values[i]);
-      const double delta =
-          batch[k].is_update ? v : v - static_cast<double>(global[i]);
-      acc += weights[k] * delta;
-      w += weights[k];
-    }
-    if (w > 0.0) global[i] += static_cast<float>(mixing_rate * acc / w);
-  }
-}
-
 TEST(FusedAggregate, MergeMatchesCoordinateOuterReference) {
   const auto store = wide_store();
   std::vector<float> base(store.size());
@@ -571,7 +550,7 @@ TEST(FusedAggregate, MergeMatchesCoordinateOuterReference) {
     }
     std::vector<float> ref_global = base;
     std::vector<float> fused_global = base;
-    reference_merge(ref_global, b.dense, weights, 0.6);
+    reference::merge(ref_global, b.dense, weights, 0.6);
     sharded.merge(fused_global, b.fused, 0.6);
     expect_params_bit_identical(fused_global, ref_global);
   }
@@ -648,7 +627,7 @@ TEST(FusedAggregate, DenseMergeMatchesCoordinateOuterReference) {
         fused.push_back({&compact[k], weights[k], is_update});
       }
       std::vector<float> ref_global = base;
-      reference_merge(ref_global, dense, weights, 0.6);
+      reference::merge(ref_global, dense, weights, 0.6);
       SCOPED_TRACE(testing::Message() << "is_update " << is_update << " K "
                                       << shifts.size());
 
@@ -720,7 +699,7 @@ TEST(FusedAggregate, PanelPathMatchesReferenceOnAnyThreadCountAndStaleScratch) {
                          fl::AggregationRule::kMaskedAverage);
     reference::aggregate(ref_normalized, b.dense,
                          fl::AggregationRule::kPerCoordinateNormalized);
-    reference_merge(ref_merged, b.dense, weights, 0.6);
+    reference::merge(ref_merged, b.dense, weights, 0.6);
 
     for (const bool pooled : {false, true}) {
       SCOPED_TRACE(testing::Message() << "is_update " << is_update
@@ -831,7 +810,7 @@ wire::CompactUpdate dense_update(std::vector<float> values) {
   wire::CompactUpdate u;
   u.form = wire::CompactUpdate::Form::kDense;
   u.coords = values.size();
-  u.values = std::move(values);
+  u.set_values(std::move(values));
   return u;
 }
 

@@ -24,20 +24,24 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "../tools/transport_demo.hpp"
+#include "aggregate.hpp"
 #include "baselines/fedavg.hpp"
 #include "baselines/heterofl.hpp"
 #include "baselines/unit_mask.hpp"
 #include "common/check.hpp"
+#include "fl/fused_aggregate.hpp"
 #include "fl/scheduler.hpp"
 #include "fl/strategy.hpp"
 #include "nn/mlp_model.hpp"
 #include "transport/client_runtime.hpp"
+#include "transport/decode_pool.hpp"
 #include "transport/epoll.hpp"
 #include "transport/frame.hpp"
 #include "transport/loopback.hpp"
@@ -915,10 +919,10 @@ void expect_same_compact(const wire::CompactUpdate& a,
   EXPECT_TRUE(a.present == b.present);
   EXPECT_EQ(a.indices, b.indices);
   EXPECT_EQ(a.rank_directory, b.rank_directory);
-  ASSERT_EQ(a.values.size(), b.values.size());
-  EXPECT_TRUE(a.values.empty() ||
-              std::memcmp(a.values.data(), b.values.data(),
-                          a.values.size() * sizeof(float)) == 0);
+  ASSERT_EQ(a.values().size(), b.values().size());
+  EXPECT_TRUE(a.values().empty() ||
+              std::memcmp(a.values().data.bytes(), b.values().data.bytes(),
+                          a.values().size() * sizeof(float)) == 0);
 }
 
 // One unsealed payload of every PayloadKind over `store`'s layout, values
@@ -1104,6 +1108,289 @@ TEST(ReceivePath, TruncatedAndLyingBodiesThrowFromFrameStorage) {
     receive_into(parser, wire_of(k.type, lying));
     ASSERT_EQ(parser.next(f), FrameParser::Status::kFrame);
     EXPECT_THROW(decode(f.body), wire::DecodeError) << to_string(k.type);
+  }
+}
+
+// --- receive path: the seal from the frame CRC, values from the frame -----
+
+/// `payload` sent as an Upload of `samples` behind a frame of `pad` body
+/// bytes, delivered as one vector and parsed: pads 0-3 put the payload at
+/// every offset mod 4 of the storage.
+Frame parsed_upload(const wire::SharedBytes& payload, std::size_t pad,
+                    std::uint64_t samples = 12) {
+  const transport::UploadMsg upload{
+      .dispatch_index = 7, .samples = samples, .payload = payload};
+  std::vector<std::uint8_t> stream =
+      wire_of(FrameType::kUploadAck, some_body(pad, 57));
+  const auto up = wire_of(FrameType::kUpload, transport::encode(upload));
+  stream.insert(stream.end(), up.begin(), up.end());
+  FrameParser parser(1 << 22);
+  parser.feed(std::move(stream));
+  Frame f;
+  EXPECT_EQ(parser.next(f), FrameParser::Status::kFrame);
+  EXPECT_EQ(parser.next(f), FrameParser::Status::kFrame);
+  return f;
+}
+
+std::size_t address_mod4(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % 4;
+}
+
+/// strip_seal's verdict on a copy of `p`: "" when it accepts, else its
+/// DecodeError message.
+std::string seal_verdict(wire::Payload p, std::optional<std::uint32_t> crc) {
+  try {
+    wire::strip_seal(p, crc);
+    return "";
+  } catch (const wire::DecodeError& e) {
+    return e.what();
+  }
+}
+
+TEST(ReceivePath, DerivedSealRejectsExactlyWhatReadingRejects) {
+  nn::MlpModel model({.input = 20, .hidden = 6, .classes = 3});
+  tensor::Rng rng(58);
+  model.init_params(rng);
+  const auto plan = baselines::WidthPlan::for_mlp(model);
+  for (wire::Payload& payload :
+       payload_of_every_kind(model.store(), plan, rng)) {
+    SCOPED_TRACE(wire::to_string(payload.kind));
+    wire::seal_payload(payload);
+    const std::vector<std::uint8_t> sealed(payload.bytes.begin(),
+                                           payload.bytes.end());
+    // The valid seal, every single-bit flip of its trailer, the payload
+    // one byte short, and one too short to hold a trailer.
+    std::vector<std::vector<std::uint8_t>> variants{sealed};
+    for (std::size_t bit = 0; bit < 32; ++bit) {
+      auto flipped = sealed;
+      flipped[sealed.size() - 4 + bit / 8] ^=
+          static_cast<std::uint8_t>(1u << (bit % 8));
+      variants.push_back(std::move(flipped));
+    }
+    variants.emplace_back(sealed.begin(), sealed.end() - 1);
+    variants.emplace_back(sealed.begin(), sealed.begin() + 3);
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+      const wire::Payload copy{.kind = payload.kind,
+                               .aux = payload.aux,
+                               .bytes = std::vector(variants[v])};
+      EXPECT_EQ(wire::verify_seal(copy), v == 0) << "variant " << v;
+      std::set<std::size_t> offsets;
+      for (std::size_t pad = 0; pad < 4; ++pad) {
+        const Frame f = parsed_upload(copy.bytes, pad);
+        const transport::UploadMsg got = transport::decode_upload(f);
+        ASSERT_TRUE(got.payload_crc.has_value());
+        EXPECT_EQ(*got.payload_crc, wire::crc32c(got.payload))
+            << "variant " << v << " pad " << pad;
+        offsets.insert(address_mod4(got.payload.data()));
+        const wire::Payload received{
+            .kind = payload.kind, .aux = payload.aux, .bytes = got.payload};
+        EXPECT_EQ(wire::verify_seal(received, got.payload_crc),
+                  wire::verify_seal(copy))
+            << "variant " << v << " pad " << pad;
+        EXPECT_EQ(seal_verdict(received, got.payload_crc),
+                  seal_verdict(copy, std::nullopt))
+            << "variant " << v << " pad " << pad;
+      }
+      EXPECT_EQ(offsets.size(), 4u) << "variant " << v;
+    }
+  }
+  // The derived CRC decides, not the bytes: it is trusted as given, and
+  // no byte is read to second-guess it.
+  wire::Payload good = wire::encode_dense_f32(
+      std::vector<float>(model.store().size(), 0.5F));
+  wire::seal_payload(good);
+  std::vector<std::uint8_t> bad(good.bytes.begin(), good.bytes.end());
+  bad[2] ^= 0x10;
+  const wire::Payload damaged{.kind = good.kind, .bytes = std::move(bad)};
+  EXPECT_TRUE(wire::verify_seal(good, wire::kCrc32cResidue));
+  EXPECT_FALSE(wire::verify_seal(good, wire::kCrc32cResidue ^ 1U));
+  EXPECT_FALSE(wire::verify_seal(damaged));
+  EXPECT_TRUE(wire::verify_seal(damaged, wire::kCrc32cResidue));
+  // So does the server's receive step: the job carries the frame-derived
+  // CRC all the way to the seal check.
+  const baselines::FedAvgStrategy strategy;
+  const auto decode_with = [&](const wire::Payload& p,
+                               std::uint32_t sealed_crc) {
+    auto job = transport::upload_job(parsed_upload(p.bytes, 1), 1, 0, p.kind,
+                                     0, 0.0);
+    job->sealed_crc = sealed_crc;
+    job->decode(strategy, model.store());
+    return job->status;
+  };
+  EXPECT_TRUE(decode_with(damaged, wire::kCrc32cResidue).ok);
+  const fl::DecodeStatus refused =
+      decode_with(good, wire::kCrc32cResidue ^ 1U);
+  EXPECT_FALSE(refused.ok);
+  EXPECT_NE(refused.error.find("frame CRC mismatch"), std::string::npos)
+      << refused.error;
+}
+
+TEST(ReceivePath, BorrowedValuesAggregateLikeOwnedAtEveryAlignment) {
+  // Row-masked, dense and varint-sparse uploads received through the
+  // server's own receive step at every offset mod 4: their values stay in
+  // the frame, and the barrier aggregate (both rules), the panel merge and
+  // the all-dense register merge read them there bit-identically to the
+  // dense oracles on owned wide copies.
+  nn::MlpModel model({.input = 64, .hidden = 80, .classes = 10});
+  tensor::Rng rng(59);
+  model.init_params(rng);
+  const nn::ParameterStore& store = model.store();
+  const std::size_t n = store.size();
+  ASSERT_GT(n, fl::ShardedAccumulator::kBlock);
+  const auto draw = [&rng, n] {
+    std::vector<float> v(n);
+    for (auto& x : v) x = static_cast<float>(rng.normal());
+    return v;
+  };
+  std::vector<wire::Payload> plain;
+  {
+    std::vector<std::uint8_t> rows(store.droppable_rows(), 0);
+    for (std::size_t j = 0; j < rows.size(); j += 3) rows[j] = 1;
+    plain.push_back(wire::encode_row_masked(store, rows, draw()));
+    plain.push_back(wire::encode_dense_f32(draw()));
+    const auto values = draw();
+    std::vector<std::uint32_t> indices;
+    std::vector<float> picked;
+    for (std::size_t i = 2; i < n; i += 7) {
+      indices.push_back(static_cast<std::uint32_t>(i));
+      picked.push_back(values[i]);
+    }
+    plain.push_back(wire::encode_sparse_varint(indices, picked));
+  }
+  const std::size_t samples[] = {30, 7, 12};
+  const double weights[] = {15.0, 7.0, 3.0};  // staleness-damped
+  const baselines::FedAvgStrategy strategy;
+  const std::vector<float> base = draw();
+  const auto bit_identical = [](std::span<const float> a,
+                                std::span<const float> b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
+
+  std::vector<std::set<std::size_t>> offsets(plain.size());
+  for (std::size_t pad = 0; pad < 4; ++pad) {
+    SCOPED_TRACE(testing::Message() << "pad " << pad);
+    std::vector<std::unique_ptr<transport::DecodeJob>> jobs;
+    std::vector<fl::ClientOutcome> owned;
+    for (std::size_t k = 0; k < plain.size(); ++k) {
+      wire::Payload sealed{.kind = plain[k].kind,
+                           .bytes = std::vector<std::uint8_t>(
+                               plain[k].bytes.begin(), plain[k].bytes.end())};
+      wire::seal_payload(sealed);
+      const Frame f = parsed_upload(sealed.bytes, pad, samples[k]);
+      auto job = transport::upload_job(f, 1, k, sealed.kind, 0, 0.0);
+      ASSERT_EQ(job->sealed_crc, wire::kCrc32cResidue);
+      job->decode(strategy, store);
+      ASSERT_TRUE(job->status.ok) << job->status.error;
+      const wire::F32Run values = job->outcome.compact.values();
+      EXPECT_TRUE(within({values.data.bytes(), values.size() * sizeof(float)},
+                         f.body))
+          << "values of upload " << k << " were copied";
+      offsets[k].insert(address_mod4(values.data.bytes()));
+      jobs.push_back(std::move(job));
+
+      fl::ClientOutcome out;
+      out.samples = samples[k];
+      out.payload = {.kind = plain[k].kind,
+                     .bytes = std::vector<std::uint8_t>(
+                         plain[k].bytes.begin(), plain[k].bytes.end())};
+      fl::decode_outcome(strategy, store, out);
+      owned.push_back(std::move(out));
+    }
+    for (const bool is_update : {false, true}) {
+      SCOPED_TRACE(is_update ? "delta uploads" : "parameter uploads");
+      std::vector<fl::FusedUpdate> fused;
+      for (std::size_t k = 0; k < jobs.size(); ++k) {
+        owned[k].is_update = is_update;
+        fused.push_back({&jobs[k]->outcome.compact,
+                         static_cast<double>(samples[k]), is_update});
+      }
+      for (const auto rule : {fl::AggregationRule::kMaskedAverage,
+                              fl::AggregationRule::kPerCoordinateNormalized}) {
+        std::vector<float> got = base;
+        std::vector<float> want = base;
+        fl::ShardedAccumulator{}.aggregate(got, fused, rule);
+        reference::aggregate(want, owned, rule);
+        EXPECT_TRUE(bit_identical(got, want)) << "aggregate";
+      }
+      for (std::size_t k = 0; k < fused.size(); ++k) {
+        fused[k].weight = weights[k];
+      }
+      std::vector<float> got = base;
+      std::vector<float> want = base;
+      fl::ShardedAccumulator{}.merge(got, fused, 0.6);
+      reference::merge(want, owned, weights, 0.6);
+      EXPECT_TRUE(bit_identical(got, want)) << "panel merge";
+      // The dense upload alone takes the register merge.
+      got = base;
+      want = base;
+      fl::ShardedAccumulator{}.merge(
+          got, std::span<const fl::FusedUpdate>(fused).subspan(1, 1), 0.6);
+      reference::merge(
+          want, std::span<const fl::ClientOutcome>(owned).subspan(1, 1),
+          std::span<const double>(weights).subspan(1, 1), 0.6);
+      EXPECT_TRUE(bit_identical(got, want)) << "dense merge";
+    }
+  }
+  for (std::size_t k = 0; k < plain.size(); ++k) {
+    EXPECT_EQ(offsets[k].size(), 4u) << wire::to_string(plain[k].kind);
+  }
+}
+
+TEST(ReceivePath, BorrowedValuesOutliveFrameAndParser) {
+  nn::MlpModel model({.input = 20, .hidden = 6, .classes = 3});
+  tensor::Rng rng(60);
+  model.init_params(rng);
+  const nn::ParameterStore& store = model.store();
+  std::vector<float> values(store.size());
+  for (auto& v : values) v = static_cast<float>(rng.normal());
+  std::vector<std::uint8_t> rows(store.droppable_rows(), 1);
+  rows[0] = 0;
+  const wire::Payload plain = wire::encode_row_masked(store, rows, values);
+  const wire::Decoded want =
+      wire::expand(wire::decode_update_compact(store, plain));
+  wire::Payload sealed{.kind = plain.kind,
+                       .bytes = std::vector<std::uint8_t>(plain.bytes.begin(),
+                                                          plain.bytes.end())};
+  wire::seal_payload(sealed);
+  const auto stream = wire_of(
+      FrameType::kUpload,
+      transport::encode(transport::UploadMsg{.dispatch_index = 4,
+                                             .samples = 5,
+                                             .payload = sealed.bytes}));
+  const baselines::FedAvgStrategy strategy;
+  // Received both ways the backends receive: reads into prepare()'s room
+  // (TCP) and a delivered vector taken over whole (loopback).
+  for (const bool delivered : {false, true}) {
+    std::unique_ptr<transport::DecodeJob> job;
+    {
+      auto parser = std::make_unique<FrameParser>(1 << 20);
+      if (delivered) {
+        parser->feed(std::vector<std::uint8_t>(stream));
+      } else {
+        receive_into(*parser, stream, 100);
+      }
+      auto frame = std::make_unique<Frame>();
+      ASSERT_EQ(parser->next(*frame), FrameParser::Status::kFrame);
+      job = transport::upload_job(*frame, 1, 0, plain.kind, 0, 0.0);
+      job->decode(strategy, store);
+      ASSERT_TRUE(job->status.ok) << job->status.error;
+      const wire::F32Run borrowed = job->outcome.compact.values();
+      EXPECT_TRUE(within(
+          {borrowed.data.bytes(), borrowed.size() * sizeof(float)},
+          frame->body))
+          << delivered;
+    }
+    // Frame and parser are gone, and the payload slice goes as the
+    // committer drops it; under ASan a dangling value run fails here.
+    job->outcome.payload.bytes = {};
+    const wire::Decoded got = wire::expand(job->outcome.compact);
+    EXPECT_TRUE(got.present == want.present) << delivered;
+    ASSERT_EQ(got.values.size(), want.values.size());
+    EXPECT_EQ(std::memcmp(got.values.data(), want.values.data(),
+                          got.values.size() * sizeof(float)),
+              0)
+        << delivered;
   }
 }
 
@@ -1782,6 +2069,77 @@ TEST(Tcp, EndToEndMatchesEngineAcrossThreads) {
   }
 }
 
+TEST(Tcp, CorruptUploadsReachTheServerAsSealRejections) {
+  // The client frames a sealed upload from the seal's known CRC, without
+  // reading the payload; a chaos-damaged copy has no known CRC and is
+  // checksummed as sent. So a flipped payload bit arrives in a valid frame
+  // and is caught by the payload seal: Rejected with retry, then terminally
+  // — never a framing error that drops the connection.
+  const auto w = tools::make_demo_workload("fedavg", true);
+  constexpr std::size_t kLossy = 1;
+  transport::TransportServerConfig scfg;
+  scfg.base = w.sim;
+  scfg.scenario_name = "tcp";
+  scfg.max_upload_attempts = 2;
+  // Bounds the run if the damaged frames were dropped as framing errors
+  // instead: their dispatches would then be abandoned, not rejected.
+  scfg.dispatch_deadline_seconds = 20.0;
+  transport::EpollServerTransport net({}, 0);
+  const std::uint16_t port = net.port();
+  transport::ServerRuntime server(scfg, net, w.factory, w.test, w.partition,
+                                  tools::make_demo_strategy("fedavg"));
+
+  std::vector<std::thread> threads;
+  std::vector<std::size_t> reconnects(w.partition.size(), 0);
+  std::size_t clients = 0;
+  for (std::size_t c = 0; c < w.partition.size(); ++c) {
+    if (w.partition[c].empty()) continue;
+    ++clients;
+    threads.emplace_back([&, c] {
+      transport::TransportClientConfig ccfg;
+      ccfg.client_id = c;
+      ccfg.base = w.sim;
+      ccfg.payload_kind = w.payload_kind;
+      ccfg.reconnect_timeout_seconds = 30.0;
+      if (c == kLossy) ccfg.corrupt_probability = 1.0;
+      transport::TcpClientTransport tcp("127.0.0.1", port);
+      transport::ClientRuntime runtime(ccfg, tcp, w.factory, w.train,
+                                       w.partition[c],
+                                       tools::make_demo_strategy("fedavg"));
+      (void)runtime.run();
+      reconnects[c] = runtime.reconnects();
+    });
+  }
+  const auto result = server.run();
+  for (auto& t : threads) t.join();
+  expect_conserved(result);
+  EXPECT_GT(result.sim.total_rejected, 0u);
+  EXPECT_GE(result.sim.total_rejected_deliveries,
+            result.sim.total_rejected * 2);
+  EXPECT_EQ(result.sim.total_abandoned, 0u);
+  EXPECT_EQ(result.sim.total_committed + result.sim.total_rejected,
+            result.sim.total_dispatched);
+  EXPECT_EQ(result.sessions_opened, clients);
+  for (std::size_t c = 0; c < reconnects.size(); ++c) {
+    EXPECT_EQ(reconnects[c], 0u) << "client " << c;
+  }
+}
+
+TEST(Tcp, StepSleepsUntilADeadlineUnderAMillisecondAway) {
+  // Waits round up to whole milliseconds: one step(0.05) sleeps past a
+  // deadline 0.3 ms away and fires it, instead of handing epoll_wait 0 and
+  // returning before it is due, which leaves the caller spinning.
+  transport::EpollServerTransport net({}, 0);
+  OpenRecorder handler;
+  net.set_handler(&handler);
+  net.step(0.0);  // brings the scheduler's clock up to the wall clock
+  bool fired = false;
+  transport::DeadlineTimer timer(net.scheduler(), 0.0003);
+  timer.arm([&fired] { fired = true; });
+  net.step(0.05);
+  EXPECT_TRUE(fired);
+}
+
 // Connects a raw socket to `net` and steps it until the session opens.
 // rcvbuf > 0 shrinks the socket's receive buffer first, so that a peer that
 // does not read fills the server's socket early and its writes park.
@@ -2053,7 +2411,8 @@ TEST(Tcp, ClientSendSurvivesPartialWrites) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
   });
-  const bool sent = client.send(FrameType::kUpload, head, payload);
+  const bool sent =
+      client.send(FrameType::kUpload, head, payload, std::nullopt);
   const bool sent_fin = client.send(FrameType::kFin, fin);
   if (!sent || !sent_fin) client.shutdown();  // unblocks the reader
   reader.join();
